@@ -8,7 +8,9 @@ population divisor (the number of subsamples).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .geometry import (
     enumerate_ol,
     lattice_sites,
     nol_subregion_windows,
+    warn_non_integer_scale,
 )
 
 
@@ -158,19 +161,74 @@ class SubsamplePlan:
     """Precomputed row-index matrix for repeated estimation on one design.
 
     ``row_matrix`` is (M, sN) for shared-count schemes; ragged designs carry a
-    list of row arrays instead.
+    tuple of row arrays instead.  Plans are shared through the design cache,
+    so every array in one is read-only.
     """
 
     scheme: str
     index_set: SubsampleIndexSet
     row_matrix: np.ndarray | None
-    row_lists: list | None
+    row_lists: tuple | None
     counts: np.ndarray
 
 
-def build_plan(sample: FieldSample, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
-    """Resolve every subsample's sites to rows of the sample, or fail loudly."""
-    indexer = sample.window.indexer()
+# Designs kept by the process-wide cache; a phi study reuses a few dozen.
+DESIGN_CACHE_SIZE = 128
+
+# Per thread: whether the last cache lookup built its design (a miss).
+_lookup = threading.local()
+
+
+class _WindowKey:
+    """Hashable stand-in for a window: equal when the site arrays are equal.
+
+    Row indices depend on the window only through its ordered sites, so
+    windows read from files match the ones ``lattice_sites`` builds.
+    """
+
+    __slots__ = ("window", "_key", "_hash")
+
+    def __init__(self, window: LatticeWindow):
+        sites = window.sites
+        self.window = window
+        self._key = (sites.dtype.str, sites.shape, sites.tobytes())
+        self._hash = hash(self._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _WindowKey) and self._key == other._key
+
+
+def design_plan(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
+    """The subsample design of ``spec`` on ``region``, as rows of ``window``.
+
+    A design does not depend on field values, so it is built once and kept
+    in a bounded LRU cache keyed by the window's sites, the region and the
+    spec; callers share the returned plan, whose arrays are read-only.  Like
+    a fresh build, a cache hit warns about a non-integer NOL scale.
+    """
+    _lookup.built = False
+    plan = _cached_design(_WindowKey(window), region, spec)
+    if not _lookup.built and spec.scheme == NOL and not spec.is_integer_scale():
+        warn_non_integer_scale()
+    return plan
+
+
+@lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _cached_design(key: _WindowKey, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
+    _lookup.built = True
+    plan = _build_design(key.window, region, spec)
+    rows = [plan.row_matrix] if plan.row_matrix is not None else list(plan.row_lists)
+    for arr in [plan.index_set.offsets, plan.counts, *rows]:
+        arr.setflags(write=False)
+    return plan
+
+
+def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
+    """Resolve every subsample's sites to rows of the window, or fail loudly."""
+    indexer = window.indexer()
     if spec.scheme == OL:
         index_set = enumerate_ol(region, spec)
         base = lattice_sites(
@@ -195,7 +253,15 @@ def build_plan(sample: FieldSample, region: Region, spec: SubsampleSpec) -> Subs
         if np.any(rows < 0):
             raise MissingSites("sample does not cover every disjoint subsample site")
         row_lists.append(rows)
-    return SubsamplePlan(NOL, index_set, None, row_lists, index_set.counts)
+    return SubsamplePlan(NOL, index_set, None, tuple(row_lists), index_set.counts)
+
+
+def build_plan(sample: FieldSample, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
+    """Resolve every subsample's sites to rows of the sample, or fail loudly.
+
+    The plan comes from the design cache (see ``design_plan``).
+    """
+    return design_plan(sample.window, region, spec)
 
 
 def estimate_from_plan(

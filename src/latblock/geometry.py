@@ -470,11 +470,15 @@ def _require_in_unit_cube(verts):
         raise ConfigError("template does not fit inside (-1/2, 1/2]^d")
 
 
+_AFFINE_SUFFIX = "(affine)"
+
+
 def affine_image(template: Template, mat) -> Template:
     """Template pushed through an invertible linear map (diagnostics only).
 
     The image is not validated against the unit cube, so it cannot be used to
-    build regions; it exists for invariance checks of the numeric constants.
+    build regions or subsample specs; it exists for invariance checks of the
+    numeric constants.
     """
     geom = template.geom
     mat = np.asarray(mat, float)
@@ -484,7 +488,14 @@ def affine_image(template: Template, mat) -> Template:
         new_geom = _Poly2(verts, closed)
     else:
         new_geom = _AffineMap(geom, mat)
-    return Template(template.kind + "(affine)", template.d, template.params, new_geom)
+    return Template(template.kind + _AFFINE_SUFFIX, template.d, template.params, new_geom)
+
+
+def _require_region_template(template: Template) -> None:
+    # Template equality ignores the geometry, so two affine images of one
+    # template compare equal; regions and specs are cache keys of designs.
+    if template.kind.endswith(_AFFINE_SUFFIX):
+        raise ConfigError("affine template images cannot be used to build regions")
 
 
 # -- template mini-grammar ---------------------------------------------------
@@ -634,6 +645,7 @@ class Region:
     shift: tuple = None
 
     def __post_init__(self):
+        _require_region_template(self.template)
         scale = tuple(float(s) for s in np.atleast_1d(np.asarray(self.scale, float)))
         if len(scale) == 1 and self.template.d > 1:
             scale = scale * self.template.d
@@ -764,6 +776,7 @@ class SubsampleSpec:
     scheme: str = OL
 
     def __post_init__(self):
+        _require_region_template(self.template)
         if self.scheme not in (OL, NOL):
             raise ConfigError("scheme must be 'ol' or 'nol'")
         if self.s_lambda <= 0:
@@ -833,6 +846,16 @@ def enumerate_ol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     return SubsampleIndexSet(scheme=OL, offsets=offsets, counts=counts)
 
 
+def warn_non_integer_scale() -> None:
+    """Warn, at the caller's caller, that a NOL design uses a non-integer scale."""
+    warnings.warn(
+        "non-integer NOL scale: subsample site counts may differ and the "
+        "bias/scaling theory assumes integers",
+        NonIntegerScaleWarning,
+        stacklevel=3,
+    )
+
+
 def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     """Disjoint scaled cubes inside the region, each holding a template copy.
 
@@ -844,12 +867,7 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     if spec.scheme != NOL:
         raise ConfigError("enumerate_nol needs a NOL spec")
     if not spec.is_integer_scale():
-        warnings.warn(
-            "non-integer NOL scale: subsample site counts may differ and the "
-            "bias/scaling theory assumes integers",
-            NonIntegerScaleWarning,
-            stacklevel=2,
-        )
+        warn_non_integer_scale()
     s_lam = spec.s_lambda
     scale = np.asarray(region.scale)
     shift = np.asarray(region.shift)

@@ -20,9 +20,9 @@ import numpy as np
 from .covariance import Covariogram, exact_tau_n_sq_window, parse_covariogram
 from .errors import ConfigError, DegenerateSubsampling, LatblockError
 from .estimators import (
-    FieldSample,
     SmoothStatistic,
-    build_plan,
+    design_plan,
+    estimate,
     estimate_from_plan,
     parse_statistic,
 )
@@ -56,6 +56,10 @@ class SelectorConfig:
     scheme: str = OL
     s_lambda_opt: dict | None = None  # "region|model" -> int; None means auto
 
+    def __post_init__(self):
+        if self.scheme not in (OL, NOL):
+            raise ConfigError(f"unknown selector scheme {self.scheme!r}")
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -74,6 +78,10 @@ class StudyConfig:
     outputs: dict = field(default_factory=dict)
     tau_n_sq_override: dict = field(default_factory=dict)
     workers: int = 1
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {self.workers}")
 
 
 def load_config(path: str) -> StudyConfig:
@@ -176,7 +184,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
             tuple(int(c) for c in hj["candidates"]) if "candidates" in hj else None
         ),
         hj_min_candidates=int(hj.get("min_candidates", 5)),
-        scheme=sel_raw.get("scheme", OL),
+        scheme=str(sel_raw.get("scheme", OL)).lower(),
         s_lambda_opt={str(k): int(v) for k, v in opt.items()} if opt else None,
     )
 
@@ -272,7 +280,6 @@ def mse_study(config: StudyConfig) -> list[MseCell]:
     for r_idx, reg_spec in enumerate(config.regions):
         region = reg_spec.region()
         window = lattice_sites(region)
-        dummy = FieldSample(window, np.zeros((window.n_sites, stat.p)))
 
         plans = []
         for scheme in config.schemes:
@@ -281,8 +288,8 @@ def mse_study(config: StudyConfig) -> list[MseCell]:
                 for lam in config.s_lambda_grid[reg_spec.name]:
                     cell_key = (scheme, sub_name, lam)
                     try:
-                        plan = build_plan(
-                            dummy, region, SubsampleSpec(template, float(lam), scheme)
+                        plan = design_plan(
+                            window, region, SubsampleSpec(template, float(lam), scheme)
                         )
                         if plan.index_set.n_subsamples < 2:
                             raise DegenerateSubsampling(
@@ -440,21 +447,9 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
             gen = build_generator(cov, window)
             pair_index = r_idx * len(config.covariograms) + c_idx
 
-            dummy = FieldSample(window, np.zeros((window.n_sites, stat.p)))
-            plan_cache = {
-                s_opt: build_plan(
-                    dummy, region, SubsampleSpec(region.template, float(s_opt), sel.scheme)
-                )
-            }
-
-            def tau_at(sample, lam):
-                if lam not in plan_cache:
-                    plan_cache[lam] = build_plan(
-                        dummy,
-                        region,
-                        SubsampleSpec(region.template, float(lam), sel.scheme),
-                    )
-                return estimate_from_plan(plan_cache[lam], sample, stat).tau_hat_sq
+            def tau_at(sample, lam, _region=region):
+                spec = SubsampleSpec(_region.template, float(lam), sel.scheme)
+                return estimate(sample, _region, spec, stat).tau_hat_sq
 
             def one_rep(rep, _gen=gen, _pair=pair_index, _region=region):
                 stream = substream(

@@ -21,11 +21,11 @@ from .errors import (
     ConfigError,
     DegenerateSubsampling,
     InsufficientCandidates,
-    MissingSites,
+    LatblockError,
     ZeroBiasConstant,
 )
-from .estimators import FieldSample, SmoothStatistic, build_plan, estimate
-from .geometry import NOL, OL, Region, SubsampleSpec, enumerate_ol, lattice_sites
+from .estimators import FieldSample, SmoothStatistic, design_plan, estimate
+from .geometry import NOL, OL, LatticeWindow, Region, SubsampleSpec
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,10 @@ def npi_scaling(
     """Plug-in estimate of the optimal subsample scale from pilot estimators."""
     d = region.d
     s1_raw, s2_raw, s1, s2 = npi_pilot_scales(region.volume(), d, c1, c2)
-    cache: dict[int, float] = {}
 
     def tau_fn(lam: int) -> float:
-        if lam not in cache:
-            spec = SubsampleSpec(region.template, float(lam), scheme)
-            cache[lam] = estimate(sample, region, spec, stat).tau_hat_sq
-        return cache[lam]
+        spec = SubsampleSpec(region.template, float(lam), scheme)
+        return estimate(sample, region, spec, stat).tau_hat_sq
 
     tau2_hat = tau_fn(s1)
     b0_hat = npi_bias_estimate(tau_fn, s2)
@@ -206,45 +203,37 @@ def hj_scaling(
             f"{len(candidates)} candidate scale(s); {min_candidates} required"
         )
 
-    pilot_region = Region(region.template, (float(lambda_m),) * d, region.shift)
-    block_window = lattice_sites(pilot_region)
-    blocks = enumerate_ol(region, SubsampleSpec(region.template, float(lambda_m), OL))
-    indexer = sample.window.indexer()
-    block_sites = blocks.offsets[:, None, :] + block_window.sites[None, :, :]
-    block_rows = indexer.lookup(block_sites)
-    if np.any(block_rows < 0):
-        raise MissingSites("sample does not cover every pilot block")
-
+    # The blocks are the OL design at lambda_m.  Each row lists one block's
+    # sites in the order of the pilot window, which is therefore the first
+    # block moved back by its offset.
+    blocks = design_plan(
+        sample.window, region, SubsampleSpec(region.template, float(lambda_m), OL)
+    )
     proxy = estimate(
         sample, region, SubsampleSpec(region.template, float(lambda_m), scheme), stat
     ).tau_hat_sq
 
-    dummy = FieldSample(block_window, np.zeros((block_window.n_sites, stat.p)))
+    pilot_region = Region(region.template, (float(lambda_m),) * d, region.shift)
+    pilot_sites = sample.window.sites[blocks.row_matrix[0]] - blocks.index_set.offsets[0]
+    pilot_window = LatticeWindow(pilot_sites, pilot_sites.min(axis=0), pilot_sites.max(axis=0))
     mse_curve = []
     usable = []
     dropped = []
-    block_values = sample.values[block_rows]  # (B, nB, p)
+    block_values = sample.values[blocks.row_matrix]  # (B, nB, p)
     for c in candidates:
         try:
-            local = build_plan(
-                dummy, pilot_region, SubsampleSpec(region.template, float(c), scheme)
+            local = design_plan(
+                pilot_window, pilot_region, SubsampleSpec(region.template, float(c), scheme)
             )
-        except Exception as exc:  # degenerate or empty designs drop the candidate
+        except LatblockError as exc:  # degenerate or empty designs drop the candidate
             dropped.append((c, type(exc).__name__))
             continue
         if local.index_set.n_subsamples < 2:
             dropped.append((c, "DegenerateSubsampling"))
             continue
-        if local.row_matrix is not None:
-            sub_means = block_values[:, local.row_matrix].mean(axis=2)  # (B, J, p)
-            theta = stat(sub_means)  # (B, J)
-        else:
-            theta = np.stack(
-                [
-                    np.array([float(stat(bv[rows].mean(axis=0))) for rows in local.row_lists])
-                    for bv in block_values
-                ]
-            )
+        # integer candidates give every design a row matrix
+        sub_means = block_values[:, local.row_matrix].mean(axis=2)  # (B, J, p)
+        theta = stat(sub_means)  # (B, J)
         theta_tilde = theta.mean(axis=1, keepdims=True)
         tau_blocks = (local.counts * (theta - theta_tilde) ** 2).mean(axis=1)
         mse_curve.append(float(np.mean((tau_blocks - proxy) ** 2)))
@@ -267,6 +256,6 @@ def hj_scaling(
             "s_hat_pilot": best,
             "proxy_tau_sq": proxy,
             "volume_ratio": ratio,
-            "n_blocks": int(blocks.n_subsamples),
+            "n_blocks": int(blocks.index_set.n_subsamples),
         },
     )

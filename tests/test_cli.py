@@ -287,3 +287,29 @@ def test_study_bad_config_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, _ = run(["study", "--config", str(tmp_path / "missing.json")], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "bad, flags",
+    [
+        ({"workers": -3}, []),
+        ({"selectors": {"npi": {"c1": [0.5], "c2": [0.5]}, "scheme": "bogus"}}, []),
+        ({}, ["--workers", "0"]),
+    ],
+)
+def test_study_rejects_bad_workers_and_selector_scheme(capsys, tmp_path, bad, flags):
+    config = {
+        "regions": [{"name": "r", "template": "hypercube:d=2", "scale": [10, 10]}],
+        "covariograms": [{"name": "white", "spec": "white"}],
+        "s_lambda_grid": [1, 2],
+        "replicates": 100,
+        "seed": 3,
+        "outputs": {"mse_csv": str(tmp_path / "mse.csv")},
+        **bad,
+    }
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run(["study", "--config", str(cfg_path), *flags], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert not (tmp_path / "mse.csv").exists()

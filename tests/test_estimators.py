@@ -1,6 +1,7 @@
 """Statistics and the OL/NOL variance estimators, including the naive oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from latblock.errors import (
     NonIntegerScaleWarning,
     StatisticDomainError,
 )
-from latblock.geometry import lattice_sites
+from latblock.estimators import (
+    _build_design,
+    _cached_design,
+    build_plan,
+    estimate_from_plan,
+)
+from latblock.geometry import LatticeWindow, lattice_sites
 
 
 def make_sample(shape, seed=0, p=1, shift=None):
@@ -335,3 +342,87 @@ def test_cross_shape_subsampling():
     res = ol_estimate(sample, region, circ, mean_statistic())
     assert res.tau_hat_sq > 0.0
     assert int(res.subsample_sites[0]) == 13  # disk of radius 2 on the lattice
+
+
+# ---------------------------------------------------------------------------
+# design cache
+# ---------------------------------------------------------------------------
+
+
+def assert_same_design(a, b):
+    assert a.scheme == b.scheme
+    assert np.array_equal(a.index_set.offsets, b.index_set.offsets)
+    assert np.array_equal(a.counts, b.counts)
+    if b.row_matrix is None:
+        assert a.row_matrix is None
+        assert len(a.row_lists) == len(b.row_lists)
+        assert all(np.array_equal(x, y) for x, y in zip(a.row_lists, b.row_lists))
+    else:
+        assert np.array_equal(a.row_matrix, b.row_matrix)
+
+
+@pytest.mark.parametrize(
+    "sub_template, s_lam, scheme",
+    [
+        (None, 3.0, "ol"),
+        (None, 2.5, "ol"),
+        (None, 3.0, "nol"),
+        (None, 2.5, "nol"),
+        (Template.circle(0.5), 4.0, "ol"),
+        (Template.circle(0.5), 3.0, "nol"),
+    ],
+)
+def test_cached_design_matches_fresh_build(sub_template, s_lam, scheme):
+    region, sample = make_sample((13, 15), shift=(0.25, 0.0))
+    spec = SubsampleSpec(sub_template or region.template, s_lam, scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        first = build_plan(sample, region, spec)
+        hit = build_plan(sample, region, spec)
+        fresh = _build_design(sample.window, region, spec)
+    assert hit is first
+    assert_same_design(hit, fresh)
+
+
+def test_cached_design_arrays_are_read_only():
+    region, sample = make_sample((10, 10))
+    plan = build_plan(sample, region, SubsampleSpec(Template.hypercube(2), 3.0, "ol"))
+    with pytest.raises(ValueError):
+        plan.row_matrix[0, 0] = 0
+    with pytest.raises(ValueError):
+        plan.counts[0] = 0
+    with pytest.raises(ValueError):
+        plan.index_set.offsets[0, 0] = 0
+    with pytest.warns(NonIntegerScaleWarning):
+        ragged = build_plan(sample, region, SubsampleSpec(Template.hypercube(2), 2.5, "nol"))
+    with pytest.raises(ValueError):
+        ragged.row_lists[0][0] = 0
+
+
+def test_cache_hit_repeats_non_integer_scale_warning():
+    region, sample = make_sample((12, 12), seed=2)
+    spec = SubsampleSpec(Template.hypercube(2), 2.5, "nol")
+    _cached_design.cache_clear()
+    for _ in range(2):  # a miss, then a hit: each warns once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            nol_estimate(sample, region, spec, mean_statistic())
+        assert [w.category for w in caught] == [NonIntegerScaleWarning]
+
+
+def test_design_cache_keys_on_window_sites():
+    region, sample = make_sample((8, 8), seed=4)
+    _, big = make_sample((12, 12), seed=5)  # observed beyond the 8x8 region
+    spec = SubsampleSpec(Template.hypercube(2), 3.0, "ol")
+    stat = mean_statistic()
+    ol_estimate(sample, region, spec, stat)  # caches the design on the region's window
+    on_big = ol_estimate(big, region, spec, stat)
+    fresh = estimate_from_plan(_build_design(big.window, region, spec), big, stat)
+    assert on_big.tau_hat_sq == fresh.tau_hat_sq
+    assert not np.array_equal(
+        build_plan(big, region, spec).row_matrix, build_plan(sample, region, spec).row_matrix
+    )
+    # a window equal in content, such as one read from a file, shares the design
+    sites = sample.window.sites.copy()
+    copy = FieldSample(LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0)), sample.values)
+    assert build_plan(copy, region, spec) is build_plan(sample, region, spec)

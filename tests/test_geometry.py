@@ -24,7 +24,7 @@ from latblock.errors import (
     EmptySubsampleSet,
     NonIntegerScaleWarning,
 )
-from latblock.geometry import nol_subregion_windows
+from latblock.geometry import affine_image, nol_subregion_windows
 
 
 def all_templates_2d():
@@ -376,3 +376,15 @@ def test_empty_subsample_set():
     reg = Region(Template.hypercube(2), (4, 4))
     with pytest.raises(EmptySubsampleSet):
         enumerate_ol(reg, SubsampleSpec(Template.hypercube(2), 5.0, "ol"))
+
+
+def test_affine_images_cannot_build_regions():
+    circle = Template.circle(0.5)
+    a = affine_image(circle, np.diag([1.0, 0.5]))
+    b = affine_image(circle, np.diag([0.5, 1.0]))
+    # equality and hashing ignore the geometry, so designs could not tell them apart
+    assert a == b and hash(a) == hash(b)
+    with pytest.raises(ConfigError):
+        Region(a, (10, 10))
+    with pytest.raises(ConfigError):
+        SubsampleSpec(a, 3.0, "ol")

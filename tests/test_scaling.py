@@ -18,7 +18,13 @@ from latblock import (
     substream,
     theoretical_scaling,
 )
-from latblock.errors import ConfigError, InsufficientCandidates, ZeroBiasConstant
+from latblock import scaling
+from latblock.errors import (
+    ConfigError,
+    EmptySubsampleSet,
+    InsufficientCandidates,
+    ZeroBiasConstant,
+)
 from latblock.estimators import mean_statistic
 from latblock.geometry import lattice_sites
 from latblock.scaling import hj_recalibrate, npi_pilot_scales
@@ -195,3 +201,25 @@ def test_hj_lambda_m_validation():
         hj_scaling(f, region, mean_statistic(), 14)
     with pytest.raises(ConfigError):
         hj_scaling(f, region, mean_statistic(), 5, candidates=[0, 1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("error", [EmptySubsampleSet, RuntimeError])
+def test_hj_drops_only_latblock_errors(monkeypatch, error):
+    region = Region(Template.hypercube(2), (14, 18))
+    w = lattice_sites(region)
+    f = sample_field(build_generator(Covariogram.white(2), w), substream(1, 0))
+    real = scaling.design_plan
+
+    def failing_candidate(window, reg, spec):
+        if reg != region and spec.s_lambda == 3.0:
+            raise error("candidate design failed")
+        return real(window, reg, spec)
+
+    monkeypatch.setattr(scaling, "design_plan", failing_candidate)
+    args = (f, region, mean_statistic(), 5)
+    if error is RuntimeError:  # a bug, not a degenerate design: it must surface
+        with pytest.raises(RuntimeError):
+            hj_scaling(*args, candidates=[1, 2, 3, 4], min_candidates=4)
+    else:
+        plan = hj_scaling(*args, candidates=[1, 2, 3, 4], min_candidates=3)
+        assert plan.diagnostics["dropped"] == [(3, "EmptySubsampleSet")]
