@@ -45,22 +45,38 @@ def read_field_csv(path: str) -> FieldSample:
     if not os.path.exists(path):
         raise ConfigError(f"data file not found: {path}")
     with open(path, newline="") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ConfigError(f"empty data file: {path}")
-    header = [h.strip().lower() for h in lines[0].split(",")]
+    header = [h.strip().lower() for h in lines[0][1].split(",")]
     d = sum(1 for h in header if h.startswith("s"))
     p = sum(1 for h in header if h.startswith("v"))
     if d < 1 or p < 1 or d + p != len(header):
         raise ConfigError("field CSV header must be s1,...,sd,v1,...,vp")
     sites = []
     values = []
-    for ln in lines[1:]:
+    first_line = {}  # site -> line it was read from
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != d + p:
-            raise ConfigError(f"bad row in {path}: {ln!r}")
-        sites.append([int(float(x)) for x in parts[:d]])
-        values.append([float(x) for x in parts[d:]])
+        try:
+            coords = [float(x) for x in parts[:d]]
+            vals = [float(x) for x in parts[d:]]
+        except ValueError:
+            vals = None
+        if vals is None or len(parts) != d + p:
+            raise ConfigError(f"{path} line {lineno}: bad row {ln!r}")
+        if not all(c.is_integer() for c in coords):
+            raise ConfigError(f"{path} line {lineno}: site coordinates must be integers")
+        site = tuple(int(c) for c in coords)
+        if site in first_line:
+            raise ConfigError(
+                f"{path} line {lineno}: site {site} repeats line {first_line[site]}"
+            )
+        first_line[site] = lineno
+        sites.append(site)
+        values.append(vals)
+    if not sites:
+        raise ConfigError(f"no data rows in {path}")
     sites_arr = np.asarray(sites, np.int64)
     values_arr = np.asarray(values, float)
     order = np.lexsort(tuple(sites_arr[:, j] for j in range(d - 1, -1, -1)))

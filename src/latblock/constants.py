@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedD1Nonlinear,
     UnsupportedShape,
 )
-from .geometry import Template, raster_mask, rotation_cos_sin, set_covariance_exact
+from .geometry import Template, box_points, raster_mask, rotation_cos_sin, set_covariance_exact
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
@@ -191,7 +191,7 @@ def b0_weight(template: Template, k) -> float:
     if kind == "circle":
         return 2.0 * float(np.linalg.norm(k)) / (math.pi * p["r"])
     if kind == "sphere":
-        return 1.5 * float(np.linalg.norm(k)) / p["r"]
+        return 0.75 * float(np.linalg.norm(k)) / p["r"]
     if kind == "cylinder":
         return abs(k[2]) / p["h"] + 2.0 * math.hypot(k[0], k[1]) / (math.pi * p["r"])
     return v_weight(template, k) / template.volume()
@@ -216,9 +216,7 @@ def v_weight_numeric(template: Template, k, eps: float = 1e-2) -> float:
 
 def bias_weights(template: Template, radius: int = 3, source: str = "auto") -> BiasWeights:
     """Weights over the sup-norm ball of lags, analytic where registered."""
-    rng = np.arange(-radius, radius + 1)
-    grids = np.meshgrid(*([rng] * template.d), indexing="ij")
-    lags = np.stack([g.ravel() for g in grids], axis=-1)
+    lags = box_points([-radius] * template.d, [radius] * template.d)
     entries = []
     used = ANALYTIC
     for row in lags:
@@ -246,7 +244,7 @@ def b0(
     rel_tol: float = 1e-10,
     statistic=None,
 ) -> float:
-    """Leading bias constant: covariogram-weighted volume-loss rates over Z^d.
+    """Leading bias constant: the sum over nonzero lags k of b0_weight(k) * sigma(k).
 
     For one-dimensional sampling this is the full constant only when the
     statistic is linear; nonlinear one-dimensional statistics carry an extra
@@ -258,18 +256,9 @@ def b0(
         )
     if cov.d != template.d:
         raise UnsupportedShape("covariogram dimension mismatch")
-    vol = template.volume()
-    cache: dict = {}
-
-    def weight(row) -> float:
-        key = tuple(int(x) for x in row)
-        if key not in cache:
-            cache[key] = v_weight(template, np.asarray(key))
-        return cache[key]
 
     def term(lags: np.ndarray) -> np.ndarray:
-        w = np.array([weight(row) for row in lags])
+        w = np.array([b0_weight(template, row) for row in lags])
         return w * cov.sigma_many(lags)
 
-    total = sum_over_shells(term, template.d, rel_tol=rel_tol, include_origin=False)
-    return total / vol
+    return sum_over_shells(term, template.d, rel_tol=rel_tol, include_origin=False)

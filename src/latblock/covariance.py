@@ -17,7 +17,7 @@ import numpy as np
 from scipy.signal import correlate
 
 from .errors import ConfigError, DimensionMismatch, EmptyWindow, NonConvergent
-from .geometry import LatticeWindow, Region, lattice_sites
+from .geometry import LatticeWindow, Region, box_points, lattice_sites
 
 _HARD_CAP = 10_000
 
@@ -190,9 +190,7 @@ def sum_over_shells(term_fn, d: int, rel_tol: float = 1e-10, include_origin=True
 
 
 def _shell_points(m: int, d: int) -> np.ndarray:
-    rng = np.arange(-m, m + 1)
-    grids = np.meshgrid(*([rng] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = box_points([-m] * d, [m] * d)
     return pts[np.abs(pts).max(axis=-1) == m]
 
 
@@ -222,9 +220,7 @@ def exact_tau_n_sq_window(
         ind = np.zeros(span, dtype=np.float64)
         ind[tuple((window.sites - window.lo).T)] = 1.0
         counts = correlate(ind, ind, mode="full", method="direct")
-        offs = [np.arange(-(s - 1), s) for s in span]
-        grids = np.meshgrid(*offs, indexing="ij")
-        lags = np.stack([g.ravel() for g in grids], axis=-1)
+        lags = box_points([1 - s for s in span], [s - 1 for s in span])
         vals = cov.sigma_many(lags)
         return float((counts.ravel() * vals).sum() / n)
     if method == "pairs":

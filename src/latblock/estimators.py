@@ -264,33 +264,43 @@ def build_plan(sample: FieldSample, region: Region, spec: SubsampleSpec) -> Subs
     return design_plan(sample.window, region, spec)
 
 
-def estimate_from_plan(
-    plan: SubsamplePlan,
-    sample: FieldSample,
-    stat: SmoothStatistic,
-    keep_theta: bool = False,
-) -> EstimatorResult:
-    if sample.p != stat.p:
+def estimate_values(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic):
+    """The estimator core: field values of shape (..., N, p) on one design.
+
+    Leading axes are independent fields (replicates, or hj's pilot blocks).
+    Returns the per-subsample statistics theta (..., M), their mean
+    theta_tilde (...) and the estimates tau_hat_sq (...).
+    """
+    if values.shape[-1] != stat.p:
         raise DimensionMismatch(
-            f"statistic arity {stat.p} does not match sample arity {sample.p}"
+            f"statistic arity {stat.p} does not match sample arity {values.shape[-1]}"
         )
     if plan.index_set.n_subsamples < 2:
         raise DegenerateSubsampling(
             f"{plan.index_set.n_subsamples} subsample(s); need at least 2"
         )
     if plan.row_matrix is not None:
-        means = sample.values[plan.row_matrix].mean(axis=1)
-        theta = stat(means)
+        theta = stat(values[..., plan.row_matrix, :].mean(axis=-2))
     else:
-        theta = np.array(
-            [float(stat(sample.values[rows].mean(axis=0))) for rows in plan.row_lists]
+        theta = np.stack(
+            [stat(values[..., rows, :].mean(axis=-2)) for rows in plan.row_lists], axis=-1
         )
     if not np.all(np.isfinite(theta)):
         raise StatisticDomainError(f"{stat.name} not finite on some subsample")
-    theta_tilde = np.mean(theta)
-    tau_hat = float(np.mean(plan.counts * (theta - theta_tilde) ** 2))
+    theta_tilde = theta.mean(axis=-1, keepdims=True)
+    tau_hat = (plan.counts * (theta - theta_tilde) ** 2).mean(axis=-1)
+    return theta, theta_tilde[..., 0], tau_hat
+
+
+def estimate_from_plan(
+    plan: SubsamplePlan,
+    sample: FieldSample,
+    stat: SmoothStatistic,
+    keep_theta: bool = False,
+) -> EstimatorResult:
+    theta, theta_tilde, tau_hat = estimate_values(plan, sample.values, stat)
     return EstimatorResult(
-        tau_hat_sq=tau_hat,
+        tau_hat_sq=float(tau_hat),
         scheme=plan.scheme,
         n_subsamples=plan.index_set.n_subsamples,
         subsample_sites=plan.counts.copy(),
@@ -309,7 +319,7 @@ def ol_estimate(
     """Overlapping subsample variance estimator of the scaled statistic variance."""
     if spec.scheme != OL:
         raise ConfigError("ol_estimate needs an OL spec")
-    return estimate_from_plan(build_plan(sample, region, spec), sample, stat, keep_theta)
+    return estimate(sample, region, spec, stat, keep_theta)
 
 
 def nol_estimate(
@@ -322,11 +332,9 @@ def nol_estimate(
     """Nonoverlapping subsample variance estimator (per-subregion site weights)."""
     if spec.scheme != NOL:
         raise ConfigError("nol_estimate needs a NOL spec")
-    return estimate_from_plan(build_plan(sample, region, spec), sample, stat, keep_theta)
+    return estimate(sample, region, spec, stat, keep_theta)
 
 
 def estimate(sample, region, spec, stat, keep_theta=False) -> EstimatorResult:
-    """Scheme-dispatching convenience wrapper."""
-    if spec.scheme == OL:
-        return ol_estimate(sample, region, spec, stat, keep_theta)
-    return nol_estimate(sample, region, spec, stat, keep_theta)
+    """Subsample variance estimate of ``spec``'s scheme on ``sample``."""
+    return estimate_from_plan(build_plan(sample, region, spec), sample, stat, keep_theta)

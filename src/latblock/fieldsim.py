@@ -18,7 +18,7 @@ from scipy.special import ndtri
 from .covariance import Covariogram
 from .errors import ConfigError, DimensionMismatch, EmptyWindow, NotPositiveDefinite, WindowTooLarge
 from .estimators import FieldSample
-from .geometry import LatticeWindow
+from .geometry import LatticeWindow, box_points
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -92,13 +92,9 @@ def _is_full_box(window: LatticeWindow) -> bool:
 def _circulant_spectrum(cov: Covariogram, span: np.ndarray):
     """Nonnegative spectrum of the embedding torus, or None if indefinite."""
     embed = tuple(int(max(2 * (s - 1), 1)) for s in span)
-    lag_axes = []
-    for m in embed:
-        lags = np.arange(m)
-        lags = np.where(lags <= m // 2, lags, lags - m)
-        lag_axes.append(lags)
-    grids = np.meshgrid(*lag_axes, indexing="ij")
-    lags = np.stack([g.ravel() for g in grids], axis=-1)
+    size = np.array(embed)
+    idx = box_points([0] * len(embed), size - 1)
+    lags = np.where(idx <= size // 2, idx, idx - size)  # wrapped torus lags
     base = cov.sigma_many(lags).reshape(embed)
     lam = np.fft.fftn(base)
     if np.max(np.abs(lam.imag)) > 1e-8 * max(np.max(np.abs(lam.real)), 1.0):
@@ -190,14 +186,18 @@ def sample_field(gen: FieldGenerator, stream: RngStream) -> FieldSample:
     return FieldSample(gen.window, block.ravel()[:, None])
 
 
+# Statistics whose input columns are a per-site transform of a scalar field.
+LIFTED_STATISTICS = ("mean", "momvar")
+
+
 def lift_for_statistic(sample: FieldSample, stat_name: str) -> FieldSample:
     """Deterministic per-site transform giving a statistic its input columns."""
     name = stat_name.lower()
-    if name == "mean":
-        return sample
+    if name not in LIFTED_STATISTICS:
+        raise ConfigError(
+            f"no scalar-field lift registered for statistic {stat_name!r}"
+        )
     if name == "momvar":
         x = sample.values[:, 0]
         return FieldSample(sample.window, np.stack([x, x * x], axis=1))
-    raise ConfigError(
-        f"no scalar-field lift registered for statistic {stat_name!r}"
-    )
+    return sample

@@ -588,7 +588,7 @@ def set_covariance(template: Template, x, resolution: float | None = None) -> fl
         resolution = 1.0 / 512 if template.d <= 2 else 1.0 / 96
     if resolution <= 0:
         raise ConfigError("resolution must be positive")
-    centers = _cell_centers(geom, resolution)
+    centers, _ = _cell_centers(geom, resolution)
     inside = geom.contains(centers)
     both = inside & geom.contains(centers - x)
     return float(both.sum()) * resolution**template.d
@@ -602,14 +602,21 @@ def set_covariance_exact(template: Template, x) -> float:
     return float(template.geom.set_cov_exact(x))
 
 
-def _cell_centers(geom: _Geometry, h: float) -> np.ndarray:
-    lo, hi = geom.bbox()
-    axes = []
-    for j in range(geom.d):
-        n = int(math.ceil((hi[j] - lo[j]) / h - 1e-12))
-        axes.append(lo[j] + (np.arange(n) + 0.5) * h)
+def box_points(lo, hi) -> np.ndarray:
+    """Integer points of the box ``lo <= x <= hi``, shape (n, d), last axis fastest."""
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _cell_centers(geom: _Geometry, h: float):
+    """Centers of the step-``h`` grid cells over the bounding box, and the grid shape."""
+    lo, hi = geom.bbox()
+    shape = [int(math.ceil((hi[j] - lo[j]) / h - 1e-12)) for j in range(geom.d)]
+    centers = box_points([0] * geom.d, [n - 1 for n in shape]) + 0.5
+    centers *= h  # in place: the grid can hold millions of points
+    centers += lo
+    return centers, shape
 
 
 def raster_mask(template: Template, step: float):
@@ -617,17 +624,8 @@ def raster_mask(template: Template, step: float):
 
     Returns (mask, step); used by the quadrature path of the shape constants.
     """
-    geom = template.geom
-    lo, hi = geom.bbox()
-    shape = []
-    axes = []
-    for j in range(geom.d):
-        n = int(math.ceil((hi[j] - lo[j]) / step - 1e-12))
-        shape.append(n)
-        axes.append(lo[j] + (np.arange(n) + 0.5) * step)
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    mask = geom.contains(pts).reshape(shape)
+    pts, shape = _cell_centers(template.geom, step)
+    mask = template.geom.contains(pts).reshape(shape)
     return mask.astype(np.float64), step
 
 
@@ -733,9 +731,7 @@ def lattice_sites(region: Region) -> LatticeWindow:
     lo_f, hi_f = geom.bbox()
     lo = np.ceil(lo_f * scale - shift - _EQ_TOL).astype(np.int64)
     hi = np.floor(hi_f * scale - shift + _EQ_TOL).astype(np.int64)
-    axes = [np.arange(lo[j], hi[j] + 1) for j in range(region.d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    cand = np.stack([g.ravel() for g in grids], axis=-1)
+    cand = box_points(lo, hi)
     inside = geom.contains_scaled(cand, scale, shift)
     sites = cand[inside]
     if sites.shape[0] == 0:
@@ -804,9 +800,7 @@ def _candidate_offsets(region: Region, pad_lo: np.ndarray, pad_hi: np.ndarray):
     lo_f, hi_f = region.template.geom.bbox()
     lo = np.floor(lo_f * scale - pad_hi - 1).astype(np.int64)
     hi = np.ceil(hi_f * scale - pad_lo + 1).astype(np.int64)
-    axes = [np.arange(lo[j], hi[j] + 1) for j in range(region.d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return box_points(lo, hi)
 
 
 def _offsets_with_sites_inside(region: Region, base_sites: np.ndarray) -> np.ndarray:
@@ -875,18 +869,14 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     lo_f, hi_f = geom.bbox()
     lo = np.floor(lo_f * scale / s_lam - 1).astype(np.int64)
     hi = np.ceil(hi_f * scale / s_lam + 1).astype(np.int64)
-    axes = [np.arange(lo[j], hi[j] + 1) for j in range(region.d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    cand = np.stack([g.ravel() for g in grids], axis=-1)
+    cand = box_points(lo, hi)
 
     keep = np.zeros(cand.shape[0], dtype=bool)
     for idx, i_vec in enumerate(cand):
         center = s_lam * i_vec.astype(float)
         slo = np.ceil(center - s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64)
         shi = np.floor(center + s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64)
-        cube_axes = [np.arange(slo[j], shi[j] + 1) for j in range(region.d)]
-        cube_grids = np.meshgrid(*cube_axes, indexing="ij")
-        cube_sites = np.stack([g.ravel() for g in cube_grids], axis=-1)
+        cube_sites = box_points(slo, shi)
         if cube_sites.shape[0] == 0:
             continue
         keep[idx] = bool(np.all(geom.contains_scaled(cube_sites, scale, shift)))
@@ -922,9 +912,7 @@ def nol_subregion_windows(
         center = s_lam * np.asarray(i, float)
         lo = np.ceil(center + s_lam * lo_f - shift - _EQ_TOL).astype(np.int64)
         hi = np.floor(center + s_lam * hi_f - shift + _EQ_TOL).astype(np.int64)
-        axes = [np.arange(lo[j], hi[j] + 1) for j in range(region.d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        cand = np.stack([g.ravel() for g in grids], axis=-1)
+        cand = box_points(lo, hi)
         inside = geom.contains_scaled(cand, (s_lam,) * region.d, shift - center)
         sites = cand[inside]
         if sites.shape[0] == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +27,13 @@ from .estimators import (
     estimate_from_plan,
     parse_statistic,
 )
-from .fieldsim import build_generator, lift_for_statistic, sample_field, substream
+from .fieldsim import (
+    LIFTED_STATISTICS,
+    build_generator,
+    lift_for_statistic,
+    sample_field,
+    substream,
+)
 from .geometry import NOL, OL, Region, SubsampleSpec, Template, lattice_sites, parse_template
 from .scaling import hj_scaling, npi_scaling
 
@@ -93,21 +100,76 @@ def load_config(path: str) -> StudyConfig:
     return config_from_dict(raw)
 
 
-def config_from_dict(raw: dict) -> StudyConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
+# The keys of each map in a study config (the README schema); others are refused.
+_KEYS = {
+    "config": {
+        "regions", "covariograms", "statistic", "schemes", "sub_templates", "s_lambda_grid",
+        "replicates", "seed", "selectors", "outputs", "tau_n_sq", "workers",
+    },
+    "region": {"name", "template", "scale"},
+    "covariogram": {"name", "spec"},
+    "sub_template": {"name", "spec"},
+    "selectors": {"npi", "hj", "scheme", "s_lambda_opt"},
+    "selectors.npi": {"c1", "c2"},
+    "selectors.hj": {"lambda_m", "candidates", "min_candidates"},
+    "outputs": {"mse_csv", "scaling_csv", "phi_csv"},
+}
 
-    def need(key):
-        if key not in raw:
-            raise ConfigError(f"config is missing {key!r}")
-        return raw[key]
+
+def _fields(value, where: str, required=()) -> dict:
+    """``value`` as the config map ``where``, with its required keys and no others."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(value) - _KEYS[where], key=str)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{where} is missing {key!r}")
+    return value
+
+
+def _number(value, key: str, integer: bool = False):
+    """A finite config number, integral where ``integer`` is set.
+
+    Text, booleans, lists and fractional values of integer fields raise a
+    ConfigError naming ``key``.
+    """
+    num = math.nan
+    if not isinstance(value, bool):
+        try:
+            if integer and not isinstance(value, float):
+                return int(value)
+            num = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if math.isfinite(num) and (not integer or num.is_integer()):
+        return int(num) if integer else num
+    kind = "an integer" if integer else "a finite number"
+    raise ConfigError(f"{key} must be {kind}, got {value!r}")
+
+
+def _numbers(values, key: str, integer: bool = False) -> tuple:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key} must be a list, got {values!r}")
+    return tuple(_number(v, f"{key} entry", integer) for v in values)
+
+
+def _number_map(values, key: str, integer: bool = False) -> dict:
+    if not isinstance(values, dict):
+        raise ConfigError(f"{key} must be a map of region|model -> number")
+    return {str(k): _number(v, f"{key}[{k!r}]", integer) for k, v in values.items()}
+
+
+def config_from_dict(raw: dict) -> StudyConfig:
+    raw = _fields(raw, "config", required=("regions", "covariograms", "replicates", "seed"))
 
     regions = []
-    for item in need("regions"):
-        if "template" not in item or "scale" not in item:
-            raise ConfigError("each region needs template and scale")
+    for item in raw["regions"]:
+        item = _fields(item, "region", required=("template", "scale"))
         template = parse_template(item["template"])
-        scale = tuple(float(s) for s in np.atleast_1d(item["scale"]))
+        scale = item["scale"]
+        scale = _numbers(scale if isinstance(scale, (list, tuple)) else [scale], "region.scale")
         name = item.get("name") or f"{item['template']}@{'x'.join(str(s) for s in scale)}"
         regions.append(RegionSpec(name=name, template=template, scale=scale))
     if not regions:
@@ -117,20 +179,24 @@ def config_from_dict(raw: dict) -> StudyConfig:
         raise ConfigError("region names must be unique")
 
     covs = []
-    for item in need("covariograms"):
+    for item in raw["covariograms"]:
         if isinstance(item, str):
             spec_str, name = item, item
         else:
-            spec_str = item["spec"]
+            spec_str = _fields(item, "covariogram", required=("spec",))["spec"]
             name = item.get("name", spec_str)
         covs.append((name, parse_covariogram(spec_str, d=regions[0].template.d)))
     if not covs:
         raise ConfigError("config needs at least one covariogram")
 
-    stat_name = raw.get("statistic", "mean")
+    stat_name = str(raw.get("statistic", "mean"))
     statistic = parse_statistic(stat_name)
+    if statistic.name not in LIFTED_STATISTICS:
+        raise ConfigError(
+            f"statistic {stat_name!r} has no scalar-field lift, so a study cannot simulate it"
+        )
 
-    schemes = tuple(s.lower() for s in raw.get("schemes", [OL]))
+    schemes = tuple(str(s).lower() for s in raw.get("schemes", [OL]))
     for s in schemes:
         if s not in (OL, NOL):
             raise ConfigError(f"unknown scheme {s!r}")
@@ -142,6 +208,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
         elif isinstance(item, str):
             subs.append((item, parse_template(item)))
         else:
+            item = _fields(item, "sub_template", required=("spec",))
             subs.append((item.get("name", item["spec"]), parse_template(item["spec"])))
     sub_names = [s[0] for s in subs]
     if len(set(sub_names)) != len(sub_names):
@@ -154,7 +221,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
             vals = grid_raw.get(reg.name, [])
         else:
             vals = grid_raw
-        vals = tuple(int(v) for v in vals)
+        vals = _numbers(vals, "s_lambda_grid", integer=True)
         if any(v < 1 for v in vals):
             raise ConfigError("subsample scales must be positive integers")
         if any(v >= min(reg.scale) for v in vals):
@@ -163,34 +230,33 @@ def config_from_dict(raw: dict) -> StudyConfig:
             )
         grid[reg.name] = vals
 
-    replicates = int(need("replicates"))
+    replicates = _number(raw["replicates"], "replicates", integer=True)
     if replicates < 100:
         raise ConfigError("studies need at least 100 replicates")
-    seed = int(need("seed"))
+    seed = _number(raw["seed"], "seed", integer=True)
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
 
-    sel_raw = raw.get("selectors", {})
-    npi = sel_raw.get("npi", {})
-    hj = sel_raw.get("hj", {})
+    sel_raw = _fields(raw.get("selectors", {}), "selectors")
+    npi = _fields(sel_raw.get("npi", {}), "selectors.npi")
+    hj = _fields(sel_raw.get("hj", {}), "selectors.hj")
     opt = sel_raw.get("s_lambda_opt")
-    if opt is not None and not isinstance(opt, dict):
-        raise ConfigError("selectors.s_lambda_opt must be a map of region|model -> int")
+    opt = _number_map(opt, "selectors.s_lambda_opt", integer=True) if opt is not None else {}
     selectors = SelectorConfig(
-        npi_c1=tuple(float(c) for c in npi.get("c1", [])),
-        npi_c2=tuple(float(c) for c in npi.get("c2", [])),
-        hj_lambda_m=tuple(int(l) for l in hj.get("lambda_m", [])),
+        npi_c1=_numbers(npi.get("c1", []), "selectors.npi.c1"),
+        npi_c2=_numbers(npi.get("c2", []), "selectors.npi.c2"),
+        hj_lambda_m=_numbers(hj.get("lambda_m", []), "selectors.hj.lambda_m", integer=True),
         hj_candidates=(
-            tuple(int(c) for c in hj["candidates"]) if "candidates" in hj else None
+            _numbers(hj["candidates"], "selectors.hj.candidates", integer=True)
+            if "candidates" in hj
+            else None
         ),
-        hj_min_candidates=int(hj.get("min_candidates", 5)),
+        hj_min_candidates=_number(
+            hj.get("min_candidates", 5), "selectors.hj.min_candidates", integer=True
+        ),
         scheme=str(sel_raw.get("scheme", OL)).lower(),
-        s_lambda_opt={str(k): int(v) for k, v in opt.items()} if opt else None,
+        s_lambda_opt=opt or None,  # an empty map derives the scales, like no map
     )
-
-    overrides = {
-        str(k): float(v) for k, v in raw.get("tau_n_sq", {}).items()
-    }
 
     return StudyConfig(
         regions=tuple(regions),
@@ -203,9 +269,9 @@ def config_from_dict(raw: dict) -> StudyConfig:
         replicates=replicates,
         seed=seed,
         selectors=selectors,
-        outputs=dict(raw.get("outputs", {})),
-        tau_n_sq_override=overrides,
-        workers=int(raw.get("workers", 1)),
+        outputs=dict(_fields(raw.get("outputs", {}), "outputs")),
+        tau_n_sq_override=_number_map(raw.get("tau_n_sq", {}), "tau_n_sq"),
+        workers=_number(raw.get("workers", 1), "workers", integer=True),
     )
 
 
@@ -254,10 +320,6 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
-def _stream_index(pair_index: int, replicates: int, rep: int) -> int:
-    return pair_index * replicates + rep
-
-
 def _tau_n(config: StudyConfig, key: str, window, cov: Covariogram) -> float:
     if key in config.tau_n_sq_override:
         return config.tau_n_sq_override[key]
@@ -273,96 +335,89 @@ def _tau_n(config: StudyConfig, key: str, window, cov: Covariogram) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mse_study(config: StudyConfig) -> list[MseCell]:
-    """Normalized MSE of the subsample variance estimators over the cell grid."""
-    cells: list[MseCell] = []
-    stat = config.statistic
+def _study_pairs(config: StudyConfig):
+    """The study loop: every (region, model) pair with a runner for its replicates.
+
+    Yields ``(reg_spec, region, window, model, tau_n, run)`` per pair, region
+    by region.  ``run(evaluate)`` draws each replicate field of the pair from
+    its own substream, lifts it for the statistic and returns
+    ``evaluate(sample)`` for every replicate, in replicate order.
+    """
     for r_idx, reg_spec in enumerate(config.regions):
         region = reg_spec.region()
         window = lattice_sites(region)
-
-        plans = []
-        for scheme in config.schemes:
-            for sub_name, sub_template in config.sub_templates:
-                template = sub_template if sub_template is not None else region.template
-                for lam in config.s_lambda_grid[reg_spec.name]:
-                    cell_key = (scheme, sub_name, lam)
-                    try:
-                        plan = design_plan(
-                            window, region, SubsampleSpec(template, float(lam), scheme)
-                        )
-                        if plan.index_set.n_subsamples < 2:
-                            raise DegenerateSubsampling(
-                                f"{plan.index_set.n_subsamples} subsample(s)"
-                            )
-                        plans.append((cell_key, plan, ""))
-                    except LatblockError as exc:
-                        plans.append((cell_key, None, type(exc).__name__))
-
         for c_idx, (cov_name, cov) in enumerate(config.covariograms):
-            key = f"{reg_spec.name}|{cov_name}"
-            tau_n = _tau_n(config, key, window, cov)
+            tau_n = _tau_n(config, f"{reg_spec.name}|{cov_name}", window, cov)
             gen = build_generator(cov, window)
-            pair_index = r_idx * len(config.covariograms) + c_idx
+            # replicate streams of this pair: one contiguous index range
+            first = (r_idx * len(config.covariograms) + c_idx) * config.replicates
 
-            live = [(k, p) for (k, p, note) in plans if p is not None]
-            dead = [(k, note) for (k, p, note) in plans if p is None]
+            def run(evaluate, _gen=gen, _first=first):
+                def one_rep(rep):
+                    fld = sample_field(_gen, substream(config.seed, _first + rep))
+                    return evaluate(lift_for_statistic(fld, config.statistic_name))
 
-            def one_rep(rep, _gen=gen, _live=live, _pair=pair_index):
-                stream = substream(
-                    config.seed, _stream_index(_pair, config.replicates, rep)
+                reps = range(config.replicates)
+                if config.workers <= 1:
+                    return [one_rep(rep) for rep in reps]
+                with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                    return list(pool.map(one_rep, reps))
+
+            yield reg_spec, region, window, cov_name, tau_n, run
+
+
+def _cell_designs(config: StudyConfig, reg_spec: RegionSpec, region: Region, window) -> list:
+    """((scheme, sub_template, s_lambda), plan or None, dead-cell note) per MSE cell."""
+    out = []
+    for scheme in config.schemes:
+        for sub_name, sub_template in config.sub_templates:
+            template = sub_template if sub_template is not None else region.template
+            for lam in config.s_lambda_grid[reg_spec.name]:
+                try:
+                    plan = design_plan(window, region, SubsampleSpec(template, float(lam), scheme))
+                    if plan.index_set.n_subsamples < 2:
+                        raise DegenerateSubsampling(f"{plan.index_set.n_subsamples} subsample(s)")
+                    out.append(((scheme, sub_name, lam), plan, ""))
+                except LatblockError as exc:
+                    out.append(((scheme, sub_name, lam), None, type(exc).__name__))
+    # estimable cells first, then the dead ones, each in grid order
+    return sorted(out, key=lambda cell: cell[1] is None)
+
+
+def mse_study(config: StudyConfig) -> list[MseCell]:
+    """Normalized MSE of the subsample variance estimators over the cell grid."""
+    cells: list[MseCell] = []
+    designs: dict = {}
+    for reg_spec, region, window, cov_name, tau_n, run in _study_pairs(config):
+        if reg_spec.name not in designs:
+            designs[reg_spec.name] = _cell_designs(config, reg_spec, region, window)
+        grid = designs[reg_spec.name]
+        live = [plan for _, plan, _ in grid if plan is not None]
+
+        def deviations(sample):
+            taus = [estimate_from_plan(plan, sample, config.statistic).tau_hat_sq for plan in live]
+            return [(tau / tau_n - 1.0) ** 2 for tau in taus]
+
+        per_rep = run(deviations)
+        columns = iter(np.asarray(per_rep, float).reshape(config.replicates, len(live)).T)
+        for (scheme, sub_name, lam), plan, note in grid:
+            devs = next(columns) if plan is not None else None
+            mse, se = _mean_se(devs) if plan is not None else (None, None)
+            cells.append(
+                MseCell(
+                    region=reg_spec.name,
+                    model=cov_name,
+                    scheme=scheme,
+                    sub_template=sub_name,
+                    s_lambda=lam,
+                    mse=mse,
+                    mc_se=se,
+                    reps=config.replicates,
+                    note=note,
+                    deviations=devs,
                 )
-                fld = sample_field(_gen, stream)
-                sample = lift_for_statistic(fld, config.statistic_name)
-                out = []
-                for _, plan in _live:
-                    tau_hat = estimate_from_plan(plan, sample, stat).tau_hat_sq
-                    out.append((tau_hat / tau_n - 1.0) ** 2)
-                return out
-
-            per_rep = _run_replicates(one_rep, config.replicates, config.workers)
-            dev_matrix = np.asarray(per_rep, float).reshape(config.replicates, len(live))
-
-            for j, (cell_key, _) in enumerate(live):
-                scheme, sub_name, lam = cell_key
-                devs = dev_matrix[:, j]
-                mse, se = _mean_se(devs)
-                cells.append(
-                    MseCell(
-                        region=reg_spec.name,
-                        model=cov_name,
-                        scheme=scheme,
-                        sub_template=sub_name,
-                        s_lambda=lam,
-                        mse=mse,
-                        mc_se=se,
-                        reps=config.replicates,
-                        deviations=devs,
-                    )
-                )
-            for cell_key, note in dead:
-                scheme, sub_name, lam = cell_key
-                cells.append(
-                    MseCell(
-                        region=reg_spec.name,
-                        model=cov_name,
-                        scheme=scheme,
-                        sub_template=sub_name,
-                        s_lambda=lam,
-                        mse=None,
-                        mc_se=None,
-                        reps=config.replicates,
-                        note=note,
-                    )
-                )
+            )
     return cells
-
-
-def _run_replicates(one_rep, replicates: int, workers: int):
-    if workers <= 1:
-        return [one_rep(rep) for rep in range(replicates)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_rep, range(replicates)))
 
 
 def optimal_scaling_rows(cells: list[MseCell]) -> list[dict]:
@@ -375,31 +430,17 @@ def optimal_scaling_rows(cells: list[MseCell]) -> list[dict]:
     rows = []
     for (region, model, scheme, sub_name), group in groups.items():
         live = [c for c in group if c.mse is not None]
-        if not live:
-            rows.append(
-                {
-                    "region": region,
-                    "model": model,
-                    "scheme": scheme,
-                    "sub_template": sub_name,
-                    "s_lambda_opt": None,
-                    "mse_at_opt": None,
-                    "reps": group[0].reps,
-                    "note": "no estimable cells",
-                }
-            )
-            continue
-        best = min(live, key=lambda c: (c.mse, c.s_lambda))
+        best = min(live, key=lambda c: (c.mse, c.s_lambda)) if live else None
         rows.append(
             {
                 "region": region,
                 "model": model,
                 "scheme": scheme,
                 "sub_template": sub_name,
-                "s_lambda_opt": best.s_lambda,
-                "mse_at_opt": best.mse,
-                "reps": best.reps,
-                "note": "",
+                "s_lambda_opt": best.s_lambda if best else None,
+                "mse_at_opt": best.mse if best else None,
+                "reps": (best or group[0]).reps,
+                "note": "" if best else "no estimable cells",
             }
         )
     return rows
@@ -409,19 +450,24 @@ def optimal_scaling_study(config: StudyConfig) -> list[dict]:
     return optimal_scaling_rows(mse_study(config))
 
 
-def _resolve_s_opt(config: StudyConfig) -> dict:
+def _oracle_scales(config: StudyConfig, scaling_rows: list | None = None) -> dict:
+    """"region|model" -> oracle scale of the selector study.
+
+    Pinned by ``selectors.s_lambda_opt``, otherwise the MSE-grid argmin of the
+    selector scheme on the region's own template; ``scaling_rows`` saves
+    running the MSE study again when the caller already has them.
+    """
     if config.selectors.s_lambda_opt is not None:
         return dict(config.selectors.s_lambda_opt)
-    rows = optimal_scaling_rows(mse_study(config))
-    out = {}
-    for row in rows:
-        if (
-            row["scheme"] == config.selectors.scheme
-            and row["sub_template"] == "same"
-            and row["s_lambda_opt"] is not None
-        ):
-            out[f"{row['region']}|{row['model']}"] = row["s_lambda_opt"]
-    return out
+    if scaling_rows is None:
+        scaling_rows = optimal_scaling_study(config)
+    return {
+        f"{row['region']}|{row['model']}": row["s_lambda_opt"]
+        for row in scaling_rows
+        if row["scheme"] == config.selectors.scheme
+        and row["sub_template"] == "same"
+        and row["s_lambda_opt"] is not None
+    }
 
 
 def phi_study(config: StudyConfig) -> list[PhiRow]:
@@ -431,77 +477,60 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
     methods += [("hj", None, None, lm) for lm in sel.hj_lambda_m]
     if not methods:
         raise ConfigError("phi study needs at least one selector setting")
-    s_opt_map = _resolve_s_opt(config)
+    s_opt_map = _oracle_scales(config)
+    for key in (f"{r.name}|{name}" for r in config.regions for name, _ in config.covariograms):
+        if key not in s_opt_map:
+            raise ConfigError(f"no oracle scale for cell {key!r}")
 
     stat = config.statistic
     rows: list[PhiRow] = []
-    for r_idx, reg_spec in enumerate(config.regions):
-        region = reg_spec.region()
-        window = lattice_sites(region)
-        for c_idx, (cov_name, cov) in enumerate(config.covariograms):
-            key = f"{reg_spec.name}|{cov_name}"
-            if key not in s_opt_map:
-                raise ConfigError(f"no oracle scale for cell {key!r}")
-            s_opt = int(s_opt_map[key])
-            tau_n = _tau_n(config, key, window, cov)
-            gen = build_generator(cov, window)
-            pair_index = r_idx * len(config.covariograms) + c_idx
+    for reg_spec, region, _, cov_name, tau_n, run in _study_pairs(config):
+        s_opt = int(s_opt_map[f"{reg_spec.name}|{cov_name}"])
 
-            def tau_at(sample, lam, _region=region):
-                spec = SubsampleSpec(_region.template, float(lam), sel.scheme)
-                return estimate(sample, _region, spec, stat).tau_hat_sq
+        def selector_deviations(sample):
+            def tau_at(lam):
+                spec = SubsampleSpec(region.template, float(lam), sel.scheme)
+                return estimate(sample, region, spec, stat).tau_hat_sq
 
-            def one_rep(rep, _gen=gen, _pair=pair_index, _region=region):
-                stream = substream(
-                    config.seed, _stream_index(_pair, config.replicates, rep)
-                )
-                fld = sample_field(_gen, stream)
-                sample = lift_for_statistic(fld, config.statistic_name)
-                tau_opt = tau_at(sample, s_opt)
-                out = []
-                for method, c1, c2, lm in methods:
-                    if method == "npi":
-                        plan = npi_scaling(sample, _region, stat, c1, c2, sel.scheme)
-                    else:
-                        plan = hj_scaling(
-                            sample,
-                            _region,
-                            stat,
-                            lm,
-                            candidates=sel.hj_candidates,
-                            scheme=sel.scheme,
-                            min_candidates=sel.hj_min_candidates,
-                        )
-                    s_hat = plan.lambda_opt_int
-                    phi = (tau_at(sample, s_hat) - tau_opt) / tau_n
-                    out.append((s_hat, phi))
-                return out
-
-            per_rep = _run_replicates(one_rep, config.replicates, config.workers)
-
-            for m_idx, (method, c1, c2, lm) in enumerate(methods):
-                s_hats = np.array([per_rep[r][m_idx][0] for r in range(config.replicates)])
-                phis = np.array([per_rep[r][m_idx][1] for r in range(config.replicates)])
-                e_phi, se = _mean_se(phis**2)
-                freq: dict = {}
-                for s in s_hats.tolist():
-                    freq[int(s)] = freq.get(int(s), 0) + 1
-                rows.append(
-                    PhiRow(
-                        region=reg_spec.name,
-                        model=cov_name,
+            tau_opt = tau_at(s_opt)
+            out = []
+            for method, c1, c2, lm in methods:
+                if method == "npi":
+                    plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
+                else:
+                    plan = hj_scaling(
+                        sample,
+                        region,
+                        stat,
+                        lm,
+                        candidates=sel.hj_candidates,
                         scheme=sel.scheme,
-                        method=method,
-                        c1=c1,
-                        c2=c2,
-                        lambda_m=lm,
-                        s_lambda_opt=s_opt,
-                        e_phi_sq=e_phi,
-                        mc_se=se,
-                        reps=config.replicates,
-                        freq=freq,
+                        min_candidates=sel.hj_min_candidates,
                     )
+                s_hat = plan.lambda_opt_int
+                out.append((s_hat, (tau_at(s_hat) - tau_opt) / tau_n))
+            return out
+
+        per_rep = run(selector_deviations)
+        for m_idx, (method, c1, c2, lm) in enumerate(methods):
+            column = [out[m_idx] for out in per_rep]
+            e_phi, se = _mean_se(np.array([phi for _, phi in column]) ** 2)
+            rows.append(
+                PhiRow(
+                    region=reg_spec.name,
+                    model=cov_name,
+                    scheme=sel.scheme,
+                    method=method,
+                    c1=c1,
+                    c2=c2,
+                    lambda_m=lm,
+                    s_lambda_opt=s_opt,
+                    e_phi_sq=e_phi,
+                    mc_se=se,
+                    reps=config.replicates,
+                    freq=dict(Counter(int(s_hat) for s_hat, _ in column)),
                 )
+            )
     return rows
 
 
@@ -582,44 +611,17 @@ def emit_csv(rows, columns, path: str) -> None:
 
 
 def mse_cells_to_rows(cells: list[MseCell]) -> list[dict]:
-    return [
-        {
-            "region": c.region,
-            "model": c.model,
-            "scheme": c.scheme,
-            "sub_template": c.sub_template,
-            "s_lambda": c.s_lambda,
-            "mse": c.mse,
-            "mc_se": c.mc_se,
-            "reps": c.reps,
-            "note": c.note,
-        }
-        for c in cells
-    ]
+    return [{col: getattr(c, col) for col in MSE_COLUMNS} for c in cells]
 
 
 def phi_rows_to_rows(rows: list[PhiRow]) -> list[dict]:
-    out = []
-    for r in rows:
-        freq = ";".join(f"{k}:{v}" for k, v in sorted(r.freq.items()))
-        out.append(
-            {
-                "region": r.region,
-                "model": r.model,
-                "scheme": r.scheme,
-                "method": r.method,
-                "c1": r.c1,
-                "c2": r.c2,
-                "lambda_m": r.lambda_m,
-                "s_lambda_opt": r.s_lambda_opt,
-                "e_phi_sq": r.e_phi_sq,
-                "mc_se": r.mc_se,
-                "reps": r.reps,
-                "freq": freq,
-                "note": r.note,
-            }
-        )
-    return out
+    return [
+        {
+            **{col: getattr(r, col) for col in PHI_COLUMNS},
+            "freq": ";".join(f"{k}:{v}" for k, v in sorted(r.freq.items())),
+        }
+        for r in rows
+    ]
 
 
 @dataclass
@@ -640,27 +642,14 @@ def run_study(config: StudyConfig) -> StudyResult:
     )
     if need_mse:
         result.mse_cells = mse_study(config)
+        result.scaling_rows = optimal_scaling_rows(result.mse_cells)
     if outputs.get("mse_csv"):
         emit_csv(mse_cells_to_rows(result.mse_cells), MSE_COLUMNS, outputs["mse_csv"])
-    if outputs.get("scaling_csv") or result.mse_cells is not None:
-        if result.mse_cells is not None:
-            result.scaling_rows = optimal_scaling_rows(result.mse_cells)
     if outputs.get("scaling_csv"):
         emit_csv(result.scaling_rows, SCALING_COLUMNS, outputs["scaling_csv"])
     if outputs.get("phi_csv"):
-        cfg = config
-        if config.selectors.s_lambda_opt is None:
-            s_opt = {}
-            for row in result.scaling_rows:
-                if (
-                    row["scheme"] == config.selectors.scheme
-                    and row["sub_template"] == "same"
-                    and row["s_lambda_opt"] is not None
-                ):
-                    s_opt[f"{row['region']}|{row['model']}"] = row["s_lambda_opt"]
-            cfg = replace(
-                config, selectors=replace(config.selectors, s_lambda_opt=s_opt)
-            )
+        s_opt = _oracle_scales(config, result.scaling_rows)
+        cfg = replace(config, selectors=replace(config.selectors, s_lambda_opt=s_opt))
         result.phi_rows = phi_study(cfg)
         emit_csv(phi_rows_to_rows(result.phi_rows), PHI_COLUMNS, outputs["phi_csv"])
     return result

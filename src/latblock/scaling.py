@@ -24,7 +24,7 @@ from .errors import (
     LatblockError,
     ZeroBiasConstant,
 )
-from .estimators import FieldSample, SmoothStatistic, design_plan, estimate
+from .estimators import FieldSample, SmoothStatistic, design_plan, estimate, estimate_values
 from .geometry import NOL, OL, LatticeWindow, Region, SubsampleSpec
 
 
@@ -221,21 +221,16 @@ def hj_scaling(
     dropped = []
     block_values = sample.values[blocks.row_matrix]  # (B, nB, p)
     for c in candidates:
+        # degenerate or empty designs, and statistics undefined on some
+        # block's subsample, drop the candidate
         try:
             local = design_plan(
                 pilot_window, pilot_region, SubsampleSpec(region.template, float(c), scheme)
             )
-        except LatblockError as exc:  # degenerate or empty designs drop the candidate
+            tau_blocks = estimate_values(local, block_values, stat)[2]  # (B,)
+        except LatblockError as exc:
             dropped.append((c, type(exc).__name__))
             continue
-        if local.index_set.n_subsamples < 2:
-            dropped.append((c, "DegenerateSubsampling"))
-            continue
-        # integer candidates give every design a row matrix
-        sub_means = block_values[:, local.row_matrix].mean(axis=2)  # (B, J, p)
-        theta = stat(sub_means)  # (B, J)
-        theta_tilde = theta.mean(axis=1, keepdims=True)
-        tau_blocks = (local.counts * (theta - theta_tilde) ** 2).mean(axis=1)
         mse_curve.append(float(np.mean((tau_blocks - proxy) ** 2)))
         usable.append(c)
     if not usable:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from latblock.cli import main, read_field_csv, write_field_csv
+from latblock.errors import ConfigError
 
 
 def run(argv, capsys):
@@ -313,3 +314,79 @@ def test_study_rejects_bad_workers_and_selector_scheme(capsys, tmp_path, bad, fl
     assert code == 2
     assert err.startswith("error:")
     assert not (tmp_path / "mse.csv").exists()
+
+
+def study_config(tmp_path, **overrides):
+    config = {
+        "regions": [{"name": "r", "template": "hypercube:d=2", "scale": [10, 10]}],
+        "covariograms": [{"name": "white", "spec": "white"}],
+        "s_lambda_grid": [1, 2],
+        "replicates": 100,
+        "seed": 3,
+        "outputs": {"mse_csv": str(tmp_path / "mse.csv")},
+    }
+    config.update(overrides)
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(config))
+    return cfg_path
+
+
+@pytest.mark.parametrize(
+    "bad, key",
+    [
+        ({"workers": "two"}, "workers"),
+        ({"replicates": "many"}, "replicates"),
+        ({"seed": 1.5}, "seed"),
+        ({"selectors": {"hj": {"lambda_m": ["x"]}}}, "selectors.hj.lambda_m"),
+        ({"tau_n_sq": {"a": "b"}}, "tau_n_sq"),
+        ({"s_lambda_grid": [2.7]}, "s_lambda_grid"),
+        ({"regions": [{"template": "hypercube:d=2", "scale": ["ten"]}]}, "region.scale"),
+    ],
+)
+def test_study_rejects_non_numeric_values(capsys, tmp_path, bad, key):
+    code, _, err = run(["study", "--config", str(study_config(tmp_path, **bad))], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {key}")
+    assert not (tmp_path / "mse.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"replicate": 100},
+        {"regions": [{"name": "r", "template": "hypercube:d=2", "scale": [10, 10], "shift": 0}]},
+        {"covariograms": [{"name": "white", "spec": "white", "range": 2}]},
+        {"sub_templates": [{"spec": "circle:r=0.5", "label": "c"}]},
+        {"selectors": {"npi": {"c1": [0.5], "c2": [0.5]}, "schem": "ol"}},
+        {"selectors": {"npi": {"c1": [0.5], "c3": [0.5]}}},
+        {"selectors": {"hj": {"lambda_m": [5], "candidate": [2, 3]}}},
+        {"outputs": {"mse_cvs": "mse.csv"}},
+    ],
+)
+def test_study_rejects_unknown_keys(capsys, tmp_path, bad):
+    code, _, err = run(["study", "--config", str(study_config(tmp_path, **bad))], capsys)
+    assert code == 2
+    assert err.startswith("error: unknown key")
+    assert not (tmp_path / "mse.csv").exists()
+
+
+def test_study_rejects_statistic_without_lift(capsys, tmp_path):
+    cfg_path = study_config(tmp_path, statistic="ratio", tau_n_sq={"r|white": 1.0})
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert "no scalar-field lift" in err
+
+
+@pytest.mark.parametrize(
+    "rows, line, reason",
+    [
+        (["0,0,1.5", "0,1,2.5", "0,0,3.5"], 4, "repeats line 2"),
+        (["0,0,1.5", "0.7,1,2.5"], 3, "must be integers"),
+        (["0,0,1.5", "0,1,abc"], 3, "bad row"),
+    ],
+)
+def test_field_csv_rejects_bad_rows(tmp_path, rows, line, reason):
+    path = tmp_path / "field.csv"
+    path.write_text("\n".join(["s1,s2,v1", *rows]) + "\n")
+    with pytest.raises(ConfigError, match=f"line {line}: .*{reason}"):
+        read_field_csv(str(path))

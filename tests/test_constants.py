@@ -1,5 +1,6 @@
 """Shape constants, bias weights and the bias constant."""
 
+import itertools
 import math
 
 import numpy as np
@@ -64,6 +65,27 @@ def test_trapezoid_degenerate_limits():
     assert k0(Template.trapezoid(0.5, 0.5)).k0 == pytest.approx(4 / 9, abs=1e-12)
     # extreme ratio: triangle
     assert k0(Template.trapezoid(0.001, 1.0)).k0 == pytest.approx(2 / 5, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        Template.hypercube(1),
+        Template.hypercube(2),
+        Template.hypercube(3),
+        Template.circle(0.5),
+        Template.sphere(0.5),
+        Template.cylinder(0.4, 0.9),
+        Template.rotated_rectangle(0.3, 0.5, 0.4),
+        diamond(),
+    ],
+    ids=lambda t: t.spec_string(),
+)
+def test_closed_form_bias_weight_is_volume_loss_rate_over_volume(template):
+    for k in itertools.product(range(-3, 4), repeat=template.d):
+        assert b0_weight(template, k) * template.volume() == pytest.approx(
+            v_weight(template, k), rel=1e-12
+        )
 
 
 @pytest.mark.parametrize(

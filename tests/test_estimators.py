@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latblock import (
     FieldSample,
@@ -29,7 +31,9 @@ from latblock.estimators import (
     _build_design,
     _cached_design,
     build_plan,
+    design_plan,
     estimate_from_plan,
+    estimate_values,
 )
 from latblock.geometry import LatticeWindow, lattice_sites
 
@@ -426,3 +430,54 @@ def test_design_cache_keys_on_window_sites():
     sites = sample.window.sites.copy()
     copy = FieldSample(LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0)), sample.values)
     assert build_plan(copy, region, spec) is build_plan(sample, region, spec)
+
+
+# ---------------------------------------------------------------------------
+# the estimator core on a replicate axis
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "scheme, s_lam, stat",
+    [
+        ("ol", 3.0, mean_statistic()),
+        ("nol", 3.0, mean_statistic()),
+        ("nol", 2.5, mean_statistic()),  # ragged design
+        ("ol", 4.0, moment_variance()),
+    ],
+)
+def test_core_replicate_axis_matches_per_sample_estimates(scheme, s_lam, stat):
+    region = Region(Template.hypercube(2), (10, 12))
+    window = lattice_sites(region)
+    spec = SubsampleSpec(Template.hypercube(2), s_lam, scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        plan = design_plan(window, region, spec)
+    x = np.random.default_rng(5).standard_normal((6, window.n_sites))
+    values = x[..., None] if stat.p == 1 else np.stack([x, x * x], axis=-1)  # (R, N, p)
+    theta, theta_tilde, tau = estimate_values(plan, values, stat)
+    assert theta.shape == (6, plan.index_set.n_subsamples)
+    assert tau.shape == theta_tilde.shape == (6,)
+    for r in range(6):
+        one = estimate_from_plan(plan, FieldSample(window, values[r]), stat, keep_theta=True)
+        assert tau[r] == pytest.approx(one.tau_hat_sq, rel=1e-12)
+        assert theta_tilde[r] == pytest.approx(one.theta_tilde, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(theta[r], one.theta_hats, rtol=1e-12, atol=1e-15)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.floats(0.01, 100.0) | st.floats(-100.0, -0.01),
+    a=st.floats(-1e3, 1e3),
+    scheme=st.sampled_from(["ol", "nol"]),
+)
+def test_mean_estimate_is_affine_equivariant(seed, c, a, scheme):
+    region, sample = make_sample((8, 9), seed=seed)
+    spec = SubsampleSpec(Template.hypercube(2), 3.0, scheme)
+    moved = FieldSample(sample.window, c * sample.values + a)
+    estimator = ol_estimate if scheme == "ol" else nol_estimate
+    tau = estimator(sample, region, spec, mean_statistic()).tau_hat_sq
+    assert estimator(moved, region, spec, mean_statistic()).tau_hat_sq == pytest.approx(
+        c * c * tau, rel=1e-9
+    )

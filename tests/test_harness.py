@@ -1,5 +1,6 @@
 """Study configuration, Monte Carlo studies and CSV emission."""
 
+import csv
 import math
 
 import numpy as np
@@ -397,3 +398,38 @@ def test_run_study_phi_auto_oracle(tmp_path):
     assert len(text) == 2
     row = phi_rows_to_rows(result.phi_rows)[0]
     assert sum(int(p.split(":")[1]) for p in row["freq"].split(";")) == 100
+
+
+def test_run_study_derives_oracle_scales_from_scaling_argmin(tmp_path):
+    raw = base_config(
+        regions=[
+            {"name": "rect12", "template": "hypercube:d=2", "scale": [12, 14]},
+            {"name": "disk12", "template": "circle:r=0.5", "scale": [12, 12]},
+        ],
+        covariograms=[
+            {"name": "E(1,1)", "spec": "expsep:b1=1,b2=1"},
+            {"name": "white", "spec": "white"},
+        ],
+        schemes=["ol", "nol"],
+        sub_templates=["same", "circle:r=0.5"],
+        s_lambda_grid=[2, 3, 4],
+        replicates=100,
+        selectors={"npi": {"c1": [0.5, 1.0], "c2": [0.5]}, "scheme": "ol"},
+        outputs={
+            "scaling_csv": str(tmp_path / "scaling.csv"),
+            "phi_csv": str(tmp_path / "phi.csv"),
+        },
+    )
+    config = config_from_dict(raw)
+    result = run_study(config)
+    assert result.phi_rows == phi_study(config)
+
+    with open(tmp_path / "scaling.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    argmin = {
+        f"{row['region']}|{row['model']}": int(row["s_lambda_opt"])
+        for row in rows
+        if row["scheme"] == "ol" and row["sub_template"] == "same"
+    }
+    assert len(argmin) == 4
+    assert {f"{r.region}|{r.model}": r.s_lambda_opt for r in result.phi_rows} == argmin

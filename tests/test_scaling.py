@@ -25,7 +25,7 @@ from latblock.errors import (
     InsufficientCandidates,
     ZeroBiasConstant,
 )
-from latblock.estimators import mean_statistic
+from latblock.estimators import SmoothStatistic, mean_statistic
 from latblock.geometry import lattice_sites
 from latblock.scaling import hj_recalibrate, npi_pilot_scales
 
@@ -223,3 +223,20 @@ def test_hj_drops_only_latblock_errors(monkeypatch, error):
     else:
         plan = hj_scaling(*args, candidates=[1, 2, 3, 4], min_candidates=3)
         assert plan.diagnostics["dropped"] == [(3, "EmptySubsampleSet")]
+
+
+def test_hj_drops_candidate_whose_statistic_is_undefined():
+    # the 5x5 pilot window holds 9 overlapping subsamples at candidate 3 only;
+    # the statistic is undefined on the pilot blocks there and nowhere else
+    def fragile(x):
+        if x.ndim == 3 and x.shape[-2] == 9:
+            return np.full(x.shape[:-1], np.nan)
+        return x[..., 0]
+
+    stat = SmoothStatistic("fragile", 1, fragile, lambda x: np.ones_like(x), is_linear=True)
+    region = Region(Template.hypercube(2), (14, 18))
+    f = sample_field(build_generator(Covariogram.white(2), lattice_sites(region)), substream(1, 0))
+    plan = hj_scaling(f, region, stat, 5, candidates=[1, 2, 3, 4], min_candidates=3)
+    assert plan.diagnostics["dropped"] == [(3, "StatisticDomainError")]
+    assert plan.diagnostics["candidates"] == [1, 2, 4]
+    assert np.all(np.isfinite(plan.diagnostics["mse_curve"]))
