@@ -1,9 +1,10 @@
 """Shape constants, boundary bias weights and the relative-efficiency exponent.
 
-Each quantity has an analytic registry entry per shape and an independent
-numeric route: the variance constant integrates the squared set covariance
-on a grid, and the bias weights differentiate the exact set covariance at
-the origin with a two-point extrapolated secant.
+The variance constant has an analytic registry entry per shape; the bias
+weights are the closed-form volume-loss rates of the template geometry.  Each
+has an independent numeric route: the variance constant integrates the
+squared set covariance on a grid, and the bias weights differentiate the
+exact set covariance at the origin with a two-point extrapolated secant.
 """
 
 from __future__ import annotations
@@ -16,14 +17,16 @@ from scipy.signal import fftconvolve
 
 from .covariance import Covariogram, sum_over_shells
 from .errors import (
+    ConfigError,
     QuadratureBudgetExceeded,
     UnsupportedD1Nonlinear,
     UnsupportedShape,
 )
-from .geometry import Template, box_points, raster_mask, rotation_cos_sin, set_covariance_exact
+from .geometry import Template, box_points, raster_mask, set_covariance_exact
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
+AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -128,73 +131,21 @@ def are(template: Template) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _v_analytic(template: Template, k: np.ndarray) -> float | None:
-    kind = template.kind
-    p = template.param_dict
-    k = np.asarray(k, float)
-    if kind == "hypercube":
-        return float(np.abs(k).sum())
-    if kind == "circle":
-        return 2.0 * p["r"] * float(np.linalg.norm(k))
-    if kind == "rotated-rectangle":
-        c, s = rotation_cos_sin(p["theta"])
-        return p["l2"] * abs(k[0] * c - k[1] * s) + p["l1"] * abs(k[0] * s + k[1] * c)
-    if kind == "right-triangle":
-        return 0.5 * (abs(k[0]) + abs(k[1]) + abs(k[0] + k[1]))
-    if kind == "isoceles-triangle":
-        return 0.5 * (abs(k[1]) + max(2.0 * abs(k[0]), abs(k[1])))
-    if kind == "regular-hexagon":
-        return p["l"] * (abs(k[1]) + max(math.sqrt(3.0) * abs(k[0]), abs(k[1])))
-    if kind == "sphere":
-        return math.pi * p["r"] ** 2 * float(np.linalg.norm(k))
-    if kind == "cylinder":
-        xy = float(math.hypot(k[0], k[1]))
-        return 2.0 * p["h"] * p["r"] * xy + math.pi * p["r"] ** 2 * abs(k[2])
-    # trapezoid and parallelogram fall through to the numeric route: their
-    # printed closed forms are not registered
-    return None
-
-
 def v_weight(template: Template, k) -> float:
-    """Boundary volume-loss rate at integer lag k.
+    """Boundary volume-loss rate at lag k.
 
-    The limit of (|sR| - |sR ∩ (k + sR)|) / s^(d-1) as the scale s grows;
-    analytic for the registered shapes, otherwise an extrapolated secant of
-    the exact set covariance.
+    The limit of (|sR| - |sR ∩ (k + sR)|) / s^(d-1) as the scale s grows: the
+    closed form of the template's geometry.
     """
-    k = np.asarray(k)
+    k = np.asarray(k, float)
     if k.shape != (template.d,):
         raise UnsupportedShape("lag dimension mismatch")
-    if np.all(k == 0):
-        return 0.0
-    val = _v_analytic(template, k)
-    if val is not None:
-        return val
-    return v_weight_numeric(template, k)
+    return float(template.geom.boundary_rate(k))
 
 
 def b0_weight(template: Template, k) -> float:
-    """Covariogram weight of the bias constant: the volume-loss rate over |R0|.
-
-    Closed forms keep the division inside each term where that preserves exact
-    identities (the diamond case of the rotated rectangle in particular);
-    shapes without a registered weight divide the numeric rate by the volume.
-    """
-    k = np.asarray(k, float)
-    kind = template.kind
-    p = template.param_dict
-    if kind == "rotated-rectangle":
-        c, s = rotation_cos_sin(p["theta"])
-        return abs(k[0] * c - k[1] * s) / p["l1"] + abs(k[0] * s + k[1] * c) / p["l2"]
-    if kind == "hypercube":
-        return float(np.abs(k).sum())
-    if kind == "circle":
-        return 2.0 * float(np.linalg.norm(k)) / (math.pi * p["r"])
-    if kind == "sphere":
-        return 0.75 * float(np.linalg.norm(k)) / p["r"]
-    if kind == "cylinder":
-        return abs(k[2]) / p["h"] + 2.0 * math.hypot(k[0], k[1]) / (math.pi * p["r"])
-    return v_weight(template, k) / template.volume()
+    """Covariogram weight of the bias constant: the volume-loss rate over |R0|."""
+    return float(template.geom.bias_weight(np.asarray(k, float)))
 
 
 def v_weight_numeric(template: Template, k, eps: float = 1e-2) -> float:
@@ -214,23 +165,21 @@ def v_weight_numeric(template: Template, k, eps: float = 1e-2) -> float:
     return 2.0 * secant(eps / 2.0) - secant(eps)
 
 
-def bias_weights(template: Template, radius: int = 3, source: str = "auto") -> BiasWeights:
-    """Weights over the sup-norm ball of lags, analytic where registered."""
+def bias_weights(template: Template, radius: int = 3, source: str = AUTO) -> BiasWeights:
+    """Weights over the sup-norm ball of lags: closed form, or the secant oracle.
+
+    ``source`` is ``"auto"`` (the geometry's closed form) or ``"numeric"``.
+    """
+    if source not in (AUTO, NUMERIC):
+        raise ConfigError(f"bias weight source must be 'auto' or 'numeric', got {source!r}")
     lags = box_points([-radius] * template.d, [radius] * template.d)
-    entries = []
-    used = ANALYTIC
-    for row in lags:
-        if source == "numeric":
-            val = v_weight_numeric(template, row) if np.any(row != 0) else 0.0
-            used = NUMERIC
-        else:
-            val = v_weight(template, row)
-            if _v_analytic(template, row) is None and np.any(row != 0):
-                used = NUMERIC
-        entries.append((tuple(int(x) for x in row), float(val)))
-    return BiasWeights(
-        template_kind=template.kind, radius=radius, weights=tuple(entries), source=used
-    )
+    if source == NUMERIC:
+        vals = [v_weight_numeric(template, row) for row in lags]
+    else:
+        vals = template.geom.boundary_rate(lags)
+    entries = tuple((tuple(int(x) for x in row), float(v)) for row, v in zip(lags, vals))
+    used = NUMERIC if source == NUMERIC else ANALYTIC
+    return BiasWeights(template_kind=template.kind, radius=radius, weights=entries, source=used)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +207,6 @@ def b0(
         raise UnsupportedShape("covariogram dimension mismatch")
 
     def term(lags: np.ndarray) -> np.ndarray:
-        w = np.array([b0_weight(template, row) for row in lags])
-        return w * cov.sigma_many(lags)
+        return template.geom.bias_weight(lags) * cov.sigma_many(lags)
 
     return sum_over_shells(term, template.d, rel_tol=rel_tol, include_origin=False)

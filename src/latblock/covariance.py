@@ -41,11 +41,11 @@ class Covariogram:
         if self.kind in (EXP_SEPARABLE, GAUSS_SEPARABLE):
             if len(self.betas) != self.d:
                 raise ConfigError("separable model needs one beta per axis")
-            if any(b <= 0 for b in self.betas):
-                raise ConfigError("betas must be positive")
+            _require_rates(self.betas, [f"b{i + 1}" for i in range(self.d)])
         elif self.kind == GAUSS_ISOTROPIC:
-            if len(self.betas) != 1 or self.betas[0] <= 0:
+            if len(self.betas) != 1:
                 raise ConfigError("isotropic model needs a single positive beta")
+            _require_rates(self.betas, ["b"])
         elif self.kind == TABULATED:
             entries = dict(self.table)
             if not entries:
@@ -118,8 +118,11 @@ class Covariogram:
             return math.exp(-self.betas[0] * m * m)
         raise ConfigError("axis_term only applies to separable kinds")
 
-    def is_separable(self) -> bool:
-        return self.kind in (EXP_SEPARABLE, GAUSS_SEPARABLE, GAUSS_ISOTROPIC)
+
+def _require_rates(betas, names) -> None:
+    for name, b in zip(names, betas):
+        if not (math.isfinite(b) and b > 0):
+            raise ConfigError(f"covariogram {name} must be positive and finite, got {b!r}")
 
 
 def sigma(cov: Covariogram, k) -> float:
@@ -252,7 +255,7 @@ def parse_covariogram(spec: str, d: int | None = None) -> Covariogram:
         betas = []
         i = 1
         while f"b{i}" in kv:
-            betas.append(float(kv.pop(f"b{i}")))
+            betas.append(_spec_number(kv.pop(f"b{i}"), f"covariogram b{i}"))
             i += 1
         if kv or not betas:
             raise ConfigError(f"bad separable covariogram args {argstr!r}")
@@ -262,12 +265,19 @@ def parse_covariogram(spec: str, d: int | None = None) -> Covariogram:
         kv = _parse_kv(argstr)
         if set(kv) != {"b"}:
             raise ConfigError("gaussiso takes a single parameter b")
-        return Covariogram.gauss_isotropic(float(kv["b"]), d or 2)
+        return Covariogram.gauss_isotropic(_spec_number(kv["b"], "covariogram b"), d or 2)
     if token == "table":
         if not argstr.startswith("@"):
             raise ConfigError("table covariogram needs @file.csv")
         return _load_table(argstr[1:])
     raise ConfigError(f"unknown covariogram kind {token!r}")
+
+
+def _spec_number(text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be a number, got {text!r}") from exc
 
 
 def _parse_kv(argstr: str) -> dict:
@@ -292,9 +302,15 @@ def _load_table(path: str) -> Covariogram:
         raise ConfigError("table header must be k1,...,kd,sigma")
     d = len(header) - 1
     entries = {}
-    for row in rows[1:]:
+    for lineno, row in enumerate(rows[1:], 2):
         if not row:
             continue
-        k = tuple(int(x) for x in row[:-1])
-        entries[k] = float(row[-1])
+        where = f"{path} line {lineno}"
+        try:
+            k = tuple(int(x) for x in row[:-1])
+        except ValueError as exc:
+            raise ConfigError(f"{where}: lags must be integers, got {row[:-1]}") from exc
+        entries[k] = _spec_number(row[-1], f"{where}: sigma")
+        if not math.isfinite(entries[k]):
+            raise ConfigError(f"{where}: sigma must be finite, got {row[-1]!r}")
     return Covariogram.tabulated(d, entries)

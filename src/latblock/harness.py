@@ -149,10 +149,20 @@ def _number(value, key: str, integer: bool = False):
     raise ConfigError(f"{key} must be {kind}, got {value!r}")
 
 
-def _numbers(values, key: str, integer: bool = False) -> tuple:
+def _list(values, key: str) -> list:
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{key} must be a list, got {values!r}")
-    return tuple(_number(v, f"{key} entry", integer) for v in values)
+    return values
+
+
+def _text(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _numbers(values, key: str, integer: bool = False) -> tuple:
+    return tuple(_number(v, f"{key} entry", integer) for v in _list(values, key))
 
 
 def _number_map(values, key: str, integer: bool = False) -> dict:
@@ -165,9 +175,9 @@ def config_from_dict(raw: dict) -> StudyConfig:
     raw = _fields(raw, "config", required=("regions", "covariograms", "replicates", "seed"))
 
     regions = []
-    for item in raw["regions"]:
+    for item in _list(raw["regions"], "regions"):
         item = _fields(item, "region", required=("template", "scale"))
-        template = parse_template(item["template"])
+        template = parse_template(_text(item["template"], "region.template"))
         scale = item["scale"]
         scale = _numbers(scale if isinstance(scale, (list, tuple)) else [scale], "region.scale")
         name = item.get("name") or f"{item['template']}@{'x'.join(str(s) for s in scale)}"
@@ -179,11 +189,12 @@ def config_from_dict(raw: dict) -> StudyConfig:
         raise ConfigError("region names must be unique")
 
     covs = []
-    for item in raw["covariograms"]:
+    for item in _list(raw["covariograms"], "covariograms"):
         if isinstance(item, str):
             spec_str, name = item, item
         else:
-            spec_str = _fields(item, "covariogram", required=("spec",))["spec"]
+            item = _fields(item, "covariogram", required=("spec",))
+            spec_str = _text(item["spec"], "covariogram.spec")
             name = item.get("name", spec_str)
         covs.append((name, parse_covariogram(spec_str, d=regions[0].template.d)))
     if not covs:
@@ -196,20 +207,21 @@ def config_from_dict(raw: dict) -> StudyConfig:
             f"statistic {stat_name!r} has no scalar-field lift, so a study cannot simulate it"
         )
 
-    schemes = tuple(str(s).lower() for s in raw.get("schemes", [OL]))
+    schemes = tuple(str(s).lower() for s in _list(raw.get("schemes", [OL]), "schemes"))
     for s in schemes:
         if s not in (OL, NOL):
             raise ConfigError(f"unknown scheme {s!r}")
 
     subs = []
-    for item in raw.get("sub_templates", [None]):
+    for item in _list(raw.get("sub_templates", [None]), "sub_templates"):
         if item is None or item == "same":
             subs.append(("same", None))
         elif isinstance(item, str):
             subs.append((item, parse_template(item)))
         else:
             item = _fields(item, "sub_template", required=("spec",))
-            subs.append((item.get("name", item["spec"]), parse_template(item["spec"])))
+            spec = _text(item["spec"], "sub_template.spec")
+            subs.append((item.get("name", spec), parse_template(spec)))
     sub_names = [s[0] for s in subs]
     if len(set(sub_names)) != len(sub_names):
         raise ConfigError("sub-template names must be unique")
@@ -269,7 +281,10 @@ def config_from_dict(raw: dict) -> StudyConfig:
         replicates=replicates,
         seed=seed,
         selectors=selectors,
-        outputs=dict(_fields(raw.get("outputs", {}), "outputs")),
+        outputs={
+            key: _text(path, f"outputs.{key}")
+            for key, path in _fields(raw.get("outputs", {}), "outputs").items()
+        },
         tau_n_sq_override=_number_map(raw.get("tau_n_sq", {}), "tau_n_sq"),
         workers=_number(raw.get("workers", 1), "workers", integer=True),
     )

@@ -390,3 +390,60 @@ def test_field_csv_rejects_bad_rows(tmp_path, rows, line, reason):
     path.write_text("\n".join(["s1,s2,v1", *rows]) + "\n")
     with pytest.raises(ConfigError, match=f"line {line}: .*{reason}"):
         read_field_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("expsep:b1=abc,b2=1", "covariogram b1 must be a number"),
+        ("gaussiso:b=x", "covariogram b must be a number"),
+        ("expsep:b1=nan,b2=1", "covariogram b1 must be positive and finite"),
+        ("gaussiso:b=inf", "covariogram b must be positive and finite"),
+    ],
+)
+def test_bad_covariogram_parameters_exit_2(capsys, tmp_path, spec, message):
+    code, _, err = run(["constants", "--template", "hypercube:d=2", "--cov", spec], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    cfg_path = study_config(tmp_path, covariograms=[{"name": "bad", "spec": spec}])
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["0,0,1.0", "0.5,0,0.25"], "line 3: lags must be integers"),
+        (["0,0,1.0", "1,0,inf", "-1,0,inf"], "line 3: sigma must be finite"),
+        (["0,0,1.0", "1,0,abc", "-1,0,abc"], "line 3: sigma must be a number"),
+    ],
+)
+def test_bad_covariogram_table_rows_exit_2(capsys, tmp_path, rows, message):
+    path = tmp_path / "cov.csv"
+    path.write_text("\n".join(["k1,k2,sigma", *rows]) + "\n")
+    code, _, err = run(
+        ["constants", "--template", "hypercube:d=2", "--cov", f"table:@{path}"], capsys
+    )
+    assert code == 2
+    assert err.startswith(f"error: {path} {message}")
+
+
+@pytest.mark.parametrize(
+    "bad, key",
+    [
+        ({"regions": 5}, "regions"),
+        ({"covariograms": 7}, "covariograms"),
+        ({"regions": [{"template": 5, "scale": [10, 10]}]}, "region.template"),
+        ({"covariograms": [{"name": "c", "spec": 3}]}, "covariogram.spec"),
+        ({"sub_templates": [{"spec": 2}]}, "sub_template.spec"),
+        ({"sub_templates": "same"}, "sub_templates"),
+        ({"schemes": "ol"}, "schemes"),
+        ({"outputs": {"mse_csv": 5}}, "outputs.mse_csv"),
+    ],
+)
+def test_study_rejects_values_of_the_wrong_shape(capsys, tmp_path, bad, key):
+    code, _, err = run(["study", "--config", str(study_config(tmp_path, **bad))], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {key} must be a")
+    assert not (tmp_path / "mse.csv").exists()

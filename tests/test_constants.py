@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latblock import (
     Covariogram,
@@ -18,10 +20,10 @@ from latblock import (
     v_weight,
     v_weight_numeric,
 )
-from latblock.constants import ANALYTIC, b0_weight
-from latblock.errors import QuadratureBudgetExceeded, UnsupportedD1Nonlinear
+from latblock.constants import ANALYTIC, NUMERIC, b0_weight
+from latblock.errors import ConfigError, QuadratureBudgetExceeded, UnsupportedD1Nonlinear
 from latblock.estimators import moment_variance
-from latblock.geometry import affine_image
+from latblock.geometry import affine_image, box_points, parse_template
 
 E = math.exp(-1.0)
 
@@ -270,3 +272,82 @@ def test_b0_d1_nonlinear_guard():
     # linear statistic is fine: weight |k| over the unit interval
     s1 = 2 * E / (1 - E) ** 2
     assert b0(interval, cov) == pytest.approx(s1, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# closed-form volume-loss rates of every geometry
+# ---------------------------------------------------------------------------
+
+SHEAR = np.array([[1.1, 0.3], [-0.2, 0.8]])
+
+# shapes whose rates the criterion-04 oracle sweep does not cover
+ORACLE_SHAPES = {
+    "trapezoid(0.3,0.6)": Template.trapezoid(0.3, 0.6),
+    "trapezoid(0.2,0.9)": Template.trapezoid(0.2, 0.9),
+    "parallelogram": Template.parallelogram(1.2, 0.6, 0.5),
+    "cylinder": Template.cylinder(0.4, 0.9),
+    "affine circle": affine_image(Template.circle(0.5), SHEAR),
+    "affine square": affine_image(Template.hypercube(2), SHEAR),
+    "affine triangle": affine_image(Template.right_triangle(), SHEAR),
+}
+
+
+@pytest.mark.parametrize("template", ORACLE_SHAPES.values(), ids=ORACLE_SHAPES.keys())
+def test_closed_form_rates_match_secant_oracle(template):
+    for k in itertools.product(range(-3, 4), repeat=template.d):
+        assert v_weight(template, k) == pytest.approx(v_weight_numeric(template, k), abs=1e-3)
+
+
+TEMPLATES_2D = [
+    Template.hypercube(2),
+    Template.circle(0.4),
+    Template.rotated_rectangle(0.3, 0.8, 0.45),
+    Template.right_triangle(),
+    Template.isoceles_triangle(),
+    Template.trapezoid(0.3, 0.6),
+    Template.regular_hexagon(0.5),
+    Template.parallelogram(1.2, 0.6, 0.5),
+]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    template=st.sampled_from(TEMPLATES_2D),
+    entries=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    k=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+)
+def test_affine_image_rate_is_determinant_times_pulled_back_rate(template, entries, k):
+    mat = np.array(entries).reshape(2, 2)
+    assume(abs(np.linalg.det(mat)) > 0.05 and np.linalg.cond(mat) < 100)
+    expected = abs(np.linalg.det(mat)) * v_weight(template, np.linalg.solve(mat, k))
+    assert v_weight(affine_image(template, mat), k) == pytest.approx(expected, rel=1e-12)
+
+
+ALL_SPECS = [
+    "hypercube:d=1", "hypercube:d=2", "hypercube:d=3", "circle:r=0.3", "sphere:r=0.4",
+    "rotrect:theta=0.7854,l1=0.7,l2=0.5", "righttri", "isotri", "trapezoid:b1=0.3,b2=0.6",
+    "hex:l=0.4", "parallelogram:gamma=1.2,l1=0.6,l2=0.5", "cylinder:r=0.4,h=0.9",
+]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS)
+def test_batched_bias_weights_equal_per_lag_weights_exactly(spec):
+    # b0 evaluates a whole shell at once; each lag must get its per-lag value
+    template = parse_template(spec)
+    lags = box_points([-4] * template.d, [4] * template.d)
+    batch = template.geom.bias_weight(lags)
+    assert batch.tolist() == [b0_weight(template, row) for row in lags]
+    rates = template.geom.boundary_rate(lags)
+    assert rates.tolist() == [v_weight(template, row) for row in lags]
+
+
+def test_bias_weights_source_is_closed_form_unless_oracle_requested():
+    trap = Template.trapezoid(0.3, 0.6)
+    auto = bias_weights(trap, radius=2)
+    numeric = bias_weights(trap, radius=2, source="numeric")
+    assert auto.source == ANALYTIC and numeric.source == NUMERIC
+    oracle = numeric.as_dict()
+    for k, v in auto.weights:
+        assert v == pytest.approx(oracle[k], abs=1e-12)
+    with pytest.raises(ConfigError, match="bogus"):
+        bias_weights(trap, source="bogus")

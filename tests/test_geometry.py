@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latblock import (
     Region,
@@ -24,7 +26,7 @@ from latblock.errors import (
     EmptySubsampleSet,
     NonIntegerScaleWarning,
 )
-from latblock.geometry import affine_image, nol_subregion_windows
+from latblock.geometry import affine_image, box_points, nol_subregion_windows
 
 
 def all_templates_2d():
@@ -388,3 +390,34 @@ def test_affine_images_cannot_build_regions():
         Region(a, (10, 10))
     with pytest.raises(ConfigError):
         SubsampleSpec(a, 3.0, "ol")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(sides=st.lists(st.integers(1, 9), min_size=1, max_size=3), data=st.data())
+def test_hypercube_ol_count_is_product_of_free_positions(sides, data):
+    d = len(sides)
+    s = data.draw(st.integers(1, min(sides)))
+    region = Region(Template.hypercube(d), tuple(float(n) for n in sides))
+    idx = enumerate_ol(region, SubsampleSpec(Template.hypercube(d), float(s), "ol"))
+    assert idx.n_subsamples == math.prod(n - s + 1 for n in sides)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    spec=st.sampled_from(
+        ["hypercube:d=2", "circle:r=0.5", "hex:l=0.4", "righttri", "sphere:r=0.5"]
+    ),
+    scale=st.integers(2, 11),
+    shift=st.floats(-0.5, 0.5),
+)
+def test_window_indexer_round_trips_sites(spec, scale, shift):
+    template = parse_template(spec)
+    window = lattice_sites(Region(template, (float(scale),) * template.d, (shift,) * template.d))
+    indexer = window.indexer()
+    assert np.array_equal(indexer.lookup(window.sites), np.arange(window.n_sites))
+    # every other site of a box one step wider than the window maps to -1
+    box = box_points(window.lo - 1, window.hi + 1)
+    rows = indexer.lookup(box)
+    hit = rows >= 0
+    assert np.array_equal(window.sites[rows[hit]], box[hit])
+    assert hit.sum() == window.n_sites
