@@ -22,7 +22,7 @@ from .geometry import (
     lattice_sites,
     parse_template,
 )
-from .harness import emit_csv, load_config, run_study
+from .harness import check_workers, emit_csv, load_config, run_study
 from .scaling import hj_scaling, npi_scaling, theoretical_scaling
 
 
@@ -258,9 +258,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_study(args) -> int:
     config = load_config(args.config)
     if args.workers is not None:
-        from dataclasses import replace
-
-        config = replace(config, workers=args.workers)
+        check_workers(args.workers)
     result = run_study(config)
     for name in ("mse_csv", "scaling_csv", "phi_csv"):
         if config.outputs.get(name):
@@ -326,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="run a Monte Carlo study from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help="accepted and ignored")
     p.set_defaults(func=_cmd_study)
 
     return parser

@@ -4,7 +4,7 @@ The variance constant has an analytic registry entry per shape; the bias
 weights are the closed-form volume-loss rates of the template geometry.  Each
 has an independent numeric route: the variance constant integrates the
 squared set covariance on a grid, and the bias weights differentiate the
-exact set covariance at the origin with a two-point extrapolated secant.
+exact set covariance at the origin with a three-point extrapolated secant.
 """
 
 from __future__ import annotations
@@ -149,10 +149,13 @@ def b0_weight(template: Template, k) -> float:
 
 
 def v_weight_numeric(template: Template, k, eps: float = 1e-2) -> float:
-    """Secant estimate of the volume-loss rate with linear extrapolation.
+    """Secant estimate of the volume-loss rate with quadratic extrapolation.
 
-    Uses (g(0) - g(eps*k)) / eps at eps and eps/2; the one-sided derivative
-    of the set covariance at the origin equals the weight for convex shapes.
+    Combines s(e) = (g(0) - g(e*k)) / e at eps, eps/2 and eps/4 so that the
+    e and e^2 terms cancel, which makes it exact (up to rounding) wherever
+    the set covariance is cubic along the ray, as for boxes in three
+    dimensions; the one-sided derivative of the set covariance at the origin
+    equals the weight for convex shapes.
     """
     k = np.asarray(k, float)
     if np.all(k == 0):
@@ -162,7 +165,7 @@ def v_weight_numeric(template: Template, k, eps: float = 1e-2) -> float:
     def secant(e):
         return (g0 - set_covariance_exact(template, e * k)) / e
 
-    return 2.0 * secant(eps / 2.0) - secant(eps)
+    return (8.0 * secant(eps / 4.0) - 6.0 * secant(eps / 2.0) + secant(eps)) / 3.0
 
 
 def bias_weights(template: Template, radius: int = 3, source: str = AUTO) -> BiasWeights:

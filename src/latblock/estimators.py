@@ -189,9 +189,8 @@ class _WindowKey:
     __slots__ = ("window", "_key", "_hash")
 
     def __init__(self, window: LatticeWindow):
-        sites = window.sites
         self.window = window
-        self._key = (sites.dtype.str, sites.shape, sites.tobytes())
+        self._key = window.content_key  # shared by every design of the window
         self._hash = hash(self._key)
 
     def __hash__(self) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -744,6 +745,12 @@ class LatticeWindow:
     def d(self) -> int:
         return self.sites.shape[1]
 
+    @cached_property
+    def content_key(self) -> tuple:
+        """(dtype, shape, bytes) of the sites, built once per window; equal
+        for windows with equal site arrays."""
+        return (self.sites.dtype.str, self.sites.shape, self.sites.tobytes())
+
     def indexer(self) -> "WindowIndexer":
         return WindowIndexer(self)
 
@@ -902,9 +909,11 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     """Disjoint scaled cubes inside the region, each holding a template copy.
 
     Cube i covers the sites of the scaled half-open cell centered at
-    ``s_lambda * i``; it is admitted when all of those sites belong to the
-    region window.  Per-cube template copies may differ in site count when
-    the scale is not an integer.
+    ``s_lambda * i``; it is admitted when it holds a site and all of its
+    sites belong to the region window.  All cubes are tested at once: each
+    cube's sites are its low corner plus a point of one common block, less
+    the block points past the cube's own high corner.  Per-cube template
+    copies may differ in site count when the scale is not an integer.
     """
     if spec.scheme != NOL:
         raise ConfigError("enumerate_nol needs a NOL spec")
@@ -918,16 +927,13 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     lo = np.floor(lo_f * scale / s_lam - 1).astype(np.int64)
     hi = np.ceil(hi_f * scale / s_lam + 1).astype(np.int64)
     cand = box_points(lo, hi)
-
-    keep = np.zeros(cand.shape[0], dtype=bool)
-    for idx, i_vec in enumerate(cand):
-        center = s_lam * i_vec.astype(float)
-        slo = np.ceil(center - s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64)
-        shi = np.floor(center + s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64)
-        cube_sites = box_points(slo, shi)
-        if cube_sites.shape[0] == 0:
-            continue
-        keep[idx] = bool(np.all(geom.contains_scaled(cube_sites, scale, shift)))
+    center = s_lam * cand.astype(float)
+    slo = np.ceil(center - s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64)
+    span = np.floor(center + s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64) - slo
+    block = box_points([0] * region.d, span.max(axis=0))
+    in_cube = np.all(block <= span[:, None, :], axis=-1)  # (cubes, block points)
+    inside = geom.contains_scaled(slo[:, None, :] + block, scale, shift)
+    keep = in_cube.any(axis=1) & np.all(inside | ~in_cube, axis=1)
     offsets = cand[keep]
     if offsets.shape[0] == 0:
         raise EmptySubsampleSet("no partitioning cube fits inside the region")

@@ -2,9 +2,9 @@
 selector performance, with deterministic seeding and CSV emission.
 
 A study simulates each replicate field once and evaluates every estimator
-cell on it, so cells share common random numbers.  Replicates draw from
-counter-based substreams keyed by (seed, region, model, replicate), which
-makes outputs byte-identical across thread counts.
+cell on it, so cells share common random numbers.  Replicates run one after
+another, each drawing from its own counter-based substream keyed by (seed,
+region, model, replicate).
 """
 
 from __future__ import annotations
@@ -13,18 +13,17 @@ import json
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .covariance import Covariogram, exact_tau_n_sq_window, parse_covariogram
-from .errors import ConfigError, DegenerateSubsampling, LatblockError
+from .errors import ConfigError, DegenerateSubsampling, InsufficientCandidates, LatblockError
 from .estimators import (
     SmoothStatistic,
     design_plan,
     estimate,
-    estimate_from_plan,
+    estimate_values,
     parse_statistic,
 )
 from .fieldsim import (
@@ -35,7 +34,7 @@ from .fieldsim import (
     substream,
 )
 from .geometry import NOL, OL, Region, SubsampleSpec, Template, lattice_sites, parse_template
-from .scaling import hj_scaling, npi_scaling
+from .scaling import hj_candidate_scales, hj_scaling, npi_pilot_scales, npi_scaling
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +83,13 @@ class StudyConfig:
     selectors: SelectorConfig
     outputs: dict = field(default_factory=dict)
     tau_n_sq_override: dict = field(default_factory=dict)
-    workers: int = 1
 
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {self.workers}")
+
+def check_workers(value) -> None:
+    """Validate a ``workers`` setting, which is accepted and ignored:
+    replicates run serially (see the README's design notes)."""
+    if _number(value, "workers", integer=True) < 1:
+        raise ConfigError(f"workers must be at least 1, got {value}")
 
 
 def load_config(path: str) -> StudyConfig:
@@ -248,6 +249,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
     seed = _number(raw["seed"], "seed", integer=True)
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
+    check_workers(raw.get("workers", 1))
 
     sel_raw = _fields(raw.get("selectors", {}), "selectors")
     npi = _fields(sel_raw.get("npi", {}), "selectors.npi")
@@ -269,6 +271,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
         scheme=str(sel_raw.get("scheme", OL)).lower(),
         s_lambda_opt=opt or None,  # an empty map derives the scales, like no map
     )
+    _check_selectors(regions, selectors)
 
     return StudyConfig(
         regions=tuple(regions),
@@ -286,8 +289,21 @@ def config_from_dict(raw: dict) -> StudyConfig:
             for key, path in _fields(raw.get("outputs", {}), "outputs").items()
         },
         tau_n_sq_override=_number_map(raw.get("tau_n_sq", {}), "tau_n_sq"),
-        workers=_number(raw.get("workers", 1), "workers", integer=True),
     )
+
+
+def _check_selectors(regions, sel: SelectorConfig) -> None:
+    """Refuse, before any study work, selector settings every replicate would refuse."""
+    for reg in regions:
+        region = reg.region()
+        try:
+            for c1 in sel.npi_c1:
+                for c2 in sel.npi_c2:
+                    npi_pilot_scales(region.volume(), region.d, c1, c2)
+            for lambda_m in sel.hj_lambda_m:
+                hj_candidate_scales(region, lambda_m, sel.hj_candidates, sel.hj_min_candidates)
+        except (ConfigError, InsufficientCandidates) as exc:
+            raise ConfigError(f"selectors on region {reg.name!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +367,12 @@ def _tau_n(config: StudyConfig, key: str, window, cov: Covariogram) -> float:
 
 
 def _study_pairs(config: StudyConfig):
-    """The study loop: every (region, model) pair with a runner for its replicates.
+    """The study loop: every (region, model) pair with its replicate samples.
 
-    Yields ``(reg_spec, region, window, model, tau_n, run)`` per pair, region
-    by region.  ``run(evaluate)`` draws each replicate field of the pair from
-    its own substream, lifts it for the statistic and returns
-    ``evaluate(sample)`` for every replicate, in replicate order.
+    Yields ``(reg_spec, region, window, model, tau_n, samples)`` per pair,
+    region by region.  ``samples`` iterates over the pair's replicates in
+    order, drawing each field from its own substream and lifting it for the
+    statistic.
     """
     for r_idx, reg_spec in enumerate(config.regions):
         region = reg_spec.region()
@@ -366,19 +382,14 @@ def _study_pairs(config: StudyConfig):
             gen = build_generator(cov, window)
             # replicate streams of this pair: one contiguous index range
             first = (r_idx * len(config.covariograms) + c_idx) * config.replicates
+            samples = _samples(config, gen, range(first, first + config.replicates))
+            yield reg_spec, region, window, cov_name, tau_n, samples
 
-            def run(evaluate, _gen=gen, _first=first):
-                def one_rep(rep):
-                    fld = sample_field(_gen, substream(config.seed, _first + rep))
-                    return evaluate(lift_for_statistic(fld, config.statistic_name))
 
-                reps = range(config.replicates)
-                if config.workers <= 1:
-                    return [one_rep(rep) for rep in reps]
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    return list(pool.map(one_rep, reps))
-
-            yield reg_spec, region, window, cov_name, tau_n, run
+def _samples(config: StudyConfig, gen, streams):
+    for rep in streams:
+        fld = sample_field(gen, substream(config.seed, rep))
+        yield lift_for_statistic(fld, config.statistic_name)
 
 
 def _cell_designs(config: StudyConfig, reg_spec: RegionSpec, region: Region, window) -> list:
@@ -401,19 +412,16 @@ def _cell_designs(config: StudyConfig, reg_spec: RegionSpec, region: Region, win
 
 def mse_study(config: StudyConfig) -> list[MseCell]:
     """Normalized MSE of the subsample variance estimators over the cell grid."""
+    stat = config.statistic
     cells: list[MseCell] = []
     designs: dict = {}
-    for reg_spec, region, window, cov_name, tau_n, run in _study_pairs(config):
+    for reg_spec, region, window, cov_name, tau_n, samples in _study_pairs(config):
         if reg_spec.name not in designs:
             designs[reg_spec.name] = _cell_designs(config, reg_spec, region, window)
         grid = designs[reg_spec.name]
         live = [plan for _, plan, _ in grid if plan is not None]
-
-        def deviations(sample):
-            taus = [estimate_from_plan(plan, sample, config.statistic).tau_hat_sq for plan in live]
-            return [(tau / tau_n - 1.0) ** 2 for tau in taus]
-
-        per_rep = run(deviations)
+        taus = [[float(estimate_values(p, s.values, stat)[2]) for p in live] for s in samples]
+        per_rep = [[(tau / tau_n - 1.0) ** 2 for tau in row] for row in taus]
         columns = iter(np.asarray(per_rep, float).reshape(config.replicates, len(live)).T)
         for (scheme, sub_name, lam), plan, note in grid:
             devs = next(columns) if plan is not None else None
@@ -499,7 +507,7 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
 
     stat = config.statistic
     rows: list[PhiRow] = []
-    for reg_spec, region, _, cov_name, tau_n, run in _study_pairs(config):
+    for reg_spec, region, _, cov_name, tau_n, samples in _study_pairs(config):
         s_opt = int(s_opt_map[f"{reg_spec.name}|{cov_name}"])
 
         def selector_deviations(sample):
@@ -526,7 +534,7 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
                 out.append((s_hat, (tau_at(s_hat) - tau_opt) / tau_n))
             return out
 
-        per_rep = run(selector_deviations)
+        per_rep = [selector_deviations(sample) for sample in samples]
         for m_idx, (method, c1, c2, lm) in enumerate(methods):
             column = [out[m_idx] for out in per_rep]
             e_phi, se = _mean_se(np.array([phi for _, phi in column]) ** 2)

@@ -170,6 +170,26 @@ def hj_recalibrate(s_hat_pilot: float, volume_ratio: float, d: int) -> float:
     return s_hat_pilot * volume_ratio ** (1.0 / (2 + d))
 
 
+def hj_candidate_scales(
+    region: Region, lambda_m: int, candidates=None, min_candidates: int = 5
+) -> list:
+    """hj's sorted candidate scales; raises for settings no sample can satisfy."""
+    if lambda_m >= min(region.scale):
+        raise ConfigError("lambda_m must be smaller than the region scaling")
+    if lambda_m < 2:
+        raise ConfigError("lambda_m must be at least 2")
+    if candidates is None:
+        candidates = list(range(2, lambda_m))
+    candidates = sorted(int(c) for c in candidates)
+    if any(c < 1 or c >= lambda_m for c in candidates):
+        raise ConfigError("candidates must be integers in [1, lambda_m)")
+    if len(candidates) < min_candidates:
+        raise InsufficientCandidates(
+            f"{len(candidates)} candidate scale(s); {min_candidates} required"
+        )
+    return candidates
+
+
 def hj_scaling(
     sample: FieldSample,
     region: Region,
@@ -189,19 +209,7 @@ def hj_scaling(
     """
     d = region.d
     lambda_m = int(lambda_m)
-    if lambda_m >= min(region.scale):
-        raise ConfigError("lambda_m must be smaller than the region scaling")
-    if lambda_m < 2:
-        raise ConfigError("lambda_m must be at least 2")
-    if candidates is None:
-        candidates = list(range(2, lambda_m))
-    candidates = sorted(int(c) for c in candidates)
-    if any(c < 1 or c >= lambda_m for c in candidates):
-        raise ConfigError("candidates must be integers in [1, lambda_m)")
-    if len(candidates) < min_candidates:
-        raise InsufficientCandidates(
-            f"{len(candidates)} candidate scale(s); {min_candidates} required"
-        )
+    candidates = hj_candidate_scales(region, lambda_m, candidates, min_candidates)
 
     # The blocks are the OL design at lambda_m.  Each row lists one block's
     # sites in the order of the pilot window, which is therefore the first

@@ -447,3 +447,44 @@ def test_study_rejects_values_of_the_wrong_shape(capsys, tmp_path, bad, key):
     assert code == 2
     assert err.startswith(f"error: {key} must be a")
     assert not (tmp_path / "mse.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "selectors, regions",
+    [
+        ({"hj": {"lambda_m": [1]}}, None),  # lambda_m below 2
+        ({"hj": {"lambda_m": [10]}}, None),  # not below the region's scale
+        ({"hj": {"lambda_m": [8]}}, [[10, 10], [7, 12]]),  # not below the second region's
+        ({"hj": {"lambda_m": [7], "candidates": [0, 2, 3, 4, 5]}}, None),
+        ({"hj": {"lambda_m": [7], "candidates": [2, 3, 4, 5, 7]}}, None),
+        ({"hj": {"lambda_m": [7], "candidates": [2, 3, 4]}}, None),  # fewer than 5
+        ({"hj": {"lambda_m": [5]}}, None),  # the default range(2, 5) holds 3
+        ({"hj": {"lambda_m": [7], "candidates": [2, 3], "min_candidates": 3}}, None),
+        ({"npi": {"c1": [0.5, 0.0], "c2": [0.5]}}, None),
+        ({"npi": {"c1": [0.5], "c2": [-1.0]}}, None),
+    ],
+)
+def test_study_refuses_selector_settings_before_any_work(capsys, tmp_path, selectors, regions):
+    regions = regions or [[10, 10]]
+    outputs = {"mse_csv": str(tmp_path / "mse.csv"), "phi_csv": str(tmp_path / "phi.csv")}
+    cfg_path = study_config(
+        tmp_path,
+        regions=[
+            {"name": f"r{i}", "template": "hypercube:d=2", "scale": scale}
+            for i, scale in enumerate(regions)
+        ],
+        selectors=selectors,
+        outputs=outputs,
+    )
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: selectors")
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_study_accepts_and_ignores_workers_flag(capsys, tmp_path):
+    cfg_path = study_config(tmp_path)
+    assert run(["study", "--config", str(cfg_path)], capsys)[0] == 0
+    serial = (tmp_path / "mse.csv").read_bytes()
+    assert run(["study", "--config", str(cfg_path), "--workers", "3"], capsys)[0] == 0
+    assert (tmp_path / "mse.csv").read_bytes() == serial

@@ -351,3 +351,23 @@ def test_bias_weights_source_is_closed_form_unless_oracle_requested():
         assert v == pytest.approx(oracle[k], abs=1e-12)
     with pytest.raises(ConfigError, match="bogus"):
         bias_weights(trap, source="bogus")
+
+
+# 3-D bodies whose set covariance is cubic along every ray
+BOXES_3D = {
+    "cube": Template.hypercube(3),
+    "box": affine_image(Template.hypercube(3), np.diag([0.5, 0.8, 1.0])),
+    "sheared cube": affine_image(
+        Template.hypercube(3), np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.2], [0.0, 0.0, 1.0]])
+    ),
+}
+
+
+@pytest.mark.parametrize("template", BOXES_3D.values(), ids=BOXES_3D.keys())
+def test_secant_oracle_is_exact_on_3d_boxes(template):
+    # a two-point secant leaves an O(eps^2) error here: 8.99865 for the
+    # exact 9 at lag (3, 3, 3) on the cube
+    for k in itertools.product(range(-3, 4), repeat=3):
+        assert v_weight_numeric(template, k) == pytest.approx(
+            v_weight(template, k), rel=1e-9, abs=1e-12
+        )

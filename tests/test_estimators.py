@@ -1,6 +1,8 @@
 """Statistics and the OL/NOL variance estimators, including the naive oracle."""
 
+import linecache
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,10 +21,12 @@ from latblock import (
     nol_estimate,
     ol_estimate,
     parse_statistic,
+    parse_template,
     ratio_of_means,
 )
 from latblock.errors import (
     DegenerateSubsampling,
+    LatblockError,
     MissingSites,
     NonIntegerScaleWarning,
     StatisticDomainError,
@@ -481,3 +485,57 @@ def test_mean_estimate_is_affine_equivariant(seed, c, a, scheme):
     assert estimator(moved, region, spec, mean_statistic()).tau_hat_sq == pytest.approx(
         c * c * tau, rel=1e-9
     )
+
+
+def live_bytes_from_tobytes(snapshot) -> int:
+    """Bytes still held by allocations made on a source line calling ``tobytes``."""
+    total = 0
+    for trace in snapshot.traces:
+        frame = trace.traceback[0]
+        if ".tobytes()" in linecache.getline(frame.filename, frame.lineno):
+            total += trace.size
+    return total
+
+
+def test_designs_on_one_window_share_one_copy_of_its_sites():
+    region = Region(Template.hypercube(2), (23, 29))  # a window no other test caches
+    window = lattice_sites(region)
+    specs = [SubsampleSpec(region.template, float(s), "ol") for s in range(2, 8)]
+    tracemalloc.start()
+    try:
+        plans = [design_plan(window, region, spec) for spec in specs]
+        held = live_bytes_from_tobytes(tracemalloc.take_snapshot())
+    finally:
+        tracemalloc.stop()
+    assert len({id(plan) for plan in plans}) == len(specs)
+    assert window.sites.nbytes <= held < 2 * window.sites.nbytes
+
+
+@settings(max_examples=60)
+@given(
+    spec=st.sampled_from(["hypercube:d=2", "circle:r=0.5", "hex:l=0.5", "righttri"]),
+    sub=st.sampled_from([None, "hypercube:d=2", "circle:r=0.5"]),
+    scheme=st.sampled_from(["ol", "nol"]),
+    data=st.data(),
+)
+def test_cached_design_equals_fresh_build(spec, sub, scheme, data):
+    template = parse_template(spec)
+    scale = tuple(data.draw(st.lists(st.floats(4.0, 14.0), min_size=2, max_size=2)))
+    shift = tuple(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=2, max_size=2)))
+    half = min(scale) / 2
+    s_lam = data.draw(st.integers(1, int(half)).map(float) | st.floats(0.5, half))
+    region = Region(template, scale, shift)
+    window = lattice_sites(region)
+    sub_spec = SubsampleSpec(parse_template(sub) if sub else template, s_lam, scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        try:
+            fresh = _build_design(window, region, sub_spec)
+        except LatblockError as exc:
+            with pytest.raises(type(exc)):
+                design_plan(window, region, sub_spec)
+            return
+        cached = design_plan(window, region, sub_spec)
+        again = design_plan(window, region, sub_spec)
+    assert again is cached
+    assert_same_design(cached, fresh)

@@ -1,10 +1,11 @@
 """Geometry: membership, lattice windows, set covariance, subsample enumeration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from latblock import (
@@ -24,9 +25,10 @@ from latblock.errors import (
     ConfigError,
     DimensionMismatch,
     EmptySubsampleSet,
+    LatblockError,
     NonIntegerScaleWarning,
 )
-from latblock.geometry import affine_image, box_points, nol_subregion_windows
+from latblock.geometry import _EQ_TOL, affine_image, box_points, nol_subregion_windows
 
 
 def all_templates_2d():
@@ -421,3 +423,74 @@ def test_window_indexer_round_trips_sites(spec, scale, shift):
     hit = rows >= 0
     assert np.array_equal(window.sites[rows[hit]], box[hit])
     assert hit.sum() == window.n_sites
+
+
+def nol_design_one_by_one(region, spec):
+    """Reference NOL design: each candidate cube is tested on its own sites."""
+    s_lam = spec.s_lambda
+    scale, shift = np.asarray(region.scale), np.asarray(region.shift)
+    geom = region.template.geom
+    lo_f, hi_f = geom.bbox()
+    lo = np.floor(lo_f * scale / s_lam - 1).astype(np.int64)
+    hi = np.ceil(hi_f * scale / s_lam + 1).astype(np.int64)
+    keep = []
+    for i_vec in box_points(lo, hi):
+        center = s_lam * i_vec.astype(float)
+        slo = np.ceil(center - s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64)
+        shi = np.floor(center + s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64)
+        cube_sites = box_points(slo, shi)
+        if cube_sites.shape[0] and np.all(geom.contains_scaled(cube_sites, scale, shift)):
+            keep.append(i_vec)
+    if not keep:
+        raise EmptySubsampleSet("no partitioning cube fits inside the region")
+    offsets = np.array(keep, np.int64)
+    counts = [w.n_sites for w in nol_subregion_windows(region, spec, offsets)]
+    return offsets, np.array(counts, np.int64)
+
+
+def design_or_error(build):
+    try:
+        offsets, counts = build()
+    except LatblockError as exc:
+        return type(exc).__name__
+    return offsets.tolist(), counts.tolist()
+
+
+NOL_TEMPLATES = [
+    "hypercube:d=1",
+    "hypercube:d=2",
+    "hypercube:d=3",
+    "circle:r=0.5",
+    "righttri",
+    "isotri",
+    "trapezoid:b1=0.5,b2=1",
+    "hex:l=0.5",
+    "parallelogram:gamma=1.2,l1=0.6,l2=0.5",
+    "rotrect:theta=0.7854,l1=0.7071,l2=0.7071",
+    "sphere:r=0.5",
+    "cylinder:r=0.4,h=0.9",
+]
+
+
+@settings(max_examples=120)
+@given(spec=st.sampled_from(NOL_TEMPLATES), integer=st.booleans(), data=st.data())
+def test_enumerate_nol_matches_per_cube_oracle(spec, integer, data):
+    template = parse_template(spec)
+    d = template.d
+    top = 8.0 if d == 3 else 15.0
+    scale = tuple(data.draw(st.lists(st.floats(3.0, top), min_size=d, max_size=d)))
+    shift = tuple(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d)))
+    half = min(scale) / 2
+    s_lam = float(data.draw(st.integers(1, int(half)) if integer else st.floats(0.5, half)))
+    region = Region(template, scale, shift)
+    sub = SubsampleSpec(template, s_lam, "nol")
+
+    def vectorised():
+        idx = enumerate_nol(region, sub)
+        return idx.offsets, idx.counts
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        expected = design_or_error(lambda: nol_design_one_by_one(region, sub))
+        assert design_or_error(vectorised) == expected
+    event(expected if isinstance(expected, str) else "design")

@@ -1,6 +1,7 @@
 """Study configuration, Monte Carlo studies and CSV emission."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -433,3 +434,10 @@ def test_run_study_derives_oracle_scales_from_scaling_argmin(tmp_path):
     }
     assert len(argmin) == 4
     assert {f"{r.region}|{r.model}": r.s_lambda_opt for r in result.phi_rows} == argmin
+
+
+def test_workers_is_validated_but_not_kept():
+    config = config_from_dict(base_config(workers=3))
+    assert "workers" not in {f.name for f in dataclasses.fields(config)}
+    with pytest.raises(ConfigError):
+        config_from_dict(base_config(workers=0))
