@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate
+from scipy.signal import correlate, fftconvolve
 
 from .errors import ConfigError, DimensionMismatch, EmptyWindow, NonConvergent
 from .geometry import LatticeWindow, Region, box_points, lattice_sites
@@ -210,6 +210,23 @@ def exact_tau_n_sq(
     return exact_tau_n_sq_window(window, cov, method)
 
 
+def lag_counts(window: LatticeWindow) -> np.ndarray:
+    """Site pairs of the window at each lag of its box, (2 span - 1) per axis.
+
+    The counts are the full autocorrelation of the window's indicator, taken
+    by FFT and rounded to integers.  Where the FFT is off an integer by 1/4
+    or more, they are correlated directly instead.
+    """
+    span = tuple(int(h - l + 1) for l, h in zip(window.lo, window.hi))
+    ind = np.zeros(span, dtype=np.float64)
+    ind[tuple((window.sites - window.lo).T)] = 1.0
+    fast = fftconvolve(ind, np.flip(ind), mode="full")
+    counts = np.rint(fast)
+    if np.max(np.abs(fast - counts)) < 0.25:
+        return counts
+    return correlate(ind, ind, mode="full", method="direct")
+
+
 def exact_tau_n_sq_window(
     window: LatticeWindow, cov: Covariogram, method: str = "lags"
 ) -> float:
@@ -219,11 +236,9 @@ def exact_tau_n_sq_window(
         raise DimensionMismatch("covariogram dimension mismatch")
     n = window.n_sites
     if method == "lags":
-        span = tuple(int(h - l + 1) for l, h in zip(window.lo, window.hi))
-        ind = np.zeros(span, dtype=np.float64)
-        ind[tuple((window.sites - window.lo).T)] = 1.0
-        counts = correlate(ind, ind, mode="full", method="direct")
-        lags = box_points([1 - s for s in span], [s - 1 for s in span])
+        counts = lag_counts(window)
+        reach = [c // 2 for c in counts.shape]
+        lags = box_points([-r for r in reach], reach)
         vals = cov.sigma_many(lags)
         return float((counts.ravel() * vals).sum() / n)
     if method == "pairs":

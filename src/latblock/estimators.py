@@ -18,6 +18,7 @@ from .errors import (
     ConfigError,
     DegenerateSubsampling,
     DimensionMismatch,
+    EmptyWindow,
     MissingSites,
     StatisticDomainError,
 )
@@ -179,46 +180,26 @@ DESIGN_CACHE_SIZE = 128
 _lookup = threading.local()
 
 
-class _WindowKey:
-    """Hashable stand-in for a window: equal when the site arrays are equal.
-
-    Row indices depend on the window only through its ordered sites, so
-    windows read from files match the ones ``lattice_sites`` builds.
-    """
-
-    __slots__ = ("window", "_key", "_hash")
-
-    def __init__(self, window: LatticeWindow):
-        self.window = window
-        self._key = window.content_key  # shared by every design of the window
-        self._hash = hash(self._key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _WindowKey) and self._key == other._key
-
-
 def design_plan(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
     """The subsample design of ``spec`` on ``region``, as rows of ``window``.
 
     A design does not depend on field values, so it is built once and kept
-    in a bounded LRU cache keyed by the window's sites, the region and the
-    spec; callers share the returned plan, whose arrays are read-only.  Like
-    a fresh build, a cache hit warns about a non-integer NOL scale.
+    in a bounded LRU cache keyed by the window (equal when its sites are
+    equal), the region and the spec; callers share the returned plan, whose
+    arrays are read-only.  Like a fresh build, a cache hit warns about a
+    non-integer NOL scale.
     """
     _lookup.built = False
-    plan = _cached_design(_WindowKey(window), region, spec)
+    plan = _cached_design(window, region, spec)
     if not _lookup.built and spec.scheme == NOL and not spec.is_integer_scale():
         warn_non_integer_scale()
     return plan
 
 
 @lru_cache(maxsize=DESIGN_CACHE_SIZE)
-def _cached_design(key: _WindowKey, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
+def _cached_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
     _lookup.built = True
-    plan = _build_design(key.window, region, spec)
+    plan = _build_design(window, region, spec)
     rows = [plan.row_matrix] if plan.row_matrix is not None else list(plan.row_lists)
     for arr in [plan.index_set.offsets, plan.counts, *rows]:
         arr.setflags(write=False)
@@ -247,7 +228,9 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
             raise MissingSites("sample does not cover every disjoint subsample site")
         return SubsamplePlan(NOL, index_set, rows, None, index_set.counts)
     row_lists = []
-    for w in windows:
+    for offset, w in zip(index_set.offsets, windows):
+        if w.n_sites == 0:
+            raise EmptyWindow(f"NOL template copy at offset {tuple(offset.tolist())} has no site")
         rows = indexer.lookup(w.sites)
         if np.any(rows < 0):
             raise MissingSites("sample does not cover every disjoint subsample site")
@@ -269,15 +252,28 @@ def estimate_values(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatist
     Leading axes are independent fields (replicates, or hj's pilot blocks).
     Returns the per-subsample statistics theta (..., M), their mean
     theta_tilde (...) and the estimates tau_hat_sq (...).
+
+    One scalar field, shape (N, 1), on a shared-count design takes a lean
+    branch with the same bits as ``estimate_values_reference``, which serves
+    every other case.
     """
-    if values.shape[-1] != stat.p:
-        raise DimensionMismatch(
-            f"statistic arity {stat.p} does not match sample arity {values.shape[-1]}"
-        )
-    if plan.index_set.n_subsamples < 2:
-        raise DegenerateSubsampling(
-            f"{plan.index_set.n_subsamples} subsample(s); need at least 2"
-        )
+    rows = plan.row_matrix
+    if rows is None or values.ndim != 2 or stat.p != 1:
+        return estimate_values_reference(plan, values, stat)
+    _check_core(plan, values, stat)
+    n_sub, size = rows.shape
+    theta = stat((np.take(values[:, 0], rows).sum(-1) / size)[:, None])
+    if not np.isfinite(theta).all():
+        raise StatisticDomainError(f"{stat.name} not finite on some subsample")
+    theta_tilde = theta.sum(-1) / n_sub
+    dev = theta - theta_tilde
+    # counts * (dev * dev), not counts * dev * dev: the reference squares first
+    return theta, theta_tilde, (plan.counts * (dev * dev)).sum(-1) / n_sub
+
+
+def estimate_values_reference(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic):
+    """The general estimator core, for any design, arity and leading axes."""
+    _check_core(plan, values, stat)
     if plan.row_matrix is not None:
         theta = stat(values[..., plan.row_matrix, :].mean(axis=-2))
     else:
@@ -289,6 +285,17 @@ def estimate_values(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatist
     theta_tilde = theta.mean(axis=-1, keepdims=True)
     tau_hat = (plan.counts * (theta - theta_tilde) ** 2).mean(axis=-1)
     return theta, theta_tilde[..., 0], tau_hat
+
+
+def _check_core(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic) -> None:
+    if values.shape[-1] != stat.p:
+        raise DimensionMismatch(
+            f"statistic arity {stat.p} does not match sample arity {values.shape[-1]}"
+        )
+    if plan.index_set.n_subsamples < 2:
+        raise DegenerateSubsampling(
+            f"{plan.index_set.n_subsamples} subsample(s); need at least 2"
+        )
 
 
 def estimate_from_plan(

@@ -42,11 +42,13 @@ class RngStream:
         self.seed = int(seed)
         self.index = int(index)
         key = np.array([self.seed & _MASK64, self.index & _MASK64], dtype=_U64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._bits = np.random.Philox(key=key)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Strictly interior uniforms on (0, 1) with 53-bit resolution."""
-        raw = self._gen.integers(0, 1 << 63, size=n, dtype=np.uint64) >> _U64(10)
+        # the top 53 bits of each raw draw; the same bits as
+        # integers(0, 2**63, dtype=uint64) >> 10, whose bounded draw is raw >> 1
+        raw = self._bits.random_raw(n) >> _U64(11)
         return (raw.astype(np.float64) + 0.5) * 2.0**-53
 
     def normals(self, n: int) -> np.ndarray:

@@ -729,9 +729,13 @@ class Region:
         return self.template.volume() * self.det_scale()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeWindow:
-    """Ordered integer lattice sites of a region (shift already subtracted)."""
+    """Ordered integer lattice sites of a region (shift already subtracted).
+
+    Windows are equal, and hash alike, when their site arrays are equal, so
+    a window read from a file matches the one ``lattice_sites`` builds.
+    """
 
     sites: np.ndarray  # (N, d) int64, lexicographically sorted
     lo: np.ndarray
@@ -750,6 +754,14 @@ class LatticeWindow:
         """(dtype, shape, bytes) of the sites, built once per window; equal
         for windows with equal site arrays."""
         return (self.sites.dtype.str, self.sites.shape, self.sites.tobytes())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LatticeWindow):
+            return NotImplemented
+        return self.content_key == other.content_key
+
+    def __hash__(self) -> int:
+        return hash(self.content_key)
 
     def indexer(self) -> "WindowIndexer":
         return WindowIndexer(self)

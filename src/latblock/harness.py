@@ -188,6 +188,9 @@ def config_from_dict(raw: dict) -> StudyConfig:
     names = [r.name for r in regions]
     if len(set(names)) != len(names):
         raise ConfigError("region names must be unique")
+    dims = sorted({r.template.d for r in regions})
+    if len(dims) > 1:  # every covariogram is parsed for, and used on, every region
+        raise ConfigError(f"regions must share one dimension, got d = {dims}")
 
     covs = []
     for item in _list(raw["covariograms"], "covariograms"):

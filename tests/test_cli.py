@@ -488,3 +488,17 @@ def test_study_accepts_and_ignores_workers_flag(capsys, tmp_path):
     serial = (tmp_path / "mse.csv").read_bytes()
     assert run(["study", "--config", str(cfg_path), "--workers", "3"], capsys)[0] == 0
     assert (tmp_path / "mse.csv").read_bytes() == serial
+
+
+def test_study_refuses_regions_of_different_dimensions(capsys, tmp_path):
+    cfg_path = study_config(
+        tmp_path,
+        regions=[
+            {"name": "square", "template": "hypercube:d=2", "scale": [10, 10]},
+            {"name": "ball", "template": "sphere:r=0.5", "scale": [6, 6, 6]},
+        ],
+    )
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: regions must share one dimension")
+    assert not (tmp_path / "mse.csv").exists()

@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy.signal import correlate, fftconvolve
 
+import latblock.covariance
 from latblock import Covariogram, Region, Template, exact_tau_n_sq, sigma, tau_sq
-from latblock.covariance import exact_tau_n_sq_window, parse_covariogram
+from latblock.covariance import exact_tau_n_sq_window, lag_counts, parse_covariogram
 from latblock.errors import ConfigError, DimensionMismatch
-from latblock.geometry import lattice_sites
+from latblock.geometry import lattice_sites, parse_template
 
 E = math.exp(-1.0)
 
@@ -150,3 +153,47 @@ def test_parse_covariogram_table(tmp_path):
     cov = parse_covariogram(f"table:@{p}")
     assert sigma(cov, (1, 0)) == 0.25
     assert tau_sq(cov) == 1.5
+
+
+def direct_lag_counts(window):
+    span = tuple(int(h - l + 1) for l, h in zip(window.lo, window.hi))
+    ind = np.zeros(span)
+    ind[tuple((window.sites - window.lo).T)] = 1.0
+    return correlate(ind, ind, mode="full", method="direct")
+
+
+@pytest.mark.parametrize(
+    "spec, scale",
+    [
+        ("hypercube:d=2", (30, 42)),
+        ("circle:r=0.5", (40, 40)),
+        ("righttri", (30, 30)),
+        ("sphere:r=0.5", (16, 16, 16)),
+    ],
+)
+def test_fft_lag_counts_equal_direct_counts(spec, scale):
+    window = lattice_sites(Region(parse_template(spec), scale))
+    counts = lag_counts(window)
+    assert counts.shape == tuple(2 * (window.hi - window.lo) + 1)
+    assert np.array_equal(counts, direct_lag_counts(window))
+    assert counts.max() == window.n_sites  # the zero lag
+
+
+def test_lag_counts_fall_back_to_direct_when_fft_is_not_near_integers(monkeypatch):
+    window = lattice_sites(Region(Template.circle(0.5), (9, 9)))
+    direct_calls = []
+
+    def off_by_three_tenths(a, b, mode):
+        return fftconvolve(a, b, mode=mode) + 0.3
+
+    def counting_correlate(*args, **kwargs):
+        direct_calls.append(kwargs.get("method"))
+        return correlate(*args, **kwargs)
+
+    monkeypatch.setattr(latblock.covariance, "correlate", counting_correlate)
+    assert np.array_equal(lag_counts(window), direct_lag_counts(window))
+    assert direct_calls == []
+    monkeypatch.setattr(latblock.covariance, "fftconvolve", off_by_three_tenths)
+    counts = lag_counts(window)
+    assert direct_calls == ["direct"]
+    assert np.array_equal(counts, direct_lag_counts(window))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latblock.estimators
 from latblock import (
     FieldSample,
     Region,
@@ -26,6 +27,8 @@ from latblock import (
 )
 from latblock.errors import (
     DegenerateSubsampling,
+    DimensionMismatch,
+    EmptyWindow,
     LatblockError,
     MissingSites,
     NonIntegerScaleWarning,
@@ -38,6 +41,7 @@ from latblock.estimators import (
     design_plan,
     estimate_from_plan,
     estimate_values,
+    estimate_values_reference,
 )
 from latblock.geometry import LatticeWindow, lattice_sites
 
@@ -539,3 +543,120 @@ def test_cached_design_equals_fresh_build(spec, sub, scheme, data):
         again = design_plan(window, region, sub_spec)
     assert again is cached
     assert_same_design(cached, fresh)
+
+
+# ---------------------------------------------------------------------------
+# the lean branch of the core against the reference path
+# ---------------------------------------------------------------------------
+
+
+def reference_calls(monkeypatch) -> list:
+    """Record each call that the core hands to its reference path."""
+    calls = []
+
+    def spy(plan, values, stat):
+        calls.append(values.shape)
+        return estimate_values_reference(plan, values, stat)
+
+    monkeypatch.setattr(latblock.estimators, "estimate_values_reference", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "region_spec, sub_spec, s_lam, scheme",
+    [
+        ("hypercube:d=2", None, 2.0, "ol"),
+        ("hypercube:d=2", None, 3.0, "ol"),
+        ("hypercube:d=2", None, 2.5, "ol"),
+        ("hypercube:d=2", None, 3.7, "ol"),
+        ("hypercube:d=2", None, 2.0, "nol"),
+        ("hypercube:d=2", None, 4.0, "nol"),
+        ("hypercube:d=2", "circle:r=0.5", 4.0, "ol"),
+        ("hypercube:d=2", "circle:r=0.5", 3.0, "nol"),
+        ("circle:r=0.5", None, 5.0, "ol"),
+        ("circle:r=0.5", None, 4.5, "ol"),
+        ("circle:r=0.5", None, 3.0, "nol"),
+        ("circle:r=0.5", "circle:r=0.5", 4.0, "nol"),
+        ("circle:r=0.5", "hypercube:d=2", 3.0, "ol"),
+    ],
+)
+def test_lean_core_equals_reference_bit_for_bit(monkeypatch, region_spec, sub_spec, s_lam, scheme):
+    region = Region(parse_template(region_spec), (18, 21), (0.25, 0.0))
+    window = lattice_sites(region)
+    spec = SubsampleSpec(parse_template(sub_spec or region_spec), s_lam, scheme)
+    plan = design_plan(window, region, spec)
+    assert plan.row_matrix is not None
+    calls = reference_calls(monkeypatch)
+    stat = mean_statistic()
+    for seed in range(5):
+        values = np.random.default_rng(seed).standard_normal((window.n_sites, 1)) * 10.0**seed
+        theta, theta_tilde, tau = estimate_values(plan, values, stat)
+        ref_theta, ref_tilde, ref_tau = estimate_values_reference(plan, values, stat)
+        assert np.array_equal(theta, ref_theta)
+        assert theta_tilde == ref_tilde
+        assert tau == ref_tau
+    assert calls == []  # every estimate_values call took the lean branch
+
+
+def test_core_hands_other_cases_to_the_reference_path(monkeypatch):
+    region = Region(Template.hypercube(2), (10, 12))
+    window = lattice_sites(region)
+    x = np.random.default_rng(8).standard_normal((3, window.n_sites))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        ragged = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
+    shared = design_plan(window, region, SubsampleSpec(region.template, 3.0, "ol"))
+    cases = [
+        (shared, np.stack([x[0], x[0] ** 2], axis=-1), moment_variance()),  # p = 2
+        (ragged, x[0][:, None], mean_statistic()),  # ragged NOL design
+        (shared, x[..., None], mean_statistic()),  # a leading block axis
+    ]
+    calls = reference_calls(monkeypatch)
+    for plan, values, stat in cases:
+        estimate_values(plan, values, stat)
+    assert calls == [values.shape for _, values, _ in cases]
+    calls.clear()
+    estimate_values(shared, x[0][:, None], mean_statistic())
+    assert calls == []
+
+
+def test_lean_core_keeps_the_reference_checks():
+    region = Region(Template.hypercube(2), (6, 6))
+    window = lattice_sites(region)
+    stat = mean_statistic()
+    plan = design_plan(window, region, SubsampleSpec(region.template, 2.0, "ol"))
+    values = np.ones((window.n_sites, 1))
+    with pytest.raises(DimensionMismatch):
+        estimate_values(plan, np.ones((window.n_sites, 2)), stat)
+    values[3, 0] = np.inf
+    with pytest.raises(StatisticDomainError):
+        estimate_values(plan, values, stat)
+    single = design_plan(window, region, SubsampleSpec(region.template, 6.0, "ol"))
+    assert single.row_matrix is not None and single.index_set.n_subsamples == 1
+    with pytest.raises(DegenerateSubsampling):
+        estimate_values(single, np.ones((window.n_sites, 1)), stat)
+
+
+@pytest.mark.parametrize("s_lam", [1.0, 1.3, 0.7])
+def test_nol_design_with_an_empty_template_copy_raises_empty_window(s_lam):
+    # in a box shifted by half a site, a radius-s/2 disk can miss every site
+    region = Region(Template.hypercube(2), (12, 12), (0.5, 0.5))
+    window = lattice_sites(region)
+    spec = SubsampleSpec(Template.circle(0.5), s_lam, "nol")
+    x = np.random.default_rng(0).standard_normal(window.n_sites)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        with pytest.raises(EmptyWindow, match="offset" if s_lam != 1.0 else "no lattice"):
+            design_plan(window, region, spec)
+        with pytest.raises(EmptyWindow):
+            nol_estimate(FieldSample(window, x), region, spec, mean_statistic())
+
+
+def test_windows_compare_and_hash_by_their_sites():
+    window = lattice_sites(Region(Template.hypercube(2), (5, 7)))
+    sites = window.sites.copy()
+    same = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+    other = lattice_sites(Region(Template.hypercube(2), (5, 8)))
+    assert same == window and hash(same) == hash(window)
+    assert other != window
+    assert len({window, same, other}) == 2

@@ -103,6 +103,18 @@ def test_uniforms_strictly_interior():
     assert np.all(u > 0.0) and np.all(u < 1.0)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 9512])
+def test_uniforms_equal_the_bounded_integer_draw(n):
+    for seed, index in [(s, 3 * s + 1) for s in range(10)] + [(2**40 + i, i) for i in range(10)]:
+        key = np.array([seed, index], dtype=np.uint64)
+        ints = np.random.Generator(np.random.Philox(key=key))
+        stream = RngStream(seed, index)
+        for _ in range(2):  # a second call continues the same stream
+            raw = ints.integers(0, 1 << 63, size=n, dtype=np.uint64) >> np.uint64(10)
+            expected = (raw.astype(np.float64) + 0.5) * 2.0**-53
+            assert np.array_equal(stream.uniforms(n), expected)
+
+
 def test_serial_equals_parallel_schedule():
     w = window((6, 6))
     gen = build_generator(Covariogram.exp_separable(1.0, 1.0), w)
