@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import next_fast_len, rfftn
 
 from .covariance import Covariogram, sum_over_shells
 from .errors import (
@@ -98,8 +98,11 @@ def k0(template: Template) -> ShapeConstants:
 def k0_numeric(template: Template, step: float | None = None) -> float:
     """Quadrature value of the variance constant.
 
-    Integrates the squared cell-center set covariance over the shift lattice;
-    the set covariance itself comes from one mask autocorrelation.
+    Integrates the squared cell-center set covariance over the shift lattice.
+    By Parseval, the squared mask autocorrelation sums to (1/P) sum |M|^4: M is
+    one real transform of the mask zero-padded to >= 2n - 1 bins per axis (so
+    circular is linear autocorrelation) and P the padded size. The half
+    spectrum counts last-axis bins twice, except DC and an even length's Nyquist.
     """
     if template.d > 3:
         raise QuadratureBudgetExceeded(
@@ -109,11 +112,15 @@ def k0_numeric(template: Template, step: float | None = None) -> float:
         step = 1.0 / 512 if template.d <= 2 else 1.0 / 96
     mask, h = raster_mask(template, step)
     vol = float(mask.sum()) * h**template.d
-    rev = mask[tuple([slice(None, None, -1)] * template.d)]
-    acf = fftconvolve(mask, rev, mode="full")
-    g_vals = acf * h**template.d
-    integral = float((g_vals * g_vals).sum()) * h**template.d
-    return integral / vol**3
+    padded = [next_fast_len(2 * n - 1, real=True) for n in mask.shape]
+    spec = rfftn(mask, padded)
+    power = spec.real**2 + spec.imag**2
+    weight = np.full(spec.shape[-1], 2.0)
+    weight[0] = 1.0
+    if padded[-1] % 2 == 0:
+        weight[-1] = 1.0
+    acf_sq = float(((power * power) * weight).sum()) / math.prod(padded)
+    return acf_sq * h ** (3 * template.d) / vol**3
 
 
 def k1(template: Template) -> float:

@@ -193,8 +193,18 @@ def sum_over_shells(term_fn, d: int, rel_tol: float = 1e-10, include_origin=True
 
 
 def _shell_points(m: int, d: int) -> np.ndarray:
-    pts = box_points([-m] * d, [m] * d)
-    return pts[np.abs(pts).max(axis=-1) == m]
+    """Points of sup-norm m in ``box_points`` order: the x0 = -m face, each
+    inner x0 with the (d-1)-dimensional shell, then the x0 = +m face."""
+    if d == 1:
+        return np.array([[-m], [m]], dtype=np.int64)
+    face = box_points([-m] * (d - 1), [m] * (d - 1))
+    ring = _shell_points(m, d - 1)
+    inner = np.arange(-m + 1, m)
+    return np.concatenate([
+        np.column_stack([np.full(len(face), -m), face]),
+        np.column_stack([np.repeat(inner, len(ring)), np.tile(ring, (len(inner), 1))]),
+        np.column_stack([np.full(len(face), m), face]),
+    ])
 
 
 def exact_tau_n_sq(

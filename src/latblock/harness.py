@@ -229,6 +229,11 @@ def config_from_dict(raw: dict) -> StudyConfig:
     sub_names = [s[0] for s in subs]
     if len(set(sub_names)) != len(sub_names):
         raise ConfigError("sub-template names must be unique")
+    for name, sub in subs:
+        if sub is not None and sub.d != dims[0]:
+            raise ConfigError(
+                f"sub-template {name!r} has d = {sub.d}, but the regions have d = {dims[0]}"
+            )
 
     grid_raw = raw.get("s_lambda_grid", [])
     grid = {}

@@ -240,7 +240,7 @@ def test_criterion_04_bias_weight_oracle():
 
 
 def test_criterion_05_brute_force_equivalence():
-    from test_estimators import naive_nol, naive_ol
+    from brute_force import naive_nol, naive_ol
 
     rng = np.random.default_rng(SEED)
     checked = 0

@@ -502,3 +502,12 @@ def test_study_refuses_regions_of_different_dimensions(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: regions must share one dimension")
     assert not (tmp_path / "mse.csv").exists()
+
+
+def test_study_refuses_a_sub_template_of_another_dimension(capsys, tmp_path):
+    cfg_path = study_config(tmp_path, sub_templates=["same", "sphere:r=0.5"])
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: sub-template 'sphere:r=0.5' has d = 3")
+    assert "the regions have d = 2" in err
+    assert not (tmp_path / "mse.csv").exists()

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
+from scipy.signal import fftconvolve
 
 from latblock import (
     Covariogram,
@@ -23,7 +25,7 @@ from latblock import (
 from latblock.constants import ANALYTIC, NUMERIC, b0_weight
 from latblock.errors import ConfigError, QuadratureBudgetExceeded, UnsupportedD1Nonlinear
 from latblock.estimators import moment_variance
-from latblock.geometry import affine_image, box_points, parse_template
+from latblock.geometry import affine_image, box_points, parse_template, raster_mask
 
 E = math.exp(-1.0)
 
@@ -104,6 +106,69 @@ def test_closed_form_bias_weight_is_volume_loss_rate_over_volume(template):
 def test_k0_numeric_matches_analytic(template):
     assert k0_numeric(template) == pytest.approx(k0(template).k0, abs=1e-3)
 
+
+def default_step(template):
+    return 1.0 / 512 if template.d <= 2 else 1.0 / 96
+
+
+def k0_by_direct_autocorrelation(template, step):
+    """The quadrature with the mask autocorrelation formed explicitly."""
+    mask, h = raster_mask(template, step)
+    vol = float(mask.sum()) * h**template.d
+    rev = mask[tuple([slice(None, None, -1)] * template.d)]
+    acf = fftconvolve(mask, rev, mode="full")
+    g_vals = acf * h**template.d
+    integral = float((g_vals * g_vals).sum()) * h**template.d
+    return integral / vol**3
+
+
+ODD_PADDED_STEP = 1 / 38  # 38 cells per unit axis pad to next_fast_len(75) = 75
+
+
+@pytest.mark.parametrize(
+    "spec, step",
+    [
+        ("hypercube:d=1", None),
+        ("hypercube:d=2", None),
+        ("hypercube:d=3", None),
+        ("circle:r=0.5", None),
+        ("righttri", None),
+        ("isotri", None),
+        ("trapezoid:b1=0.5,b2=1", None),
+        ("hex:l=0.5", None),
+        ("parallelogram:gamma=1.2,l1=0.6,l2=0.5", None),
+        ("rotrect:theta=0.7854,l1=0.7071,l2=0.7071", None),
+        ("sphere:r=0.5", None),
+        ("cylinder:r=0.3,h=0.8", None),
+        ("hypercube:d=2", ODD_PADDED_STEP),
+        ("circle:r=0.5", ODD_PADDED_STEP),
+        ("sphere:r=0.5", ODD_PADDED_STEP),
+    ],
+)
+def test_k0_numeric_equals_the_direct_autocorrelation_sum(spec, step):
+    template = parse_template(spec)
+    step = step or default_step(template)
+    want = k0_by_direct_autocorrelation(template, step)
+    assert k0_numeric(template, step) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, step, n_last, padded_last",
+    [
+        ("hypercube:d=2", ODD_PADDED_STEP, 38, 75),
+        ("circle:r=0.5", ODD_PADDED_STEP, 38, 75),
+        ("sphere:r=0.5", ODD_PADDED_STEP, 38, 75),
+        ("hypercube:d=2", None, 512, 1024),
+        ("hex:l=0.5", None, 444, 900),
+        ("parallelogram:gamma=1.2,l1=0.6,l2=0.5", None, 239, 480),
+    ],
+)
+def test_quadrature_cases_pad_the_last_axis_to_both_parities(spec, step, n_last, padded_last):
+    # an odd padded length has no Nyquist bin on the last axis; an even one has
+    template = parse_template(spec)
+    mask, _ = raster_mask(template, step or default_step(template))
+    assert mask.shape[-1] == n_last
+    assert next_fast_len(2 * n_last - 1, real=True) == padded_last
 
 def test_k0_numeric_budget_guard():
     with pytest.raises(QuadratureBudgetExceeded):

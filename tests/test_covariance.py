@@ -7,10 +7,15 @@ import pytest
 from scipy.signal import correlate, fftconvolve
 
 import latblock.covariance
-from latblock import Covariogram, Region, Template, exact_tau_n_sq, sigma, tau_sq
-from latblock.covariance import exact_tau_n_sq_window, lag_counts, parse_covariogram
+from latblock import Covariogram, Region, Template, b0, exact_tau_n_sq, sigma, tau_sq
+from latblock.covariance import (
+    _shell_points,
+    exact_tau_n_sq_window,
+    lag_counts,
+    parse_covariogram,
+)
 from latblock.errors import ConfigError, DimensionMismatch
-from latblock.geometry import lattice_sites, parse_template
+from latblock.geometry import box_points, lattice_sites, parse_template
 
 E = math.exp(-1.0)
 
@@ -197,3 +202,35 @@ def test_lag_counts_fall_back_to_direct_when_fft_is_not_near_integers(monkeypatc
     counts = lag_counts(window)
     assert direct_calls == ["direct"]
     assert np.array_equal(counts, direct_lag_counts(window))
+
+
+def shell_points_by_filtering(m, d):
+    """The sup-norm shell as the (2m + 1)^d box, filtered."""
+    pts = box_points([-m] * d, [m] * d)
+    return pts[np.abs(pts).max(axis=-1) == m]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_face_built_shells_equal_the_filtered_box(d):
+    for m in range(1, 41):
+        got = _shell_points(m, d)
+        want = shell_points_by_filtering(m, d)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["sphere:r=0.5", "hypercube:d=3", "cylinder:r=0.3,h=0.8", "circle:r=0.5", "righttri"],
+)
+def test_b0_is_unchanged_by_face_built_shells(monkeypatch, spec):
+    template = parse_template(spec)
+    d = template.d
+    covs = [
+        parse_covariogram("expsep:" + ",".join(f"b{i + 1}={0.6 + 0.2 * i}" for i in range(d)), d=d),
+        Covariogram.gauss_isotropic(0.3, d=d),
+    ]
+    fast = [b0(template, cov) for cov in covs]
+    monkeypatch.setattr(latblock.covariance, "_shell_points", shell_points_by_filtering)
+    assert fast == [b0(template, cov) for cov in covs]
