@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len, rfftn
+from scipy.fft import fftn, next_fast_len, rfft
 
 from .covariance import Covariogram, sum_over_shells
 from .errors import (
@@ -27,6 +27,9 @@ from .geometry import Template, box_points, raster_mask, set_covariance_exact
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
 AUTO = "auto"
+# Spectrum bins per k0_numeric slab: 512 kB of complex values, so that a slab's
+# transform and its power sum stay in the core's cache.
+_SLAB_BINS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,11 @@ def k0_numeric(template: Template, step: float | None = None) -> float:
 
     Integrates the squared cell-center set covariance over the shift lattice.
     By Parseval, the squared mask autocorrelation sums to (1/P) sum |M|^4: M is
-    one real transform of the mask zero-padded to >= 2n - 1 bins per axis (so
-    circular is linear autocorrelation) and P the padded size. The half
-    spectrum counts last-axis bins twice, except DC and an even length's Nyquist.
+    the transform of the mask zero-padded to >= 2n - 1 bins per axis (so
+    circular is linear autocorrelation) and P the padded size. M is real along
+    the first axis, whose half spectrum counts each bin twice except DC and an
+    even length's Nyquist; the other axes are transformed one cache-sized slab
+    of first-axis bins at a time, so no array of the padded size is formed.
     """
     if template.d > 3:
         raise QuadratureBudgetExceeded(
@@ -113,14 +118,19 @@ def k0_numeric(template: Template, step: float | None = None) -> float:
     mask, h = raster_mask(template, step)
     vol = float(mask.sum()) * h**template.d
     padded = [next_fast_len(2 * n - 1, real=True) for n in mask.shape]
-    spec = rfftn(mask, padded)
-    power = spec.real**2 + spec.imag**2
-    weight = np.full(spec.shape[-1], 2.0)
+    half = rfft(mask, padded[0], axis=0)
+    weight = np.full(half.shape[:1] + (1,) * (template.d - 1), 2.0)
     weight[0] = 1.0
-    if padded[-1] % 2 == 0:
+    if padded[0] % 2 == 0:
         weight[-1] = 1.0
-    acf_sq = float(((power * power) * weight).sum()) / math.prod(padded)
-    return acf_sq * h ** (3 * template.d) / vol**3
+    axes = tuple(range(1, template.d))
+    width = max(1, _SLAB_BINS // math.prod(padded[1:]))
+    acf_sq = 0.0
+    for lo in range(0, len(half), width):
+        spec = fftn(half[lo:lo + width], padded[1:], axes=axes)
+        power = spec.real**2 + spec.imag**2
+        acf_sq += float(((power * power) * weight[lo:lo + width]).sum())
+    return acf_sq / math.prod(padded) * h ** (3 * template.d) / vol**3
 
 
 def k1(template: Template) -> float:

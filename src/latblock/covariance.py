@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate, fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import ConfigError, DimensionMismatch, EmptyWindow, NonConvergent
 from .geometry import LatticeWindow, Region, box_points, lattice_sites
@@ -218,6 +218,27 @@ def exact_tau_n_sq(
     """
     window = lattice_sites(region)
     return exact_tau_n_sq_window(window, cov, method)
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
+    """Full linear convolution of two real arrays by real FFTs.
+
+    The one form of ``scipy.signal.fftconvolve`` that ``lag_counts`` uses;
+    importing ``scipy.signal`` would add about a second to every start-up.
+    """
+    if mode != "full":
+        raise ValueError("only the full convolution is provided")
+    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
+    fshape = [next_fast_len(n, real=True) for n in shape]
+    out = irfftn(rfftn(a, fshape) * rfftn(b, fshape), fshape)
+    return out[tuple(slice(0, n) for n in shape)]
+
+
+def correlate(a: np.ndarray, b: np.ndarray, mode: str = "full", method: str = "direct"):
+    """``scipy.signal.correlate``, imported only when ``lag_counts`` falls back to it."""
+    from scipy.signal import correlate as scipy_correlate
+
+    return scipy_correlate(a, b, mode=mode, method=method)
 
 
 def lag_counts(window: LatticeWindow) -> np.ndarray:

@@ -29,6 +29,9 @@ from .errors import (
 )
 
 _EQ_TOL = 1e-9
+# Grid cells per block of raster_mask: their centers and membership tests
+# then take a few hundred kB.
+_RASTER_BLOCK_CELLS = 1 << 14
 
 OL = "ol"
 NOL = "nol"
@@ -644,7 +647,8 @@ def set_covariance(template: Template, x, resolution: float | None = None) -> fl
         resolution = 1.0 / 512 if template.d <= 2 else 1.0 / 96
     if resolution <= 0:
         raise ConfigError("resolution must be positive")
-    centers, _ = _cell_centers(geom, resolution)
+    lo, shape = _grid(geom, resolution)
+    centers = _cell_centers(lo, shape, resolution, 0, shape[0])
     inside = geom.contains(centers)
     both = inside & geom.contains(centers - x)
     return float(both.sum()) * resolution**template.d
@@ -665,24 +669,36 @@ def box_points(lo, hi) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _cell_centers(geom: _Geometry, h: float):
-    """Centers of the step-``h`` grid cells over the bounding box, and the grid shape."""
+def _grid(geom: _Geometry, h: float):
+    """Lower corner and shape of the step-``h`` cell grid over the bounding box."""
     lo, hi = geom.bbox()
-    shape = [int(math.ceil((hi[j] - lo[j]) / h - 1e-12)) for j in range(geom.d)]
-    centers = box_points([0] * geom.d, [n - 1 for n in shape]) + 0.5
+    return lo, [int(math.ceil((hi[j] - lo[j]) / h - 1e-12)) for j in range(geom.d)]
+
+
+def _cell_centers(lo, shape, h: float, start: int, stop: int) -> np.ndarray:
+    """Centers of the grid's cells in first-axis rows ``start`` to ``stop - 1``."""
+    tail = [n - 1 for n in shape[1:]]
+    centers = box_points([start] + [0] * len(tail), [stop - 1] + tail) + 0.5
     centers *= h  # in place: the grid can hold millions of points
     centers += lo
-    return centers, shape
+    return centers
 
 
 def raster_mask(template: Template, step: float):
     """Cell-center indicator of the template on its bounding-box grid.
 
     Returns (mask, step); used by the quadrature path of the shape constants.
+    The centers are made and tested a block of first-axis rows at a time, so
+    the work stays in cache however many cells the grid holds.
     """
-    pts, shape = _cell_centers(template.geom, step)
-    mask = template.geom.contains(pts).reshape(shape)
-    return mask.astype(np.float64), step
+    lo, shape = _grid(template.geom, step)
+    mask = np.empty(shape)
+    block = max(1, _RASTER_BLOCK_CELLS // math.prod(shape[1:]))
+    for start in range(0, shape[0], block):
+        rows = mask[start:start + block]
+        centers = _cell_centers(lo, shape, step, start, start + len(rows))
+        rows[...] = template.geom.contains(centers).reshape(rows.shape)
+    return mask, step
 
 
 # ---------------------------------------------------------------------------

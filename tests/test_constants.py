@@ -170,6 +170,42 @@ def test_quadrature_cases_pad_the_last_axis_to_both_parities(spec, step, n_last,
     assert mask.shape[-1] == n_last
     assert next_fast_len(2 * n_last - 1, real=True) == padded_last
 
+
+@pytest.mark.parametrize(
+    "spec, step, n_first, padded_first",
+    [
+        ("hypercube:d=2", ODD_PADDED_STEP, 38, 75),
+        ("sphere:r=0.5", ODD_PADDED_STEP, 38, 75),
+        ("hypercube:d=2", None, 512, 1024),
+        ("parallelogram:gamma=1.2,l1=0.6,l2=0.5", None, 400, 800),
+    ],
+)
+def test_quadrature_cases_pad_the_first_axis_to_both_parities(spec, step, n_first, padded_first):
+    # the real transform runs along the first axis, so its Nyquist weight
+    # follows that axis's padded length
+    template = parse_template(spec)
+    mask, _ = raster_mask(template, step or default_step(template))
+    assert mask.shape[0] == n_first
+    assert next_fast_len(2 * n_first - 1, real=True) == padded_first
+
+
+@pytest.mark.parametrize(
+    "spec, step",
+    [
+        ("hypercube:d=1", None),
+        ("hex:l=0.5", None),
+        ("parallelogram:gamma=1.2,l1=0.6,l2=0.5", None),
+        ("sphere:r=0.5", ODD_PADDED_STEP),
+    ],
+)
+@pytest.mark.parametrize("slab_bins", [1, 3000, 1 << 40])
+def test_k0_numeric_does_not_depend_on_the_slab_width(monkeypatch, spec, step, slab_bins):
+    template = parse_template(spec)
+    step = step or default_step(template)
+    want = k0_numeric(template, step)
+    monkeypatch.setattr("latblock.constants._SLAB_BINS", slab_bins)
+    assert k0_numeric(template, step) == pytest.approx(want, rel=1e-12)
+
 def test_k0_numeric_budget_guard():
     with pytest.raises(QuadratureBudgetExceeded):
         k0_numeric(Template.hypercube(4))

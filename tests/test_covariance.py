@@ -1,6 +1,9 @@
 """Covariogram models, lattice sums and the exact finite-window variance."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +237,29 @@ def test_b0_is_unchanged_by_face_built_shells(monkeypatch, spec):
     fast = [b0(template, cov) for cov in covs]
     monkeypatch.setattr(latblock.covariance, "_shell_points", shell_points_by_filtering)
     assert fast == [b0(template, cov) for cov in covs]
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((7,), (7,)), ((7,), (4,)), ((30, 42), (30, 42)), ((101, 37), (9, 5)), ((16, 16, 16), (16, 16, 16))],
+)
+def test_local_fftconvolve_equals_scipy_signal_bit_for_bit(shape_a, shape_b):
+    rng = np.random.default_rng(len(shape_a) * 100 + shape_a[0])
+    a = (rng.random(shape_a) < 0.6).astype(np.float64)
+    b = rng.standard_normal(shape_b)
+    got = latblock.covariance.fftconvolve(a, b, mode="full")
+    want = fftconvolve(a, b, mode="full")
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        latblock.covariance.fftconvolve(a, b, mode="same")
+
+
+def test_cli_start_up_does_not_import_scipy_signal():
+    src = Path(latblock.covariance.__file__).resolve().parents[1]
+    code = "import sys, latblock.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert out.stdout.strip() == "False"

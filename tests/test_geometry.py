@@ -28,7 +28,13 @@ from latblock.errors import (
     LatblockError,
     NonIntegerScaleWarning,
 )
-from latblock.geometry import _EQ_TOL, affine_image, box_points, nol_subregion_windows
+from latblock.geometry import (
+    _EQ_TOL,
+    affine_image,
+    box_points,
+    nol_subregion_windows,
+    raster_mask,
+)
 
 
 def all_templates_2d():
@@ -494,3 +500,46 @@ def test_enumerate_nol_matches_per_cube_oracle(spec, integer, data):
         expected = design_or_error(lambda: nol_design_one_by_one(region, sub))
         assert design_or_error(vectorised) == expected
     event(expected if isinstance(expected, str) else "design")
+
+
+def raster_mask_in_one_block(template, step):
+    """raster_mask's grid with every cell center made and tested at once."""
+    lo, hi = template.geom.bbox()
+    shape = [int(math.ceil((hi[j] - lo[j]) / step - 1e-12)) for j in range(template.d)]
+    centers = box_points([0] * template.d, [n - 1 for n in shape]) + 0.5
+    centers *= step
+    centers += lo
+    return template.geom.contains(centers).reshape(shape).astype(np.float64)
+
+
+@pytest.mark.parametrize(
+    "spec, step",
+    [
+        ("hypercube:d=1", 1 / 1000),
+        ("hypercube:d=2", 1 / 512),
+        ("circle:r=0.5", 1 / 512),
+        ("righttri", 1 / 512),
+        ("isotri", 1 / 300),
+        ("trapezoid:b1=0.5,b2=1", 1 / 512),
+        ("hex:l=0.5", 1 / 512),
+        ("parallelogram:gamma=1.2,l1=0.6,l2=0.5", 1 / 512),
+        ("rotrect:theta=0.7854,l1=0.7071,l2=0.7071", 1 / 200),
+        ("hypercube:d=3", 1 / 40),
+        ("sphere:r=0.5", 1 / 96),
+        ("sphere:r=0.5", 1 / 38),
+        ("cylinder:r=0.3,h=0.8", 1 / 50),
+    ],
+)
+@pytest.mark.parametrize("block_cells", [None, 7])
+def test_raster_mask_blocks_equal_the_whole_grid(monkeypatch, spec, step, block_cells):
+    if block_cells is not None:  # one first-axis row per block
+        monkeypatch.setattr("latblock.geometry._RASTER_BLOCK_CELLS", block_cells)
+    templates = [parse_template(spec)]
+    if templates[0].d == 2:
+        templates.append(affine_image(templates[0], np.array([[1.2, 0.3], [-0.2, 0.9]])))
+    for template in templates:
+        mask, h = raster_mask(template, step)
+        want = raster_mask_in_one_block(template, step)
+        assert h == step
+        assert mask.dtype == want.dtype and mask.shape == want.shape
+        assert np.array_equal(mask, want)
