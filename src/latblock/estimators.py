@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,12 +158,42 @@ def evaluate_statistic(stat: SmoothStatistic, sample: FieldSample, site_rows) ->
 
 
 @dataclass(frozen=True)
+class AnchorGrid:
+    """A shared-count design as anchors plus one base pattern.
+
+    Subsample m holds the sites ``anchor_m + base_t``.  The anchors lie on
+    the grid ``lo + step * j`` (``0 <= j < shape``, ``lo`` relative to the
+    window's low corner); ``index`` holds their flat grid positions, in
+    design order, or is None when they fill the grid.
+    """
+
+    base: np.ndarray  # (sN, d) int64
+    lo: tuple
+    step: int
+    shape: tuple
+    index: np.ndarray | None
+
+    @cached_property
+    def slices(self) -> tuple:
+        """Per base site t, the slices of the window's bounding box that
+        hold ``anchor + base_t`` for every grid anchor, in grid order."""
+        return tuple(
+            tuple(
+                slice(a + b, a + b + self.step * (n - 1) + 1, self.step)
+                for a, b, n in zip(self.lo, site, self.shape)
+            )
+            for site in self.base.tolist()
+        )
+
+
+@dataclass(frozen=True)
 class SubsamplePlan:
     """Precomputed row-index matrix for repeated estimation on one design.
 
     ``row_matrix`` is (M, sN) for shared-count schemes; ragged designs carry a
-    tuple of row arrays instead.  Plans are shared through the design cache,
-    so every array in one is read-only.
+    tuple of row arrays instead.  Shared-count designs also carry their
+    ``grid``, the same rows as anchors plus a base pattern.  Plans are shared
+    through the design cache, so every array in one is read-only.
     """
 
     scheme: str
@@ -171,6 +201,7 @@ class SubsamplePlan:
     row_matrix: np.ndarray | None
     row_lists: tuple | None
     counts: np.ndarray
+    grid: AnchorGrid | None = None
 
 
 # Designs kept by the process-wide cache; a phi study reuses a few dozen.
@@ -201,9 +232,24 @@ def _cached_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -
     _lookup.built = True
     plan = _build_design(window, region, spec)
     rows = [plan.row_matrix] if plan.row_matrix is not None else list(plan.row_lists)
-    for arr in [plan.index_set.offsets, plan.counts, *rows]:
-        arr.setflags(write=False)
+    grid = [plan.grid.base, plan.grid.index] if plan.grid is not None else []
+    for arr in [plan.index_set.offsets, plan.counts, *rows, *grid]:
+        if arr is not None:
+            arr.setflags(write=False)
     return plan
+
+
+def _anchor_grid(window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, step: int):
+    lo = anchors.min(axis=0)
+    shape = (anchors.max(axis=0) - lo) // step + 1
+    index = np.ravel_multi_index(tuple(((anchors - lo) // step).T), tuple(shape))
+    return AnchorGrid(
+        base=base,
+        lo=tuple((lo - window.lo).tolist()),
+        step=step,
+        shape=tuple(shape.tolist()),
+        index=None if np.array_equal(index, np.arange(shape.prod())) else index,
+    )
 
 
 def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
@@ -218,7 +264,8 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
         rows = indexer.lookup(all_sites)
         if np.any(rows < 0):
             raise MissingSites("sample does not cover every overlapping subsample site")
-        return SubsamplePlan(OL, index_set, rows, None, index_set.counts)
+        grid = _anchor_grid(window, index_set.offsets, base, 1)
+        return SubsamplePlan(OL, index_set, rows, None, index_set.counts, grid)
     index_set = enumerate_nol(region, spec)
     windows = nol_subregion_windows(region, spec, index_set.offsets)
     if spec.is_integer_scale():
@@ -226,7 +273,11 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
         rows = indexer.lookup(stacked)
         if np.any(rows < 0):
             raise MissingSites("sample does not cover every disjoint subsample site")
-        return SubsamplePlan(NOL, index_set, rows, None, index_set.counts)
+        # each copy is the scale-s template's sites moved by s times its cube
+        step = int(round(spec.s_lambda))
+        base = stacked[0] - step * index_set.offsets[0]
+        grid = _anchor_grid(window, step * index_set.offsets, base, step)
+        return SubsamplePlan(NOL, index_set, rows, None, index_set.counts, grid)
     row_lists = []
     for offset, w in zip(index_set.offsets, windows):
         if w.n_sites == 0:
@@ -296,6 +347,84 @@ def _check_core(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic) 
         raise DegenerateSubsampling(
             f"{plan.index_set.n_subsamples} subsample(s); need at least 2"
         )
+
+
+def field_image(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Scalar fields ``values`` (R, N) laid out on a window's bounding box.
+
+    ``table`` is the window indexer's site -> row table (-1 off the window).
+    Returns a C-contiguous (R, *table.shape) array that holds 0.0 at sites
+    off the window.
+    """
+    padded = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
+    return np.take(padded, table, axis=1)  # a new array, in C order
+
+
+# numpy's pairwise summation: 8 lane accumulators up to this many terms,
+# and a split into two halves above it
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(terms: list) -> np.ndarray:
+    """Elementwise sum of ``terms`` in numpy's pairwise order for one row.
+
+    Element i of the result equals ``np.array([t[i] for t in terms]).sum()``
+    bit for bit, because it sees the same additions in the same order.
+    """
+    n = len(terms)
+    if n < 8:
+        out = terms[0] + 0.0
+        for term in terms[1:]:
+            out += term
+        return out
+    if n <= _PAIRWISE_BLOCK:
+        # lane j sums the terms t = j (mod 8) of the first n - n % 8
+        body = n - n % 8
+        lanes = terms[:8]
+        if body > 8:
+            lanes = [lane + term for lane, term in zip(lanes, terms[8:16])]
+            for i in range(16, body, 8):
+                for lane, term in zip(lanes, terms[i:i + 8]):
+                    lane += term
+        r0, r1, r2, r3, r4, r5, r6, r7 = lanes
+        out = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for term in terms[body:]:
+            out += term
+        return out
+    half = n // 2
+    half -= half % 8
+    out = _pairwise_sum(terms[:half])
+    out += _pairwise_sum(terms[half:])
+    return out
+
+
+def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic) -> np.ndarray:
+    """tau_hat_sq (R,) of R scalar fields on a shared-count design.
+
+    ``image`` is the (R, *bbox) output of ``field_image`` for the plan's
+    window.  Each base site's values at every anchor form one strided slice
+    of the image, so the subsample sums are whole-array adds in numpy's
+    row-sum order, and every estimate equals
+    ``estimate_values(plan, values[r][:, None], stat)[2]`` bit for bit.
+    The (R, M) statistics are reduced as C-contiguous rows: numpy sums a
+    row of another layout in another order.
+    """
+    grid = plan.grid
+    if grid is None:
+        raise ConfigError("estimate_image needs a shared-count design")
+    _check_core(plan, image[..., None], stat)  # one scalar per site
+    n_reps = image.shape[0]
+    n_sub, size = plan.row_matrix.shape
+    sums = _pairwise_sum([image[(slice(None), *cut)] for cut in grid.slices])
+    sums = sums.reshape(n_reps, -1)
+    if grid.index is not None:
+        sums = np.take(sums, grid.index, axis=1)
+    theta = np.ascontiguousarray(stat((sums / size)[..., None]))
+    if not np.isfinite(theta).all():
+        raise StatisticDomainError(f"{stat.name} not finite on some subsample")
+    theta_tilde = theta.sum(-1) / n_sub
+    dev = theta - theta_tilde[:, None]
+    return (plan.counts * (dev * dev)).sum(-1) / n_sub
 
 
 def estimate_from_plan(

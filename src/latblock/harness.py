@@ -14,6 +14,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +24,9 @@ from .estimators import (
     SmoothStatistic,
     design_plan,
     estimate,
+    estimate_image,
     estimate_values,
+    field_image,
     parse_statistic,
 )
 from .fieldsim import (
@@ -215,6 +218,8 @@ def config_from_dict(raw: dict) -> StudyConfig:
     for s in schemes:
         if s not in (OL, NOL):
             raise ConfigError(f"unknown scheme {s!r}")
+    if len(set(schemes)) != len(schemes):
+        raise ConfigError(f"schemes must not repeat a scheme, got {list(schemes)}")
 
     subs = []
     for item in _list(raw.get("sub_templates", [None]), "sub_templates"):
@@ -236,6 +241,10 @@ def config_from_dict(raw: dict) -> StudyConfig:
             )
 
     grid_raw = raw.get("s_lambda_grid", [])
+    if isinstance(grid_raw, dict):
+        unknown = sorted(set(grid_raw) - set(names), key=str)
+        if unknown:
+            raise ConfigError(f"s_lambda_grid names no region: {', '.join(map(repr, unknown))}")
     grid = {}
     for reg in regions:
         if isinstance(grid_raw, dict):
@@ -245,6 +254,10 @@ def config_from_dict(raw: dict) -> StudyConfig:
         vals = _numbers(vals, "s_lambda_grid", integer=True)
         if any(v < 1 for v in vals):
             raise ConfigError("subsample scales must be positive integers")
+        if len(set(vals)) != len(vals):
+            raise ConfigError(
+                f"s_lambda_grid for region {reg.name!r} repeats a scale: {list(vals)}"
+            )
         if any(v >= min(reg.scale) for v in vals):
             raise ConfigError(
                 f"scale grid for region {reg.name!r} exceeds its scaling range"
@@ -281,6 +294,17 @@ def config_from_dict(raw: dict) -> StudyConfig:
     )
     _check_selectors(regions, selectors)
 
+    tau_n_sq = _number_map(raw.get("tau_n_sq", {}), "tau_n_sq")
+    pairs = {f"{reg.name}|{name}" for reg in regions for name, _ in covs}
+    unknown = sorted(set(tau_n_sq) - pairs)
+    if unknown:
+        raise ConfigError(
+            f"tau_n_sq names no region|model pair: {', '.join(map(repr, unknown))}"
+        )
+    for key, value in tau_n_sq.items():
+        if value <= 0:
+            raise ConfigError(f"tau_n_sq[{key!r}] must be positive, got {value}")
+
     return StudyConfig(
         regions=tuple(regions),
         covariograms=tuple(covs),
@@ -296,7 +320,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
             key: _text(path, f"outputs.{key}")
             for key, path in _fields(raw.get("outputs", {}), "outputs").items()
         },
-        tau_n_sq_override=_number_map(raw.get("tau_n_sq", {}), "tau_n_sq"),
+        tau_n_sq_override=tau_n_sq,
     )
 
 
@@ -418,6 +442,38 @@ def _cell_designs(config: StudyConfig, reg_spec: RegionSpec, region: Region, win
     return sorted(out, key=lambda cell: cell[1] is None)
 
 
+# Field-image cells per replicate chunk of the MSE study (256 kB of float64):
+# a chunk's image stays in cache while every design of the window reads it.
+_IMAGE_BLOCK_CELLS = 1 << 15
+
+
+def _replicate_taus(plans: list, samples, stat: SmoothStatistic, window, replicates: int):
+    """tau_hat_sq of every design on every replicate, shape (replicates, designs).
+
+    A scalar statistic on a shared-count design takes a chunk of replicates
+    at a time through one field image shared by all such designs; ragged
+    designs and p > 1 statistics take an ``estimate_values`` call per
+    replicate.  Both give the bits of ``estimate_values``.
+    """
+    batched = [i for i, plan in enumerate(plans) if plan.grid is not None and stat.p == 1]
+    single = [i for i in range(len(plans)) if i not in batched]
+    table = window.indexer().table
+    block = max(1, _IMAGE_BLOCK_CELLS // table.size)
+    taus = np.empty((replicates, len(plans)))
+    start = 0
+    while chunk := list(islice(samples, block)):
+        stop = start + len(chunk)
+        if batched:
+            image = field_image(table, np.stack([sample.values[:, 0] for sample in chunk]))
+            for i in batched:
+                taus[start:stop, i] = estimate_image(plans[i], image, stat)
+        for rep, sample in enumerate(chunk, start):
+            for i in single:
+                taus[rep, i] = estimate_values(plans[i], sample.values, stat)[2]
+        start = stop
+    return taus
+
+
 def mse_study(config: StudyConfig) -> list[MseCell]:
     """Normalized MSE of the subsample variance estimators over the cell grid."""
     stat = config.statistic
@@ -428,8 +484,8 @@ def mse_study(config: StudyConfig) -> list[MseCell]:
             designs[reg_spec.name] = _cell_designs(config, reg_spec, region, window)
         grid = designs[reg_spec.name]
         live = [plan for _, plan, _ in grid if plan is not None]
-        taus = [[float(estimate_values(p, s.values, stat)[2]) for p in live] for s in samples]
-        per_rep = [[(tau / tau_n - 1.0) ** 2 for tau in row] for row in taus]
+        taus = _replicate_taus(live, samples, stat, window, config.replicates)
+        per_rep = [[(tau / tau_n - 1.0) ** 2 for tau in row] for row in taus.tolist()]
         columns = iter(np.asarray(per_rep, float).reshape(config.replicates, len(live)).T)
         for (scheme, sub_name, lam), plan, note in grid:
             devs = next(columns) if plan is not None else None

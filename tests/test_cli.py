@@ -511,3 +511,22 @@ def test_study_refuses_a_sub_template_of_another_dimension(capsys, tmp_path):
     assert err.startswith("error: sub-template 'sphere:r=0.5' has d = 3")
     assert "the regions have d = 2" in err
     assert not (tmp_path / "mse.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"s_lambda_grid": [2, 2, 3]}, "s_lambda_grid for region 'r' repeats a scale"),
+        ({"s_lambda_grid": {"rr": [2, 3]}}, "s_lambda_grid names no region: 'rr'"),
+        ({"s_lambda_grid": {"r": [1, 2], "rr": [2]}}, "s_lambda_grid names no region: 'rr'"),
+        ({"schemes": ["ol", "OL"]}, "schemes must not repeat a scheme"),
+        ({"tau_n_sq": {"r|whit": 1.0}}, "tau_n_sq names no region|model pair: 'r|whit'"),
+        ({"tau_n_sq": {"r|white": -1.0}}, "tau_n_sq['r|white'] must be positive"),
+        ({"tau_n_sq": {"r|white": 0}}, "tau_n_sq['r|white'] must be positive"),
+    ],
+)
+def test_study_refuses_configs_that_would_run_wrongly(capsys, tmp_path, bad, message):
+    code, _, err = run(["study", "--config", str(study_config(tmp_path, **bad))], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "mse.csv").exists()

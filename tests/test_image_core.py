@@ -1,0 +1,287 @@
+"""The replicate-batched estimator core (``estimate_image``) and the MSE study
+loop that feeds it: every estimate equals the per-replicate core bit for bit."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+import latblock.harness
+from latblock.covariance import Covariogram, exact_tau_n_sq_window
+from latblock.errors import (
+    ConfigError,
+    DegenerateSubsampling,
+    DimensionMismatch,
+    NonIntegerScaleWarning,
+    StatisticDomainError,
+)
+from latblock.estimators import (
+    _pairwise_sum,
+    design_plan,
+    estimate_image,
+    estimate_values,
+    field_image,
+    mean_statistic,
+    moment_variance,
+)
+from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
+from latblock.geometry import Region, SubsampleSpec, Template, lattice_sites, parse_template
+from latblock.harness import _replicate_taus, config_from_dict, mse_study
+
+
+def per_replicate_taus(plan, values, stat):
+    return np.array([estimate_values(plan, v[:, None], stat)[2] for v in values])
+
+
+def assert_core_matches(region, spec, values):
+    window = lattice_sites(region)
+    plan = design_plan(window, region, spec)
+    stat = mean_statistic()
+    image = field_image(window.indexer().table, values)
+    assert image.flags.c_contiguous and image.shape == (len(values), *window.indexer().table.shape)
+    got = estimate_image(plan, image, stat)
+    assert got.shape == (len(values),)
+    assert np.array_equal(got, per_replicate_taus(plan, values, stat))
+    return plan
+
+
+def fields(window, n_reps, seed, scale=1.0, offset=0.0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n_reps, window.n_sites)) * scale + offset
+
+
+BOX = Region(Template.hypercube(2), (40, 44))
+DISK = Region(parse_template("circle:r=0.5"), (30, 30))
+
+
+@pytest.mark.parametrize(
+    "s_lam, size",
+    [
+        (1, 1),  # n < 8
+        (2, 4),
+        (3, 9),  # 8 <= n <= 128, n % 8 != 0
+        (4, 16),  # 8 <= n <= 128, n % 8 == 0
+        (5, 25),
+        (12, 144),  # one split into halves
+        (13, 169),  # halves of 80 and 89 terms, not 84 and 85
+        (17, 289),  # halves split again
+    ],
+)
+@pytest.mark.parametrize("scheme", ["ol", "nol"])
+def test_every_pairwise_branch_matches_the_core(s_lam, size, scheme):
+    spec = SubsampleSpec(Template.hypercube(2), float(s_lam), scheme)
+    region = BOX if scheme == "ol" else Region(Template.hypercube(2), (60, 62))
+    plan = assert_core_matches(region, spec, fields(lattice_sites(region), 5, s_lam))
+    assert plan.row_matrix.shape[1] == size
+    assert plan.grid.index is None  # box designs fill their anchor grid
+    assert plan.grid.step == (s_lam if scheme == "nol" else 1)
+
+
+@pytest.mark.parametrize(
+    "region, sub, s_lam, scheme",
+    [
+        (DISK, None, 4.0, "ol"),
+        (DISK, None, 3.0, "nol"),
+        (DISK, "hypercube:d=2", 5.0, "ol"),
+        (DISK, "hypercube:d=2", 4.0, "nol"),
+        (Region(Template.hypercube(2), (21, 17), (0.25, 0.0)), "circle:r=0.5", 5.0, "ol"),
+        (Region(Template.hypercube(2), (21, 17), (0.25, 0.0)), "circle:r=0.5", 4.0, "nol"),
+        (Region(Template.hypercube(2), (21, 17)), None, 3.7, "ol"),
+    ],
+)
+def test_partial_anchor_grids_match_the_core(region, sub, s_lam, scheme):
+    spec = SubsampleSpec(parse_template(sub) if sub else region.template, s_lam, scheme)
+    plan = assert_core_matches(region, spec, fields(lattice_sites(region), 6, int(s_lam)))
+    # a disk holds no rectangle of anchors; a box holds one of any template
+    is_disk = region.template.spec_string().startswith("circle")
+    assert (plan.grid.index is not None) == is_disk
+    if is_disk:
+        assert plan.grid.index.size == plan.index_set.n_subsamples
+
+
+@pytest.mark.parametrize(
+    "sub, s_lam, scheme",
+    [
+        ("hypercube:d=3", 2.0, "ol"),  # n = 8: the lanes and no tail
+        ("hypercube:d=3", 2.0, "nol"),
+        ("hypercube:d=3", 3.0, "nol"),
+        ("sphere:r=0.5", 3.0, "ol"),
+    ],
+)
+def test_three_dimensional_windows_match_the_core(sub, s_lam, scheme):
+    region = Region(parse_template("sphere:r=0.5"), (10, 10, 10))
+    spec = SubsampleSpec(parse_template(sub), s_lam, scheme)
+    plan = assert_core_matches(region, spec, fields(lattice_sites(region), 4, 3))
+    assert plan.grid.index is not None and len(plan.grid.shape) == 3
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("offset", [0.0, 1e7])
+def test_scaled_and_offset_fields_match_the_core(scale, offset):
+    for region, spec in [
+        (BOX, SubsampleSpec(Template.hypercube(2), 3.0, "ol")),
+        (BOX, SubsampleSpec(Template.hypercube(2), 12.0, "nol")),
+        (DISK, SubsampleSpec(Template.circle(0.5), 5.0, "ol")),
+    ]:
+        assert_core_matches(region, spec, fields(lattice_sites(region), 4, 11, scale, offset))
+
+
+def test_pairwise_sum_replays_the_numpy_row_sum():
+    rng = np.random.default_rng(5)
+    for n in [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 300, 1030]:
+        rows = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-3, 6, (6, n))
+        assert np.array_equal(_pairwise_sum(list(rows.T)), rows.sum(-1))
+
+
+def test_image_core_keeps_the_core_checks():
+    region = Region(Template.hypercube(2), (6, 6))
+    window = lattice_sites(region)
+    image = field_image(window.indexer().table, np.ones((2, window.n_sites)))
+    plan = design_plan(window, region, SubsampleSpec(region.template, 2.0, "ol"))
+    with pytest.raises(DimensionMismatch):
+        estimate_image(plan, image, moment_variance())
+    bad = np.ones((2, window.n_sites))
+    bad[1, 3] = np.inf
+    with pytest.raises(StatisticDomainError):
+        estimate_image(plan, field_image(window.indexer().table, bad), mean_statistic())
+    single = design_plan(window, region, SubsampleSpec(region.template, 6.0, "ol"))
+    with pytest.raises(DegenerateSubsampling):
+        estimate_image(single, image, mean_statistic())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        ragged = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
+    with pytest.raises(ConfigError):
+        estimate_image(ragged, image, mean_statistic())
+
+
+# ---------------------------------------------------------------------------
+# the MSE study loop
+# ---------------------------------------------------------------------------
+
+
+def study_raw(**overrides):
+    raw = {
+        "regions": [{"name": "rect", "template": "hypercube:d=2", "scale": [11, 13]}],
+        "covariograms": [
+            {"name": "white", "spec": "white"},
+            {"name": "E", "spec": "expsep:b1=1,b2=1"},
+        ],
+        "statistic": "mean",
+        "schemes": ["ol", "nol"],
+        "s_lambda_grid": [1, 2, 3, 5],
+        "replicates": 103,
+        "seed": 29,
+    }
+    raw.update(overrides)
+    return raw
+
+
+def direct_study(cfg):
+    """Per cell, the deviations of a plain per-replicate ``estimate_values`` loop."""
+    out = {}
+    for r_idx, reg in enumerate(cfg.regions):
+        region = reg.region()
+        window = lattice_sites(region)
+        for c_idx, (cov_name, cov) in enumerate(cfg.covariograms):
+            key = f"{reg.name}|{cov_name}"
+            tau_n = cfg.tau_n_sq_override.get(key)
+            if tau_n is None:
+                tau_n = exact_tau_n_sq_window(window, cov)
+            gen = build_generator(cov, window)
+            first = (r_idx * len(cfg.covariograms) + c_idx) * cfg.replicates
+            streams = [substream(cfg.seed, first + rep) for rep in range(cfg.replicates)]
+            samples = [
+                lift_for_statistic(sample_field(gen, stream), cfg.statistic_name)
+                for stream in streams
+            ]
+            for scheme in cfg.schemes:
+                for lam in cfg.s_lambda_grid[reg.name]:
+                    spec = SubsampleSpec(region.template, float(lam), scheme)
+                    plan = design_plan(window, region, spec)
+                    if plan.index_set.n_subsamples < 2:  # a dead cell
+                        out[(reg.name, cov_name, scheme, lam)] = None
+                        continue
+                    taus = [estimate_values(plan, s.values, cfg.statistic)[2] for s in samples]
+                    out[(reg.name, cov_name, scheme, lam)] = [
+                        (float(t) / tau_n - 1.0) ** 2 for t in taus
+                    ]
+    return out
+
+
+def image_calls(monkeypatch) -> list:
+    calls = []
+
+    def spy(plan, image, stat):
+        calls.append(image.shape[0])
+        return estimate_image(plan, image, stat)
+
+    monkeypatch.setattr(latblock.harness, "estimate_image", spy)
+    return calls
+
+
+def assert_study_matches(cfg):
+    direct = direct_study(cfg)
+    cells = mse_study(cfg)
+    assert len(cells) == len(direct)
+    for cell in cells:
+        devs = direct[(cell.region, cell.model, cell.scheme, cell.s_lambda)]
+        if devs is None:
+            assert cell.deviations is None and cell.mse is None
+        else:
+            assert np.array_equal(cell.deviations, devs)
+            assert cell.mse == np.mean(devs)
+    assert any(devs is None for devs in direct.values())
+
+
+@pytest.mark.parametrize("block_reps", [1, 10, 200])
+def test_study_chunks_match_the_per_replicate_core(monkeypatch, block_reps):
+    # 103 replicates: chunks of 10 leave a partial chunk of 3
+    table_size = lattice_sites(Region(Template.hypercube(2), (11, 13))).indexer().table.size
+    monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", block_reps * table_size)
+    calls = image_calls(monkeypatch)
+    assert_study_matches(config_from_dict(study_raw()))
+    chunk_sizes = set(calls)
+    if block_reps == 10:
+        assert chunk_sizes == {10, 3}
+    else:
+        assert chunk_sizes == {min(block_reps, 103)}
+
+
+def test_momvar_study_takes_the_per_replicate_core(monkeypatch):
+    raw = study_raw(statistic="momvar", tau_n_sq={"rect|white": 2.0, "rect|E": 3.5})
+    calls = image_calls(monkeypatch)
+    assert_study_matches(config_from_dict(raw))
+    assert calls == []
+
+
+def test_ragged_designs_take_the_per_replicate_core(monkeypatch):
+    region = Region(Template.hypercube(2), (12, 14))
+    window = lattice_sites(region)
+    gen = build_generator(Covariogram.white(2), window)
+    samples = [sample_field(gen, substream(4, rep)) for rep in range(9)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        ragged = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
+    shared = design_plan(window, region, SubsampleSpec(region.template, 3.0, "nol"))
+    assert ragged.grid is None and shared.grid is not None
+    seen = []
+    monkeypatch.setattr(
+        latblock.harness,
+        "estimate_image",
+        lambda plan, image, stat: seen.append(plan) or estimate_image(plan, image, stat),
+    )
+    monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", 4 * window.indexer().table.size)
+    stat = mean_statistic()
+    taus = _replicate_taus([ragged, shared], iter(samples), stat, window, len(samples))
+    assert all(plan is shared for plan in seen) and len(seen) == 3
+    for column, plan in zip(taus.T, [ragged, shared]):
+        assert np.array_equal(column, [estimate_values(plan, s.values, stat)[2] for s in samples])
+
+
+def test_cached_anchor_grids_are_read_only():
+    region = Region(parse_template("circle:r=0.5"), (20, 20))
+    plan = design_plan(lattice_sites(region), region, SubsampleSpec(region.template, 4.0, "ol"))
+    with pytest.raises(ValueError):
+        plan.grid.base[0, 0] = 0
+    with pytest.raises(ValueError):
+        plan.grid.index[0] = 0
