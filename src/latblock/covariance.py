@@ -248,14 +248,20 @@ def lag_counts(window: LatticeWindow) -> np.ndarray:
     by FFT and rounded to integers.  Where the FFT is off an integer by 1/4
     or more, they are correlated directly instead.
     """
-    span = tuple(int(h - l + 1) for l, h in zip(window.lo, window.hi))
-    ind = np.zeros(span, dtype=np.float64)
+    ind = np.zeros(tuple(window.span), dtype=np.float64)
     ind[tuple((window.sites - window.lo).T)] = 1.0
     fast = fftconvolve(ind, np.flip(ind), mode="full")
     counts = np.rint(fast)
     if np.max(np.abs(fast - counts)) < 0.25:
         return counts
     return correlate(ind, ind, mode="full", method="direct")
+
+
+def lag_sigma(cov: Covariogram, window: LatticeWindow) -> np.ndarray:
+    """Sigma at each lag of the window's box, shaped and ordered like ``lag_counts``
+    (zero lag at flat index ``size // 2``): the one table of the oracle and generators."""
+    reach = window.span - 1
+    return cov.sigma_many(box_points(-reach, reach)).reshape(tuple(2 * reach + 1))
 
 
 def exact_tau_n_sq_window(
@@ -267,11 +273,7 @@ def exact_tau_n_sq_window(
         raise DimensionMismatch("covariogram dimension mismatch")
     n = window.n_sites
     if method == "lags":
-        counts = lag_counts(window)
-        reach = [c // 2 for c in counts.shape]
-        lags = box_points([-r for r in reach], reach)
-        vals = cov.sigma_many(lags)
-        return float((counts.ravel() * vals).sum() / n)
+        return float((lag_counts(window).ravel() * lag_sigma(cov, window).ravel()).sum() / n)
     if method == "pairs":
         total = 0.0
         chunk = max(1, int(2e6) // max(n, 1))

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .covariance import Covariogram
+from .covariance import Covariogram, lag_sigma
 from .errors import ConfigError, DimensionMismatch, EmptyWindow, NotPositiveDefinite, WindowTooLarge
 from .estimators import FieldSample
-from .geometry import LatticeWindow, box_points
+from .geometry import LatticeWindow
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
@@ -75,29 +75,20 @@ class FieldGenerator:
     block_shape: tuple = ()
 
 
-def covariance_matrix(cov: Covariogram, window: LatticeWindow, chunk: int = 512) -> np.ndarray:
-    """Dense site-pair covariance matrix in window site order."""
-    n = window.n_sites
-    out = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, chunk):
-        block = window.sites[start : start + chunk]
-        diffs = block[:, None, :] - window.sites[None, :, :]
-        out[start : start + block.shape[0]] = cov.sigma_many(diffs)
-    return out
+def covariance_matrix(cov: Covariogram, window: LatticeWindow) -> np.ndarray:
+    """Dense site-pair covariance matrix in window site order, read from the
+    lag table: site i's flat lag-box position, less site j's, plus the center's."""
+    table = lag_sigma(cov, window)
+    f = (window.sites - window.lo) @ (np.array(table.strides) // table.itemsize)
+    return table.ravel()[f[:, None] - f[None, :] + table.size // 2]
 
 
-def _is_full_box(window: LatticeWindow) -> bool:
-    span = window.hi - window.lo + 1
-    return int(np.prod(span)) == window.n_sites
-
-
-def _circulant_spectrum(cov: Covariogram, span: np.ndarray):
-    """Nonnegative spectrum of the embedding torus, or None if indefinite."""
-    embed = tuple(int(max(2 * (s - 1), 1)) for s in span)
-    size = np.array(embed)
-    idx = box_points([0] * len(embed), size - 1)
-    lags = np.where(idx <= size // 2, idx, idx - size)  # wrapped torus lags
-    base = cov.sigma_many(lags).reshape(embed)
+def _circulant_spectrum(table: np.ndarray):
+    """Nonnegative spectrum of the embedding torus, or None if indefinite.
+    The wrapped torus lags all lie in the box of the ``lag_sigma`` table."""
+    # per axis the torus lags 0..r, then -(r-1)..-1, shifted by the reach r
+    base = table[np.ix_(*(np.r_[r : 2 * r + 1, 1:r] for r in np.array(table.shape) // 2))]
+    embed = base.shape
     lam = np.fft.fftn(base)
     if np.max(np.abs(lam.imag)) > 1e-8 * max(np.max(np.abs(lam.real)), 1.0):
         return None, embed
@@ -129,9 +120,8 @@ def build_generator(
 
     diagnostics: dict = {"requested": method}
     if method in ("auto", CIRCULANT):
-        if _is_full_box(window):
-            span = window.hi - window.lo + 1
-            sqrt_lam, embed = _circulant_spectrum(cov, span)
+        if np.prod(window.span) == window.n_sites:  # a full rectangle
+            sqrt_lam, embed = _circulant_spectrum(lag_sigma(cov, window))
             if sqrt_lam is not None:
                 diagnostics["embedding"] = embed
                 return FieldGenerator(
@@ -141,7 +131,7 @@ def build_generator(
                     diagnostics=diagnostics,
                     spectrum_sqrt=sqrt_lam,
                     embed_shape=embed,
-                    block_shape=tuple(int(s) for s in span),
+                    block_shape=tuple(int(s) for s in window.span),
                 )
             diagnostics["fallback"] = "embedding not nonnegative definite"
         else:

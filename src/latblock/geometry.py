@@ -765,6 +765,11 @@ class LatticeWindow:
     def d(self) -> int:
         return self.sites.shape[1]
 
+    @property
+    def span(self) -> np.ndarray:
+        """Sites per axis of the bounding box."""
+        return self.hi - self.lo + 1
+
     @cached_property
     def content_key(self) -> tuple:
         """(dtype, shape, bytes) of the sites, built once per window; equal
@@ -788,8 +793,7 @@ class WindowIndexer:
 
     def __init__(self, window: LatticeWindow):
         self.lo = window.lo
-        span = window.hi - window.lo + 1
-        self.table = np.full(tuple(int(s) for s in span), -1, dtype=np.int64)
+        self.table = np.full(tuple(window.span), -1, dtype=np.int64)
         idx = tuple((window.sites - self.lo).T)
         self.table[idx] = np.arange(window.n_sites)
 

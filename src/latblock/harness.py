@@ -296,11 +296,12 @@ def config_from_dict(raw: dict) -> StudyConfig:
 
     tau_n_sq = _number_map(raw.get("tau_n_sq", {}), "tau_n_sq")
     pairs = {f"{reg.name}|{name}" for reg in regions for name, _ in covs}
-    unknown = sorted(set(tau_n_sq) - pairs)
-    if unknown:
-        raise ConfigError(
-            f"tau_n_sq names no region|model pair: {', '.join(map(repr, unknown))}"
-        )
+    for what, keys in (("selectors.s_lambda_opt", opt), ("tau_n_sq", tau_n_sq)):
+        unknown = sorted(set(keys) - pairs)
+        if unknown:
+            raise ConfigError(
+                f"{what} names no region|model pair: {', '.join(map(repr, unknown))}"
+            )
     for key, value in tau_n_sq.items():
         if value <= 0:
             raise ConfigError(f"tau_n_sq[{key!r}] must be positive, got {value}")
@@ -455,11 +456,13 @@ def _replicate_taus(plans: list, samples, stat: SmoothStatistic, window, replica
     designs and p > 1 statistics take an ``estimate_values`` call per
     replicate.  Both give the bits of ``estimate_values``.
     """
+    taus = np.empty((replicates, len(plans)))
+    if not plans:
+        return taus  # no live cell: draw no field
     batched = [i for i, plan in enumerate(plans) if plan.grid is not None and stat.p == 1]
     single = [i for i in range(len(plans)) if i not in batched]
     table = window.indexer().table
     block = max(1, _IMAGE_BLOCK_CELLS // table.size)
-    taus = np.empty((replicates, len(plans)))
     start = 0
     while chunk := list(islice(samples, block)):
         stop = start + len(chunk)

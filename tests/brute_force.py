@@ -1,12 +1,15 @@
-"""Brute-force transcriptions of the OL and NOL designs on rectangular windows.
+"""Brute-force references: the OL and NOL designs on rectangular windows, and
+the covariogram evaluated at every site pair or wrapped torus lag.
 
-A plain helper module, imported by the estimator tests and by acceptance
-criterion 05; it holds no tests.
+A plain helper module, imported by the estimator, covariance and field tests
+and by acceptance criterion 05; it holds no tests.
 """
 
 import math
 
 import numpy as np
+
+from latblock.geometry import box_points
 
 
 def interval_sites(center, width):
@@ -73,3 +76,23 @@ def naive_nol(sample, mlam, nlam, s_lam, stat):
     counts = np.array(counts)
     tilde = np.mean(thetas)
     return np.mean(counts * (thetas - tilde) ** 2), len(thetas)
+
+
+def pairwise_covariance_matrix(cov, window, chunk=512):
+    """Dense site-pair covariance matrix in window site order."""
+    n = window.n_sites
+    out = np.empty((n, n), dtype=np.float64)
+    for start in range(0, n, chunk):
+        block = window.sites[start : start + chunk]
+        diffs = block[:, None, :] - window.sites[None, :, :]
+        out[start : start + block.shape[0]] = cov.sigma_many(diffs)
+    return out
+
+
+def wrapped_circulant_base(cov, span):
+    """Embedding-torus base: the covariogram at the wrapped torus lags."""
+    embed = tuple(int(max(2 * (s - 1), 1)) for s in span)
+    size = np.array(embed)
+    idx = box_points([0] * len(embed), size - 1)
+    lags = np.where(idx <= size // 2, idx, idx - size)  # wrapped torus lags
+    return cov.sigma_many(lags).reshape(embed)

@@ -482,6 +482,24 @@ def test_study_refuses_selector_settings_before_any_work(capsys, tmp_path, selec
     assert not any(tmp_path.glob("*.csv"))
 
 
+def test_study_refuses_s_lambda_opt_keys_that_name_no_pair(capsys, tmp_path):
+    cfg_path = study_config(
+        tmp_path,
+        covariograms=[{"name": "E", "spec": "expsep:b1=1,b2=1"}],
+        selectors={
+            "npi": {"c1": [0.5], "c2": [0.5]},
+            "s_lambda_opt": {"r|E": 4, "r|EE": 3, "typo": 2},
+        },
+        outputs={"mse_csv": str(tmp_path / "mse.csv"), "phi_csv": str(tmp_path / "phi.csv")},
+    )
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith(
+        "error: selectors.s_lambda_opt names no region|model pair: 'r|EE', 'typo'"
+    )
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_study_accepts_and_ignores_workers_flag(capsys, tmp_path):
     cfg_path = study_config(tmp_path)
     assert run(["study", "--config", str(cfg_path)], capsys)[0] == 0

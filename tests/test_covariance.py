@@ -15,6 +15,7 @@ from latblock.covariance import (
     _shell_points,
     exact_tau_n_sq_window,
     lag_counts,
+    lag_sigma,
     parse_covariogram,
 )
 from latblock.errors import ConfigError, DimensionMismatch
@@ -263,3 +264,23 @@ def test_cli_start_up_does_not_import_scipy_signal():
         env={"PYTHONPATH": str(src), "PATH": ""},
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "spec, scale",
+    [
+        ("hypercube:d=1", (9,)),
+        ("hypercube:d=2", (30, 42)),
+        ("circle:r=0.5", (40, 40)),
+        ("righttri", (30, 30)),
+        ("sphere:r=0.5", (16, 16, 16)),
+        ("hypercube:d=3", (4, 1, 5)),
+    ],
+)
+def test_lag_sigma_has_the_shape_of_lag_counts(spec, scale):
+    window = lattice_sites(Region(parse_template(spec), scale))
+    cov = Covariogram.exp_separable(*[0.8] * window.d)
+    table = lag_sigma(cov, window)
+    assert table.shape == lag_counts(window).shape
+    assert table.ravel()[table.size // 2] == 1.0  # the zero lag at the center
+    assert table[(0,) * window.d] == sigma(cov, 1 - window.span)  # the lowest corner

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from brute_force import pairwise_covariance_matrix, wrapped_circulant_base
 
 from latblock import (
     Covariogram,
@@ -20,7 +21,7 @@ from latblock.fieldsim import (
     lift_for_statistic,
     reconstruction_error,
 )
-from latblock.geometry import lattice_sites
+from latblock.geometry import box_points, lattice_sites, parse_template
 
 
 def window(shape, template=None):
@@ -235,3 +236,56 @@ def test_lift_for_statistic():
     assert np.array_equal(lifted.values[:, 1], vals[:, 0] ** 2)
     same = lift_for_statistic(sample_obj, "mean")
     assert same is sample_obj
+
+
+# -- the one lag table: Cholesky matrix and circulant base ---------------------
+
+
+def models(d):
+    """One covariogram of every kind in dimension d."""
+    table = {tuple(k): math.exp(-np.abs(k).sum()) for k in box_points([-2] * d, [2] * d)}
+    return [
+        Covariogram.exp_separable(*(0.6 + 0.2 * i for i in range(d))),
+        Covariogram.gauss_separable(*(0.5 - 0.1 * i for i in range(d))),
+        Covariogram.gauss_isotropic(0.4, d),
+        Covariogram.white(d),
+        Covariogram.tabulated(d, table),
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, scale",
+    [
+        ("hypercube:d=1", (9,)),
+        ("hypercube:d=2", (30, 42)),
+        ("circle:r=0.5", (40, 40)),  # 1257 sites
+        ("righttri", (30, 30)),
+        ("sphere:r=0.5", (16, 16, 16)),  # 2109 sites
+        ("hypercube:d=3", (4, 1, 5)),  # a span-1 axis
+    ],
+)
+def test_covariance_matrix_from_the_lag_table_equals_pairwise_sigma(spec, scale):
+    w = lattice_sites(Region(parse_template(spec), scale))
+    for cov in models(w.d):
+        assert np.array_equal(covariance_matrix(cov, w), pairwise_covariance_matrix(cov, w))
+
+
+@pytest.mark.parametrize("shape", [(1,), (9,), (30, 42), (14, 1), (1, 7), (4, 1, 5), (6, 5, 4)])
+def test_circulant_base_from_the_lag_table_equals_wrapped_sigma(monkeypatch, shape):
+    w = window(shape, Template.hypercube(len(shape)))
+    bases = []
+    fftn = np.fft.fftn
+
+    def spy(a, *args, **kwargs):
+        bases.append(a)
+        return fftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", spy)
+    for cov in models(w.d):
+        bases.clear()
+        gen = build_generator(cov, w, method="circulant")
+        expected = wrapped_circulant_base(cov, w.span)
+        assert bases[0].shape == expected.shape
+        assert np.array_equal(bases[0], expected)
+        if gen.method == "circulant":
+            assert gen.embed_shape == expected.shape

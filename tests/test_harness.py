@@ -252,6 +252,32 @@ def test_white_noise_mse_monotone_beyond_one():
     assert vals[0] < vals[1] < vals[2] < vals[3]
 
 
+def test_mse_study_draws_no_field_for_a_pair_without_live_cells(monkeypatch):
+    import latblock.harness
+
+    calls = []
+    sample_field = latblock.harness.sample_field
+
+    def counting_sample_field(gen, stream):
+        calls.append(stream.index)  # the replicate's stream index
+        return sample_field(gen, stream)
+
+    monkeypatch.setattr(latblock.harness, "sample_field", counting_sample_field)
+    cfg = config_from_dict(
+        base_config(
+            regions=[
+                {"name": "dead", "template": "hypercube:d=2", "scale": [10, 10]},
+                {"name": "live", "template": "hypercube:d=2", "scale": [10, 10]},
+            ],
+            schemes=["nol"],
+            s_lambda_grid={"dead": [6, 9], "live": [2, 3]},  # one NOL cube at 6 and 9
+        )
+    )
+    cells = mse_study(cfg)
+    assert [c.mse is None for c in cells] == [True, True, False, False]
+    assert calls == list(range(cfg.replicates, 2 * cfg.replicates))
+
+
 def test_optimal_scaling_study_wrapper():
     from latblock.harness import optimal_scaling_study
 
