@@ -89,23 +89,14 @@ def read_field_csv(path: str) -> FieldSample:
 
 
 def write_field_csv(sample: FieldSample, path: str) -> None:
-    tmp = path + ".tmp"
-    d = sample.window.d
-    p = sample.p
-    try:
-        with open(tmp, "w", newline="") as fh:
-            header = [f"s{j + 1}" for j in range(d)] + [f"v{j + 1}" for j in range(p)]
-            fh.write(",".join(header) + "\n")
-            for site, vals in zip(sample.window.sites, sample.values):
-                cells = [str(int(s)) for s in site] + [
-                    format(float(v), ".17g") for v in vals
-                ]
-                fh.write(",".join(cells) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    """Field CSV as ``read_field_csv`` reads it, written atomically by ``emit_csv``."""
+    header = [f"s{j + 1}" for j in range(sample.window.d)]
+    header += [f"v{j + 1}" for j in range(sample.p)]
+    rows = (
+        dict(zip(header, site + vals))
+        for site, vals in zip(sample.window.sites.tolist(), sample.values.tolist())
+    )
+    emit_csv(rows, header, path)
 
 
 def infer_region(template: Template, sample: FieldSample, scale_text: str | None) -> Region:

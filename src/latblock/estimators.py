@@ -255,29 +255,23 @@ def _anchor_grid(window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, s
 def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
     """Resolve every subsample's sites to rows of the window, or fail loudly."""
     indexer = window.indexer()
-    if spec.scheme == OL:
-        index_set = enumerate_ol(region, spec)
+    if spec.scheme == OL or spec.is_integer_scale():
+        # shared count: the scale-s template's sites moved to step-1 or step-s anchors
+        ol = spec.scheme == OL
+        index_set = enumerate_ol(region, spec) if ol else enumerate_nol(region, spec)
+        step = 1 if ol else int(round(spec.s_lambda))
         base = lattice_sites(
             Region(spec.template, (spec.s_lambda,) * region.d, region.shift)
         ).sites
-        all_sites = index_set.offsets[:, None, :] + base[None, :, :]
-        rows = indexer.lookup(all_sites)
+        anchors = step * index_set.offsets
+        rows = indexer.lookup(anchors[:, None] + base)
         if np.any(rows < 0):
-            raise MissingSites("sample does not cover every overlapping subsample site")
-        grid = _anchor_grid(window, index_set.offsets, base, 1)
-        return SubsamplePlan(OL, index_set, rows, None, index_set.counts, grid)
+            what = "overlapping" if ol else "disjoint"
+            raise MissingSites(f"sample does not cover every {what} subsample site")
+        grid = _anchor_grid(window, anchors, base, step)
+        return SubsamplePlan(spec.scheme, index_set, rows, None, index_set.counts, grid)
     index_set = enumerate_nol(region, spec)
     windows = nol_subregion_windows(region, spec, index_set.offsets)
-    if spec.is_integer_scale():
-        stacked = np.stack([w.sites for w in windows])
-        rows = indexer.lookup(stacked)
-        if np.any(rows < 0):
-            raise MissingSites("sample does not cover every disjoint subsample site")
-        # each copy is the scale-s template's sites moved by s times its cube
-        step = int(round(spec.s_lambda))
-        base = stacked[0] - step * index_set.offsets[0]
-        grid = _anchor_grid(window, step * index_set.offsets, base, step)
-        return SubsamplePlan(NOL, index_set, rows, None, index_set.counts, grid)
     row_lists = []
     for offset, w in zip(index_set.offsets, windows):
         if w.n_sites == 0:

@@ -184,7 +184,8 @@ def config_from_dict(raw: dict) -> StudyConfig:
         template = parse_template(_text(item["template"], "region.template"))
         scale = item["scale"]
         scale = _numbers(scale if isinstance(scale, (list, tuple)) else [scale], "region.scale")
-        name = item.get("name") or f"{item['template']}@{'x'.join(str(s) for s in scale)}"
+        default = f"{item['template']}@{'x'.join(str(s) for s in scale)}"
+        name = _text(item.get("name", default), "region.name") or default
         regions.append(RegionSpec(name=name, template=template, scale=scale))
     if not regions:
         raise ConfigError("config needs at least one region")
@@ -202,10 +203,12 @@ def config_from_dict(raw: dict) -> StudyConfig:
         else:
             item = _fields(item, "covariogram", required=("spec",))
             spec_str = _text(item["spec"], "covariogram.spec")
-            name = item.get("name", spec_str)
+            name = _text(item.get("name", spec_str), "covariogram.name")
         covs.append((name, parse_covariogram(spec_str, d=regions[0].template.d)))
     if not covs:
         raise ConfigError("config needs at least one covariogram")
+    if len({name for name, _ in covs}) != len(covs):
+        raise ConfigError("covariogram names must be unique")
 
     stat_name = str(raw.get("statistic", "mean"))
     statistic = parse_statistic(stat_name)
@@ -230,7 +233,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
         else:
             item = _fields(item, "sub_template", required=("spec",))
             spec = _text(item["spec"], "sub_template.spec")
-            subs.append((item.get("name", spec), parse_template(spec)))
+            subs.append((_text(item.get("name", spec), "sub_template.name"), parse_template(spec)))
     sub_names = [s[0] for s in subs]
     if len(set(sub_names)) != len(sub_names):
         raise ConfigError("sub-template names must be unique")
@@ -405,21 +408,21 @@ def _study_pairs(config: StudyConfig):
     Yields ``(reg_spec, region, window, model, tau_n, samples)`` per pair,
     region by region.  ``samples`` iterates over the pair's replicates in
     order, drawing each field from its own substream and lifting it for the
-    statistic.
+    statistic; it builds the pair's generator at its first draw.
     """
     for r_idx, reg_spec in enumerate(config.regions):
         region = reg_spec.region()
         window = lattice_sites(region)
         for c_idx, (cov_name, cov) in enumerate(config.covariograms):
             tau_n = _tau_n(config, f"{reg_spec.name}|{cov_name}", window, cov)
-            gen = build_generator(cov, window)
             # replicate streams of this pair: one contiguous index range
             first = (r_idx * len(config.covariograms) + c_idx) * config.replicates
-            samples = _samples(config, gen, range(first, first + config.replicates))
+            samples = _samples(config, cov, window, range(first, first + config.replicates))
             yield reg_spec, region, window, cov_name, tau_n, samples
 
 
-def _samples(config: StudyConfig, gen, streams):
+def _samples(config: StudyConfig, cov: Covariogram, window, streams):
+    gen = build_generator(cov, window)
     for rep in streams:
         fld = sample_field(gen, substream(config.seed, rep))
         yield lift_for_statistic(fld, config.statistic_name)

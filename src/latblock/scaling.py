@@ -25,7 +25,7 @@ from .errors import (
     ZeroBiasConstant,
 )
 from .estimators import FieldSample, SmoothStatistic, design_plan, estimate, estimate_values
-from .geometry import NOL, OL, LatticeWindow, Region, SubsampleSpec
+from .geometry import NOL, OL, Region, SubsampleSpec, lattice_sites
 
 
 @dataclass(frozen=True)
@@ -211,9 +211,6 @@ def hj_scaling(
     lambda_m = int(lambda_m)
     candidates = hj_candidate_scales(region, lambda_m, candidates, min_candidates)
 
-    # The blocks are the OL design at lambda_m.  Each row lists one block's
-    # sites in the order of the pilot window, which is therefore the first
-    # block moved back by its offset.
     blocks = design_plan(
         sample.window, region, SubsampleSpec(region.template, float(lambda_m), OL)
     )
@@ -222,12 +219,11 @@ def hj_scaling(
     ).tau_hat_sq
 
     pilot_region = Region(region.template, (float(lambda_m),) * d, region.shift)
-    pilot_sites = sample.window.sites[blocks.row_matrix[0]] - blocks.index_set.offsets[0]
-    pilot_window = LatticeWindow(pilot_sites, pilot_sites.min(axis=0), pilot_sites.max(axis=0))
+    pilot_window = lattice_sites(pilot_region)
     mse_curve = []
     usable = []
     dropped = []
-    block_values = sample.values[blocks.row_matrix]  # (B, nB, p)
+    block_values = sample.values[blocks.row_matrix]  # (B, nB, p), pilot-window order
     for c in candidates:
         # degenerate or empty designs, and statistics undefined on some
         # block's subsample, drop the candidate

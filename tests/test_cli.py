@@ -108,6 +108,23 @@ def test_field_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, values)
 
 
+def test_field_csv_text_is_pinned(tmp_path):
+    from latblock.estimators import FieldSample
+    from latblock.geometry import LatticeWindow
+
+    sites = np.array([[-1, 0, 2], [0, -3, 1]])
+    window = LatticeWindow(sites=sites, lo=sites.min(0), hi=sites.max(0))
+    values = np.array([[0.1, -2.5e-300], [1.0 / 3.0, 7e300]])
+    path = tmp_path / "field.csv"
+    write_field_csv(FieldSample(window, values), str(path))
+    assert path.read_bytes() == (
+        b"s1,s2,s3,v1,v2\n"
+        b"-1,0,2,0.10000000000000001,-2.5e-300\n"
+        b"0,-3,1,0.33333333333333331,6.9999999999999998e+300\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["field.csv"]  # no temp file left
+
+
 def test_estimate_matches_library(capsys, tmp_path):
     from latblock import (
         Covariogram,
@@ -548,3 +565,53 @@ def test_study_refuses_configs_that_would_run_wrongly(capsys, tmp_path, bad, mes
     assert code == 2
     assert err.startswith(f"error: {message}")
     assert not (tmp_path / "mse.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (
+            {"covariograms": [
+                {"name": "E", "spec": "expsep:b1=1,b2=1"},
+                {"name": "E", "spec": "gausssep:b1=0.5,b2=0.3"},
+            ]},
+            "covariogram names must be unique",
+        ),
+        ({"covariograms": ["white", "white"]}, "covariogram names must be unique"),
+        (
+            {"covariograms": [{"name": {"x": 1}, "spec": "white"}]},
+            "covariogram.name must be a string, got {'x': 1}",
+        ),
+        (
+            {"covariograms": [{"name": ["a"], "spec": "white"}]},
+            "covariogram.name must be a string, got ['a']",
+        ),
+        (
+            {"regions": [{"name": 7, "template": "hypercube:d=2", "scale": [10, 10]}],
+             "s_lambda_grid": {"7": [1, 2]}},
+            "region.name must be a string, got 7",
+        ),
+        (
+            {"regions": [{"name": ["a"], "template": "hypercube:d=2", "scale": [10, 10]}]},
+            "region.name must be a string, got ['a']",
+        ),
+        (
+            {"sub_templates": ["same", {"name": 7, "spec": "circle:r=0.5"}]},
+            "sub_template.name must be a string, got 7",
+        ),
+        (
+            {"sub_templates": [{"name": {"x": 1}, "spec": "circle:r=0.5"}]},
+            "sub_template.name must be a string, got {'x': 1}",
+        ),
+    ],
+)
+def test_study_refuses_names_that_are_not_unique_strings(capsys, tmp_path, bad, message):
+    outputs = {
+        "mse_csv": str(tmp_path / "mse.csv"),
+        "scaling_csv": str(tmp_path / "scaling.csv"),
+    }
+    cfg_path = study_config(tmp_path, outputs=outputs, **bad)
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not any(tmp_path.glob("*.csv"))

@@ -1,6 +1,7 @@
 """Statistics and the OL/NOL variance estimators, including the naive oracle."""
 
 import linecache
+import math
 import tracemalloc
 import warnings
 
@@ -43,7 +44,13 @@ from latblock.estimators import (
     estimate_values,
     estimate_values_reference,
 )
-from latblock.geometry import LatticeWindow, lattice_sites
+from latblock.geometry import (
+    LatticeWindow,
+    enumerate_nol,
+    enumerate_ol,
+    lattice_sites,
+    nol_subregion_windows,
+)
 
 
 def make_sample(shape, seed=0, p=1, shift=None):
@@ -589,3 +596,82 @@ def test_windows_compare_and_hash_by_their_sites():
     assert same == window and hash(same) == hash(window)
     assert other != window
     assert len({window, same, other}) == 2
+
+
+# ---------------------------------------------------------------------------
+# shared-count designs: the scale-s template's sites moved to anchors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s_lam", range(1, 9))
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize(
+    "spec, scale",
+    [
+        ("hypercube:d=2", (21, 26)),
+        ("circle:r=0.5", (30, 30)),
+        ("righttri", (36, 36)),
+        ("sphere:r=0.5", (20, 20, 20)),
+    ],
+)
+def test_integer_nol_rows_are_the_stacked_cube_windows(spec, scale, shifted, s_lam):
+    template = parse_template(spec)
+    shift = (0.25, -0.5, 0.1)[: template.d] if shifted else None
+    region = Region(template, scale, shift)
+    window = lattice_sites(region)
+    nol = SubsampleSpec(template, float(s_lam), "nol")
+    try:
+        offsets = enumerate_nol(region, nol).offsets
+    except EmptyWindow:  # a scale-1 copy can miss every shifted site
+        with pytest.raises(EmptyWindow):
+            _build_design(window, region, nol)
+        return
+    cubes = nol_subregion_windows(region, nol, offsets)
+    rows = window.indexer().lookup(np.stack([w.sites for w in cubes]))
+    if np.any(rows < 0):  # a closed disk or ball copy can leave the window
+        with pytest.raises(MissingSites, match="disjoint"):
+            _build_design(window, region, nol)
+        return
+    plan = _build_design(window, region, nol)
+    assert np.array_equal(plan.index_set.offsets, offsets)
+    assert np.array_equal(plan.row_matrix, rows)
+    assert plan.row_lists is None
+
+
+@pytest.mark.parametrize("scheme", ["ol", "nol"])
+@pytest.mark.parametrize("s_lam", [1, 2, 3, 5])
+@pytest.mark.parametrize("sub", ["hypercube:d=2", "circle:r=0.5", "isotri"])
+def test_shared_count_grid_is_the_scaled_template_at_its_anchors(sub, s_lam, scheme):
+    region = Region(Template.circle(0.5), (24, 24), (0.25, 0.0))
+    window = lattice_sites(region)
+    spec = SubsampleSpec(parse_template(sub), float(s_lam), scheme)
+    plan = _build_design(window, region, spec)
+    grid = plan.grid
+    base = lattice_sites(Region(spec.template, (float(s_lam),) * 2, region.shift)).sites
+    assert np.array_equal(grid.base, base)
+    assert grid.step == (1 if scheme == "ol" else s_lam)
+    cells = np.arange(math.prod(grid.shape)) if grid.index is None else grid.index
+    anchors = window.lo + grid.lo + grid.step * np.stack(np.unravel_index(cells, grid.shape), -1)
+    assert np.array_equal(anchors, grid.step * plan.index_set.offsets)
+    sites = window.sites[plan.row_matrix]
+    assert np.array_equal(sites, anchors[:, None] + base)
+
+
+@pytest.mark.parametrize(
+    "s_lam, scheme, what",
+    [(2.0, "ol", "overlapping"), (2.0, "nol", "disjoint"), (2.5, "nol", "disjoint")],
+)
+def test_missing_sites_names_the_scheme(s_lam, scheme, what):
+    region = Region(Template.hypercube(2), (9, 11))
+    window = lattice_sites(region)
+    spec = SubsampleSpec(region.template, s_lam, scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        plan = _build_design(window, region, spec)
+        first = plan.row_matrix[0] if plan.row_lists is None else plan.row_lists[0]
+        sites = np.delete(window.sites, first[0], axis=0)  # one subsample site less
+        cut = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+        with pytest.raises(
+            MissingSites, match=f"^sample does not cover every {what} subsample site$"
+        ):
+            _build_design(cut, region, spec)

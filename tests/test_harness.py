@@ -278,6 +278,32 @@ def test_mse_study_draws_no_field_for_a_pair_without_live_cells(monkeypatch):
     assert calls == list(range(cfg.replicates, 2 * cfg.replicates))
 
 
+def test_mse_study_builds_no_generator_for_a_pair_without_live_cells(monkeypatch):
+    import latblock.harness
+
+    built = []
+    build_generator = latblock.harness.build_generator
+
+    def counting_build_generator(cov, window):
+        built.append(window.n_sites)
+        return build_generator(cov, window)
+
+    monkeypatch.setattr(latblock.harness, "build_generator", counting_build_generator)
+    cfg = config_from_dict(
+        base_config(
+            regions=[
+                {"name": "live", "template": "hypercube:d=2", "scale": [10, 10]},
+                {"name": "dead", "template": "circle:r=0.5", "scale": [12, 12]},
+            ],
+            schemes=["nol"],
+            s_lambda_grid={"live": [2, 3], "dead": [9]},  # one NOL cube at 9
+        )
+    )
+    cells = mse_study(cfg)
+    assert [c.note for c in cells] == ["", "", "DegenerateSubsampling"]
+    assert built == [100]  # the live box only
+
+
 def test_optimal_scaling_study_wrapper():
     from latblock.harness import optimal_scaling_study
 

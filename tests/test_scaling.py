@@ -8,12 +8,14 @@ import pytest
 from latblock import (
     Covariogram,
     Region,
+    SubsampleSpec,
     Template,
     build_generator,
     hj_scaling,
     k0,
     npi_bias_estimate,
     npi_scaling,
+    parse_template,
     sample_field,
     substream,
     theoretical_scaling,
@@ -240,3 +242,37 @@ def test_hj_drops_candidate_whose_statistic_is_undefined():
     assert plan.diagnostics["dropped"] == [(3, "StatisticDomainError")]
     assert plan.diagnostics["candidates"] == [1, 2, 4]
     assert np.all(np.isfinite(plan.diagnostics["mse_curve"]))
+
+
+@pytest.mark.parametrize(
+    "spec, scale, shift, lambda_m",
+    [
+        ("hypercube:d=2", (14, 18), None, 5),
+        ("hypercube:d=2", (13, 16), (0.25, -0.4), 6),
+        ("circle:r=0.5", (18, 18), None, 6),
+        ("circle:r=0.5", (20, 20), (0.3, 0.1), 7),
+        ("hex:l=0.5", (16, 16), (-0.2, 0.5), 6),
+    ],
+)
+def test_hj_pilot_window_is_the_first_block_moved_back(monkeypatch, spec, scale, shift, lambda_m):
+    template = parse_template(spec)
+    region = Region(template, scale, shift)
+    window = lattice_sites(region)
+    f = sample_field(build_generator(Covariogram.white(2), window), substream(2, 0))
+    real = scaling.design_plan
+    pilots = []
+
+    def spy(win, reg, sub):
+        if reg != region:
+            pilots.append(win)
+        return real(win, reg, sub)
+
+    monkeypatch.setattr(scaling, "design_plan", spy)
+    hj_scaling(f, region, mean_statistic(), lambda_m, candidates=[1, 2, 3], min_candidates=1)
+    blocks = real(window, region, SubsampleSpec(template, float(lambda_m), "ol"))
+    first = window.sites[blocks.row_matrix[0]] - blocks.index_set.offsets[0]
+    assert len(pilots) == 3
+    for pilot in pilots:
+        assert np.array_equal(pilot.sites, first)
+        assert np.array_equal(pilot.lo, first.min(axis=0))
+        assert np.array_equal(pilot.hi, first.max(axis=0))
