@@ -325,11 +325,20 @@ def estimate_values_reference(plan: SubsamplePlan, values: np.ndarray, stat: Smo
         theta = np.stack(
             [stat(values[..., rows, :].mean(axis=-2)) for rows in plan.row_lists], axis=-1
         )
+    return (theta, *_reduce_theta(plan, theta, stat))
+
+
+def _reduce_theta(plan: SubsamplePlan, theta: np.ndarray, stat: SmoothStatistic):
+    """theta_tilde (...) and tau_hat_sq (...) of the statistics theta (..., M).
+
+    numpy sums a row in an order set by its memory layout, so the bits
+    depend on theta's strides as well as its values.
+    """
     if not np.all(np.isfinite(theta)):
         raise StatisticDomainError(f"{stat.name} not finite on some subsample")
     theta_tilde = theta.mean(axis=-1, keepdims=True)
     tau_hat = (plan.counts * (theta - theta_tilde) ** 2).mean(axis=-1)
-    return theta, theta_tilde[..., 0], tau_hat
+    return theta_tilde[..., 0], tau_hat
 
 
 def _check_core(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic) -> None:
@@ -359,6 +368,15 @@ def field_image(table: np.ndarray, values: np.ndarray) -> np.ndarray:
 _PAIRWISE_BLOCK = 128
 
 
+def _running_sum(terms: list) -> np.ndarray:
+    """``0.0 + terms[0] + terms[1] + ...``, left to right: numpy's sum of a
+    row shorter than 8, and of any axis that is not innermost in memory."""
+    out = terms[0] + 0.0
+    for term in terms[1:]:
+        out += term
+    return out
+
+
 def _pairwise_sum(terms: list) -> np.ndarray:
     """Elementwise sum of ``terms`` in numpy's pairwise order for one row.
 
@@ -367,10 +385,7 @@ def _pairwise_sum(terms: list) -> np.ndarray:
     """
     n = len(terms)
     if n < 8:
-        out = terms[0] + 0.0
-        for term in terms[1:]:
-            out += term
-        return out
+        return _running_sum(terms)
     if n <= _PAIRWISE_BLOCK:
         # lane j sums the terms t = j (mod 8) of the first n - n % 8
         body = n - n % 8
@@ -392,25 +407,36 @@ def _pairwise_sum(terms: list) -> np.ndarray:
     return out
 
 
+def grid_sums(grid: AnchorGrid, image: np.ndarray, pairwise: bool = True) -> np.ndarray:
+    """Subsample sums (R, cells) of R fields at every anchor of ``grid``'s box.
+
+    ``image`` is the (R, *bbox) output of ``field_image`` for the grid's
+    window; the anchors come in the box's C order, and those not in the
+    design see 0.0 at sites off the window.  Each base site's values at
+    every anchor form one strided slice of the image, so the sums are
+    whole-array adds of slices: in numpy's order for a contiguous row of the
+    subsample's values, or left to right (``pairwise=False``).
+    """
+    terms = [image[(slice(None), *cut)] for cut in grid.slices]
+    sums = _pairwise_sum(terms) if pairwise else _running_sum(terms)
+    return sums.reshape(image.shape[0], -1)
+
+
 def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic) -> np.ndarray:
     """tau_hat_sq (R,) of R scalar fields on a shared-count design.
 
     ``image`` is the (R, *bbox) output of ``field_image`` for the plan's
-    window.  Each base site's values at every anchor form one strided slice
-    of the image, so the subsample sums are whole-array adds in numpy's
-    row-sum order, and every estimate equals
-    ``estimate_values(plan, values[r][:, None], stat)[2]`` bit for bit.
-    The (R, M) statistics are reduced as C-contiguous rows: numpy sums a
-    row of another layout in another order.
+    window.  Every estimate equals
+    ``estimate_values(plan, values[r][:, None], stat)[2]`` bit for bit: the
+    subsample sums are ``grid_sums``, and the (R, M) statistics are reduced
+    as C-contiguous rows, as the lean branch reduces its (M,) row.
     """
     grid = plan.grid
     if grid is None:
         raise ConfigError("estimate_image needs a shared-count design")
     _check_core(plan, image[..., None], stat)  # one scalar per site
-    n_reps = image.shape[0]
     n_sub, size = plan.row_matrix.shape
-    sums = _pairwise_sum([image[(slice(None), *cut)] for cut in grid.slices])
-    sums = sums.reshape(n_reps, -1)
+    sums = grid_sums(grid, image)
     if grid.index is not None:
         sums = np.take(sums, grid.index, axis=1)
     theta = np.ascontiguousarray(stat((sums / size)[..., None]))
@@ -419,6 +445,39 @@ def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic
     theta_tilde = theta.sum(-1) / n_sub
     dev = theta - theta_tilde[:, None]
     return (plan.counts * (dev * dev)).sum(-1) / n_sub
+
+
+def estimate_blocks(
+    image: np.ndarray,
+    full: SubsamplePlan,
+    blocks: SubsamplePlan,
+    local: SubsamplePlan,
+    stat: SmoothStatistic,
+) -> np.ndarray:
+    """tau_hat_sq (R, B) of the design ``local`` on each of ``blocks``' B blocks.
+
+    ``blocks`` is the window's OL design of a pilot region, ``local`` a
+    shared-count design on the pilot region's window, ``full`` the window's
+    OL design at ``local``'s scale and ``image`` the ``field_image`` of R
+    fields.  Block b's subsample m holds the sites of ``full``'s subsample
+    at anchor ``block_b + local_m``, so its sum is taken from ``full``'s
+    ``grid_sums``.  Row r equals ``estimate_values(local, block_values, stat)``
+    on replicate r's (B, nB, 1) block values bit for bit.  That call gathers
+    its (B, M, sN) values with the block axis innermost in memory, so it
+    sums each subsample left to right and reduces theta over M with blocks
+    innermost; here theta is laid out (R, M, B) and reduced by the same
+    code.  A single block has no block axis, and is summed pairwise.
+    """
+    _check_core(local, image[..., None], stat)
+    n_blocks = blocks.index_set.n_subsamples
+    sums = grid_sums(full.grid, image, pairwise=n_blocks == 1)
+    local_anchors = local.grid.step * local.index_set.offsets
+    block_anchors = blocks.index_set.offsets  # OL: step 1
+    rel = local_anchors[:, None] + block_anchors - full.index_set.offsets.min(axis=0)
+    index = np.ravel_multi_index(tuple(np.moveaxis(rel, -1, 0)), full.grid.shape)  # (M, B)
+    means = np.take(sums, index, axis=1) / local.grid.base.shape[0]
+    theta = stat(np.moveaxis(means, 1, 2)[..., None])  # (R, B, M), laid out (R, M, B)
+    return _reduce_theta(local, theta, stat)[1]
 
 
 def estimate_from_plan(

@@ -22,6 +22,7 @@ from .geometry import LatticeWindow
 
 _U64 = np.uint64
 _MASK64 = (1 << 64) - 1
+_BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest float64 below 1
 
 CHOLESKY = "cholesky"
 CIRCULANT = "circulant"
@@ -49,7 +50,9 @@ class RngStream:
         # the top 53 bits of each raw draw; the same bits as
         # integers(0, 2**63, dtype=uint64) >> 10, whose bounded draw is raw >> 1
         raw = self._bits.random_raw(n) >> _U64(11)
-        return (raw.astype(np.float64) + 0.5) * 2.0**-53
+        u = (raw.astype(np.float64) + 0.5) * 2.0**-53
+        # the top draw, raw = 2**53 - 1, rounds to exactly 1.0, where ndtri is inf
+        return np.minimum(u, _BELOW_ONE, out=u)
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via the inverse CDF of the uniform stream."""

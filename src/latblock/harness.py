@@ -18,12 +18,14 @@ from itertools import islice
 
 import numpy as np
 
+from .constants import k0 as shape_k0
 from .covariance import Covariogram, exact_tau_n_sq_window, parse_covariogram
 from .errors import ConfigError, DegenerateSubsampling, InsufficientCandidates, LatblockError
 from .estimators import (
     SmoothStatistic,
     design_plan,
     estimate,
+    estimate_blocks,
     estimate_image,
     estimate_values,
     field_image,
@@ -37,7 +39,16 @@ from .fieldsim import (
     substream,
 )
 from .geometry import NOL, OL, Region, SubsampleSpec, Template, lattice_sites, parse_template
-from .scaling import hj_candidate_scales, hj_scaling, npi_pilot_scales, npi_scaling
+from .scaling import (
+    hj_candidate_scales,
+    hj_choose,
+    hj_designs,
+    hj_scaling,
+    npi_bias_estimate,
+    npi_pilot_scales,
+    npi_scaling,
+    theoretical_scaling,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +309,19 @@ def config_from_dict(raw: dict) -> StudyConfig:
     _check_selectors(regions, selectors)
 
     tau_n_sq = _number_map(raw.get("tau_n_sq", {}), "tau_n_sq")
-    pairs = {f"{reg.name}|{name}" for reg in regions for name, _ in covs}
+    pairs = {f"{reg.name}|{name}": reg for reg in regions for name, _ in covs}
     for what, keys in (("selectors.s_lambda_opt", opt), ("tau_n_sq", tau_n_sq)):
-        unknown = sorted(set(keys) - pairs)
+        unknown = sorted(set(keys) - set(pairs))
         if unknown:
             raise ConfigError(
                 f"{what} names no region|model pair: {', '.join(map(repr, unknown))}"
+            )
+    for key, value in opt.items():
+        # the range of s_lambda_grid, where every scale has a subsample translate
+        hi = min(pairs[key].scale)
+        if not 1 <= value < hi:
+            raise ConfigError(
+                f"selectors.s_lambda_opt[{key!r}] must be at least 1 and below {hi:g}, got {value}"
             )
     for key, value in tau_n_sq.items():
         if value <= 0:
@@ -329,7 +347,20 @@ def config_from_dict(raw: dict) -> StudyConfig:
 
 
 def _check_selectors(regions, sel: SelectorConfig) -> None:
-    """Refuse, before any study work, selector settings every replicate would refuse."""
+    """Refuse, before any study work, selector settings every replicate would
+    refuse, and repeated settings."""
+    for key, values in (
+        ("npi.c1", sel.npi_c1),
+        ("npi.c2", sel.npi_c2),
+        ("hj.lambda_m", sel.hj_lambda_m),
+        ("hj.candidates", sel.hj_candidates or ()),
+    ):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"selectors.{key} repeats an entry: {list(values)}")
+    if sel.hj_min_candidates < 1:
+        raise ConfigError(
+            f"selectors.hj.min_candidates must be at least 1, got {sel.hj_min_candidates}"
+        )
     for reg in regions:
         region = reg.region()
         try:
@@ -563,8 +594,137 @@ def _oracle_scales(config: StudyConfig, scaling_rows: list | None = None) -> dic
     }
 
 
+def _deviations_per_replicate(samples, region, stat, sel, methods, s_opt, tau_n):
+    """Per replicate, (s_hat, phi) of every selector setting in ``methods``.
+
+    The reference path: one ``npi_scaling`` or ``hj_scaling`` call per
+    setting and replicate.  ``phi`` is the selected scale's estimate less the
+    oracle scale's, over tau_n.
+    """
+
+    def tau_at(sample, lam):
+        spec = SubsampleSpec(region.template, float(lam), sel.scheme)
+        return estimate(sample, region, spec, stat).tau_hat_sq
+
+    for sample in samples:
+        tau_opt = tau_at(sample, s_opt)
+        out = []
+        for method, c1, c2, lm in methods:
+            if method == "npi":
+                plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
+            else:
+                plan = hj_scaling(
+                    sample,
+                    region,
+                    stat,
+                    lm,
+                    candidates=sel.hj_candidates,
+                    scheme=sel.scheme,
+                    min_candidates=sel.hj_min_candidates,
+                )
+            s_hat = plan.lambda_opt_int
+            out.append((s_hat, (tau_at(sample, s_hat) - tau_opt) / tau_n))
+        yield out
+
+
+# Cells of the widest array a chunk of the selector study gathers: hj's
+# (replicates, pilot blocks, local subsamples) sums at one candidate.
+_GATHER_CELLS = 1 << 17
+
+
+def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau_n):
+    """``_deviations_per_replicate`` for a scalar statistic, a chunk of
+    replicates at a time.
+
+    Every design a selector reads is data-independent.  So a chunk goes
+    through one field image, and each scale it needs (the oracle, npi's
+    pilots, hj's proxy and every chosen scale) gets a tau_hat_sq table from
+    ``estimate_image``.  hj's block estimates are gathered from the whole
+    window's OL subsample sums (``estimate_blocks``).  The selectors then run
+    per replicate on these tables with the helpers ``npi_scaling`` and
+    ``hj_scaling`` use, so every value keeps its bits.  For the mean, the
+    only scalar statistic a study lifts, no estimate of a finite field is
+    undefined, so no candidate is dropped for its values.
+    """
+    d = region.d
+    hj = {
+        lm: hj_designs(window, region, lm, sel.hj_candidates, sel.scheme, sel.hj_min_candidates)
+        for method, _, _, lm in methods
+        if method == "hj"
+    }
+    full = {  # the window's OL design at each candidate scale
+        c: design_plan(window, region, SubsampleSpec(region.template, float(c), OL))
+        for design in hj.values()
+        for c, _ in design.local
+    }
+    widest = max(
+        (
+            design.blocks.index_set.n_subsamples * local.index_set.n_subsamples
+            for design in hj.values()
+            for _, local in design.local
+        ),
+        default=1,
+    )
+    table = window.indexer().table
+    block = max(1, min(_IMAGE_BLOCK_CELLS // table.size, _GATHER_CELLS // widest))
+    if any(method == "npi" for method, *_ in methods):
+        shape = shape_k0(region.template)
+    while chunk := list(islice(samples, block)):
+        image = field_image(table, np.stack([sample.values[:, 0] for sample in chunk]))
+        taus = {}
+
+        def tau_at(lam) -> list:
+            if lam not in taus:
+                spec = SubsampleSpec(region.template, float(lam), sel.scheme)
+                taus[lam] = estimate_image(design_plan(window, region, spec), image, stat).tolist()
+            return taus[lam]
+
+        tau_opt = tau_at(s_opt)
+        picks = []  # per setting, the chosen scale of each replicate
+        for method, c1, c2, lm in methods:
+            if method == "npi":
+                _, _, s1, s2 = npi_pilot_scales(region.volume(), d, c1, c2)
+                tau2 = tau_at(s1)
+                picks.append(
+                    [
+                        theoretical_scaling(
+                            d,
+                            region.det_scale(),
+                            npi_bias_estimate(lambda lam: tau_at(lam)[r], s2),
+                            tau2[r],
+                            shape,
+                            sel.scheme,
+                            region=region,
+                        ).lambda_opt_int
+                        for r in range(len(chunk))
+                    ]
+                )
+                continue
+            design = hj[lm]
+            proxy = np.array(tau_at(lm))[:, None]
+            curves = []
+            for c, local in design.local:
+                tau_blocks = estimate_blocks(image, full[c], design.blocks, local, stat)
+                curves.append(((tau_blocks - proxy) ** 2).mean(-1).tolist())
+            usable = [c for c, _ in design.local]
+            ratio = design.volume_ratio
+            picks.append(
+                [
+                    hj_choose(usable, [curve[r] for curve in curves], ratio, region)[2]
+                    for r in range(len(chunk))
+                ]
+            )
+        for r in range(len(chunk)):
+            yield [(s_hat[r], (tau_at(s_hat[r])[r] - tau_opt[r]) / tau_n) for s_hat in picks]
+
+
 def phi_study(config: StudyConfig) -> list[PhiRow]:
-    """Selector performance: relative deviation from the oracle-scale estimator."""
+    """Selector performance: relative deviation from the oracle-scale estimator.
+
+    A scalar statistic takes replicates a chunk at a time
+    (``_deviations_by_chunk``), a p > 1 statistic one at a time
+    (``_deviations_per_replicate``); both give the same values.
+    """
     sel = config.selectors
     methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
     methods += [("hj", None, None, lm) for lm in sel.hj_lambda_m]
@@ -577,34 +737,15 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
 
     stat = config.statistic
     rows: list[PhiRow] = []
-    for reg_spec, region, _, cov_name, tau_n, samples in _study_pairs(config):
+    for reg_spec, region, window, cov_name, tau_n, samples in _study_pairs(config):
         s_opt = int(s_opt_map[f"{reg_spec.name}|{cov_name}"])
-
-        def selector_deviations(sample):
-            def tau_at(lam):
-                spec = SubsampleSpec(region.template, float(lam), sel.scheme)
-                return estimate(sample, region, spec, stat).tau_hat_sq
-
-            tau_opt = tau_at(s_opt)
-            out = []
-            for method, c1, c2, lm in methods:
-                if method == "npi":
-                    plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
-                else:
-                    plan = hj_scaling(
-                        sample,
-                        region,
-                        stat,
-                        lm,
-                        candidates=sel.hj_candidates,
-                        scheme=sel.scheme,
-                        min_candidates=sel.hj_min_candidates,
-                    )
-                s_hat = plan.lambda_opt_int
-                out.append((s_hat, (tau_at(s_hat) - tau_opt) / tau_n))
-            return out
-
-        per_rep = [selector_deviations(sample) for sample in samples]
+        if stat.p == 1:
+            per_rep = _deviations_by_chunk(
+                samples, window, region, stat, sel, methods, s_opt, tau_n
+            )
+        else:
+            per_rep = _deviations_per_replicate(samples, region, stat, sel, methods, s_opt, tau_n)
+        per_rep = list(per_rep)
         for m_idx, (method, c1, c2, lm) in enumerate(methods):
             column = [out[m_idx] for out in per_rep]
             e_phi, se = _mean_se(np.array([phi for _, phi in column]) ** 2)

@@ -24,8 +24,15 @@ from .errors import (
     LatblockError,
     ZeroBiasConstant,
 )
-from .estimators import FieldSample, SmoothStatistic, design_plan, estimate, estimate_values
-from .geometry import NOL, OL, Region, SubsampleSpec, lattice_sites
+from .estimators import (
+    FieldSample,
+    SmoothStatistic,
+    SubsamplePlan,
+    design_plan,
+    estimate,
+    estimate_values,
+)
+from .geometry import NOL, OL, LatticeWindow, Region, SubsampleSpec, lattice_sites
 
 
 @dataclass(frozen=True)
@@ -190,6 +197,64 @@ def hj_candidate_scales(
     return candidates
 
 
+@dataclass(frozen=True)
+class HjDesign:
+    """hj's data-independent designs at one lambda_m on one window."""
+
+    blocks: SubsamplePlan  # the window's OL design of the pilot region
+    local: tuple  # ((c, plan on the pilot window), ...) for usable candidates c
+    dropped: tuple  # ((c, error class name), ...) for candidates without a design
+    volume_ratio: float  # region volume over pilot-region volume
+
+
+def hj_designs(
+    window: LatticeWindow,
+    region: Region,
+    lambda_m: int,
+    candidates=None,
+    scheme: str = OL,
+    min_candidates: int = 5,
+) -> HjDesign:
+    """The pilot blocks of ``region`` and the candidate designs on one block.
+
+    Every overlapping translate of the lambda_m-scaled template is a block;
+    a candidate whose design on the pilot window fails to build or holds
+    fewer than two subsamples is dropped.
+    """
+    d = region.d
+    candidates = hj_candidate_scales(region, lambda_m, candidates, min_candidates)
+    blocks = design_plan(window, region, SubsampleSpec(region.template, float(lambda_m), OL))
+    pilot_region = Region(region.template, (float(lambda_m),) * d, region.shift)
+    pilot_window = lattice_sites(pilot_region)
+    local, dropped = [], []
+    for c in candidates:
+        try:
+            plan = design_plan(
+                pilot_window, pilot_region, SubsampleSpec(region.template, float(c), scheme)
+            )
+            if plan.index_set.n_subsamples < 2:
+                raise DegenerateSubsampling(f"{plan.index_set.n_subsamples} subsample(s)")
+        except LatblockError as exc:
+            dropped.append((c, type(exc).__name__))
+            continue
+        local.append((c, plan))
+    ratio = region.det_scale() / float(lambda_m) ** d
+    return HjDesign(blocks, tuple(local), tuple(dropped), ratio)
+
+
+def hj_choose(usable: list, mse_curve, volume_ratio: float, region: Region) -> tuple:
+    """(pilot argmin, recalibrated scale, its clamped integer) of an MSE curve.
+
+    The argmin breaks ties toward the smallest of the sorted ``usable``
+    candidates.
+    """
+    if not usable:
+        raise DegenerateSubsampling("no candidate scale is estimable on the pilot blocks")
+    best = usable[int(np.argmin(mse_curve))]
+    lam_real = hj_recalibrate(float(best), volume_ratio, region.d)
+    return best, lam_real, _clamp_scale(lam_real, region)
+
+
 def hj_scaling(
     sample: FieldSample,
     region: Region,
@@ -207,54 +272,39 @@ def hj_scaling(
     lambda_m is averaged into an MSE curve, and the argmin (ties to the
     smallest) is recalibrated by the region-to-block volume ratio.
     """
-    d = region.d
     lambda_m = int(lambda_m)
-    candidates = hj_candidate_scales(region, lambda_m, candidates, min_candidates)
-
-    blocks = design_plan(
-        sample.window, region, SubsampleSpec(region.template, float(lambda_m), OL)
-    )
+    design = hj_designs(sample.window, region, lambda_m, candidates, scheme, min_candidates)
     proxy = estimate(
         sample, region, SubsampleSpec(region.template, float(lambda_m), scheme), stat
     ).tau_hat_sq
 
-    pilot_region = Region(region.template, (float(lambda_m),) * d, region.shift)
-    pilot_window = lattice_sites(pilot_region)
     mse_curve = []
     usable = []
-    dropped = []
-    block_values = sample.values[blocks.row_matrix]  # (B, nB, p), pilot-window order
-    for c in candidates:
-        # degenerate or empty designs, and statistics undefined on some
-        # block's subsample, drop the candidate
+    dropped = list(design.dropped)
+    block_values = sample.values[design.blocks.row_matrix]  # (B, nB, p), pilot-window order
+    for c, local in design.local:
+        # a statistic undefined on some block's subsample drops the candidate
         try:
-            local = design_plan(
-                pilot_window, pilot_region, SubsampleSpec(region.template, float(c), scheme)
-            )
             tau_blocks = estimate_values(local, block_values, stat)[2]  # (B,)
         except LatblockError as exc:
             dropped.append((c, type(exc).__name__))
             continue
         mse_curve.append(float(np.mean((tau_blocks - proxy) ** 2)))
         usable.append(c)
-    if not usable:
-        raise DegenerateSubsampling("no candidate scale is estimable on the pilot blocks")
 
-    best = usable[int(np.argmin(mse_curve))]
-    ratio = region.det_scale() / float(lambda_m) ** d
-    lam_real = hj_recalibrate(float(best), ratio, d)
+    best, lam_real, lam_int = hj_choose(usable, mse_curve, design.volume_ratio, region)
     return ScalingPlan(
         scheme=scheme,
         lambda_opt_real=float(lam_real),
-        lambda_opt_int=_clamp_scale(lam_real, region),
+        lambda_opt_int=lam_int,
         diagnostics={
             "lambda_m": lambda_m,
             "candidates": usable,
-            "dropped": dropped,
+            "dropped": sorted(dropped),
             "mse_curve": mse_curve,
             "s_hat_pilot": best,
             "proxy_tau_sq": proxy,
-            "volume_ratio": ratio,
-            "n_blocks": int(blocks.index_set.n_subsamples),
+            "volume_ratio": design.volume_ratio,
+            "n_blocks": int(design.blocks.index_set.n_subsamples),
         },
     )

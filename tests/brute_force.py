@@ -1,15 +1,20 @@
-"""Brute-force references: the OL and NOL designs on rectangular windows, and
-the covariogram evaluated at every site pair or wrapped torus lag.
+"""Brute-force references: the OL and NOL designs on rectangular windows, the
+covariogram evaluated at every site pair or wrapped torus lag, and the
+selector study run one replicate at a time.
 
-A plain helper module, imported by the estimator, covariance and field tests
-and by acceptance criterion 05; it holds no tests.
+A plain helper module, imported by the estimator, covariance, field and
+harness tests and by acceptance criterion 05; it holds no tests.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
-from latblock.geometry import box_points
+from latblock.estimators import estimate
+from latblock.geometry import SubsampleSpec, box_points
+from latblock.harness import PhiRow, _mean_se, _oracle_scales, _study_pairs
+from latblock.scaling import hj_scaling, npi_scaling
 
 
 def interval_sites(center, width):
@@ -96,3 +101,62 @@ def wrapped_circulant_base(cov, span):
     idx = box_points([0] * len(embed), size - 1)
     lags = np.where(idx <= size // 2, idx, idx - size)  # wrapped torus lags
     return cov.sigma_many(lags).reshape(embed)
+
+
+def per_replicate_phi_rows(config):
+    """The selector study with one ``npi_scaling``/``hj_scaling`` call per
+    replicate and setting, each scale estimated by ``estimate``."""
+    sel = config.selectors
+    methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
+    methods += [("hj", None, None, lm) for lm in sel.hj_lambda_m]
+    s_opt_map = _oracle_scales(config)
+    stat = config.statistic
+    rows = []
+    for reg_spec, region, _, cov_name, tau_n, samples in _study_pairs(config):
+        s_opt = int(s_opt_map[f"{reg_spec.name}|{cov_name}"])
+
+        def selector_deviations(sample):
+            def tau_at(lam):
+                spec = SubsampleSpec(region.template, float(lam), sel.scheme)
+                return estimate(sample, region, spec, stat).tau_hat_sq
+
+            tau_opt = tau_at(s_opt)
+            out = []
+            for method, c1, c2, lm in methods:
+                if method == "npi":
+                    plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
+                else:
+                    plan = hj_scaling(
+                        sample,
+                        region,
+                        stat,
+                        lm,
+                        candidates=sel.hj_candidates,
+                        scheme=sel.scheme,
+                        min_candidates=sel.hj_min_candidates,
+                    )
+                s_hat = plan.lambda_opt_int
+                out.append((s_hat, (tau_at(s_hat) - tau_opt) / tau_n))
+            return out
+
+        per_rep = [selector_deviations(sample) for sample in samples]
+        for m_idx, (method, c1, c2, lm) in enumerate(methods):
+            column = [out[m_idx] for out in per_rep]
+            e_phi, se = _mean_se(np.array([phi for _, phi in column]) ** 2)
+            rows.append(
+                PhiRow(
+                    region=reg_spec.name,
+                    model=cov_name,
+                    scheme=sel.scheme,
+                    method=method,
+                    c1=c1,
+                    c2=c2,
+                    lambda_m=lm,
+                    s_lambda_opt=s_opt,
+                    e_phi_sq=e_phi,
+                    mc_se=se,
+                    reps=config.replicates,
+                    freq=dict(Counter(int(s_hat) for s_hat, _ in column)),
+                )
+            )
+    return rows

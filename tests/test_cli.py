@@ -517,6 +517,51 @@ def test_study_refuses_s_lambda_opt_keys_that_name_no_pair(capsys, tmp_path):
     assert not any(tmp_path.glob("*.csv"))
 
 
+HJ = {"lambda_m": [8], "candidates": [2, 3, 4, 5, 6, 7]}
+
+
+@pytest.mark.parametrize(
+    "selectors, message",
+    [
+        ({"npi": {"c1": [0.5, 0.5], "c2": [0.5]}}, "selectors.npi.c1 repeats an entry"),
+        ({"npi": {"c1": [0.5], "c2": [0.5, 1.0, 0.5]}}, "selectors.npi.c2 repeats an entry"),
+        ({"hj": {**HJ, "lambda_m": [8, 8]}}, "selectors.hj.lambda_m repeats an entry"),
+        ({"hj": {**HJ, "candidates": [2, 2, 3, 3, 4]}}, "selectors.hj.candidates repeats"),
+        ({"hj": {**HJ, "min_candidates": -3}}, "selectors.hj.min_candidates must be at least 1"),
+        (
+            {"hj": {**HJ, "candidates": [], "min_candidates": 0}},
+            "selectors.hj.min_candidates must be at least 1",
+        ),
+        (
+            {"npi": {"c1": [0.5], "c2": [0.5]}, "s_lambda_opt": {"r|E": 40}},
+            "selectors.s_lambda_opt['r|E'] must be at least 1 and below 14, got 40",
+        ),
+        (
+            {"npi": {"c1": [0.5], "c2": [0.5]}, "s_lambda_opt": {"r|E": 14}},
+            "selectors.s_lambda_opt['r|E'] must be at least 1 and below 14, got 14",
+        ),
+        (
+            {"npi": {"c1": [0.5], "c2": [0.5]}, "s_lambda_opt": {"r|E": 0}},
+            "selectors.s_lambda_opt['r|E'] must be at least 1",
+        ),
+    ],
+)
+def test_study_refuses_repeated_or_out_of_range_selector_settings(
+    capsys, tmp_path, selectors, message
+):
+    cfg_path = study_config(
+        tmp_path,
+        regions=[{"name": "r", "template": "hypercube:d=2", "scale": [14, 18]}],
+        covariograms=[{"name": "E", "spec": "expsep:b1=1,b2=1"}],
+        selectors={"s_lambda_opt": {"r|E": 4}, **selectors},
+        outputs={"phi_csv": str(tmp_path / "phi.csv")},
+    )
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: {message}")
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_study_accepts_and_ignores_workers_flag(capsys, tmp_path):
     cfg_path = study_config(tmp_path)
     assert run(["study", "--config", str(cfg_path)], capsys)[0] == 0

@@ -116,6 +116,32 @@ def test_uniforms_equal_the_bounded_integer_draw(n):
             assert np.array_equal(stream.uniforms(n), expected)
 
 
+class _RawBits:
+    """A bit generator stub that hands out fixed raw 64-bit draws."""
+
+    def __init__(self, raw):
+        self.raw = np.asarray(raw, dtype=np.uint64)
+
+    def random_raw(self, n):
+        return self.raw[:n].copy()
+
+
+def test_top_raw_draw_stays_below_one():
+    top = (1 << 64) - 1  # its top 53 bits are 2**53 - 1
+    edges = [0, 1 << 11, top - (1 << 11), top]
+    stream = RngStream(1, 2)
+    stream._bits = _RawBits(edges)
+    u = stream.uniforms(4)
+    assert u[-1] == np.nextafter(1.0, 0.0)
+    # only the top draw moves: the others keep the formula's bits
+    expected = ((np.array(edges[:3], dtype=np.uint64) >> np.uint64(11)) + 0.5) * 2.0**-53
+    assert np.array_equal(u[:3], expected)
+    assert np.all(u < 1.0)
+    stream._bits = _RawBits([top, top])
+    normals = stream.normals(2)
+    assert np.all(np.isfinite(normals)) and np.all(normals > 8.0)
+
+
 def test_serial_equals_parallel_schedule():
     w = window((6, 6))
     gen = build_generator(Covariogram.exp_separable(1.0, 1.0), w)
