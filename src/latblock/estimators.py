@@ -297,27 +297,7 @@ def estimate_values(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatist
     Leading axes are independent fields (replicates, or hj's pilot blocks).
     Returns the per-subsample statistics theta (..., M), their mean
     theta_tilde (...) and the estimates tau_hat_sq (...).
-
-    One scalar field, shape (N, 1), on a shared-count design takes a lean
-    branch with the same bits as ``estimate_values_reference``, which serves
-    every other case.
     """
-    rows = plan.row_matrix
-    if rows is None or values.ndim != 2 or stat.p != 1:
-        return estimate_values_reference(plan, values, stat)
-    _check_core(plan, values, stat)
-    n_sub, size = rows.shape
-    theta = stat((np.take(values[:, 0], rows).sum(-1) / size)[:, None])
-    if not np.isfinite(theta).all():
-        raise StatisticDomainError(f"{stat.name} not finite on some subsample")
-    theta_tilde = theta.sum(-1) / n_sub
-    dev = theta - theta_tilde
-    # counts * (dev * dev), not counts * dev * dev: the reference squares first
-    return theta, theta_tilde, (plan.counts * (dev * dev)).sum(-1) / n_sub
-
-
-def estimate_values_reference(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic):
-    """The general estimator core, for any design, arity and leading axes."""
     _check_core(plan, values, stat)
     if plan.row_matrix is not None:
         theta = stat(values[..., plan.row_matrix, :].mean(axis=-2))
@@ -336,9 +316,10 @@ def _reduce_theta(plan: SubsamplePlan, theta: np.ndarray, stat: SmoothStatistic)
     """
     if not np.all(np.isfinite(theta)):
         raise StatisticDomainError(f"{stat.name} not finite on some subsample")
-    theta_tilde = theta.mean(axis=-1, keepdims=True)
-    tau_hat = (plan.counts * (theta - theta_tilde) ** 2).mean(axis=-1)
-    return theta_tilde[..., 0], tau_hat
+    n_sub = theta.shape[-1]
+    theta_tilde = theta.sum(-1) / n_sub
+    dev = theta - theta_tilde[..., None]
+    return theta_tilde, (plan.counts * (dev * dev)).sum(-1) / n_sub
 
 
 def _check_core(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic) -> None:
@@ -429,22 +410,17 @@ def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic
     window.  Every estimate equals
     ``estimate_values(plan, values[r][:, None], stat)[2]`` bit for bit: the
     subsample sums are ``grid_sums``, and the (R, M) statistics are reduced
-    as C-contiguous rows, as the lean branch reduces its (M,) row.
+    as C-contiguous rows, as ``estimate_values`` reduces its (M,) row.
     """
     grid = plan.grid
     if grid is None:
         raise ConfigError("estimate_image needs a shared-count design")
     _check_core(plan, image[..., None], stat)  # one scalar per site
-    n_sub, size = plan.row_matrix.shape
     sums = grid_sums(grid, image)
     if grid.index is not None:
         sums = np.take(sums, grid.index, axis=1)
-    theta = np.ascontiguousarray(stat((sums / size)[..., None]))
-    if not np.isfinite(theta).all():
-        raise StatisticDomainError(f"{stat.name} not finite on some subsample")
-    theta_tilde = theta.sum(-1) / n_sub
-    dev = theta - theta_tilde[:, None]
-    return (plan.counts * (dev * dev)).sum(-1) / n_sub
+    theta = np.ascontiguousarray(stat((sums / grid.base.shape[0])[..., None]))
+    return _reduce_theta(plan, theta, stat)[1]
 
 
 def estimate_blocks(

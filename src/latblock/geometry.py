@@ -882,47 +882,34 @@ class SubsampleIndexSet:
         return self.offsets.shape[0]
 
 
-def _candidate_offsets(region: Region, pad_lo: np.ndarray, pad_hi: np.ndarray):
-    scale = np.asarray(region.scale)
-    lo_f, hi_f = region.template.geom.bbox()
-    lo = np.floor(lo_f * scale - pad_hi - 1).astype(np.int64)
-    hi = np.ceil(hi_f * scale - pad_lo + 1).astype(np.int64)
-    return box_points(lo, hi)
-
-
-def _offsets_with_sites_inside(region: Region, base_sites: np.ndarray) -> np.ndarray:
-    """Integer offsets whose translated site block lies inside the region window.
-
-    The membership predicate is the exact per-shape boundary rule, evaluated
-    at every translated site, so the test is exact; a translate belongs to the
-    design precisely when each of its sampling sites is an observed site.
-    """
-    scale = np.asarray(region.scale)
-    shift = np.asarray(region.shift)
-    cand = _candidate_offsets(
-        region, base_sites.min(axis=0).astype(float), base_sites.max(axis=0).astype(float)
-    )
-    if cand.shape[0] == 0:
-        return cand
-    pts = cand[:, None, :] + base_sites[None, :, :]
-    ok = np.all(region.template.geom.contains_scaled(pts, scale, shift), axis=1)
-    return cand[ok]
-
-
 def enumerate_ol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     """All integer translates of the scaled subsample template inside the region.
 
     A translate is admitted when every sampling site of the scaled template
-    copy is a site of the region window (exact membership tests, no sampling).
-    All overlapping subsamples share one site count.
+    copy is a site of the region window.  The admitted offsets are the
+    erosion of the window's site mask by the template's site pattern: over
+    the box of offsets that keep the pattern's bounding box inside the
+    mask's, the AND of one strided slice of the mask per pattern site.  All
+    overlapping subsamples share one site count.
     """
     if spec.scheme != OL:
         raise ConfigError("enumerate_ol needs an OL spec")
     sub_region = Region(spec.template, (spec.s_lambda,) * region.d, region.shift)
     base = lattice_sites(sub_region).sites
-    offsets = _offsets_with_sites_inside(region, base)
+    none_fit = "no subsample translate fits inside the region"
+    try:
+        window = lattice_sites(region)
+    except EmptyWindow:
+        raise EmptySubsampleSet(none_fit) from None
+    mask = window.indexer().table >= 0
+    rel = base - base.min(axis=0)
+    shape = np.maximum(window.span - rel.max(axis=0), 0).tolist()
+    ok = np.ones(shape, bool)
+    for site in rel.tolist():
+        ok &= mask[tuple(slice(b, b + n) for b, n in zip(site, shape))]
+    offsets = window.lo - base.min(axis=0) + np.argwhere(ok)
     if offsets.shape[0] == 0:
-        raise EmptySubsampleSet("no subsample translate fits inside the region")
+        raise EmptySubsampleSet(none_fit)
     counts = np.full(offsets.shape[0], base.shape[0], dtype=np.int64)
     return SubsampleIndexSet(scheme=OL, offsets=offsets, counts=counts)
 

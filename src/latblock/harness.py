@@ -45,7 +45,7 @@ from .scaling import (
     hj_designs,
     hj_scaling,
     npi_bias_estimate,
-    npi_pilot_scales,
+    npi_region_pilots,
     npi_scaling,
     theoretical_scaling,
 )
@@ -366,7 +366,7 @@ def _check_selectors(regions, sel: SelectorConfig) -> None:
         try:
             for c1 in sel.npi_c1:
                 for c2 in sel.npi_c2:
-                    npi_pilot_scales(region.volume(), region.d, c1, c2)
+                    npi_region_pilots(region, c1, c2)
             for lambda_m in sel.hj_lambda_m:
                 hj_candidate_scales(region, lambda_m, sel.hj_candidates, sel.hj_min_candidates)
         except (ConfigError, InsufficientCandidates) as exc:
@@ -599,7 +599,9 @@ def _deviations_per_replicate(samples, region, stat, sel, methods, s_opt, tau_n)
 
     The reference path: one ``npi_scaling`` or ``hj_scaling`` call per
     setting and replicate.  ``phi`` is the selected scale's estimate less the
-    oracle scale's, over tau_n.
+    oracle scale's, over tau_n.  A setting that raises a ``LatblockError`` on
+    a replicate gives the error's class name instead; an error at the oracle
+    scale ends the study.
     """
 
     def tau_at(sample, lam):
@@ -610,20 +612,23 @@ def _deviations_per_replicate(samples, region, stat, sel, methods, s_opt, tau_n)
         tau_opt = tau_at(sample, s_opt)
         out = []
         for method, c1, c2, lm in methods:
-            if method == "npi":
-                plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
-            else:
-                plan = hj_scaling(
-                    sample,
-                    region,
-                    stat,
-                    lm,
-                    candidates=sel.hj_candidates,
-                    scheme=sel.scheme,
-                    min_candidates=sel.hj_min_candidates,
-                )
-            s_hat = plan.lambda_opt_int
-            out.append((s_hat, (tau_at(sample, s_hat) - tau_opt) / tau_n))
+            try:
+                if method == "npi":
+                    plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
+                else:
+                    plan = hj_scaling(
+                        sample,
+                        region,
+                        stat,
+                        lm,
+                        candidates=sel.hj_candidates,
+                        scheme=sel.scheme,
+                        min_candidates=sel.hj_min_candidates,
+                    )
+                s_hat = plan.lambda_opt_int
+                out.append((s_hat, (tau_at(sample, s_hat) - tau_opt) / tau_n))
+            except LatblockError as exc:
+                out.append(type(exc).__name__)
         yield out
 
 
@@ -642,16 +647,21 @@ def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau
     ``estimate_image``.  hj's block estimates are gathered from the whole
     window's OL subsample sums (``estimate_blocks``).  The selectors then run
     per replicate on these tables with the helpers ``npi_scaling`` and
-    ``hj_scaling`` use, so every value keeps its bits.  For the mean, the
-    only scalar statistic a study lifts, no estimate of a finite field is
-    undefined, so no candidate is dropped for its values.
+    ``hj_scaling`` use, in their order, so every value keeps its bits and
+    every failed setting its error.  For the mean, the only scalar statistic
+    a study lifts, no estimate of a finite field is undefined, so no
+    candidate is dropped for its values.
     """
     d = region.d
-    hj = {
-        lm: hj_designs(window, region, lm, sel.hj_candidates, sel.scheme, sel.hj_min_candidates)
-        for method, _, _, lm in methods
-        if method == "hj"
-    }
+    hj, hj_errors = {}, {}
+    for method, _, _, lm in methods:
+        if method == "hj":
+            try:
+                hj[lm] = hj_designs(
+                    window, region, lm, sel.hj_candidates, sel.scheme, sel.hj_min_candidates
+                )
+            except LatblockError as exc:  # fails the setting on every replicate
+                hj_errors[lm] = exc
     full = {  # the window's OL design at each candidate scale
         c: design_plan(window, region, SubsampleSpec(region.template, float(c), OL))
         for design in hj.values()
@@ -667,11 +677,16 @@ def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau
     )
     table = window.indexer().table
     block = max(1, min(_IMAGE_BLOCK_CELLS // table.size, _GATHER_CELLS // widest))
-    if any(method == "npi" for method, *_ in methods):
+    pilots = {  # npi's rounded (s1, s2) per setting
+        (c1, c2): npi_region_pilots(region, c1, c2)[2:]
+        for method, c1, c2, _ in methods
+        if method == "npi"
+    }
+    if pilots:
         shape = shape_k0(region.template)
     while chunk := list(islice(samples, block)):
         image = field_image(table, np.stack([sample.values[:, 0] for sample in chunk]))
-        taus = {}
+        taus, curves = {}, {}
 
         def tau_at(lam) -> list:
             if lam not in taus:
@@ -679,43 +694,38 @@ def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau
                 taus[lam] = estimate_image(design_plan(window, region, spec), image, stat).tolist()
             return taus[lam]
 
-        tau_opt = tau_at(s_opt)
-        picks = []  # per setting, the chosen scale of each replicate
-        for method, c1, c2, lm in methods:
+        def pick(r, method, c1, c2, lm) -> int:
             if method == "npi":
-                _, _, s1, s2 = npi_pilot_scales(region.volume(), d, c1, c2)
-                tau2 = tau_at(s1)
-                picks.append(
-                    [
-                        theoretical_scaling(
-                            d,
-                            region.det_scale(),
-                            npi_bias_estimate(lambda lam: tau_at(lam)[r], s2),
-                            tau2[r],
-                            shape,
-                            sel.scheme,
-                            region=region,
-                        ).lambda_opt_int
-                        for r in range(len(chunk))
-                    ]
-                )
-                continue
+                s1, s2 = pilots[c1, c2]
+                tau2 = tau_at(s1)[r]
+                b0 = npi_bias_estimate(lambda lam: tau_at(lam)[r], s2)
+                return theoretical_scaling(
+                    d, region.det_scale(), b0, tau2, shape, sel.scheme, region=region
+                ).lambda_opt_int
+            if lm in hj_errors:
+                raise hj_errors[lm].with_traceback(None)
             design = hj[lm]
-            proxy = np.array(tau_at(lm))[:, None]
-            curves = []
-            for c, local in design.local:
-                tau_blocks = estimate_blocks(image, full[c], design.blocks, local, stat)
-                curves.append(((tau_blocks - proxy) ** 2).mean(-1).tolist())
+            if lm not in curves:  # per usable candidate, the MSE of each replicate
+                proxy = np.array(tau_at(lm))[:, None]
+                mse = []
+                for c, local in design.local:
+                    tau_blocks = estimate_blocks(image, full[c], design.blocks, local, stat)
+                    mse.append(((tau_blocks - proxy) ** 2).mean(-1).tolist())
+                curves[lm] = mse
             usable = [c for c, _ in design.local]
-            ratio = design.volume_ratio
-            picks.append(
-                [
-                    hj_choose(usable, [curve[r] for curve in curves], ratio, region)[2]
-                    for r in range(len(chunk))
-                ]
-            )
+            curve = [mse[r] for mse in curves[lm]]
+            return hj_choose(usable, curve, design.volume_ratio, region)[2]
+
+        tau_opt = tau_at(s_opt)
         for r in range(len(chunk)):
-            yield [(s_hat[r], (tau_at(s_hat[r])[r] - tau_opt[r]) / tau_n) for s_hat in picks]
+            out = []
+            for setting in methods:
+                try:
+                    s_hat = pick(r, *setting)
+                    out.append((s_hat, (tau_at(s_hat)[r] - tau_opt[r]) / tau_n))
+                except LatblockError as exc:
+                    out.append(type(exc).__name__)
+            yield out
 
 
 def phi_study(config: StudyConfig) -> list[PhiRow]:
@@ -723,7 +733,10 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
 
     A scalar statistic takes replicates a chunk at a time
     (``_deviations_by_chunk``), a p > 1 statistic one at a time
-    (``_deviations_per_replicate``); both give the same values.
+    (``_deviations_per_replicate``); both give the same values.  A row of a
+    setting that failed on some replicates (an error class name in place of
+    its outcome) is taken over the others, NA without any, and its note
+    counts the failures.
     """
     sel = config.selectors
     methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
@@ -748,7 +761,9 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
         per_rep = list(per_rep)
         for m_idx, (method, c1, c2, lm) in enumerate(methods):
             column = [out[m_idx] for out in per_rep]
-            e_phi, se = _mean_se(np.array([phi for _, phi in column]) ** 2)
+            done = [out for out in column if not isinstance(out, str)]
+            failed = [out for out in column if isinstance(out, str)]
+            e_phi, se = _mean_se(np.array([phi for _, phi in done]) ** 2) if done else (None, None)
             rows.append(
                 PhiRow(
                     region=reg_spec.name,
@@ -762,7 +777,8 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
                     e_phi_sq=e_phi,
                     mc_se=se,
                     reps=config.replicates,
-                    freq=dict(Counter(int(s_hat) for s_hat, _ in column)),
+                    freq=dict(Counter(int(s_hat) for s_hat, _ in done)),
+                    note=f"failed {len(failed)}: {';'.join(sorted(set(failed)))}" if failed else "",
                 )
             )
     return rows
@@ -852,7 +868,8 @@ def phi_rows_to_rows(rows: list[PhiRow]) -> list[dict]:
     return [
         {
             **{col: getattr(r, col) for col in PHI_COLUMNS},
-            "freq": ";".join(f"{k}:{v}" for k, v in sorted(r.freq.items())),
+            # NA when the setting failed on every replicate
+            "freq": ";".join(f"{k}:{v}" for k, v in sorted(r.freq.items())) or None,
         }
         for r in rows
     ]

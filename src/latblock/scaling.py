@@ -117,6 +117,22 @@ def npi_pilot_scales(region_volume: float, d: int, c1: float, c2: float):
     return s1, s2, max(1, _round_half_up(s1)), max(1, _round_half_up(s2))
 
 
+def npi_region_pilots(region: Region, c1: float, c2: float):
+    """``npi_pilot_scales`` on ``region``, refusing pilots outside it.
+
+    The selector estimates at s1, s2 and 2 * s2; like the scales of an MSE
+    grid, each must lie below min(region.scale).
+    """
+    s1_raw, s2_raw, s1, s2 = npi_pilot_scales(region.volume(), region.d, c1, c2)
+    top = min(region.scale)
+    if max(s1, 2 * s2) >= top:
+        raise ConfigError(
+            f"npi pilot scales s1 = {s1} and 2*s2 = {2 * s2} (c1 = {c1}, c2 = {c2}) "
+            f"must lie below min(region scale) = {top:g}"
+        )
+    return s1_raw, s2_raw, s1, s2
+
+
 def npi_bias_estimate(tau_fn, pilot: int) -> float:
     """Two-scale difference estimate of the bias constant.
 
@@ -137,7 +153,7 @@ def npi_scaling(
 ) -> ScalingPlan:
     """Plug-in estimate of the optimal subsample scale from pilot estimators."""
     d = region.d
-    s1_raw, s2_raw, s1, s2 = npi_pilot_scales(region.volume(), d, c1, c2)
+    s1_raw, s2_raw, s1, s2 = npi_region_pilots(region, c1, c2)
 
     def tau_fn(lam: int) -> float:
         spec = SubsampleSpec(region.template, float(lam), scheme)

@@ -1,9 +1,10 @@
 """Brute-force references: the OL and NOL designs on rectangular windows, the
-covariogram evaluated at every site pair or wrapped torus lag, and the
-selector study run one replicate at a time.
+OL offsets by a membership test of every translated site, the covariogram
+evaluated at every site pair or wrapped torus lag, and the selector study run
+one replicate at a time.
 
-A plain helper module, imported by the estimator, covariance, field and
-harness tests and by acceptance criterion 05; it holds no tests.
+A plain helper module, imported by the estimator, geometry, covariance, field
+and harness tests and by acceptance criterion 05; it holds no tests.
 """
 
 import math
@@ -11,8 +12,9 @@ from collections import Counter
 
 import numpy as np
 
+from latblock.errors import LatblockError
 from latblock.estimators import estimate
-from latblock.geometry import SubsampleSpec, box_points
+from latblock.geometry import Region, SubsampleSpec, box_points
 from latblock.harness import PhiRow, _mean_se, _oracle_scales, _study_pairs
 from latblock.scaling import hj_scaling, npi_scaling
 
@@ -24,6 +26,33 @@ def interval_sites(center, width):
     if lo == center - width / 2:
         lo += 1
     return list(range(lo, hi + 1))
+
+
+def _candidate_offsets(region: Region, pad_lo: np.ndarray, pad_hi: np.ndarray):
+    scale = np.asarray(region.scale)
+    lo_f, hi_f = region.template.geom.bbox()
+    lo = np.floor(lo_f * scale - pad_hi - 1).astype(np.int64)
+    hi = np.ceil(hi_f * scale - pad_lo + 1).astype(np.int64)
+    return box_points(lo, hi)
+
+
+def _offsets_with_sites_inside(region: Region, base_sites: np.ndarray) -> np.ndarray:
+    """Integer offsets whose translated site block lies inside the region window.
+
+    The membership predicate is the exact per-shape boundary rule, evaluated
+    at every translated site, so the test is exact; a translate belongs to the
+    design precisely when each of its sampling sites is an observed site.
+    """
+    scale = np.asarray(region.scale)
+    shift = np.asarray(region.shift)
+    cand = _candidate_offsets(
+        region, base_sites.min(axis=0).astype(float), base_sites.max(axis=0).astype(float)
+    )
+    if cand.shape[0] == 0:
+        return cand
+    pts = cand[:, None, :] + base_sites[None, :, :]
+    ok = np.all(region.template.geom.contains_scaled(pts, scale, shift), axis=1)
+    return cand[ok]
 
 
 def naive_ol(sample, mlam, nlam, s_lam, stat):
@@ -105,7 +134,12 @@ def wrapped_circulant_base(cov, span):
 
 def per_replicate_phi_rows(config):
     """The selector study with one ``npi_scaling``/``hj_scaling`` call per
-    replicate and setting, each scale estimated by ``estimate``."""
+    replicate and setting, each scale estimated by ``estimate``.
+
+    A ``LatblockError`` from one setting on one replicate fails that setting
+    there: its row is summarised over the other replicates (NA with none
+    left) and its note counts the failures and names their error classes.
+    """
     sel = config.selectors
     methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
     methods += [("hj", None, None, lm) for lm in sel.hj_lambda_m]
@@ -123,26 +157,36 @@ def per_replicate_phi_rows(config):
             tau_opt = tau_at(s_opt)
             out = []
             for method, c1, c2, lm in methods:
-                if method == "npi":
-                    plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
-                else:
-                    plan = hj_scaling(
-                        sample,
-                        region,
-                        stat,
-                        lm,
-                        candidates=sel.hj_candidates,
-                        scheme=sel.scheme,
-                        min_candidates=sel.hj_min_candidates,
-                    )
-                s_hat = plan.lambda_opt_int
-                out.append((s_hat, (tau_at(s_hat) - tau_opt) / tau_n))
+                try:
+                    if method == "npi":
+                        plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
+                    else:
+                        plan = hj_scaling(
+                            sample,
+                            region,
+                            stat,
+                            lm,
+                            candidates=sel.hj_candidates,
+                            scheme=sel.scheme,
+                            min_candidates=sel.hj_min_candidates,
+                        )
+                    s_hat = plan.lambda_opt_int
+                    out.append((s_hat, (tau_at(s_hat) - tau_opt) / tau_n, None))
+                except LatblockError as exc:
+                    out.append((None, None, type(exc).__name__))
             return out
 
         per_rep = [selector_deviations(sample) for sample in samples]
         for m_idx, (method, c1, c2, lm) in enumerate(methods):
             column = [out[m_idx] for out in per_rep]
-            e_phi, se = _mean_se(np.array([phi for _, phi in column]) ** 2)
+            done = [(s_hat, phi) for s_hat, phi, error in column if error is None]
+            errors = [error for _, _, error in column if error is not None]
+            e_phi, se = None, None
+            if done:
+                e_phi, se = _mean_se(np.array([phi for _, phi in done]) ** 2)
+            note = ""
+            if errors:
+                note = f"failed {len(errors)}: " + ";".join(sorted(set(errors)))
             rows.append(
                 PhiRow(
                     region=reg_spec.name,
@@ -156,7 +200,8 @@ def per_replicate_phi_rows(config):
                     e_phi_sq=e_phi,
                     mc_se=se,
                     reps=config.replicates,
-                    freq=dict(Counter(int(s_hat) for s_hat, _ in column)),
+                    freq=dict(Counter(int(s_hat) for s_hat, _ in done)),
+                    note=note,
                 )
             )
     return rows

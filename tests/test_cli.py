@@ -562,6 +562,43 @@ def test_study_refuses_repeated_or_out_of_range_selector_settings(
     assert not any(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "npi, message",
+    [
+        ({"c1": [0.5, 4.0], "c2": [0.5]}, "s1 = 16 and 2*s2 = 2 (c1 = 4.0, c2 = 0.5)"),
+        ({"c1": [0.5], "c2": [3.0]}, "s1 = 2 and 2*s2 = 16 (c1 = 0.5, c2 = 3.0)"),
+    ],
+)
+def test_study_refuses_npi_pilot_scales_outside_the_region(capsys, tmp_path, npi, message):
+    cfg_path = study_config(
+        tmp_path,
+        regions=[{"name": "r", "template": "hypercube:d=2", "scale": [14, 18]}],
+        covariograms=[{"name": "E", "spec": "expsep:b1=1,b2=1"}],
+        selectors={"s_lambda_opt": {"r|E": 4}, "npi": npi},
+        outputs={"phi_csv": str(tmp_path / "phi.csv")},
+    )
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: selectors on region 'r': npi pilot scales {message}")
+    assert "below min(region scale) = 14" in err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flags", [["--c1", "4"], ["--c2", "3"]])
+def test_scale_npi_refuses_pilot_scales_outside_the_region(capsys, tmp_path, flags):
+    from latblock import Covariogram, Region, Template, build_generator, sample_field, substream
+    from latblock.geometry import lattice_sites
+
+    region = Region(Template.hypercube(2), (14, 18))
+    gen = build_generator(Covariogram.exp_separable(1.0, 1.0), lattice_sites(region))
+    path = tmp_path / "f.csv"
+    write_field_csv(sample_field(gen, substream(77, 0)), str(path))
+    argv = ["scale", "--method", "npi", "--data", str(path), "--template", "hypercube:d=2"]
+    code, out, err = run([*argv, *flags], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: npi pilot scales")
+
+
 def test_study_accepts_and_ignores_workers_flag(capsys, tmp_path):
     cfg_path = study_config(tmp_path)
     assert run(["study", "--config", str(cfg_path)], capsys)[0] == 0

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import latblock.estimators
 from brute_force import naive_nol, naive_ol
 from latblock import (
     FieldSample,
@@ -41,8 +40,9 @@ from latblock.estimators import (
     build_plan,
     design_plan,
     estimate_from_plan,
+    estimate_image,
     estimate_values,
-    estimate_values_reference,
+    field_image,
 )
 from latblock.geometry import (
     LatticeWindow,
@@ -482,20 +482,8 @@ def test_cached_design_equals_fresh_build(spec, sub, scheme, data):
 
 
 # ---------------------------------------------------------------------------
-# the lean branch of the core against the reference path
+# the core on one field against the replicate-batched image core
 # ---------------------------------------------------------------------------
-
-
-def reference_calls(monkeypatch) -> list:
-    """Record each call that the core hands to its reference path."""
-    calls = []
-
-    def spy(plan, values, stat):
-        calls.append(values.shape)
-        return estimate_values_reference(plan, values, stat)
-
-    monkeypatch.setattr(latblock.estimators, "estimate_values_reference", spy)
-    return calls
 
 
 @pytest.mark.parametrize(
@@ -516,44 +504,18 @@ def reference_calls(monkeypatch) -> list:
         ("circle:r=0.5", "hypercube:d=2", 3.0, "ol"),
     ],
 )
-def test_lean_core_equals_reference_bit_for_bit(monkeypatch, region_spec, sub_spec, s_lam, scheme):
+def test_core_equals_one_replicate_image_bit_for_bit(region_spec, sub_spec, s_lam, scheme):
     region = Region(parse_template(region_spec), (18, 21), (0.25, 0.0))
     window = lattice_sites(region)
     spec = SubsampleSpec(parse_template(sub_spec or region_spec), s_lam, scheme)
     plan = design_plan(window, region, spec)
     assert plan.row_matrix is not None
-    calls = reference_calls(monkeypatch)
+    table = window.indexer().table
     stat = mean_statistic()
     for seed in range(5):
         values = np.random.default_rng(seed).standard_normal((window.n_sites, 1)) * 10.0**seed
-        theta, theta_tilde, tau = estimate_values(plan, values, stat)
-        ref_theta, ref_tilde, ref_tau = estimate_values_reference(plan, values, stat)
-        assert np.array_equal(theta, ref_theta)
-        assert theta_tilde == ref_tilde
-        assert tau == ref_tau
-    assert calls == []  # every estimate_values call took the lean branch
-
-
-def test_core_hands_other_cases_to_the_reference_path(monkeypatch):
-    region = Region(Template.hypercube(2), (10, 12))
-    window = lattice_sites(region)
-    x = np.random.default_rng(8).standard_normal((3, window.n_sites))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonIntegerScaleWarning)
-        ragged = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
-    shared = design_plan(window, region, SubsampleSpec(region.template, 3.0, "ol"))
-    cases = [
-        (shared, np.stack([x[0], x[0] ** 2], axis=-1), moment_variance()),  # p = 2
-        (ragged, x[0][:, None], mean_statistic()),  # ragged NOL design
-        (shared, x[..., None], mean_statistic()),  # a leading block axis
-    ]
-    calls = reference_calls(monkeypatch)
-    for plan, values, stat in cases:
-        estimate_values(plan, values, stat)
-    assert calls == [values.shape for _, values, _ in cases]
-    calls.clear()
-    estimate_values(shared, x[0][:, None], mean_statistic())
-    assert calls == []
+        tau = estimate_values(plan, values, stat)[2]
+        assert estimate_image(plan, field_image(table, values.T), stat)[0] == tau
 
 
 def test_lean_core_keeps_the_reference_checks():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from brute_force import _offsets_with_sites_inside
 from latblock import (
     Region,
     SubsampleSpec,
@@ -388,6 +389,22 @@ def test_empty_subsample_set():
         enumerate_ol(reg, SubsampleSpec(Template.hypercube(2), 5.0, "ol"))
 
 
+@pytest.mark.parametrize(
+    "region, s_lam",
+    [
+        # no lattice site in the region at all
+        (Region(Template.circle(0.5), (0.9, 0.9), (0.5, 0.5)), 2.0),
+        # a base wider than the region along one axis
+        (Region(Template.hypercube(2), (4, 12)), 5.0),
+        # a base that fits the region's bounding box but not the disk
+        (Region(Template.circle(0.5), (10, 10)), 8.0),
+    ],
+)
+def test_ol_with_no_fitting_translate_raises_empty_subsample_set(region, s_lam):
+    with pytest.raises(EmptySubsampleSet):
+        enumerate_ol(region, SubsampleSpec(Template.hypercube(2), s_lam, "ol"))
+
+
 def test_affine_images_cannot_build_regions():
     circle = Template.circle(0.5)
     a = affine_image(circle, np.diag([1.0, 0.5]))
@@ -500,6 +517,50 @@ def test_enumerate_nol_matches_per_cube_oracle(spec, integer, data):
         expected = design_or_error(lambda: nol_design_one_by_one(region, sub))
         assert design_or_error(vectorised) == expected
     event(expected if isinstance(expected, str) else "design")
+
+
+def ol_offsets_by_membership(region, spec):
+    """Reference OL offsets: every site of every candidate translate tested."""
+    sub_region = Region(spec.template, (spec.s_lambda,) * region.d, region.shift)
+    offsets = _offsets_with_sites_inside(region, lattice_sites(sub_region).sites)
+    if offsets.shape[0] == 0:
+        raise EmptySubsampleSet("no subsample translate fits inside the region")
+    return offsets
+
+
+OL_SWEEP_SCALES = {1: (13.0,), 2: (13.0, 16.0), 3: (6.0, 7.0, 5.0)}
+# sub-template scales: integers and not, some too wide for the region
+OL_SWEEP_SUB_SCALES = {
+    1: (1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 9.0, 14.0),
+    2: (1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 9.0, 14.0),
+    3: (1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0),
+}
+OL_SWEEP_SUBS = {
+    1: [None],
+    2: [None, "hypercube:d=2", "circle:r=0.5", "isotri"],
+    3: [None, "hypercube:d=3", "sphere:r=0.5"],
+}
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("spec", NOL_TEMPLATES)
+def test_enumerate_ol_equals_the_membership_reference(spec, shifted):
+    template = parse_template(spec)
+    d = template.d
+    shift = (0.3, 0.1, -0.2)[:d] if shifted else None
+    region = Region(template, OL_SWEEP_SCALES[d], shift)
+    for sub in OL_SWEEP_SUBS[d]:
+        for s_lam in OL_SWEEP_SUB_SCALES[d]:
+            ol = SubsampleSpec(parse_template(sub or spec), s_lam, "ol")
+            try:
+                expected = ol_offsets_by_membership(region, ol)
+            except LatblockError as exc:
+                with pytest.raises(type(exc)):
+                    enumerate_ol(region, ol)
+                continue
+            idx = enumerate_ol(region, ol)
+            assert idx.offsets.dtype == expected.dtype
+            assert np.array_equal(idx.offsets, expected), (sub, s_lam)
 
 
 def raster_mask_in_one_block(template, step):

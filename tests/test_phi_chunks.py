@@ -1,6 +1,7 @@
 """The selector study's chunk path: every PhiRow equals the per-replicate
-reference, and hj's block estimates gathered from whole-window sums equal the
-estimator core on the pilot blocks bit for bit."""
+reference, also when a setting fails on some replicates, and hj's block
+estimates gathered from whole-window sums equal the estimator core on the
+pilot blocks bit for bit."""
 
 import functools
 
@@ -18,7 +19,14 @@ from latblock.estimators import (
     mean_statistic,
 )
 from latblock.geometry import OL, Region, SubsampleSpec, Template, lattice_sites, parse_template
-from latblock.harness import config_from_dict, phi_study
+from latblock.harness import (
+    _deviations_by_chunk,
+    _deviations_per_replicate,
+    _study_pairs,
+    config_from_dict,
+    phi_study,
+    run_study,
+)
 from latblock.scaling import hj_choose, hj_designs
 
 REPLICATES = 100
@@ -160,3 +168,71 @@ def test_hj_choose_breaks_ties_toward_the_smallest_candidate():
     assert lam_real == 3.0 * ratio ** 0.25 and lam_int == round(lam_real)
     with pytest.raises(DegenerateSubsampling):
         hj_choose([], [], ratio, region)
+
+
+# npi picks s = 14 for c2 = 0.8 on replicate 31 (counting from 0), and at
+# s >= 14 one NOL cube fits in the 30 x 40 box
+FAILING = {
+    "regions": [{"name": "r", "template": "hypercube:d=2", "scale": [30, 40]}],
+    "covariograms": [{"name": "E", "spec": "expsep:b1=1,b2=1"}],
+    "statistic": "mean",
+    "replicates": REPLICATES,
+    "seed": 5,
+    "selectors": {
+        "npi": {"c1": [0.5, 1.0], "c2": [0.5, 0.8]},
+        "scheme": "nol",
+        "s_lambda_opt": {"r|E": 5},
+    },
+}
+
+
+def test_both_selector_paths_fail_the_same_replicate():
+    config = config_from_dict(FAILING)
+    sel, stat = config.selectors, config.statistic
+    methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
+    ((_, region, window, _, tau_n, samples),) = _study_pairs(config)
+    ((*_, again),) = _study_pairs(config)
+    chunked = _deviations_by_chunk(samples, window, region, stat, sel, methods, 5, tau_n)
+    single = list(_deviations_per_replicate(again, region, stat, sel, methods, 5, tau_n))
+    assert list(chunked) == single
+    failed = [
+        (rep, i) for rep, out in enumerate(single) for i, o in enumerate(out) if isinstance(o, str)
+    ]
+    assert failed == [(31, 1)] and single[31][1] == "DegenerateSubsampling"
+
+
+@pytest.mark.parametrize("chunk", [1, 7, REPLICATES])
+def test_a_failed_replicate_fails_only_its_setting(monkeypatch, chunk):
+    config = config_from_dict(FAILING)
+    monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", chunk * 30 * 40)
+    rows = phi_study(config)
+    assert rows == failing_reference()
+    assert [row.note for row in rows] == ["", "failed 1: DegenerateSubsampling", "", ""]
+    assert [sum(row.freq.values()) for row in rows] == [100, 99, 100, 100]
+    assert all(row.reps == REPLICATES for row in rows)
+
+
+@functools.lru_cache(maxsize=None)
+def failing_reference():
+    return per_replicate_phi_rows(config_from_dict(FAILING))
+
+
+def test_a_setting_that_fails_everywhere_writes_na(tmp_path):
+    # every hj candidate holds one NOL cube on the 8 x 8 pilot region
+    raw = {
+        **FAILING,
+        "selectors": {
+            "npi": {"c1": [1.0], "c2": [0.5]},
+            "hj": {"lambda_m": [8], "candidates": [5, 6, 7], "min_candidates": 1},
+            "scheme": "nol",
+            "s_lambda_opt": {"r|E": 5},
+        },
+        "outputs": {"phi_csv": str(tmp_path / "phi.csv")},
+    }
+    config = config_from_dict(raw)
+    rows = phi_study(config)
+    assert rows == per_replicate_phi_rows(config)
+    run_study(config)
+    lines = (tmp_path / "phi.csv").read_text().splitlines()
+    assert lines[1].endswith(",100,2:2;3:1;4:17;5:35;6:28;7:14;8:3,")
+    assert lines[2] == "r,E,nol,hj,NA,NA,8,5,NA,NA,100,NA,failed 100: DegenerateSubsampling"
