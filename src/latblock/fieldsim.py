@@ -49,14 +49,18 @@ class RngStream:
         """Strictly interior uniforms on (0, 1) with 53-bit resolution."""
         # the top 53 bits of each raw draw; the same bits as
         # integers(0, 2**63, dtype=uint64) >> 10, whose bounded draw is raw >> 1
-        raw = self._bits.random_raw(n) >> _U64(11)
-        u = (raw.astype(np.float64) + 0.5) * 2.0**-53
+        raw = self._bits.random_raw(n)
+        raw >>= _U64(11)
+        u = raw.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
         # the top draw, raw = 2**53 - 1, rounds to exactly 1.0, where ndtri is inf
         return np.minimum(u, _BELOW_ONE, out=u)
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via the inverse CDF of the uniform stream."""
-        return ndtri(self.uniforms(n))
+        u = self.uniforms(n)
+        return ndtri(u, out=u)
 
 
 def substream(master_seed: int, replicate: int) -> RngStream:
@@ -176,8 +180,13 @@ def sample_field(gen: FieldGenerator, stream: RngStream) -> FieldSample:
     m = int(np.prod(gen.embed_shape))
     z = stream.normals(2 * m)
     zeta = (z[:m] + 1j * z[m:]).reshape(gen.embed_shape)
-    w = np.fft.fftn(gen.spectrum_sqrt * zeta) / np.sqrt(m)
-    block = w.real[tuple(slice(0, s) for s in gen.block_shape)]
+    w = gen.spectrum_sqrt * zeta
+    # fftn's 1-D passes in its order, last axis first, each line on its own;
+    # after a pass only the block's lines along that axis are kept
+    for axis in reversed(range(w.ndim)):
+        w = np.fft.fft(w, axis=axis)[(slice(None),) * axis + (slice(0, gen.block_shape[axis]),)]
+    # complex / real is not real / real in the last bit: divide as fftn's result did
+    block = (w / np.sqrt(m)).real
     return FieldSample(gen.window, block.ravel()[:, None])
 
 

@@ -2,9 +2,10 @@
 selector performance, with deterministic seeding and CSV emission.
 
 A study simulates each replicate field once and evaluates every estimator
-cell on it, so cells share common random numbers.  Replicates run one after
-another, each drawing from its own counter-based substream keyed by (seed,
-region, model, replicate).
+cell on it, so cells share common random numbers.  Each replicate draws from
+its own counter-based substream keyed by (seed, region, model, replicate).
+Replicates are estimated in order on the caller's thread; on the circulant
+route the next chunk of them is drawn on one second thread meanwhile.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import json
 import math
 import os
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 import numpy as np
 
@@ -32,13 +34,23 @@ from .estimators import (
     parse_statistic,
 )
 from .fieldsim import (
+    CIRCULANT,
     LIFTED_STATISTICS,
     build_generator,
     lift_for_statistic,
     sample_field,
     substream,
 )
-from .geometry import NOL, OL, Region, SubsampleSpec, Template, lattice_sites, parse_template
+from .geometry import (
+    NOL,
+    OL,
+    LatticeWindow,
+    Region,
+    SubsampleSpec,
+    Template,
+    lattice_sites,
+    parse_template,
+)
 from .scaling import (
     hj_candidate_scales,
     hj_choose,
@@ -100,8 +112,9 @@ class StudyConfig:
 
 
 def check_workers(value) -> None:
-    """Validate a ``workers`` setting, which is accepted and ignored:
-    replicates run serially (see the README's design notes)."""
+    """Validate a ``workers`` setting, which is accepted and ignored: a study
+    estimates replicates on the caller's thread and draws them on at most one
+    other (see the README's design notes)."""
     if _number(value, "workers", integer=True) < 1:
         raise ConfigError(f"workers must be at least 1, got {value}")
 
@@ -437,9 +450,7 @@ def _study_pairs(config: StudyConfig):
     """The study loop: every (region, model) pair with its replicate samples.
 
     Yields ``(reg_spec, region, window, model, tau_n, samples)`` per pair,
-    region by region.  ``samples`` iterates over the pair's replicates in
-    order, drawing each field from its own substream and lifting it for the
-    statistic; it builds the pair's generator at its first draw.
+    region by region; ``samples`` is the pair's ``Replicates``.
     """
     for r_idx, reg_spec in enumerate(config.regions):
         region = reg_spec.region()
@@ -448,15 +459,67 @@ def _study_pairs(config: StudyConfig):
             tau_n = _tau_n(config, f"{reg_spec.name}|{cov_name}", window, cov)
             # replicate streams of this pair: one contiguous index range
             first = (r_idx * len(config.covariograms) + c_idx) * config.replicates
-            samples = _samples(config, cov, window, range(first, first + config.replicates))
+            streams = range(first, first + config.replicates)
+            samples = Replicates(cov, window, config.seed, streams, config.statistic)
             yield reg_spec, region, window, cov_name, tau_n, samples
 
 
-def _samples(config: StudyConfig, cov: Covariogram, window, streams):
-    gen = build_generator(cov, window)
-    for rep in streams:
-        fld = sample_field(gen, substream(config.seed, rep))
-        yield lift_for_statistic(fld, config.statistic_name)
+@dataclass(frozen=True)
+class Replicates:
+    """One (region, model) pair's replicate fields, drawn on demand.
+
+    Replicate ``rep`` of ``streams`` is drawn from ``substream(seed, rep)``
+    and lifted for the statistic ``stat``.  The pair's generator is built
+    when the draws start, so a pair that is never drawn builds none.
+    """
+
+    cov: Covariogram
+    window: LatticeWindow
+    seed: int
+    streams: range
+    stat: SmoothStatistic
+
+    def __iter__(self):
+        """The samples one at a time, in order, drawn on the caller's thread."""
+        gen = build_generator(self.cov, self.window)
+        for rep in self.streams:
+            yield self._sample(gen, rep)
+
+    def chunks(self, block: int):
+        """``(samples, image)`` per chunk of up to ``block`` replicates, in order.
+
+        ``image`` is the chunk's ``field_image`` for a scalar statistic and
+        None otherwise.  On the circulant route the next chunk is drawn on a
+        second thread while the caller works on this one; close the iterator
+        (``contextlib.closing``) so that an error stops that thread.  The
+        dense route draws on the caller's thread: its matrix-vector product
+        already runs on every core.
+        """
+        gen = build_generator(self.cov, self.window)
+        chunks = self._draw(gen, block)
+        return _prefetch(chunks) if gen.method == CIRCULANT else chunks
+
+    def _sample(self, gen, rep: int):
+        return lift_for_statistic(sample_field(gen, substream(self.seed, rep)), self.stat.name)
+
+    def _draw(self, gen, block: int):
+        table = self.window.indexer().table
+        for start in range(0, len(self.streams), block):
+            chunk = [self._sample(gen, rep) for rep in self.streams[start : start + block]]
+            image = None
+            if self.stat.p == 1:
+                image = field_image(table, np.stack([sample.values[:, 0] for sample in chunk]))
+            yield chunk, image
+
+
+def _prefetch(chunks):
+    """``chunks``, each drawn on one second thread while the caller works on
+    the one before; a draw's error is raised in the caller."""
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(next, chunks, None)
+        while (chunk := ahead.result()) is not None:
+            ahead = pool.submit(next, chunks, None)
+            yield chunk
 
 
 def _cell_designs(config: StudyConfig, reg_spec: RegionSpec, region: Region, window) -> list:
@@ -485,29 +548,28 @@ _IMAGE_BLOCK_CELLS = 1 << 15
 def _replicate_taus(plans: list, samples, stat: SmoothStatistic, window, replicates: int):
     """tau_hat_sq of every design on every replicate, shape (replicates, designs).
 
-    A scalar statistic on a shared-count design takes a chunk of replicates
-    at a time through one field image shared by all such designs; ragged
-    designs and p > 1 statistics take an ``estimate_values`` call per
-    replicate.  Both give the bits of ``estimate_values``.
+    ``samples`` is the pair's ``Replicates``.  A scalar statistic on a
+    shared-count design takes a chunk of replicates at a time through the
+    chunk's field image, shared by all such designs; ragged designs and p > 1
+    statistics take an ``estimate_values`` call per replicate.  Both give the
+    bits of ``estimate_values``.
     """
     taus = np.empty((replicates, len(plans)))
     if not plans:
         return taus  # no live cell: draw no field
     batched = [i for i, plan in enumerate(plans) if plan.grid is not None and stat.p == 1]
     single = [i for i in range(len(plans)) if i not in batched]
-    table = window.indexer().table
-    block = max(1, _IMAGE_BLOCK_CELLS // table.size)
+    block = max(1, _IMAGE_BLOCK_CELLS // window.indexer().table.size)
     start = 0
-    while chunk := list(islice(samples, block)):
-        stop = start + len(chunk)
-        if batched:
-            image = field_image(table, np.stack([sample.values[:, 0] for sample in chunk]))
+    with closing(samples.chunks(block)) as chunks:
+        for chunk, image in chunks:
+            stop = start + len(chunk)
             for i in batched:
                 taus[start:stop, i] = estimate_image(plans[i], image, stat)
-        for rep, sample in enumerate(chunk, start):
-            for i in single:
-                taus[rep, i] = estimate_values(plans[i], sample.values, stat)[2]
-        start = stop
+            for rep, sample in enumerate(chunk, start):
+                for i in single:
+                    taus[rep, i] = estimate_values(plans[i], sample.values, stat)[2]
+            start = stop
     return taus
 
 
@@ -639,7 +701,7 @@ _GATHER_CELLS = 1 << 17
 
 def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau_n):
     """``_deviations_per_replicate`` for a scalar statistic, a chunk of
-    replicates at a time.
+    ``samples`` (the pair's ``Replicates``) at a time.
 
     Every design a selector reads is data-independent.  So a chunk goes
     through one field image, and each scale it needs (the oracle, npi's
@@ -675,8 +737,7 @@ def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau
         ),
         default=1,
     )
-    table = window.indexer().table
-    block = max(1, min(_IMAGE_BLOCK_CELLS // table.size, _GATHER_CELLS // widest))
+    block = max(1, min(_IMAGE_BLOCK_CELLS // window.indexer().table.size, _GATHER_CELLS // widest))
     pilots = {  # npi's rounded (s1, s2) per setting
         (c1, c2): npi_region_pilots(region, c1, c2)[2:]
         for method, c1, c2, _ in methods
@@ -684,48 +745,49 @@ def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau
     }
     if pilots:
         shape = shape_k0(region.template)
-    while chunk := list(islice(samples, block)):
-        image = field_image(table, np.stack([sample.values[:, 0] for sample in chunk]))
-        taus, curves = {}, {}
+    with closing(samples.chunks(block)) as chunks:
+        for chunk, image in chunks:
+            taus, curves = {}, {}
 
-        def tau_at(lam) -> list:
-            if lam not in taus:
-                spec = SubsampleSpec(region.template, float(lam), sel.scheme)
-                taus[lam] = estimate_image(design_plan(window, region, spec), image, stat).tolist()
-            return taus[lam]
+            def tau_at(lam) -> list:
+                if lam not in taus:
+                    spec = SubsampleSpec(region.template, float(lam), sel.scheme)
+                    plan = design_plan(window, region, spec)
+                    taus[lam] = estimate_image(plan, image, stat).tolist()
+                return taus[lam]
 
-        def pick(r, method, c1, c2, lm) -> int:
-            if method == "npi":
-                s1, s2 = pilots[c1, c2]
-                tau2 = tau_at(s1)[r]
-                b0 = npi_bias_estimate(lambda lam: tau_at(lam)[r], s2)
-                return theoretical_scaling(
-                    d, region.det_scale(), b0, tau2, shape, sel.scheme, region=region
-                ).lambda_opt_int
-            if lm in hj_errors:
-                raise hj_errors[lm].with_traceback(None)
-            design = hj[lm]
-            if lm not in curves:  # per usable candidate, the MSE of each replicate
-                proxy = np.array(tau_at(lm))[:, None]
-                mse = []
-                for c, local in design.local:
-                    tau_blocks = estimate_blocks(image, full[c], design.blocks, local, stat)
-                    mse.append(((tau_blocks - proxy) ** 2).mean(-1).tolist())
-                curves[lm] = mse
-            usable = [c for c, _ in design.local]
-            curve = [mse[r] for mse in curves[lm]]
-            return hj_choose(usable, curve, design.volume_ratio, region)[2]
+            def pick(r, method, c1, c2, lm) -> int:
+                if method == "npi":
+                    s1, s2 = pilots[c1, c2]
+                    tau2 = tau_at(s1)[r]
+                    b0 = npi_bias_estimate(lambda lam: tau_at(lam)[r], s2)
+                    return theoretical_scaling(
+                        d, region.det_scale(), b0, tau2, shape, sel.scheme, region=region
+                    ).lambda_opt_int
+                if lm in hj_errors:
+                    raise hj_errors[lm].with_traceback(None)
+                design = hj[lm]
+                if lm not in curves:  # per usable candidate, the MSE of each replicate
+                    proxy = np.array(tau_at(lm))[:, None]
+                    mse = []
+                    for c, local in design.local:
+                        tau_blocks = estimate_blocks(image, full[c], design.blocks, local, stat)
+                        mse.append(((tau_blocks - proxy) ** 2).mean(-1).tolist())
+                    curves[lm] = mse
+                usable = [c for c, _ in design.local]
+                curve = [mse[r] for mse in curves[lm]]
+                return hj_choose(usable, curve, design.volume_ratio, region)[2]
 
-        tau_opt = tau_at(s_opt)
-        for r in range(len(chunk)):
-            out = []
-            for setting in methods:
-                try:
-                    s_hat = pick(r, *setting)
-                    out.append((s_hat, (tau_at(s_hat)[r] - tau_opt[r]) / tau_n))
-                except LatblockError as exc:
-                    out.append(type(exc).__name__)
-            yield out
+            tau_opt = tau_at(s_opt)
+            for r in range(len(chunk)):
+                out = []
+                for setting in methods:
+                    try:
+                        s_hat = pick(r, *setting)
+                        out.append((s_hat, (tau_at(s_hat)[r] - tau_opt[r]) / tau_n))
+                    except LatblockError as exc:
+                        out.append(type(exc).__name__)
+                yield out
 
 
 def phi_study(config: StudyConfig) -> list[PhiRow]:

@@ -1,7 +1,8 @@
 """Brute-force references: the OL and NOL designs on rectangular windows, the
 OL offsets by a membership test of every translated site, the covariogram
-evaluated at every site pair or wrapped torus lag, and the selector study run
-one replicate at a time.
+evaluated at every site pair or wrapped torus lag, the circulant draw by one
+full ``fftn`` of the embedding torus, and the selector study run one
+replicate at a time.
 
 A plain helper module, imported by the estimator, geometry, covariance, field
 and harness tests and by acceptance criterion 05; it holds no tests.
@@ -13,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from latblock.errors import LatblockError
-from latblock.estimators import estimate
+from latblock.estimators import FieldSample, estimate
 from latblock.geometry import Region, SubsampleSpec, box_points
 from latblock.harness import PhiRow, _mean_se, _oracle_scales, _study_pairs
 from latblock.scaling import hj_scaling, npi_scaling
@@ -130,6 +131,17 @@ def wrapped_circulant_base(cov, span):
     idx = box_points([0] * len(embed), size - 1)
     lags = np.where(idx <= size // 2, idx, idx - size)  # wrapped torus lags
     return cov.sigma_many(lags).reshape(embed)
+
+
+def fftn_circulant_draw(gen, stream):
+    """The circulant draw by one ``fftn`` of the whole embedding torus, cut to
+    the block afterwards."""
+    m = int(np.prod(gen.embed_shape))
+    z = stream.normals(2 * m)
+    zeta = (z[:m] + 1j * z[m:]).reshape(gen.embed_shape)
+    w = np.fft.fftn(gen.spectrum_sqrt * zeta) / np.sqrt(m)
+    block = w.real[tuple(slice(0, s) for s in gen.block_shape)]
+    return FieldSample(gen.window, block.ravel()[:, None])
 
 
 def per_replicate_phi_rows(config):

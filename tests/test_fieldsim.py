@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from brute_force import pairwise_covariance_matrix, wrapped_circulant_base
+from scipy.special import ndtri
+from brute_force import fftn_circulant_draw, pairwise_covariance_matrix, wrapped_circulant_base
 
 from latblock import (
     Covariogram,
@@ -140,6 +141,16 @@ def test_top_raw_draw_stays_below_one():
     stream._bits = _RawBits([top, top])
     normals = stream.normals(2)
     assert np.all(np.isfinite(normals)) and np.all(normals > 8.0)
+
+
+def test_in_place_draws_equal_the_formula_on_fresh_arrays():
+    for seed, index in [(s, 7 * s + 2) for s in range(20)]:
+        key = np.array([seed, index], dtype=np.uint64)
+        bits = np.random.Philox(key=key)
+        stream = RngStream(seed, index)
+        for n in (1, 9, 9512):
+            u = ((bits.random_raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+            assert np.array_equal(stream.normals(n), ndtri(np.minimum(u, np.nextafter(1.0, 0.0))))
 
 
 def test_serial_equals_parallel_schedule():
@@ -315,3 +326,24 @@ def test_circulant_base_from_the_lag_table_equals_wrapped_sigma(monkeypatch, sha
         assert np.array_equal(bases[0], expected)
         if gen.method == "circulant":
             assert gen.embed_shape == expected.shape
+
+
+# boxes in d = 1, 2, 3 with odd and even spans and span-1 axes, on each of
+# which every kind of ``models`` has a nonnegative definite embedding
+@pytest.mark.parametrize(
+    "shape",
+    [
+        *[(1,), (8,), (9,)],
+        *[(30, 42), (7, 10), (13, 1), (1, 6)],
+        *[(5, 2, 1), (5, 1, 2), (2, 2, 2), (1, 1, 4)],
+    ],
+)
+def test_pruned_circulant_draw_equals_the_full_fftn(shape):
+    w = window(shape, Template.hypercube(len(shape)))
+    for cov in models(w.d):
+        gen = build_generator(cov, w)
+        assert gen.method == "circulant"
+        for rep in range(20):
+            got = sample_field(gen, substream(13, rep))
+            expected = fftn_circulant_draw(gen, substream(13, rep))
+            assert np.array_equal(got.values, expected.values)

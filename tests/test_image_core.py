@@ -1,10 +1,12 @@
 """The replicate-batched estimator core (``estimate_image``) and the MSE study
 loop that feeds it: every estimate equals the per-replicate core bit for bit."""
 
+import threading
 import warnings
 
 import numpy as np
 import pytest
+from brute_force import per_replicate_phi_rows
 
 import latblock.harness
 from latblock.covariance import Covariogram, exact_tau_n_sq_window
@@ -12,6 +14,7 @@ from latblock.errors import (
     ConfigError,
     DegenerateSubsampling,
     DimensionMismatch,
+    LatblockError,
     NonIntegerScaleWarning,
     StatisticDomainError,
 )
@@ -26,7 +29,13 @@ from latblock.estimators import (
 )
 from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
 from latblock.geometry import Region, SubsampleSpec, Template, lattice_sites, parse_template
-from latblock.harness import _replicate_taus, config_from_dict, mse_study
+from latblock.harness import (
+    Replicates,
+    _replicate_taus,
+    config_from_dict,
+    mse_study,
+    phi_study,
+)
 
 
 def per_replicate_taus(plan, values, stat):
@@ -272,7 +281,8 @@ def test_ragged_designs_take_the_per_replicate_core(monkeypatch):
     )
     monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", 4 * window.indexer().table.size)
     stat = mean_statistic()
-    taus = _replicate_taus([ragged, shared], iter(samples), stat, window, len(samples))
+    replicates = Replicates(Covariogram.white(2), window, 4, range(9), stat)
+    taus = _replicate_taus([ragged, shared], replicates, stat, window, len(samples))
     assert all(plan is shared for plan in seen) and len(seen) == 3
     for column, plan in zip(taus.T, [ragged, shared]):
         assert np.array_equal(column, [estimate_values(plan, s.values, stat)[2] for s in samples])
@@ -285,3 +295,131 @@ def test_cached_anchor_grids_are_read_only():
         plan.grid.base[0, 0] = 0
     with pytest.raises(ValueError):
         plan.grid.index[0] = 0
+
+
+# ---------------------------------------------------------------------------
+# the drawing thread
+# ---------------------------------------------------------------------------
+
+DISK_REGION = {"name": "disk", "template": "circle:r=0.5", "scale": [12, 12]}
+DISK_GRID = [1, 3, 5, 9]  # odd NOL scales, whose disk copies are disjoint; 9 is dead
+
+# a circulant box and a Cholesky disk for the selector study
+PHI_REGIONS = {
+    "box": {"name": "r", "template": "hypercube:d=2", "scale": [14, 18]},
+    "disk": {"name": "r", "template": "circle:r=0.5", "scale": [16, 16]},
+}
+
+
+class DrawFailed(LatblockError):
+    pass
+
+
+class EstimateFailed(LatblockError):
+    pass
+
+
+def chunked_config(monkeypatch, region=None, **overrides):
+    """A study config whose replicates go in chunks of 10, so that draws and
+    estimates overlap over 11 chunks."""
+    raw = study_raw(**overrides)
+    if region is not None:
+        raw["regions"] = [region]
+    cfg = config_from_dict(raw)
+    table = lattice_sites(cfg.regions[0].region()).indexer().table
+    monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", 10 * table.size)
+    return cfg
+
+
+def phi_raw(region_name):
+    return {
+        "regions": [PHI_REGIONS[region_name]],
+        "covariograms": [{"name": "E", "spec": "expsep:b1=1,b2=1"}],
+        "selectors": {"npi": {"c1": [0.5, 1.0], "c2": [0.5]}, "s_lambda_opt": {"r|E": 3}},
+    }
+
+
+def draw_spy(monkeypatch) -> list:
+    """Per ``sample_field`` call of a study: its route, thread and the number
+    of live threads."""
+    calls = []
+
+    def spy(gen, stream):
+        calls.append((gen.method, threading.get_ident(), threading.active_count()))
+        return sample_field(gen, stream)
+
+    monkeypatch.setattr(latblock.harness, "sample_field", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "region, grid, route", [(None, [1, 2, 3, 5], "circulant"), (DISK_REGION, DISK_GRID, "cholesky")]
+)
+def test_only_the_circulant_route_draws_on_a_second_thread(monkeypatch, region, grid, route):
+    cfg = chunked_config(monkeypatch, region, s_lambda_grid=grid)
+    caller, before = threading.get_ident(), threading.active_count()
+    calls = draw_spy(monkeypatch)
+    assert_study_matches(cfg)  # rows == a per-replicate loop on the caller's thread
+    assert len(calls) == 2 * cfg.replicates
+    assert {method for method, _, _ in calls} == {route}
+    if route == "circulant":
+        assert all(thread != caller for _, thread, _ in calls)
+        assert {live for *_, live in calls} == {before + 1}
+    else:
+        assert {thread for _, thread, _ in calls} == {caller}
+        assert {live for *_, live in calls} == {before}
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("region_name, route", [("box", "circulant"), ("disk", "cholesky")])
+def test_phi_rows_equal_the_per_replicate_reference_on_both_routes(
+    monkeypatch, region_name, route
+):
+    cfg = chunked_config(monkeypatch, **phi_raw(region_name))
+    calls = draw_spy(monkeypatch)
+    rows = phi_study(cfg)
+    assert {method for method, _, _ in calls} == {route}
+    monkeypatch.undo()
+    assert rows == per_replicate_phi_rows(cfg)
+
+
+def fail_draw_of(monkeypatch, stream_index):
+    def failing(gen, stream):
+        if stream.index == stream_index:
+            raise DrawFailed(f"draw {stream_index}")
+        return sample_field(gen, stream)
+
+    monkeypatch.setattr(latblock.harness, "sample_field", failing)
+
+
+def fail_estimate_call(monkeypatch, call):
+    calls = []
+
+    def failing(plan, image, stat):
+        calls.append(image.shape[0])
+        if len(calls) == call:
+            raise EstimateFailed(f"estimate {call}")
+        return estimate_image(plan, image, stat)
+
+    monkeypatch.setattr(latblock.harness, "estimate_image", failing)
+
+
+# phi_study turns an estimate's error at a selected scale into that setting's
+# failure, so its estimate errors are not the caller's
+@pytest.mark.parametrize(
+    "study, fail, error",
+    [
+        (mse_study, fail_draw_of, DrawFailed),
+        (phi_study, fail_draw_of, DrawFailed),
+        (mse_study, fail_estimate_call, EstimateFailed),
+    ],
+)
+@pytest.mark.parametrize("region_name", ["box", "disk"])
+def test_errors_reach_the_caller_and_leave_no_thread(monkeypatch, study, fail, error, region_name):
+    cfg = chunked_config(monkeypatch, **phi_raw(region_name))
+    before = threading.active_count()
+    fail(monkeypatch, 37)  # the draw of stream 37 (in chunk 4) or the 37th estimate
+    with pytest.raises(LatblockError) as info:
+        study(cfg)
+    assert info.type is error
+    assert threading.active_count() == before
