@@ -298,7 +298,7 @@ def estimate_values(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatist
     Returns the per-subsample statistics theta (..., M), their mean
     theta_tilde (...) and the estimates tau_hat_sq (...).
     """
-    _check_core(plan, values, stat)
+    _check_core(plan, values.shape[-1], stat)
     if plan.row_matrix is not None:
         theta = stat(values[..., plan.row_matrix, :].mean(axis=-2))
     else:
@@ -322,11 +322,10 @@ def _reduce_theta(plan: SubsamplePlan, theta: np.ndarray, stat: SmoothStatistic)
     return theta_tilde, (plan.counts * (dev * dev)).sum(-1) / n_sub
 
 
-def _check_core(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic) -> None:
-    if values.shape[-1] != stat.p:
-        raise DimensionMismatch(
-            f"statistic arity {stat.p} does not match sample arity {values.shape[-1]}"
-        )
+def _check_core(plan: SubsamplePlan, p: int, stat: SmoothStatistic) -> None:
+    """Refuse values of ``p`` columns for ``stat``, and designs of one subsample."""
+    if p != stat.p:
+        raise DimensionMismatch(f"statistic arity {stat.p} does not match sample arity {p}")
     if plan.index_set.n_subsamples < 2:
         raise DegenerateSubsampling(
             f"{plan.index_set.n_subsamples} subsample(s); need at least 2"
@@ -334,14 +333,24 @@ def _check_core(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic) 
 
 
 def field_image(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Scalar fields ``values`` (R, N) laid out on a window's bounding box.
+    """Fields ``values`` laid out on a window's bounding box.
 
-    ``table`` is the window indexer's site -> row table (-1 off the window).
-    Returns a C-contiguous (R, *table.shape) array that holds 0.0 at sites
-    off the window.
+    ``values`` is (R, N) for scalar fields or (R, N, p) for p columns per
+    site; ``table`` is the window indexer's site -> row table (-1 off the
+    window).  Returns a C-contiguous image that holds 0.0 at sites off the
+    window: (R, p, *table.shape), without the column axis when p is 1.
     """
-    padded = np.concatenate([values, np.zeros((values.shape[0], 1))], axis=1)
-    return np.take(padded, table, axis=1)  # a new array, in C order
+    if values.ndim == 3:
+        values = np.moveaxis(values, 2, 1)  # (R, p, N)
+        if values.shape[1] == 1:
+            values = values[:, 0]
+    padded = np.concatenate([values, np.zeros((*values.shape[:-1], 1))], axis=-1)
+    return np.take(padded, table, axis=-1)  # a new array, in C order
+
+
+def _image_columns(image: np.ndarray, grid: AnchorGrid) -> int:
+    """p of a ``field_image`` on ``grid``'s window: 1 when it has no column axis."""
+    return image.shape[1] if image.ndim > len(grid.shape) + 1 else 1
 
 
 # numpy's pairwise summation: 8 lane accumulators up to this many terms,
@@ -389,37 +398,41 @@ def _pairwise_sum(terms: list) -> np.ndarray:
 
 
 def grid_sums(grid: AnchorGrid, image: np.ndarray, pairwise: bool = True) -> np.ndarray:
-    """Subsample sums (R, cells) of R fields at every anchor of ``grid``'s box.
+    """Subsample sums (R, [p,] cells) of R fields at every anchor of ``grid``'s box.
 
-    ``image`` is the (R, *bbox) output of ``field_image`` for the grid's
-    window; the anchors come in the box's C order, and those not in the
-    design see 0.0 at sites off the window.  Each base site's values at
-    every anchor form one strided slice of the image, so the sums are
-    whole-array adds of slices: in numpy's order for a contiguous row of the
-    subsample's values, or left to right (``pairwise=False``).
+    ``image`` is the output of ``field_image`` for the grid's window, with
+    or without a column axis; the anchors come in the box's C order, and
+    those not in the design see 0.0 at sites off the window.  Each base
+    site's values at every anchor form one strided slice of the image, so
+    the sums are whole-array adds of slices: in numpy's order for a
+    contiguous row of the subsample's values, or left to right
+    (``pairwise=False``).
     """
-    terms = [image[(slice(None), *cut)] for cut in grid.slices]
+    terms = [image[(..., *cut)] for cut in grid.slices]
     sums = _pairwise_sum(terms) if pairwise else _running_sum(terms)
-    return sums.reshape(image.shape[0], -1)
+    return sums.reshape(*image.shape[: image.ndim - len(grid.shape)], -1)
 
 
 def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic) -> np.ndarray:
-    """tau_hat_sq (R,) of R scalar fields on a shared-count design.
+    """tau_hat_sq (R,) of R fields on a shared-count design.
 
-    ``image`` is the (R, *bbox) output of ``field_image`` for the plan's
-    window.  Every estimate equals
-    ``estimate_values(plan, values[r][:, None], stat)[2]`` bit for bit: the
-    subsample sums are ``grid_sums``, and the (R, M) statistics are reduced
-    as C-contiguous rows, as ``estimate_values`` reduces its (M,) row.
+    ``image`` is the ``field_image`` of R fields of ``stat.p`` columns on
+    the plan's window.  Every estimate equals
+    ``estimate_values(plan, values[r], stat)[2]`` bit for bit.  That call
+    sums each subsample in numpy's pairwise order when its sites are the
+    innermost axis of the gather (p = 1) and left to right otherwise, and
+    ``grid_sums`` replays either; the (R, M) statistics are reduced as
+    C-contiguous rows, as ``estimate_values`` reduces its (M,) row.
     """
     grid = plan.grid
     if grid is None:
         raise ConfigError("estimate_image needs a shared-count design")
-    _check_core(plan, image[..., None], stat)  # one scalar per site
-    sums = grid_sums(grid, image)
+    _check_core(plan, _image_columns(image, grid), stat)
+    sums = grid_sums(grid, image, pairwise=stat.p == 1)
     if grid.index is not None:
-        sums = np.take(sums, grid.index, axis=1)
-    theta = np.ascontiguousarray(stat((sums / grid.base.shape[0])[..., None]))
+        sums = np.take(sums, grid.index, axis=-1)
+    means = (sums / grid.base.shape[0]).reshape(image.shape[0], stat.p, -1)
+    theta = np.ascontiguousarray(stat(np.moveaxis(means, 1, -1)))
     return _reduce_theta(plan, theta, stat)[1]
 
 
@@ -438,22 +451,23 @@ def estimate_blocks(
     fields.  Block b's subsample m holds the sites of ``full``'s subsample
     at anchor ``block_b + local_m``, so its sum is taken from ``full``'s
     ``grid_sums``.  Row r equals ``estimate_values(local, block_values, stat)``
-    on replicate r's (B, nB, 1) block values bit for bit.  That call gathers
-    its (B, M, sN) values with the block axis innermost in memory, so it
-    sums each subsample left to right and reduces theta over M with blocks
-    innermost; here theta is laid out (R, M, B) and reduced by the same
-    code.  A single block has no block axis, and is summed pairwise.
+    on replicate r's (B, nB, p) block values bit for bit.  That call gathers
+    its (B, M, sN, p) values with the block axis innermost in memory, after
+    the sites, so it sums each subsample left to right and reduces theta
+    over M with blocks innermost; here theta is laid out (R, M, B) and
+    reduced by the same code.  One block of one column has no axis after
+    the sites, and is summed pairwise.
     """
-    _check_core(local, image[..., None], stat)
+    _check_core(local, _image_columns(image, full.grid), stat)
     n_blocks = blocks.index_set.n_subsamples
-    sums = grid_sums(full.grid, image, pairwise=n_blocks == 1)
+    sums = grid_sums(full.grid, image, pairwise=stat.p == 1 and n_blocks == 1)
     local_anchors = local.grid.step * local.index_set.offsets
     block_anchors = blocks.index_set.offsets  # OL: step 1
     rel = local_anchors[:, None] + block_anchors - full.index_set.offsets.min(axis=0)
     index = np.ravel_multi_index(tuple(np.moveaxis(rel, -1, 0)), full.grid.shape)  # (M, B)
-    means = np.take(sums, index, axis=1) / local.grid.base.shape[0]
-    theta = stat(np.moveaxis(means, 1, 2)[..., None])  # (R, B, M), laid out (R, M, B)
-    return _reduce_theta(local, theta, stat)[1]
+    means = np.take(sums, index, axis=-1) / local.grid.base.shape[0]
+    theta = stat(np.moveaxis(means.reshape(image.shape[0], stat.p, *index.shape), 1, -1))
+    return _reduce_theta(local, np.moveaxis(theta, 1, 2), stat)[1]  # (R, B, M), laid out (R, M, B)
 
 
 def estimate_from_plan(

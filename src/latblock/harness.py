@@ -26,7 +26,6 @@ from .errors import ConfigError, DegenerateSubsampling, InsufficientCandidates, 
 from .estimators import (
     SmoothStatistic,
     design_plan,
-    estimate,
     estimate_blocks,
     estimate_image,
     estimate_values,
@@ -55,10 +54,8 @@ from .scaling import (
     hj_candidate_scales,
     hj_choose,
     hj_designs,
-    hj_scaling,
     npi_bias_estimate,
     npi_region_pilots,
-    npi_scaling,
     theoretical_scaling,
 )
 
@@ -319,7 +316,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
         scheme=str(sel_raw.get("scheme", OL)).lower(),
         s_lambda_opt=opt or None,  # an empty map derives the scales, like no map
     )
-    _check_selectors(regions, selectors)
+    _check_selectors(regions, selectors, set(hj))
 
     tau_n_sq = _number_map(raw.get("tau_n_sq", {}), "tau_n_sq")
     pairs = {f"{reg.name}|{name}": reg for reg in regions for name, _ in covs}
@@ -339,6 +336,12 @@ def config_from_dict(raw: dict) -> StudyConfig:
     for key, value in tau_n_sq.items():
         if value <= 0:
             raise ConfigError(f"tau_n_sq[{key!r}] must be positive, got {value}")
+    outputs = {
+        key: _text(path, f"outputs.{key}")
+        for key, path in _fields(raw.get("outputs", {}), "outputs").items()
+    }
+    if outputs.get("phi_csv"):
+        _check_phi_study(pairs, schemes, sub_names, grid, selectors)
 
     return StudyConfig(
         regions=tuple(regions),
@@ -351,17 +354,22 @@ def config_from_dict(raw: dict) -> StudyConfig:
         replicates=replicates,
         seed=seed,
         selectors=selectors,
-        outputs={
-            key: _text(path, f"outputs.{key}")
-            for key, path in _fields(raw.get("outputs", {}), "outputs").items()
-        },
+        outputs=outputs,
         tau_n_sq_override=tau_n_sq,
     )
 
 
-def _check_selectors(regions, sel: SelectorConfig) -> None:
+def _check_selectors(regions, sel: SelectorConfig, hj_keys: set) -> None:
     """Refuse, before any study work, selector settings every replicate would
-    refuse, and repeated settings."""
+    refuse, repeated settings, and keys that make no setting: npi runs at
+    every (c1, c2) pair, and the hj keys given (``hj_keys``) other than
+    lambda_m only qualify its lambda_m settings."""
+    if bool(sel.npi_c1) != bool(sel.npi_c2):
+        given, needed = ("c1", "c2") if sel.npi_c1 else ("c2", "c1")
+        raise ConfigError(f"selectors.npi.{given} needs selectors.npi.{needed}")
+    for key in sorted(hj_keys - {"lambda_m"}):
+        if not sel.hj_lambda_m:
+            raise ConfigError(f"selectors.hj.{key} needs selectors.hj.lambda_m")
     for key, values in (
         ("npi.c1", sel.npi_c1),
         ("npi.c2", sel.npi_c2),
@@ -384,6 +392,28 @@ def _check_selectors(regions, sel: SelectorConfig) -> None:
                 hj_candidate_scales(region, lambda_m, sel.hj_candidates, sel.hj_min_candidates)
         except (ConfigError, InsufficientCandidates) as exc:
             raise ConfigError(f"selectors on region {reg.name!r}: {exc}") from exc
+
+
+def _check_phi_study(pairs: dict, schemes, sub_names, grid: dict, sel: SelectorConfig) -> None:
+    """Refuse, before any study work, a selector study that cannot run: one
+    with no selector setting, or with a region|model pair in ``pairs`` whose
+    oracle scale is neither pinned nor an argmin of the MSE grid (see
+    ``_oracle_scales``).  A pair whose grid cells all turn out dead is found
+    only when the grid runs."""
+    if not (sel.npi_c1 or sel.hj_lambda_m):
+        raise ConfigError("phi study needs at least one selector setting")
+    for key, reg in pairs.items():
+        if sel.s_lambda_opt is not None:
+            gaps = [(key not in sel.s_lambda_opt, "selectors.s_lambda_opt does not name it")]
+        else:
+            gaps = [
+                (sel.scheme not in schemes, f"selector scheme {sel.scheme!r} is not in schemes"),
+                ("same" not in sub_names, "sub_templates has no 'same'"),
+                (not grid[reg.name], f"the s_lambda_grid of region {reg.name!r} is empty"),
+            ]
+        for gap, why in gaps:
+            if gap:
+                raise ConfigError(f"no oracle scale for cell {key!r}: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +509,14 @@ class Replicates:
     streams: range
     stat: SmoothStatistic
 
-    def __iter__(self):
-        """The samples one at a time, in order, drawn on the caller's thread."""
-        gen = build_generator(self.cov, self.window)
-        for rep in self.streams:
-            yield self._sample(gen, rep)
-
     def chunks(self, block: int):
         """``(samples, image)`` per chunk of up to ``block`` replicates, in order.
 
-        ``image`` is the chunk's ``field_image`` for a scalar statistic and
-        None otherwise.  On the circulant route the next chunk is drawn on a
-        second thread while the caller works on this one; close the iterator
-        (``contextlib.closing``) so that an error stops that thread.  The
-        dense route draws on the caller's thread: its matrix-vector product
-        already runs on every core.
+        ``image`` is the chunk's ``field_image``.  On the circulant route the
+        next chunk is drawn on a second thread while the caller works on this
+        one; close the iterator (``contextlib.closing``) so that an error
+        stops that thread.  The dense route draws on the caller's thread: its
+        matrix-vector product already runs on every core.
         """
         gen = build_generator(self.cov, self.window)
         chunks = self._draw(gen, block)
@@ -506,10 +529,7 @@ class Replicates:
         table = self.window.indexer().table
         for start in range(0, len(self.streams), block):
             chunk = [self._sample(gen, rep) for rep in self.streams[start : start + block]]
-            image = None
-            if self.stat.p == 1:
-                image = field_image(table, np.stack([sample.values[:, 0] for sample in chunk]))
-            yield chunk, image
+            yield chunk, field_image(table, np.stack([sample.values for sample in chunk]))
 
 
 def _prefetch(chunks):
@@ -540,26 +560,27 @@ def _cell_designs(config: StudyConfig, reg_spec: RegionSpec, region: Region, win
     return sorted(out, key=lambda cell: cell[1] is None)
 
 
-# Field-image cells per replicate chunk of the MSE study (256 kB of float64):
-# a chunk's image stays in cache while every design of the window reads it.
+# Field-image cells per replicate chunk (256 kB of float64), counting each of
+# a site's p columns: a chunk's image stays in cache while every design of
+# the window reads it.
 _IMAGE_BLOCK_CELLS = 1 << 15
 
 
 def _replicate_taus(plans: list, samples, stat: SmoothStatistic, window, replicates: int):
     """tau_hat_sq of every design on every replicate, shape (replicates, designs).
 
-    ``samples`` is the pair's ``Replicates``.  A scalar statistic on a
-    shared-count design takes a chunk of replicates at a time through the
-    chunk's field image, shared by all such designs; ragged designs and p > 1
-    statistics take an ``estimate_values`` call per replicate.  Both give the
-    bits of ``estimate_values``.
+    ``samples`` is the pair's ``Replicates``.  A shared-count design takes a
+    chunk of replicates at a time through the chunk's field image, shared by
+    all such designs; a ragged design, which the image cannot express, takes
+    an ``estimate_values`` call per replicate.  Both give the bits of
+    ``estimate_values``.
     """
     taus = np.empty((replicates, len(plans)))
     if not plans:
         return taus  # no live cell: draw no field
-    batched = [i for i, plan in enumerate(plans) if plan.grid is not None and stat.p == 1]
+    batched = [i for i, plan in enumerate(plans) if plan.grid is not None]
     single = [i for i in range(len(plans)) if i not in batched]
-    block = max(1, _IMAGE_BLOCK_CELLS // window.indexer().table.size)
+    block = max(1, _IMAGE_BLOCK_CELLS // (window.indexer().table.size * stat.p))
     start = 0
     with closing(samples.chunks(block)) as chunks:
         for chunk, image in chunks:
@@ -656,63 +677,31 @@ def _oracle_scales(config: StudyConfig, scaling_rows: list | None = None) -> dic
     }
 
 
-def _deviations_per_replicate(samples, region, stat, sel, methods, s_opt, tau_n):
-    """Per replicate, (s_hat, phi) of every selector setting in ``methods``.
-
-    The reference path: one ``npi_scaling`` or ``hj_scaling`` call per
-    setting and replicate.  ``phi`` is the selected scale's estimate less the
-    oracle scale's, over tau_n.  A setting that raises a ``LatblockError`` on
-    a replicate gives the error's class name instead; an error at the oracle
-    scale ends the study.
-    """
-
-    def tau_at(sample, lam):
-        spec = SubsampleSpec(region.template, float(lam), sel.scheme)
-        return estimate(sample, region, spec, stat).tau_hat_sq
-
-    for sample in samples:
-        tau_opt = tau_at(sample, s_opt)
-        out = []
-        for method, c1, c2, lm in methods:
-            try:
-                if method == "npi":
-                    plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
-                else:
-                    plan = hj_scaling(
-                        sample,
-                        region,
-                        stat,
-                        lm,
-                        candidates=sel.hj_candidates,
-                        scheme=sel.scheme,
-                        min_candidates=sel.hj_min_candidates,
-                    )
-                s_hat = plan.lambda_opt_int
-                out.append((s_hat, (tau_at(sample, s_hat) - tau_opt) / tau_n))
-            except LatblockError as exc:
-                out.append(type(exc).__name__)
-        yield out
-
-
 # Cells of the widest array a chunk of the selector study gathers: hj's
-# (replicates, pilot blocks, local subsamples) sums at one candidate.
+# (replicates, columns, local subsamples, pilot blocks) sums at one candidate.
 _GATHER_CELLS = 1 << 17
 
 
 def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau_n):
-    """``_deviations_per_replicate`` for a scalar statistic, a chunk of
-    ``samples`` (the pair's ``Replicates``) at a time.
+    """Per replicate of ``samples`` (the pair's ``Replicates``), (s_hat, phi)
+    of every selector setting in ``methods``.
 
-    Every design a selector reads is data-independent.  So a chunk goes
-    through one field image, and each scale it needs (the oracle, npi's
-    pilots, hj's proxy and every chosen scale) gets a tau_hat_sq table from
-    ``estimate_image``.  hj's block estimates are gathered from the whole
-    window's OL subsample sums (``estimate_blocks``).  The selectors then run
-    per replicate on these tables with the helpers ``npi_scaling`` and
-    ``hj_scaling`` use, in their order, so every value keeps its bits and
-    every failed setting its error.  For the mean, the only scalar statistic
-    a study lifts, no estimate of a finite field is undefined, so no
-    candidate is dropped for its values.
+    ``phi`` is the selected scale's estimate less the oracle scale's, over
+    tau_n.  A setting that raises a ``LatblockError`` on a replicate gives
+    the error's class name instead; an error at the oracle scale ends the
+    study.
+
+    Every design a selector reads is data-independent.  So a chunk of
+    replicates goes through one field image, and each scale it needs (the
+    oracle, npi's pilots, hj's proxy and every chosen scale) gets a
+    tau_hat_sq table from ``estimate_image``.  hj's block estimates are
+    gathered from the whole window's OL subsample sums (``estimate_blocks``).
+    The selectors then run per replicate on these tables with the helpers
+    ``npi_scaling`` and ``hj_scaling`` use, in their order, so every value
+    has the bits of those calls and every failed setting their error.  Both
+    statistics a study lifts are polynomials in the field values, so no
+    estimate of a finite field is undefined and no candidate is dropped for
+    its values.
     """
     d = region.d
     hj, hj_errors = {}, {}
@@ -737,7 +726,8 @@ def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau
         ),
         default=1,
     )
-    block = max(1, min(_IMAGE_BLOCK_CELLS // window.indexer().table.size, _GATHER_CELLS // widest))
+    cells = window.indexer().table.size * stat.p  # image cells per replicate
+    block = max(1, min(_IMAGE_BLOCK_CELLS // cells, _GATHER_CELLS // (widest * stat.p)))
     pilots = {  # npi's rounded (s1, s2) per setting
         (c1, c2): npi_region_pilots(region, c1, c2)[2:]
         for method, c1, c2, _ in methods
@@ -793,9 +783,7 @@ def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau
 def phi_study(config: StudyConfig) -> list[PhiRow]:
     """Selector performance: relative deviation from the oracle-scale estimator.
 
-    A scalar statistic takes replicates a chunk at a time
-    (``_deviations_by_chunk``), a p > 1 statistic one at a time
-    (``_deviations_per_replicate``); both give the same values.  A row of a
+    Replicates go a chunk at a time (``_deviations_by_chunk``).  A row of a
     setting that failed on some replicates (an error class name in place of
     its outcome) is taken over the others, NA without any, and its note
     counts the failures.
@@ -814,13 +802,9 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
     rows: list[PhiRow] = []
     for reg_spec, region, window, cov_name, tau_n, samples in _study_pairs(config):
         s_opt = int(s_opt_map[f"{reg_spec.name}|{cov_name}"])
-        if stat.p == 1:
-            per_rep = _deviations_by_chunk(
-                samples, window, region, stat, sel, methods, s_opt, tau_n
-            )
-        else:
-            per_rep = _deviations_per_replicate(samples, region, stat, sel, methods, s_opt, tau_n)
-        per_rep = list(per_rep)
+        per_rep = list(
+            _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau_n)
+        )
         for m_idx, (method, c1, c2, lm) in enumerate(methods):
             column = [out[m_idx] for out in per_rep]
             done = [out for out in column if not isinstance(out, str)]

@@ -15,6 +15,7 @@ import numpy as np
 
 from latblock.errors import LatblockError
 from latblock.estimators import FieldSample, estimate
+from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
 from latblock.geometry import Region, SubsampleSpec, box_points
 from latblock.harness import PhiRow, _mean_se, _oracle_scales, _study_pairs
 from latblock.scaling import hj_scaling, npi_scaling
@@ -144,9 +145,55 @@ def fftn_circulant_draw(gen, stream):
     return FieldSample(gen.window, block.ravel()[:, None])
 
 
+def per_replicate_deviations(samples, region, stat, sel, methods, s_opt, tau_n):
+    """Per replicate of ``samples``, a pair's ``harness.Replicates``, (s_hat,
+    phi) of every selector setting in ``methods``, or the class name of the
+    ``LatblockError`` it raised.
+
+    Each replicate is drawn and lifted on its own, and gets one
+    ``npi_scaling`` or ``hj_scaling`` call per setting, each scale estimated
+    by ``estimate``.  ``phi`` is the selected scale's estimate less the
+    oracle scale's, over tau_n.
+    """
+
+    def selector_deviations(sample):
+        def tau_at(lam):
+            spec = SubsampleSpec(region.template, float(lam), sel.scheme)
+            return estimate(sample, region, spec, stat).tau_hat_sq
+
+        tau_opt = tau_at(s_opt)
+        out = []
+        for method, c1, c2, lm in methods:
+            try:
+                if method == "npi":
+                    plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
+                else:
+                    plan = hj_scaling(
+                        sample,
+                        region,
+                        stat,
+                        lm,
+                        candidates=sel.hj_candidates,
+                        scheme=sel.scheme,
+                        min_candidates=sel.hj_min_candidates,
+                    )
+                s_hat = plan.lambda_opt_int
+                out.append((s_hat, (tau_at(s_hat) - tau_opt) / tau_n))
+            except LatblockError as exc:
+                out.append(type(exc).__name__)
+        return out
+
+    gen = build_generator(samples.cov, samples.window)
+    return [
+        selector_deviations(
+            lift_for_statistic(sample_field(gen, substream(samples.seed, rep)), stat.name)
+        )
+        for rep in samples.streams
+    ]
+
+
 def per_replicate_phi_rows(config):
-    """The selector study with one ``npi_scaling``/``hj_scaling`` call per
-    replicate and setting, each scale estimated by ``estimate``.
+    """The selector study, each replicate through ``per_replicate_deviations``.
 
     A ``LatblockError`` from one setting on one replicate fails that setting
     there: its row is summarised over the other replicates (NA with none
@@ -160,39 +207,11 @@ def per_replicate_phi_rows(config):
     rows = []
     for reg_spec, region, _, cov_name, tau_n, samples in _study_pairs(config):
         s_opt = int(s_opt_map[f"{reg_spec.name}|{cov_name}"])
-
-        def selector_deviations(sample):
-            def tau_at(lam):
-                spec = SubsampleSpec(region.template, float(lam), sel.scheme)
-                return estimate(sample, region, spec, stat).tau_hat_sq
-
-            tau_opt = tau_at(s_opt)
-            out = []
-            for method, c1, c2, lm in methods:
-                try:
-                    if method == "npi":
-                        plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
-                    else:
-                        plan = hj_scaling(
-                            sample,
-                            region,
-                            stat,
-                            lm,
-                            candidates=sel.hj_candidates,
-                            scheme=sel.scheme,
-                            min_candidates=sel.hj_min_candidates,
-                        )
-                    s_hat = plan.lambda_opt_int
-                    out.append((s_hat, (tau_at(s_hat) - tau_opt) / tau_n, None))
-                except LatblockError as exc:
-                    out.append((None, None, type(exc).__name__))
-            return out
-
-        per_rep = [selector_deviations(sample) for sample in samples]
+        per_rep = per_replicate_deviations(samples, region, stat, sel, methods, s_opt, tau_n)
         for m_idx, (method, c1, c2, lm) in enumerate(methods):
             column = [out[m_idx] for out in per_rep]
-            done = [(s_hat, phi) for s_hat, phi, error in column if error is None]
-            errors = [error for _, _, error in column if error is not None]
+            done = [out for out in column if not isinstance(out, str)]
+            errors = [out for out in column if isinstance(out, str)]
             e_phi, se = None, None
             if done:
                 e_phi, se = _mean_se(np.array([phi for _, phi in done]) ** 2)

@@ -518,6 +518,7 @@ def test_study_refuses_s_lambda_opt_keys_that_name_no_pair(capsys, tmp_path):
 
 
 HJ = {"lambda_m": [8], "candidates": [2, 3, 4, 5, 6, 7]}
+NPI = {"c1": [0.5], "c2": [0.5]}
 
 
 @pytest.mark.parametrize(
@@ -543,6 +544,22 @@ HJ = {"lambda_m": [8], "candidates": [2, 3, 4, 5, 6, 7]}
         (
             {"npi": {"c1": [0.5], "c2": [0.5]}, "s_lambda_opt": {"r|E": 0}},
             "selectors.s_lambda_opt['r|E'] must be at least 1",
+        ),
+        # keys that make no setting
+        ({"npi": {"c1": [0.5, 1.0]}}, "selectors.npi.c1 needs selectors.npi.c2"),
+        ({"npi": {"c1": [0.5], "c2": []}, "hj": HJ}, "selectors.npi.c1 needs selectors.npi.c2"),
+        ({"npi": {"c2": [0.5]}, "hj": HJ}, "selectors.npi.c2 needs selectors.npi.c1"),
+        (
+            {"hj": {"candidates": [-3, 40], "min_candidates": 1}},
+            "selectors.hj.candidates needs selectors.hj.lambda_m",
+        ),
+        (
+            {"npi": NPI, "hj": {"min_candidates": 2}},
+            "selectors.hj.min_candidates needs selectors.hj.lambda_m",
+        ),
+        (
+            {"npi": NPI, "hj": {"lambda_m": [], "candidates": [2, 3]}},
+            "selectors.hj.candidates needs selectors.hj.lambda_m",
         ),
     ],
 )
@@ -581,6 +598,47 @@ def test_study_refuses_npi_pilot_scales_outside_the_region(capsys, tmp_path, npi
     assert code == 2
     assert err.startswith(f"error: selectors on region 'r': npi pilot scales {message}")
     assert "below min(region scale) = 14" in err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+TWO_MODELS = [{"name": "E", "spec": "expsep:b1=1,b2=1"}, {"name": "white", "spec": "white"}]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"selectors": {}}, "phi study needs at least one selector setting"),
+        ({"selectors": {"scheme": "nol"}}, "phi study needs at least one selector setting"),
+        (
+            {"covariograms": TWO_MODELS, "selectors": {"npi": NPI, "s_lambda_opt": {"r|E": 4}}},
+            "no oracle scale for cell 'r|white': selectors.s_lambda_opt does not name it",
+        ),
+        (
+            {"schemes": ["ol"], "selectors": {"npi": NPI, "scheme": "nol"}},
+            "no oracle scale for cell 'r|E': selector scheme 'nol' is not in schemes",
+        ),
+        (
+            {"sub_templates": ["circle:r=0.5"], "selectors": {"npi": NPI}},
+            "no oracle scale for cell 'r|E': sub_templates has no 'same'",
+        ),
+        (
+            {"s_lambda_grid": {}, "selectors": {"npi": NPI}},
+            "no oracle scale for cell 'r|E': the s_lambda_grid of region 'r' is empty",
+        ),
+    ],
+)
+def test_study_refuses_a_selector_study_that_cannot_run(capsys, tmp_path, bad, message):
+    outputs = {"mse_csv": str(tmp_path / "mse.csv"), "phi_csv": str(tmp_path / "phi.csv")}
+    config = {
+        "regions": [{"name": "r", "template": "hypercube:d=2", "scale": [14, 18]}],
+        "covariograms": [{"name": "E", "spec": "expsep:b1=1,b2=1"}],
+        "s_lambda_grid": [2, 3, 4],
+        "outputs": outputs,
+        **bad,
+    }
+    code, _, err = run(["study", "--config", str(study_config(tmp_path, **config))], capsys)
+    assert code == 2
+    assert err == f"error: {message}\n"
     assert not any(tmp_path.glob("*.csv"))
 
 

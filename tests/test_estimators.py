@@ -511,11 +511,12 @@ def test_core_equals_one_replicate_image_bit_for_bit(region_spec, sub_spec, s_la
     plan = design_plan(window, region, spec)
     assert plan.row_matrix is not None
     table = window.indexer().table
-    stat = mean_statistic()
     for seed in range(5):
-        values = np.random.default_rng(seed).standard_normal((window.n_sites, 1)) * 10.0**seed
-        tau = estimate_values(plan, values, stat)[2]
-        assert estimate_image(plan, field_image(table, values.T), stat)[0] == tau
+        x = np.random.default_rng(seed).standard_normal((window.n_sites, 1)) * 10.0**seed
+        # the mean's one column and momvar's pair (x, x^2)
+        for stat, values in [(mean_statistic(), x), (moment_variance(), np.hstack([x, x * x]))]:
+            tau = estimate_values(plan, values, stat)[2]
+            assert estimate_image(plan, field_image(table, values[None]), stat)[0] == tau
 
 
 def test_lean_core_keeps_the_reference_checks():

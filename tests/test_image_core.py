@@ -256,11 +256,11 @@ def test_study_chunks_match_the_per_replicate_core(monkeypatch, block_reps):
         assert chunk_sizes == {min(block_reps, 103)}
 
 
-def test_momvar_study_takes_the_per_replicate_core(monkeypatch):
+def test_momvar_study_takes_the_image_core(monkeypatch):
     raw = study_raw(statistic="momvar", tau_n_sq={"rect|white": 2.0, "rect|E": 3.5})
     calls = image_calls(monkeypatch)
     assert_study_matches(config_from_dict(raw))
-    assert calls == []
+    assert calls
 
 
 def test_ragged_designs_take_the_per_replicate_core(monkeypatch):

@@ -7,7 +7,7 @@ import functools
 
 import numpy as np
 import pytest
-from brute_force import per_replicate_phi_rows
+from brute_force import per_replicate_deviations, per_replicate_phi_rows
 
 import latblock.harness
 from latblock.errors import DegenerateSubsampling
@@ -17,11 +17,11 @@ from latblock.estimators import (
     estimate_values,
     field_image,
     mean_statistic,
+    moment_variance,
 )
 from latblock.geometry import OL, Region, SubsampleSpec, Template, lattice_sites, parse_template
 from latblock.harness import (
     _deviations_by_chunk,
-    _deviations_per_replicate,
     _study_pairs,
     config_from_dict,
     phi_study,
@@ -52,16 +52,19 @@ def case_raw(name, statistic="mean", **extra):
             "scheme": scheme,
             "s_lambda_opt": {"r|E": s_opt},
         },
+        # momvar's normalized deviations need a pinned tau_n_sq
+        **({"tau_n_sq": {"r|E": 2.0}} if statistic == "momvar" else {}),
         **extra,
     }
 
 
 @functools.lru_cache(maxsize=None)
-def reference_rows(name):
-    return per_replicate_phi_rows(config_from_dict(case_raw(name)))
+def reference_rows(name, statistic="mean"):
+    return per_replicate_phi_rows(config_from_dict(case_raw(name, statistic)))
 
 
 def widest_gather(config):
+    """Cells per replicate of hj's widest block gather, counting columns."""
     sel = config.selectors
     region = config.regions[0].region()
     window = lattice_sites(region)
@@ -74,13 +77,14 @@ def widest_gather(config):
             for _, local in design.local
         ]
     assert dropped  # some local designs are degenerate
-    return max(widths)
+    return max(widths) * config.statistic.p
 
 
+@pytest.mark.parametrize("statistic", ["mean", "momvar"])
 @pytest.mark.parametrize("chunk", [1, 7, REPLICATES])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_chunked_rows_equal_the_per_replicate_reference(monkeypatch, name, chunk):
-    config = config_from_dict(case_raw(name))
+def test_chunked_rows_equal_the_per_replicate_reference(monkeypatch, name, chunk, statistic):
+    config = config_from_dict(case_raw(name, statistic))
     monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", 1 << 40)
     monkeypatch.setattr(latblock.harness, "_GATHER_CELLS", chunk * widest_gather(config))
     sizes = []
@@ -91,8 +95,11 @@ def test_chunked_rows_equal_the_per_replicate_reference(monkeypatch, name, chunk
 
     monkeypatch.setattr(latblock.harness, "field_image", spy)
     rows = phi_study(config)
-    assert rows == reference_rows(name)
-    assert len(rows) == 6 and all(sum(row.freq.values()) == REPLICATES for row in rows)
+    assert rows == reference_rows(name, statistic)
+    # momvar's npi (0.5, 0.5) picks a one-cube NOL scale on one replicate of the box
+    failed = [int(row.note.split()[1].rstrip(":")) if row.note else 0 for row in rows]
+    assert len(rows) == 6
+    assert [sum(row.freq.values()) for row in rows] == [REPLICATES - k for k in failed]
     # chunks of 7 leave a last chunk of 2
     full, last = divmod(REPLICATES, chunk)
     assert sizes == [chunk] * full + [last] * (last > 0)
@@ -110,23 +117,25 @@ def count_calls(monkeypatch, name) -> list:
     return calls
 
 
-def test_momvar_takes_the_per_replicate_path(monkeypatch):
-    raw = case_raw("ol-disk", statistic="momvar", tau_n_sq={"r|E": 2.0})
+def no_per_replicate_selectors():
+    """The study holds neither per-replicate selector, so it cannot call one."""
+    return not any(hasattr(latblock.harness, name) for name in ("npi_scaling", "hj_scaling"))
+
+
+def test_momvar_takes_the_chunk_path(monkeypatch):
+    raw = case_raw("ol-disk", statistic="momvar")
     raw["selectors"]["npi"] = {"c1": [0.5], "c2": [0.5]}
     config = config_from_dict(raw)
-    npi = count_calls(monkeypatch, "npi_scaling")
-    hj = count_calls(monkeypatch, "hj_scaling")
     images = count_calls(monkeypatch, "field_image")
     rows = phi_study(config)
-    assert len(npi) == REPLICATES and len(hj) == 2 * REPLICATES and images == []
+    assert images and no_per_replicate_selectors()
     assert rows == per_replicate_phi_rows(config)
 
 
 def test_mean_takes_the_chunk_path(monkeypatch):
-    npi = count_calls(monkeypatch, "npi_scaling")
-    hj = count_calls(monkeypatch, "hj_scaling")
+    images = count_calls(monkeypatch, "field_image")
     assert phi_study(config_from_dict(case_raw("ol-disk"))) == reference_rows("ol-disk")
-    assert npi == [] and hj == []
+    assert images and no_per_replicate_selectors()
 
 
 @pytest.mark.parametrize(
@@ -146,18 +155,20 @@ def test_block_gather_equals_the_core_on_the_pilot_blocks(
 ):
     region = Region(parse_template(spec), scale, shift)
     window = lattice_sites(region)
-    stat = mean_statistic()
-    values = np.random.default_rng(3).standard_normal((5, window.n_sites)) * 1e3 + 7.0
-    image = field_image(window.indexer().table, values)
+    x = np.random.default_rng(3).standard_normal((5, window.n_sites)) * 1e3 + 7.0
     design = hj_designs(window, region, lambda_m, list(candidates), scheme, 1)
     assert design.local
-    for c, local in design.local:
-        full = design_plan(window, region, SubsampleSpec(region.template, float(c), OL))
-        got = estimate_blocks(image, full, design.blocks, local, stat)
-        assert got.shape == (5, design.blocks.index_set.n_subsamples)
-        for row, field in zip(got, values):
-            block_values = field[design.blocks.row_matrix][..., None]
-            assert np.array_equal(row, estimate_values(local, block_values, stat)[2])
+    # the mean's (R, N, 1) values and momvar's (R, N, 2) pairs (x, x^2)
+    lifted = np.stack([x, x * x], axis=-1)
+    for stat, values in [(mean_statistic(), x[..., None]), (moment_variance(), lifted)]:
+        image = field_image(window.indexer().table, values)
+        for c, local in design.local:
+            full = design_plan(window, region, SubsampleSpec(region.template, float(c), OL))
+            got = estimate_blocks(image, full, design.blocks, local, stat)
+            assert got.shape == (5, design.blocks.index_set.n_subsamples)
+            for row, field in zip(got, values):
+                block_values = field[design.blocks.row_matrix]
+                assert np.array_equal(row, estimate_values(local, block_values, stat)[2])
 
 
 def test_hj_choose_breaks_ties_toward_the_smallest_candidate():
@@ -191,9 +202,8 @@ def test_both_selector_paths_fail_the_same_replicate():
     sel, stat = config.selectors, config.statistic
     methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
     ((_, region, window, _, tau_n, samples),) = _study_pairs(config)
-    ((*_, again),) = _study_pairs(config)
     chunked = _deviations_by_chunk(samples, window, region, stat, sel, methods, 5, tau_n)
-    single = list(_deviations_per_replicate(again, region, stat, sel, methods, 5, tau_n))
+    single = per_replicate_deviations(samples, region, stat, sel, methods, 5, tau_n)
     assert list(chunked) == single
     failed = [
         (rep, i) for rep, out in enumerate(single) for i, o in enumerate(out) if isinstance(o, str)
