@@ -335,15 +335,14 @@ def _check_core(plan: SubsamplePlan, p: int, stat: SmoothStatistic) -> None:
 def field_image(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Fields ``values`` laid out on a window's bounding box.
 
-    ``values`` is (R, N) for scalar fields or (R, N, p) for p columns per
-    site; ``table`` is the window indexer's site -> row table (-1 off the
-    window).  Returns a C-contiguous image that holds 0.0 at sites off the
-    window: (R, p, *table.shape), without the column axis when p is 1.
+    ``values`` is (R, N, p), p columns per site; ``table`` is the window
+    indexer's site -> row table (-1 off the window).  Returns a C-contiguous
+    image that holds 0.0 at sites off the window: (R, p, *table.shape),
+    without the column axis when p is 1.
     """
-    if values.ndim == 3:
-        values = np.moveaxis(values, 2, 1)  # (R, p, N)
-        if values.shape[1] == 1:
-            values = values[:, 0]
+    values = np.moveaxis(values, 2, 1)  # (R, p, N)
+    if values.shape[1] == 1:
+        values = values[:, 0]
     padded = np.concatenate([values, np.zeros((*values.shape[:-1], 1))], axis=-1)
     return np.take(padded, table, axis=-1)  # a new array, in C order
 

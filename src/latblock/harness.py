@@ -367,9 +367,9 @@ def _check_selectors(regions, sel: SelectorConfig, hj_keys: set) -> None:
     if bool(sel.npi_c1) != bool(sel.npi_c2):
         given, needed = ("c1", "c2") if sel.npi_c1 else ("c2", "c1")
         raise ConfigError(f"selectors.npi.{given} needs selectors.npi.{needed}")
-    for key in sorted(hj_keys - {"lambda_m"}):
-        if not sel.hj_lambda_m:
-            raise ConfigError(f"selectors.hj.{key} needs selectors.hj.lambda_m")
+    extra = sorted(hj_keys - {"lambda_m"})
+    if extra and not sel.hj_lambda_m:
+        raise ConfigError(f"selectors.hj.{extra[0]} needs selectors.hj.lambda_m")
     for key, values in (
         ("npi.c1", sel.npi_c1),
         ("npi.c2", sel.npi_c2),
@@ -397,23 +397,41 @@ def _check_selectors(regions, sel: SelectorConfig, hj_keys: set) -> None:
 def _check_phi_study(pairs: dict, schemes, sub_names, grid: dict, sel: SelectorConfig) -> None:
     """Refuse, before any study work, a selector study that cannot run: one
     with no selector setting, or with a region|model pair in ``pairs`` whose
-    oracle scale is neither pinned nor an argmin of the MSE grid (see
-    ``_oracle_scales``).  A pair whose grid cells all turn out dead is found
-    only when the grid runs."""
-    if not (sel.npi_c1 or sel.hj_lambda_m):
-        raise ConfigError("phi study needs at least one selector setting")
+    oracle scale is neither pinned nor an argmin of an MSE grid cell that
+    ``_is_oracle_cell`` accepts.  A pair whose grid cells all turn out dead
+    is found only when the grid runs."""
+    _selector_methods(sel)
+    derivable = any(_is_oracle_cell(sel, scheme, sub) for scheme in schemes for sub in sub_names)
     for key, reg in pairs.items():
         if sel.s_lambda_opt is not None:
             gaps = [(key not in sel.s_lambda_opt, "selectors.s_lambda_opt does not name it")]
         else:
             gaps = [
-                (sel.scheme not in schemes, f"selector scheme {sel.scheme!r} is not in schemes"),
-                ("same" not in sub_names, "sub_templates has no 'same'"),
+                (
+                    not derivable,
+                    f"no MSE cell runs selector scheme {sel.scheme!r} on sub_template 'same'",
+                ),
                 (not grid[reg.name], f"the s_lambda_grid of region {reg.name!r} is empty"),
             ]
         for gap, why in gaps:
             if gap:
                 raise ConfigError(f"no oracle scale for cell {key!r}: {why}")
+
+
+def _selector_methods(sel: SelectorConfig) -> list:
+    """(method, c1, c2, lambda_m) of every selector setting, npi's first;
+    refuses a selector study with none."""
+    methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
+    methods += [("hj", None, None, lm) for lm in sel.hj_lambda_m]
+    if not methods:
+        raise ConfigError("phi study needs at least one selector setting")
+    return methods
+
+
+def _is_oracle_cell(sel: SelectorConfig, scheme: str, sub_template: str) -> bool:
+    """Whether an MSE grid cell's argmin is the selector study's oracle
+    scale: the cell runs the selector scheme on the region's own template."""
+    return scheme == sel.scheme and sub_template == "same"
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +689,7 @@ def _oracle_scales(config: StudyConfig, scaling_rows: list | None = None) -> dic
     return {
         f"{row['region']}|{row['model']}": row["s_lambda_opt"]
         for row in scaling_rows
-        if row["scheme"] == config.selectors.scheme
-        and row["sub_template"] == "same"
+        if _is_oracle_cell(config.selectors, row["scheme"], row["sub_template"])
         and row["s_lambda_opt"] is not None
     }
 
@@ -789,10 +806,7 @@ def phi_study(config: StudyConfig) -> list[PhiRow]:
     counts the failures.
     """
     sel = config.selectors
-    methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
-    methods += [("hj", None, None, lm) for lm in sel.hj_lambda_m]
-    if not methods:
-        raise ConfigError("phi study needs at least one selector setting")
+    methods = _selector_methods(sel)
     s_opt_map = _oracle_scales(config)
     for key in (f"{r.name}|{name}" for r in config.regions for name, _ in config.covariograms):
         if key not in s_opt_map:

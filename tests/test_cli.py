@@ -615,11 +615,13 @@ TWO_MODELS = [{"name": "E", "spec": "expsep:b1=1,b2=1"}, {"name": "white", "spec
         ),
         (
             {"schemes": ["ol"], "selectors": {"npi": NPI, "scheme": "nol"}},
-            "no oracle scale for cell 'r|E': selector scheme 'nol' is not in schemes",
+            "no oracle scale for cell 'r|E': no MSE cell runs selector scheme 'nol'"
+            " on sub_template 'same'",
         ),
         (
             {"sub_templates": ["circle:r=0.5"], "selectors": {"npi": NPI}},
-            "no oracle scale for cell 'r|E': sub_templates has no 'same'",
+            "no oracle scale for cell 'r|E': no MSE cell runs selector scheme 'ol'"
+            " on sub_template 'same'",
         ),
         (
             {"s_lambda_grid": {}, "selectors": {"npi": NPI}},

@@ -46,7 +46,7 @@ def assert_core_matches(region, spec, values):
     window = lattice_sites(region)
     plan = design_plan(window, region, spec)
     stat = mean_statistic()
-    image = field_image(window.indexer().table, values)
+    image = field_image(window.indexer().table, values[..., None])
     assert image.flags.c_contiguous and image.shape == (len(values), *window.indexer().table.shape)
     got = estimate_image(plan, image, stat)
     assert got.shape == (len(values),)
@@ -145,12 +145,12 @@ def test_pairwise_sum_replays_the_numpy_row_sum():
 def test_image_core_keeps_the_core_checks():
     region = Region(Template.hypercube(2), (6, 6))
     window = lattice_sites(region)
-    image = field_image(window.indexer().table, np.ones((2, window.n_sites)))
+    image = field_image(window.indexer().table, np.ones((2, window.n_sites, 1)))
     plan = design_plan(window, region, SubsampleSpec(region.template, 2.0, "ol"))
     with pytest.raises(DimensionMismatch):
         estimate_image(plan, image, moment_variance())
-    bad = np.ones((2, window.n_sites))
-    bad[1, 3] = np.inf
+    bad = np.ones((2, window.n_sites, 1))
+    bad[1, 3, 0] = np.inf
     with pytest.raises(StatisticDomainError):
         estimate_image(plan, field_image(window.indexer().table, bad), mean_statistic())
     single = design_plan(window, region, SubsampleSpec(region.template, 6.0, "ol"))
