@@ -1,4 +1,9 @@
-"""Command-line interface: constants, estimate, scale, simulate and study."""
+"""Command-line interface: constants, estimate, scale, simulate and study.
+
+Only ``simulate`` and ``study`` draw fields, and the field simulator loads
+scipy (for ``ndtri``); their modules are imported inside those commands, so
+the other commands start without scipy.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +18,6 @@ from .constants import are, b0 as bias_constant, k0 as shape_constants
 from .covariance import parse_covariogram, tau_sq
 from .errors import ConfigError, LatblockError
 from .estimators import FieldSample, estimate, parse_statistic
-from .fieldsim import build_generator, sample_field, substream
 from .geometry import (
     LatticeWindow,
     Region,
@@ -22,7 +26,6 @@ from .geometry import (
     lattice_sites,
     parse_template,
 )
-from .harness import check_workers, emit_csv, load_config, run_study
 from .scaling import hj_scaling, npi_scaling, theoretical_scaling
 
 
@@ -90,6 +93,8 @@ def read_field_csv(path: str) -> FieldSample:
 
 def write_field_csv(sample: FieldSample, path: str) -> None:
     """Field CSV as ``read_field_csv`` reads it, written atomically by ``emit_csv``."""
+    from .harness import emit_csv
+
     header = [f"s{j + 1}" for j in range(sample.window.d)]
     header += [f"v{j + 1}" for j in range(sample.p)]
     rows = (
@@ -128,6 +133,8 @@ def _print_kv(pairs, csv_path=None):
     for key, val in pairs:
         print(f"{key}: {val}")
     if csv_path:
+        from .harness import emit_csv
+
         rows = [{"key": k, "value": v} for k, v in pairs]
         emit_csv(rows, ("key", "value"), csv_path)
 
@@ -235,6 +242,8 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .fieldsim import build_generator, sample_field, substream
+
     template = parse_template(args.template)
     cov = parse_covariogram(args.cov, d=template.d)
     region = Region(template, _parse_floats(args.scale))
@@ -247,6 +256,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    from .harness import check_workers, load_config, run_study
+
     config = load_config(args.config)
     if args.workers is not None:
         check_workers(args.workers)

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fftn, next_fast_len, rfft
 
-from .covariance import Covariogram, sum_over_shells
+from .covariance import Covariogram, next_fast_len, sum_over_shells
 from .errors import (
     ConfigError,
     QuadratureBudgetExceeded,
@@ -117,17 +116,18 @@ def k0_numeric(template: Template, step: float | None = None) -> float:
         step = 1.0 / 512 if template.d <= 2 else 1.0 / 96
     mask, h = raster_mask(template, step)
     vol = float(mask.sum()) * h**template.d
-    padded = [next_fast_len(2 * n - 1, real=True) for n in mask.shape]
-    half = rfft(mask, padded[0], axis=0)
+    padded = [next_fast_len(2 * n - 1) for n in mask.shape]
+    half = np.fft.rfft(mask, padded[0], axis=0)
     weight = np.full(half.shape[:1] + (1,) * (template.d - 1), 2.0)
     weight[0] = 1.0
     if padded[0] % 2 == 0:
         weight[-1] = 1.0
-    axes = tuple(range(1, template.d))
     width = max(1, _SLAB_BINS // math.prod(padded[1:]))
     acf_sq = 0.0
     for lo in range(0, len(half), width):
-        spec = fftn(half[lo:lo + width], padded[1:], axes=axes)
+        spec = half[lo:lo + width]
+        for axis in range(1, template.d):  # ascending, as pocketfft's n-D pass runs
+            spec = np.fft.fft(spec, padded[axis], axis=axis)
         power = spec.real**2 + spec.imag**2
         acf_sq += float(((power * power) * weight[lo:lo + width]).sum())
     return acf_sq / math.prod(padded) * h ** (3 * template.d) / vol**3

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import ConfigError, DimensionMismatch, EmptyWindow, NonConvergent
 from .geometry import LatticeWindow, Region, box_points, lattice_sites
@@ -220,18 +219,49 @@ def exact_tau_n_sq(
     return exact_tau_n_sq_window(window, cov, method)
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: ``scipy.fft.next_fast_len(n, real=True)``."""
+    if n < 1:
+        raise ValueError(f"transform length must be positive, got {n}")
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
     """Full linear convolution of two real arrays by real FFTs.
 
-    The one form of ``scipy.signal.fftconvolve`` that ``lag_counts`` uses;
-    importing ``scipy.signal`` would add about a second to every start-up.
+    The full mode of ``scipy.signal.fftconvolve``, bit for bit, from numpy's
+    1-D passes in the order pocketfft's n-D routines run them: the real
+    transform on the last axis, then the complex ones on the other axes in
+    ascending order, and back the same way with one 1/N scaling at the end.
+    ``np.fft.rfftn``/``irfftn`` would scale once per axis and take the complex
+    axes in descending order, which moves the last bits.
     """
     if mode != "full":
         raise ValueError("only the full convolution is provided")
     shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
-    fshape = [next_fast_len(n, real=True) for n in shape]
-    out = irfftn(rfftn(a, fshape) * rfftn(b, fshape), fshape)
+    fshape = [next_fast_len(n) for n in shape]
+    spec = _rfft_axes(a, fshape) * _rfft_axes(b, fshape)
+    for axis in range(a.ndim - 1):
+        spec = np.fft.ifft(spec, axis=axis, norm="forward")
+    out = np.fft.irfft(spec, fshape[-1], axis=-1, norm="forward")
+    out *= 1.0 / math.prod(fshape)
     return out[tuple(slice(0, n) for n in shape)]
+
+
+def _rfft_axes(a: np.ndarray, fshape) -> np.ndarray:
+    spec = np.fft.rfft(a, fshape[-1], axis=-1)
+    for axis in range(a.ndim - 1):
+        spec = np.fft.fft(spec, fshape[axis], axis=axis)
+    return spec
 
 
 def correlate(a: np.ndarray, b: np.ndarray, mode: str = "full", method: str = "direct"):

@@ -721,8 +721,8 @@ class Region:
             scale = scale * self.template.d
         if len(scale) != self.template.d:
             raise DimensionMismatch("scaling length must match template dimension")
-        if any(s <= 0 for s in scale):
-            raise ConfigError("scaling entries must be positive")
+        if not all(math.isfinite(s) and s > 0 for s in scale):
+            raise ConfigError(f"scaling entries must be positive and finite, got {scale}")
         object.__setattr__(self, "scale", scale)
         shift = self.shift
         if shift is None:
@@ -862,8 +862,8 @@ class SubsampleSpec:
         _require_region_template(self.template)
         if self.scheme not in (OL, NOL):
             raise ConfigError("scheme must be 'ol' or 'nol'")
-        if self.s_lambda <= 0:
-            raise ConfigError("subsample scale must be positive")
+        if not (math.isfinite(self.s_lambda) and self.s_lambda > 0):
+            raise ConfigError(f"subsample scale must be positive and finite, got {self.s_lambda}")
 
     def is_integer_scale(self) -> bool:
         return abs(self.s_lambda - round(self.s_lambda)) <= _EQ_TOL

@@ -378,10 +378,6 @@ def _check_selectors(regions, sel: SelectorConfig, hj_keys: set) -> None:
     ):
         if len(set(values)) != len(values):
             raise ConfigError(f"selectors.{key} repeats an entry: {list(values)}")
-    if sel.hj_min_candidates < 1:
-        raise ConfigError(
-            f"selectors.hj.min_candidates must be at least 1, got {sel.hj_min_candidates}"
-        )
     for reg in regions:
         region = reg.region()
         try:

@@ -75,19 +75,27 @@ def theoretical_scaling(
         raise ConfigError("scheme must be 'ol' or 'nol'")
     if tau_sq <= 0 or not np.isfinite(tau_sq):
         raise ConfigError("tau_sq must be positive and finite")
-    if det_delta <= 0:
-        raise ConfigError("det_delta must be positive")
+    if not (math.isfinite(det_delta) and det_delta > 0):
+        raise ConfigError("det_delta must be positive and finite")
     if not np.isfinite(b0):
         raise ConfigError("b0 must be finite")
     if b0 == 0.0:
         raise ZeroBiasConstant(
             "bias constant is zero: the leading-order MSE balance degenerates"
         )
-    if scheme == OL:
-        base = det_delta * b0**2 / (d * shape.k0 * tau_sq**2)
-    else:
-        base = det_delta * shape.volume * b0**2 / (d * tau_sq**2)
-    lam = base ** (1.0 / (d + 2))
+    try:
+        if scheme == OL:
+            base = det_delta * b0**2 / (d * shape.k0 * tau_sq**2)
+        else:
+            base = det_delta * shape.volume * b0**2 / (d * tau_sq**2)
+        lam = base ** (1.0 / (d + 2))
+    except (OverflowError, ZeroDivisionError):  # a square beyond the float range
+        lam = math.inf
+    if not math.isfinite(lam):
+        raise ConfigError(
+            f"the optimal scale is out of range: det_delta = {det_delta}, b0 = {b0}, "
+            f"tau_sq = {tau_sq}"
+        )
     return ScalingPlan(
         scheme=scheme,
         lambda_opt_real=float(lam),
@@ -110,8 +118,8 @@ def theoretical_scaling(
 
 def npi_pilot_scales(region_volume: float, d: int, c1: float, c2: float):
     """Raw and rounded pilot scales for the plug-in selector."""
-    if c1 <= 0 or c2 <= 0:
-        raise ConfigError("pilot constants must be positive")
+    if not all(math.isfinite(c) and c > 0 for c in (c1, c2)):
+        raise ConfigError(f"pilot constants must be positive and finite, got c1 = {c1}, c2 = {c2}")
     s1 = c1 * region_volume ** (1.0 / (d + 2))
     s2 = c2 * region_volume ** (1.0 / (d + 4))
     return s1, s2, max(1, _round_half_up(s1)), max(1, _round_half_up(s2))
@@ -197,6 +205,8 @@ def hj_candidate_scales(
     region: Region, lambda_m: int, candidates=None, min_candidates: int = 5
 ) -> list:
     """hj's sorted candidate scales; raises for settings no sample can satisfy."""
+    if min_candidates < 1:
+        raise ConfigError(f"min_candidates must be at least 1, got {min_candidates}")
     if lambda_m >= min(region.scale):
         raise ConfigError("lambda_m must be smaller than the region scaling")
     if lambda_m < 2:

@@ -1,8 +1,8 @@
 """Brute-force references: the OL and NOL designs on rectangular windows, the
 OL offsets by a membership test of every translated site, the covariogram
 evaluated at every site pair or wrapped torus lag, the circulant draw by one
-full ``fftn`` of the embedding torus, and the selector study run one
-replicate at a time.
+full ``fftn`` of the embedding torus, the shape-constant quadrature by
+``scipy.fft``, and the selector study run one replicate at a time.
 
 A plain helper module, imported by the estimator, geometry, covariance, field
 and harness tests and by acceptance criterion 05; it holds no tests.
@@ -12,11 +12,13 @@ import math
 from collections import Counter
 
 import numpy as np
+from scipy.fft import fftn, next_fast_len, rfft
 
+from latblock.constants import _SLAB_BINS
 from latblock.errors import LatblockError
 from latblock.estimators import FieldSample, estimate
 from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
-from latblock.geometry import Region, SubsampleSpec, box_points
+from latblock.geometry import Region, SubsampleSpec, box_points, raster_mask
 from latblock.harness import PhiRow, _mean_se, _oracle_scales, _study_pairs
 from latblock.scaling import hj_scaling, npi_scaling
 
@@ -143,6 +145,27 @@ def fftn_circulant_draw(gen, stream):
     w = np.fft.fftn(gen.spectrum_sqrt * zeta) / np.sqrt(m)
     block = w.real[tuple(slice(0, s) for s in gen.block_shape)]
     return FieldSample(gen.window, block.ravel()[:, None])
+
+
+def scipy_k0_numeric(template, step):
+    """``k0_numeric`` with its transforms taken by ``scipy.fft``: the real one
+    on the first axis, then one n-D complex transform per slab."""
+    mask, h = raster_mask(template, step)
+    vol = float(mask.sum()) * h**template.d
+    padded = [next_fast_len(2 * n - 1, real=True) for n in mask.shape]
+    half = rfft(mask, padded[0], axis=0)
+    weight = np.full(half.shape[:1] + (1,) * (template.d - 1), 2.0)
+    weight[0] = 1.0
+    if padded[0] % 2 == 0:
+        weight[-1] = 1.0
+    axes = tuple(range(1, template.d))
+    width = max(1, _SLAB_BINS // math.prod(padded[1:]))
+    acf_sq = 0.0
+    for lo in range(0, len(half), width):
+        spec = fftn(half[lo:lo + width], padded[1:], axes=axes)
+        power = spec.real**2 + spec.imag**2
+        acf_sq += float(((power * power) * weight[lo:lo + width]).sum())
+    return acf_sq / math.prod(padded) * h ** (3 * template.d) / vol**3
 
 
 def per_replicate_deviations(samples, region, stat, sel, methods, s_opt, tau_n):

@@ -1,10 +1,14 @@
 """Command-line interface behavior and exit codes."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latblock.cli
 from latblock.cli import main, read_field_csv, write_field_csv
 from latblock.errors import ConfigError
 
@@ -251,7 +255,8 @@ def test_scale_theory_command(capsys):
     assert int(kv["lambda_opt_int"]) == 8
 
 
-def test_scale_npi_from_file(capsys, tmp_path):
+@pytest.fixture
+def field_csv(tmp_path):
     from latblock import Covariogram, Region, Template, build_generator, sample_field, substream
     from latblock.geometry import lattice_sites
 
@@ -259,13 +264,17 @@ def test_scale_npi_from_file(capsys, tmp_path):
     gen = build_generator(Covariogram.exp_separable(1.0, 1.0), lattice_sites(region))
     path = tmp_path / "f.csv"
     write_field_csv(sample_field(gen, substream(77, 0)), str(path))
+    return str(path)
+
+
+def test_scale_npi_from_file(capsys, field_csv):
     code, out, _ = run(
         [
             "scale",
             "--method",
             "npi",
             "--data",
-            str(path),
+            field_csv,
             "--template",
             "hypercube:d=2",
             "--c1",
@@ -528,10 +537,13 @@ NPI = {"c1": [0.5], "c2": [0.5]}
         ({"npi": {"c1": [0.5], "c2": [0.5, 1.0, 0.5]}}, "selectors.npi.c2 repeats an entry"),
         ({"hj": {**HJ, "lambda_m": [8, 8]}}, "selectors.hj.lambda_m repeats an entry"),
         ({"hj": {**HJ, "candidates": [2, 2, 3, 3, 4]}}, "selectors.hj.candidates repeats"),
-        ({"hj": {**HJ, "min_candidates": -3}}, "selectors.hj.min_candidates must be at least 1"),
+        (
+            {"hj": {**HJ, "min_candidates": -3}},
+            "selectors on region 'r': min_candidates must be at least 1, got -3",
+        ),
         (
             {"hj": {**HJ, "candidates": [], "min_candidates": 0}},
-            "selectors.hj.min_candidates must be at least 1",
+            "selectors on region 'r': min_candidates must be at least 1, got 0",
         ),
         (
             {"npi": {"c1": [0.5], "c2": [0.5]}, "s_lambda_opt": {"r|E": 40}},
@@ -645,18 +657,105 @@ def test_study_refuses_a_selector_study_that_cannot_run(capsys, tmp_path, bad, m
 
 
 @pytest.mark.parametrize("flags", [["--c1", "4"], ["--c2", "3"]])
-def test_scale_npi_refuses_pilot_scales_outside_the_region(capsys, tmp_path, flags):
-    from latblock import Covariogram, Region, Template, build_generator, sample_field, substream
-    from latblock.geometry import lattice_sites
-
-    region = Region(Template.hypercube(2), (14, 18))
-    gen = build_generator(Covariogram.exp_separable(1.0, 1.0), lattice_sites(region))
-    path = tmp_path / "f.csv"
-    write_field_csv(sample_field(gen, substream(77, 0)), str(path))
-    argv = ["scale", "--method", "npi", "--data", str(path), "--template", "hypercube:d=2"]
+def test_scale_npi_refuses_pilot_scales_outside_the_region(capsys, field_csv, flags):
+    argv = ["scale", "--method", "npi", "--data", field_csv, "--template", "hypercube:d=2"]
     code, out, err = run([*argv, *flags], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: npi pilot scales")
+
+
+THEORY = ["scale", "--method", "theory", "--template", "hypercube:d=2"]
+ON_FILE = ["--data", "DATA", "--template", "hypercube:d=2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*THEORY, "--cov", "expsep:b1=1,b2=1", "--det-delta", "nan"], "det_delta must be"),
+        ([*THEORY, "--cov", "expsep:b1=1,b2=1", "--det-delta", "inf"], "det_delta must be"),
+        (
+            [*THEORY, "--det-delta", "1e308", "--b0", "100", "--tau2", "1"],
+            "the optimal scale is out of range",
+        ),
+        (
+            [*THEORY, "--det-delta", "1", "--b0", "1e200", "--tau2", "1"],
+            "the optimal scale is out of range",
+        ),
+        (
+            [*THEORY, "--det-delta", "1", "--b0", "1", "--tau2", "1e-200"],
+            "the optimal scale is out of range",
+        ),
+        (["scale", "--method", "npi", *ON_FILE, "--c1", "nan"], "pilot constants must be"),
+        (["scale", "--method", "npi", *ON_FILE, "--c2", "inf"], "pilot constants must be"),
+        (
+            ["scale", "--method", "hj", "--lambda-m", "8", *ON_FILE, "--min-candidates", "-3"],
+            "min_candidates must be at least 1, got -3",
+        ),
+        (
+            ["estimate", *ON_FILE, "--scheme", "ol", "--scale", "inf", "--stat", "mean"],
+            "subsample scale must be positive and finite",
+        ),
+        (
+            ["estimate", *ON_FILE, "--scheme", "ol", "--scale", "nan", "--stat", "mean"],
+            "subsample scale must be positive and finite",
+        ),
+        (
+            ["simulate", "--cov", "expsep:b1=1,b2=1", "--template", "hypercube:d=2",
+             "--scale", "14,nan", "--seed", "7", "--out", "OUT"],
+            "scaling entries must be positive and finite",
+        ),
+    ],
+)
+def test_cli_refuses_numbers_no_setting_can_use(capsys, tmp_path, field_csv, argv, message):
+    out_path = tmp_path / "out.csv"
+    argv = [{"DATA": field_csv, "OUT": str(out_path)}.get(a, a) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message}")
+    assert not out_path.exists()
+
+
+def test_commands_that_draw_no_field_load_no_scipy(field_csv):
+    commands = [
+        ["constants", "--template", "circle:r=0.5", "--cov", "expsep:b1=1,b2=1"],
+        ["estimate", *ON_FILE, "--scheme", "ol", "--scale", "4", "--stat", "mean"],
+        [*THEORY, "--det-delta", "1260", "--cov", "expsep:b1=1,b2=1"],
+        ["scale", "--method", "npi", *ON_FILE],
+        ["scale", "--method", "hj", "--lambda-m", "8", *ON_FILE],
+    ]
+    commands = [[field_csv if a == "DATA" else a for a in argv] for argv in commands]
+    script = "\n".join([
+        "import contextlib, io, json, sys",
+        "def scipy_modules():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "import latblock",
+        "steps = {'import latblock': scipy_modules()}",
+        "import latblock.cli",
+        "steps['import latblock.cli'] = scipy_modules()",
+        "for argv in json.loads(sys.argv[1]):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert latblock.cli.main(argv) == 0, argv",
+        "    steps[' '.join(argv[:3])] = scipy_modules()",
+        "steps['harness'] = latblock.harness.__name__",
+        "print(json.dumps(steps))",
+    ])
+    src = Path(latblock.cli.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    steps = json.loads(out.stdout)
+    assert steps.pop("harness") == "latblock.harness"
+    assert list(steps) == [
+        "import latblock",
+        "import latblock.cli",
+        "constants --template circle:r=0.5",
+        "estimate --data " + field_csv,
+        "scale --method theory",
+        "scale --method npi",
+        "scale --method hj",
+    ]
+    assert steps == {step: [] for step in steps}
 
 
 def test_study_accepts_and_ignores_workers_flag(capsys, tmp_path):

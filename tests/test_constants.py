@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from brute_force import scipy_k0_numeric
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 
@@ -125,26 +126,26 @@ def k0_by_direct_autocorrelation(template, step):
 ODD_PADDED_STEP = 1 / 38  # 38 cells per unit axis pad to next_fast_len(75) = 75
 
 
-@pytest.mark.parametrize(
-    "spec, step",
-    [
-        ("hypercube:d=1", None),
-        ("hypercube:d=2", None),
-        ("hypercube:d=3", None),
-        ("circle:r=0.5", None),
-        ("righttri", None),
-        ("isotri", None),
-        ("trapezoid:b1=0.5,b2=1", None),
-        ("hex:l=0.5", None),
-        ("parallelogram:gamma=1.2,l1=0.6,l2=0.5", None),
-        ("rotrect:theta=0.7854,l1=0.7071,l2=0.7071", None),
-        ("sphere:r=0.5", None),
-        ("cylinder:r=0.3,h=0.8", None),
-        ("hypercube:d=2", ODD_PADDED_STEP),
-        ("circle:r=0.5", ODD_PADDED_STEP),
-        ("sphere:r=0.5", ODD_PADDED_STEP),
-    ],
-)
+QUADRATURE_CASES = [
+    ("hypercube:d=1", None),
+    ("hypercube:d=2", None),
+    ("hypercube:d=3", None),
+    ("circle:r=0.5", None),
+    ("righttri", None),
+    ("isotri", None),
+    ("trapezoid:b1=0.5,b2=1", None),
+    ("hex:l=0.5", None),
+    ("parallelogram:gamma=1.2,l1=0.6,l2=0.5", None),
+    ("rotrect:theta=0.7854,l1=0.7071,l2=0.7071", None),
+    ("sphere:r=0.5", None),
+    ("cylinder:r=0.3,h=0.8", None),
+    ("hypercube:d=2", ODD_PADDED_STEP),
+    ("circle:r=0.5", ODD_PADDED_STEP),
+    ("sphere:r=0.5", ODD_PADDED_STEP),
+]
+
+
+@pytest.mark.parametrize("spec, step", QUADRATURE_CASES)
 def test_k0_numeric_equals_the_direct_autocorrelation_sum(spec, step):
     template = parse_template(spec)
     step = step or default_step(template)
@@ -205,6 +206,14 @@ def test_k0_numeric_does_not_depend_on_the_slab_width(monkeypatch, spec, step, s
     want = k0_numeric(template, step)
     monkeypatch.setattr("latblock.constants._SLAB_BINS", slab_bins)
     assert k0_numeric(template, step) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, step", QUADRATURE_CASES)
+def test_k0_numeric_equals_the_scipy_fft_form_bit_for_bit(spec, step):
+    template = parse_template(spec)
+    step = step or default_step(template)
+    assert k0_numeric(template, step) == scipy_k0_numeric(template, step)
+
 
 def test_k0_numeric_budget_guard():
     with pytest.raises(QuadratureBudgetExceeded):

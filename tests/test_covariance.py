@@ -1,12 +1,10 @@
 """Covariogram models, lattice sums and the exact finite-window variance."""
 
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len as scipy_next_fast_len
 from scipy.signal import correlate, fftconvolve
 
 import latblock.covariance
@@ -242,7 +240,15 @@ def test_b0_is_unchanged_by_face_built_shells(monkeypatch, spec):
 
 @pytest.mark.parametrize(
     "shape_a, shape_b",
-    [((7,), (7,)), ((7,), (4,)), ((30, 42), (30, 42)), ((101, 37), (9, 5)), ((16, 16, 16), (16, 16, 16))],
+    [
+        ((7,), (7,)),
+        ((7,), (4,)),
+        ((30, 42), (30, 42)),
+        ((101, 37), (9, 5)),
+        ((16, 16, 16), (16, 16, 16)),
+        ((23, 29, 11), (23, 29, 11)),
+        ((9, 8, 7, 3), (9, 8, 7, 3)),
+    ],
 )
 def test_local_fftconvolve_equals_scipy_signal_bit_for_bit(shape_a, shape_b):
     rng = np.random.default_rng(len(shape_a) * 100 + shape_a[0])
@@ -256,14 +262,10 @@ def test_local_fftconvolve_equals_scipy_signal_bit_for_bit(shape_a, shape_b):
         latblock.covariance.fftconvolve(a, b, mode="same")
 
 
-def test_cli_start_up_does_not_import_scipy_signal():
-    src = Path(latblock.covariance.__file__).resolve().parents[1]
-    code = "import sys, latblock.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": str(src), "PATH": ""},
-    )
-    assert out.stdout.strip() == "False"
+def test_next_fast_len_equals_scipy_real_lengths():
+    lengths = range(1, 20001)
+    want = [scipy_next_fast_len(n, real=True) for n in lengths]
+    assert [latblock.covariance.next_fast_len(n) for n in lengths] == want
 
 
 @pytest.mark.parametrize(
