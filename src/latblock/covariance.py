@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,10 +103,16 @@ class Covariogram:
             return np.exp(-self.betas[0] * (k * k).sum(axis=-1))
         if self.kind == WHITE:
             return np.where(np.all(lags == 0, axis=-1), 1.0, 0.0)
-        entries = dict(self.table)
-        flat = lags.reshape(-1, self.d)
-        vals = np.array([entries.get(tuple(int(x) for x in row), 0.0) for row in flat])
-        return vals.reshape(lags.shape[:-1])
+        index, values = self._lag_rows
+        return values[index.lookup(lags)]
+
+    @cached_property
+    def _lag_rows(self) -> tuple:
+        """A tabulated model's dense lag -> row lookup, built on first use, and
+        its values with 0.0 last: the value of every lag it leaves out (row -1)."""
+        lags = np.array([k for k, _ in self.table], np.int64)
+        index = LatticeWindow(lags, lags.min(axis=0), lags.max(axis=0)).indexer()
+        return index, np.array([v for _, v in self.table] + [0.0])
 
     def axis_term(self, axis: int, m: int) -> float:
         """One-dimensional factor term for separable kinds."""

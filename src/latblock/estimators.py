@@ -442,7 +442,8 @@ def estimate_blocks(
     local: SubsamplePlan,
     stat: SmoothStatistic,
 ) -> np.ndarray:
-    """tau_hat_sq (R, B) of the design ``local`` on each of ``blocks``' B blocks.
+    """tau_hat_sq (R, B), C-contiguous, of the design ``local`` on each of
+    ``blocks``' B blocks.
 
     ``blocks`` is the window's OL design of a pilot region, ``local`` a
     shared-count design on the pilot region's window, ``full`` the window's
@@ -453,20 +454,27 @@ def estimate_blocks(
     on replicate r's (B, nB, p) block values bit for bit.  That call gathers
     its (B, M, sN, p) values with the block axis innermost in memory, after
     the sites, so it sums each subsample left to right and reduces theta
-    over M with blocks innermost; here theta is laid out (R, M, B) and
+    over M with blocks innermost; here theta is laid out (M, B, R) and
     reduced by the same code.  One block of one column has no axis after
-    the sites, and is summed pairwise.
+    the sites, and is summed pairwise; one block's theta is a contiguous
+    row, and is reduced pairwise.  The statistic sees the (B * R, M, p)
+    means of the R fields' blocks: at R = 1, the array that call hands it.
     """
     _check_core(local, _image_columns(image, full.grid), stat)
-    n_blocks = blocks.index_set.n_subsamples
+    n_fields, n_blocks = image.shape[0], blocks.index_set.n_subsamples
     sums = grid_sums(full.grid, image, pairwise=stat.p == 1 and n_blocks == 1)
     local_anchors = local.grid.step * local.index_set.offsets
     block_anchors = blocks.index_set.offsets  # OL: step 1
     rel = local_anchors[:, None] + block_anchors - full.index_set.offsets.min(axis=0)
     index = np.ravel_multi_index(tuple(np.moveaxis(rel, -1, 0)), full.grid.shape)  # (M, B)
-    means = np.take(sums, index, axis=-1) / local.grid.base.shape[0]
-    theta = stat(np.moveaxis(means.reshape(image.shape[0], stat.p, *index.shape), 1, -1))
-    return _reduce_theta(local, np.moveaxis(theta, 1, 2), stat)[1]  # (R, B, M), laid out (R, M, B)
+    # sums (p, cells, R) taken at (M, B): means laid out (p, M, B, R)
+    sums = np.moveaxis(sums.reshape(n_fields, stat.p, -1), 0, -1)
+    means = np.take(sums, index, axis=1) / local.grid.base.shape[0]
+    theta = stat(means.reshape(stat.p, len(index), -1).T)  # (B * R, M), laid out (M, B, R)
+    theta = np.moveaxis(theta.reshape(n_blocks, n_fields, -1), 1, 0)  # (R, B, M)
+    if n_blocks == 1:  # a field's one block: its M statistics are a row, reduced pairwise
+        theta = np.ascontiguousarray(theta)
+    return np.ascontiguousarray(_reduce_theta(local, theta, stat)[1])
 
 
 def estimate_from_plan(

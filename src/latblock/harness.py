@@ -20,13 +20,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import k0 as shape_k0
 from .covariance import Covariogram, exact_tau_n_sq_window, parse_covariogram
 from .errors import ConfigError, DegenerateSubsampling, InsufficientCandidates, LatblockError
 from .estimators import (
     SmoothStatistic,
     design_plan,
-    estimate_blocks,
     estimate_image,
     estimate_values,
     field_image,
@@ -50,14 +48,7 @@ from .geometry import (
     lattice_sites,
     parse_template,
 )
-from .scaling import (
-    hj_candidate_scales,
-    hj_choose,
-    hj_designs,
-    npi_bias_estimate,
-    npi_region_pilots,
-    theoretical_scaling,
-)
+from .scaling import SelectorEngine, hj_candidate_scales, npi_region_pilots
 
 
 # ---------------------------------------------------------------------------
@@ -697,99 +688,35 @@ _GATHER_CELLS = 1 << 17
 
 def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau_n):
     """Per replicate of ``samples`` (the pair's ``Replicates``), (s_hat, phi)
-    of every selector setting in ``methods``.
-
-    ``phi`` is the selected scale's estimate less the oracle scale's, over
-    tau_n.  A setting that raises a ``LatblockError`` on a replicate gives
-    the error's class name instead; an error at the oracle scale ends the
-    study.
-
-    Every design a selector reads is data-independent.  So a chunk of
-    replicates goes through one field image, and each scale it needs (the
-    oracle, npi's pilots, hj's proxy and every chosen scale) gets a
-    tau_hat_sq table from ``estimate_image``.  hj's block estimates are
-    gathered from the whole window's OL subsample sums (``estimate_blocks``).
-    The selectors then run per replicate on these tables with the helpers
-    ``npi_scaling`` and ``hj_scaling`` use, in their order, so every value
-    has the bits of those calls and every failed setting their error.  Both
-    statistics a study lifts are polynomials in the field values, so no
-    estimate of a finite field is undefined and no candidate is dropped for
-    its values.
+    of every selector setting in ``methods``, or the class name of the
+    ``LatblockError`` the setting raised there; an error at the oracle scale
+    ends the study.  ``phi`` is the selected scale's estimate less the oracle
+    scale's, over tau_n.  A chunk of replicates goes through one field image:
+    the selectors choose on it (``SelectorEngine.select``), and the oracle
+    and chosen scales are read from the tau_hat_sq tables they chose from.
     """
-    d = region.d
-    hj, hj_errors = {}, {}
-    for method, _, _, lm in methods:
-        if method == "hj":
-            try:
-                hj[lm] = hj_designs(
-                    window, region, lm, sel.hj_candidates, sel.scheme, sel.hj_min_candidates
-                )
-            except LatblockError as exc:  # fails the setting on every replicate
-                hj_errors[lm] = exc
-    full = {  # the window's OL design at each candidate scale
-        c: design_plan(window, region, SubsampleSpec(region.template, float(c), OL))
-        for design in hj.values()
-        for c, _ in design.local
-    }
-    widest = max(
-        (
-            design.blocks.index_set.n_subsamples * local.index_set.n_subsamples
-            for design in hj.values()
-            for _, local in design.local
-        ),
-        default=1,
+    engine = SelectorEngine(
+        window, region, methods, sel.scheme, sel.hj_candidates, sel.hj_min_candidates
     )
     cells = window.indexer().table.size * stat.p  # image cells per replicate
-    block = max(1, min(_IMAGE_BLOCK_CELLS // cells, _GATHER_CELLS // (widest * stat.p)))
-    pilots = {  # npi's rounded (s1, s2) per setting
-        (c1, c2): npi_region_pilots(region, c1, c2)[2:]
-        for method, c1, c2, _ in methods
-        if method == "npi"
-    }
-    if pilots:
-        shape = shape_k0(region.template)
+    block = max(1, min(_IMAGE_BLOCK_CELLS // cells, _GATHER_CELLS // (engine.widest * stat.p)))
     with closing(samples.chunks(block)) as chunks:
-        for chunk, image in chunks:
-            taus, curves = {}, {}
-
-            def tau_at(lam) -> list:
-                if lam not in taus:
-                    spec = SubsampleSpec(region.template, float(lam), sel.scheme)
-                    plan = design_plan(window, region, spec)
-                    taus[lam] = estimate_image(plan, image, stat).tolist()
-                return taus[lam]
-
-            def pick(r, method, c1, c2, lm) -> int:
-                if method == "npi":
-                    s1, s2 = pilots[c1, c2]
-                    tau2 = tau_at(s1)[r]
-                    b0 = npi_bias_estimate(lambda lam: tau_at(lam)[r], s2)
-                    return theoretical_scaling(
-                        d, region.det_scale(), b0, tau2, shape, sel.scheme, region=region
-                    ).lambda_opt_int
-                if lm in hj_errors:
-                    raise hj_errors[lm].with_traceback(None)
-                design = hj[lm]
-                if lm not in curves:  # per usable candidate, the MSE of each replicate
-                    proxy = np.array(tau_at(lm))[:, None]
-                    mse = []
-                    for c, local in design.local:
-                        tau_blocks = estimate_blocks(image, full[c], design.blocks, local, stat)
-                        mse.append(((tau_blocks - proxy) ** 2).mean(-1).tolist())
-                    curves[lm] = mse
-                usable = [c for c, _ in design.local]
-                curve = [mse[r] for mse in curves[lm]]
-                return hj_choose(usable, curve, design.volume_ratio, region)[2]
-
-            tau_opt = tau_at(s_opt)
-            for r in range(len(chunk)):
+        for _, image in chunks:
+            taus = {}
+            tau_opt = engine.tau(image, stat, taus, s_opt)
+            for r, plans in enumerate(engine.select(image, stat, taus)):
                 out = []
-                for setting in methods:
+                for plan in plans:
+                    if isinstance(plan, LatblockError):
+                        out.append(type(plan).__name__)
+                        continue
+                    s_hat = plan.lambda_opt_int
                     try:
-                        s_hat = pick(r, *setting)
-                        out.append((s_hat, (tau_at(s_hat)[r] - tau_opt[r]) / tau_n))
+                        tau_hat = engine.tau(image, stat, taus, s_hat)[r]
                     except LatblockError as exc:
                         out.append(type(exc).__name__)
+                        continue
+                    out.append((s_hat, (tau_hat - tau_opt[r]) / tau_n))
                 yield out
 
 

@@ -29,8 +29,9 @@ from .estimators import (
     SmoothStatistic,
     SubsamplePlan,
     design_plan,
-    estimate,
-    estimate_values,
+    estimate_blocks,
+    estimate_image,
+    field_image,
 )
 from .geometry import NOL, OL, LatticeWindow, Region, SubsampleSpec, lattice_sites
 
@@ -96,19 +97,10 @@ def theoretical_scaling(
             f"the optimal scale is out of range: det_delta = {det_delta}, b0 = {b0}, "
             f"tau_sq = {tau_sq}"
         )
-    return ScalingPlan(
-        scheme=scheme,
-        lambda_opt_real=float(lam),
-        lambda_opt_int=_clamp_scale(lam, region),
-        diagnostics={
-            "d": d,
-            "det_delta": det_delta,
-            "b0": b0,
-            "tau_sq": tau_sq,
-            "k0": shape.k0,
-            "volume": shape.volume,
-        },
+    diagnostics = dict(
+        d=d, det_delta=det_delta, b0=b0, tau_sq=tau_sq, k0=shape.k0, volume=shape.volume
     )
+    return ScalingPlan(scheme, float(lam), _clamp_scale(lam, region), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -159,34 +151,9 @@ def npi_scaling(
     c2: float = 0.5,
     scheme: str = OL,
 ) -> ScalingPlan:
-    """Plug-in estimate of the optimal subsample scale from pilot estimators."""
-    d = region.d
-    s1_raw, s2_raw, s1, s2 = npi_region_pilots(region, c1, c2)
-
-    def tau_fn(lam: int) -> float:
-        spec = SubsampleSpec(region.template, float(lam), scheme)
-        return estimate(sample, region, spec, stat).tau_hat_sq
-
-    tau2_hat = tau_fn(s1)
-    b0_hat = npi_bias_estimate(tau_fn, s2)
-    shape = shape_k0(region.template)
-    plan = theoretical_scaling(
-        d, region.det_scale(), b0_hat, tau2_hat, shape, scheme, region=region
-    )
-    diag = dict(plan.diagnostics)
-    diag.update(
-        {
-            "c1": c1,
-            "c2": c2,
-            "pilot1_raw": s1_raw,
-            "pilot2_raw": s2_raw,
-            "pilot1": s1,
-            "pilot2": s2,
-            "tau_sq_hat": tau2_hat,
-            "b0_hat": b0_hat,
-        }
-    )
-    return ScalingPlan(plan.scheme, plan.lambda_opt_real, plan.lambda_opt_int, diag)
+    """Plug-in estimate of the optimal subsample scale from pilot estimators:
+    ``SelectorEngine`` on the one field ``sample``."""
+    return _select_one(sample, region, stat, ("npi", c1, c2, None), scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -290,47 +257,132 @@ def hj_scaling(
     scheme: str = OL,
     min_candidates: int = 5,
 ) -> ScalingPlan:
-    """Empirical-MSE selection of the subsample scale on pilot blocks.
-
-    Every overlapping translate of the lambda_m-scaled template acts as a
-    small sampling region; the scheme's estimator runs on each block at every
-    candidate scale, the squared deviation from the full-region estimator at
-    lambda_m is averaged into an MSE curve, and the argmin (ties to the
-    smallest) is recalibrated by the region-to-block volume ratio.
+    """Empirical-MSE selection of the subsample scale on pilot blocks
+    (``SelectorEngine`` on the one field ``sample``): the MSE curve of the
+    candidates' estimates on every lambda_m-scaled block against the region's
+    estimate at lambda_m, its argmin (ties to the smallest) recalibrated by
+    the region-to-block volume ratio.
     """
-    lambda_m = int(lambda_m)
-    design = hj_designs(sample.window, region, lambda_m, candidates, scheme, min_candidates)
-    proxy = estimate(
-        sample, region, SubsampleSpec(region.template, float(lambda_m), scheme), stat
-    ).tau_hat_sq
+    setting = ("hj", None, None, int(lambda_m))
+    return _select_one(sample, region, stat, setting, scheme, candidates, min_candidates)
 
-    mse_curve = []
-    usable = []
-    dropped = list(design.dropped)
-    block_values = sample.values[design.blocks.row_matrix]  # (B, nB, p), pilot-window order
-    for c, local in design.local:
-        # a statistic undefined on some block's subsample drops the candidate
-        try:
-            tau_blocks = estimate_values(local, block_values, stat)[2]  # (B,)
-        except LatblockError as exc:
-            dropped.append((c, type(exc).__name__))
-            continue
-        mse_curve.append(float(np.mean((tau_blocks - proxy) ** 2)))
-        usable.append(c)
 
-    best, lam_real, lam_int = hj_choose(usable, mse_curve, design.volume_ratio, region)
-    return ScalingPlan(
-        scheme=scheme,
-        lambda_opt_real=float(lam_real),
-        lambda_opt_int=lam_int,
-        diagnostics={
-            "lambda_m": lambda_m,
-            "candidates": usable,
-            "dropped": sorted(dropped),
-            "mse_curve": mse_curve,
-            "s_hat_pilot": best,
-            "proxy_tau_sq": proxy,
-            "volume_ratio": design.volume_ratio,
-            "n_blocks": int(design.blocks.index_set.n_subsamples),
-        },
-    )
+def _select_one(sample: FieldSample, region: Region, stat, setting, scheme, *hj_args):
+    engine = SelectorEngine(sample.window, region, [setting], scheme, *hj_args)
+    image = field_image(sample.window.indexer().table, sample.values[None])
+    ((outcome,),) = engine.select(image, stat, {})
+    if isinstance(outcome, LatblockError):
+        raise outcome
+    return outcome
+
+
+# ---------------------------------------------------------------------------
+# the selector engine
+# ---------------------------------------------------------------------------
+
+
+class SelectorEngine:
+    """npi and hj on R fields of one window, chosen from tau_hat_sq tables.
+
+    ``settings`` holds ("npi", c1, c2, None) or ("hj", None, None, lambda_m)
+    per selector setting.  The designs a selector reads are data-independent
+    and built once: npi's pilot scales, hj's designs (or the
+    ``LatblockError`` that refused them), the window's OL design at every
+    usable hj candidate and the shape constants.  ``widest``, the cells per
+    field and column of hj's widest block gather, sizes a caller's chunks.
+    """
+
+    def __init__(self, window, region, settings, scheme=OL, candidates=None, min_candidates=5):
+        self.window, self.region, self.scheme = window, region, scheme
+        self.settings = list(settings)
+        npi = [(c1, c2) for method, c1, c2, _ in self.settings if method == "npi"]
+        self.pilots = {c: npi_region_pilots(region, *c) for c in npi}  # (s1_raw, s2_raw, s1, s2)
+        self.shape = shape_k0(region.template) if self.pilots else None
+        self.hj = {}  # lambda_m -> HjDesign, or the error that fails it on every field
+        for method, _, _, lm in self.settings:
+            if method == "hj":
+                try:
+                    self.hj[lm] = hj_designs(window, region, lm, candidates, scheme, min_candidates)
+                except LatblockError as exc:
+                    self.hj[lm] = exc
+        designs = [design for design in self.hj.values() if isinstance(design, HjDesign)]
+        local = [(design.blocks, c, plan) for design in designs for c, plan in design.local]
+        self.full = {  # the window's OL design at each usable candidate scale
+            c: design_plan(window, region, SubsampleSpec(region.template, float(c), OL))
+            for _, c, _ in local
+        }
+        self.widest = max(
+            (b.index_set.n_subsamples * p.index_set.n_subsamples for b, _, p in local), default=1
+        )
+
+    def tau(self, image: np.ndarray, stat: SmoothStatistic, taus: dict, lam: int) -> list:
+        """The (R,) tau_hat_sq table of ``image`` at scale ``lam``, memo ``taus``."""
+        if lam not in taus:
+            spec = SubsampleSpec(self.region.template, float(lam), self.scheme)
+            plan = design_plan(self.window, self.region, spec)
+            taus[lam] = estimate_image(plan, image, stat).tolist()
+        return taus[lam]
+
+    def select(self, image: np.ndarray, stat: SmoothStatistic, taus: dict) -> list:
+        """Per field of ``image`` (the ``field_image`` of R fields), per setting,
+        the ``ScalingPlan`` chosen, or the ``LatblockError`` it raised.
+
+        Each scale is read from one tau_hat_sq table (``tau``), and hj's block
+        estimates from ``estimate_blocks``.  A candidate whose statistic is
+        undefined on some block is dropped for all R fields at once.  Only a
+        ratio of means can be, and only one field (R = 1) meets it: studies
+        lift only polynomial statistics.
+        """
+        curves = {}  # lambda_m -> (usable candidates, dropped, per candidate the (R,) MSE)
+        out = []
+        for r in range(image.shape[0]):
+            out.append([])
+            for method, c1, c2, lm in self.settings:
+                try:
+                    if method == "npi":
+                        out[r].append(self._npi(image, stat, taus, r, c1, c2))
+                    else:
+                        out[r].append(self._hj(image, stat, taus, curves, r, lm))
+                except LatblockError as exc:
+                    out[r].append(exc)
+        return out
+
+    def _npi(self, image, stat, taus, r, c1, c2) -> ScalingPlan:
+        s1_raw, s2_raw, s1, s2 = self.pilots[c1, c2]
+        tau2_hat = self.tau(image, stat, taus, s1)[r]
+        b0_hat = npi_bias_estimate(lambda lam: self.tau(image, stat, taus, lam)[r], s2)
+        region = self.region
+        plan = theoretical_scaling(
+            region.d, region.det_scale(), b0_hat, tau2_hat, self.shape, self.scheme, region=region
+        )
+        plan.diagnostics.update(
+            c1=c1, c2=c2, pilot1_raw=s1_raw, pilot2_raw=s2_raw, pilot1=s1, pilot2=s2,
+            tau_sq_hat=tau2_hat, b0_hat=b0_hat,
+        )
+        return plan
+
+    def _hj(self, image, stat, taus, curves, r, lm) -> ScalingPlan:
+        design = self.hj[lm]
+        if isinstance(design, LatblockError):
+            raise design.with_traceback(None)
+        proxy = self.tau(image, stat, taus, lm)
+        if lm not in curves:
+            usable, dropped, mse = [], list(design.dropped), []
+            for c, local in design.local:
+                try:
+                    tau_blocks = estimate_blocks(image, self.full[c], design.blocks, local, stat)
+                except LatblockError as exc:
+                    dropped.append((c, type(exc).__name__))
+                    continue
+                mse.append(((tau_blocks - np.array(proxy)[:, None]) ** 2).mean(-1).tolist())
+                usable.append(c)
+            curves[lm] = usable, sorted(dropped), mse
+        usable, dropped, mse = curves[lm]
+        curve = [row[r] for row in mse]
+        best, lam_real, lam_int = hj_choose(usable, curve, design.volume_ratio, self.region)
+        diagnostics = dict(
+            lambda_m=lm, candidates=list(usable), dropped=list(dropped), mse_curve=curve,
+            s_hat_pilot=best, proxy_tau_sq=proxy[r], volume_ratio=design.volume_ratio,
+            n_blocks=int(design.blocks.index_set.n_subsamples),
+        )
+        return ScalingPlan(self.scheme, float(lam_real), lam_int, diagnostics)

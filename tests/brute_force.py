@@ -2,7 +2,8 @@
 OL offsets by a membership test of every translated site, the covariogram
 evaluated at every site pair or wrapped torus lag, the circulant draw by one
 full ``fftn`` of the embedding torus, the shape-constant quadrature by
-``scipy.fft``, and the selector study run one replicate at a time.
+``scipy.fft``, the npi and hj selectors on one sample through ``estimate``,
+and the selector study run one replicate at a time.
 
 A plain helper module, imported by the estimator, geometry, covariance, field
 and harness tests and by acceptance criterion 05; it holds no tests.
@@ -15,12 +16,20 @@ import numpy as np
 from scipy.fft import fftn, next_fast_len, rfft
 
 from latblock.constants import _SLAB_BINS
+from latblock.constants import k0 as shape_k0
 from latblock.errors import LatblockError
-from latblock.estimators import FieldSample, estimate
+from latblock.estimators import FieldSample, estimate, estimate_values
 from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
-from latblock.geometry import Region, SubsampleSpec, box_points, raster_mask
+from latblock.geometry import OL, Region, SubsampleSpec, box_points, raster_mask
 from latblock.harness import PhiRow, _mean_se, _oracle_scales, _study_pairs
-from latblock.scaling import hj_scaling, npi_scaling
+from latblock.scaling import (
+    ScalingPlan,
+    hj_choose,
+    hj_designs,
+    npi_bias_estimate,
+    npi_region_pilots,
+    theoretical_scaling,
+)
 
 
 def interval_sites(center, width):
@@ -168,14 +177,88 @@ def scipy_k0_numeric(template, step):
     return acf_sq / math.prod(padded) * h ** (3 * template.d) / vol**3
 
 
+def npi_scaling_reference(sample, region, stat, c1=0.5, c2=0.5, scheme=OL) -> ScalingPlan:
+    """``npi_scaling`` on one sample, each scale estimated by ``estimate``."""
+    d = region.d
+    s1_raw, s2_raw, s1, s2 = npi_region_pilots(region, c1, c2)
+
+    def tau_fn(lam: int) -> float:
+        spec = SubsampleSpec(region.template, float(lam), scheme)
+        return estimate(sample, region, spec, stat).tau_hat_sq
+
+    tau2_hat = tau_fn(s1)
+    b0_hat = npi_bias_estimate(tau_fn, s2)
+    shape = shape_k0(region.template)
+    plan = theoretical_scaling(
+        d, region.det_scale(), b0_hat, tau2_hat, shape, scheme, region=region
+    )
+    diag = dict(plan.diagnostics)
+    diag.update(
+        {
+            "c1": c1,
+            "c2": c2,
+            "pilot1_raw": s1_raw,
+            "pilot2_raw": s2_raw,
+            "pilot1": s1,
+            "pilot2": s2,
+            "tau_sq_hat": tau2_hat,
+            "b0_hat": b0_hat,
+        }
+    )
+    return ScalingPlan(plan.scheme, plan.lambda_opt_real, plan.lambda_opt_int, diag)
+
+
+def hj_scaling_reference(
+    sample, region, stat, lambda_m, candidates=None, scheme=OL, min_candidates=5
+) -> ScalingPlan:
+    """``hj_scaling`` on one sample: the proxy by ``estimate``, and each
+    candidate by ``estimate_values`` on the gathered pilot-block values."""
+    lambda_m = int(lambda_m)
+    design = hj_designs(sample.window, region, lambda_m, candidates, scheme, min_candidates)
+    proxy = estimate(
+        sample, region, SubsampleSpec(region.template, float(lambda_m), scheme), stat
+    ).tau_hat_sq
+
+    mse_curve = []
+    usable = []
+    dropped = list(design.dropped)
+    block_values = sample.values[design.blocks.row_matrix]  # (B, nB, p), pilot-window order
+    for c, local in design.local:
+        # a statistic undefined on some block's subsample drops the candidate
+        try:
+            tau_blocks = estimate_values(local, block_values, stat)[2]  # (B,)
+        except LatblockError as exc:
+            dropped.append((c, type(exc).__name__))
+            continue
+        mse_curve.append(float(np.mean((tau_blocks - proxy) ** 2)))
+        usable.append(c)
+
+    best, lam_real, lam_int = hj_choose(usable, mse_curve, design.volume_ratio, region)
+    return ScalingPlan(
+        scheme=scheme,
+        lambda_opt_real=float(lam_real),
+        lambda_opt_int=lam_int,
+        diagnostics={
+            "lambda_m": lambda_m,
+            "candidates": usable,
+            "dropped": sorted(dropped),
+            "mse_curve": mse_curve,
+            "s_hat_pilot": best,
+            "proxy_tau_sq": proxy,
+            "volume_ratio": design.volume_ratio,
+            "n_blocks": int(design.blocks.index_set.n_subsamples),
+        },
+    )
+
+
 def per_replicate_deviations(samples, region, stat, sel, methods, s_opt, tau_n):
     """Per replicate of ``samples``, a pair's ``harness.Replicates``, (s_hat,
     phi) of every selector setting in ``methods``, or the class name of the
     ``LatblockError`` it raised.
 
     Each replicate is drawn and lifted on its own, and gets one
-    ``npi_scaling`` or ``hj_scaling`` call per setting, each scale estimated
-    by ``estimate``.  ``phi`` is the selected scale's estimate less the
+    ``npi_scaling_reference`` or ``hj_scaling_reference`` call per setting,
+    each scale estimated by ``estimate``.  ``phi`` is the selected scale's estimate less the
     oracle scale's, over tau_n.
     """
 
@@ -189,9 +272,9 @@ def per_replicate_deviations(samples, region, stat, sel, methods, s_opt, tau_n):
         for method, c1, c2, lm in methods:
             try:
                 if method == "npi":
-                    plan = npi_scaling(sample, region, stat, c1, c2, sel.scheme)
+                    plan = npi_scaling_reference(sample, region, stat, c1, c2, sel.scheme)
                 else:
-                    plan = hj_scaling(
+                    plan = hj_scaling_reference(
                         sample,
                         region,
                         stat,

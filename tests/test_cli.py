@@ -1,12 +1,14 @@
 """Command-line interface behavior and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from brute_force import hj_scaling_reference, npi_scaling_reference
 
 import latblock.cli
 from latblock.cli import main, read_field_csv, write_field_csv
@@ -288,6 +290,62 @@ def test_scale_npi_from_file(capsys, field_csv):
     kv = dict(line.split(": ", 1) for line in out.strip().split("\n"))
     assert int(kv["lambda_opt_int"]) in (3, 4, 5)
 
+
+
+@pytest.fixture
+def pair_csv(tmp_path, field_csv):
+    """The ``field_csv`` field as p = 2 columns (x, x^2)."""
+    sample = read_field_csv(field_csv)
+    x = sample.values[:, 0]
+    path = tmp_path / "pairs.csv"
+    write_field_csv(type(sample)(sample.window, np.stack([x, x * x], axis=-1)), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("scheme", ["ol", "nol"])
+@pytest.mark.parametrize("stat_name", ["mean", "momvar"])
+@pytest.mark.parametrize("method", ["npi", "hj"])
+def test_scale_prints_the_reference_plan(capsys, field_csv, pair_csv, method, stat_name, scheme):
+    from latblock import Region, Template, parse_statistic
+
+    data = field_csv if stat_name == "mean" else pair_csv
+    argv = ["scale", "--method", method, "--data", data, "--template", "hypercube:d=2"]
+    argv += ["--stat", stat_name, "--scheme", scheme]
+    sample, stat = read_field_csv(data), parse_statistic(stat_name)
+    region = Region(Template.hypercube(2), (14, 18))
+    if method == "npi":
+        plan = npi_scaling_reference(sample, region, stat, scheme=scheme)
+    else:
+        argv += ["--lambda-m", "6", "--min-candidates", "3"]
+        plan = hj_scaling_reference(sample, region, stat, 6, scheme=scheme, min_candidates=3)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    want = [
+        f"method: {method}",
+        f"scheme: {scheme}",
+        f"lambda_opt_real: {plan.lambda_opt_real:.17g}",
+        f"lambda_opt_int: {plan.lambda_opt_int}",
+    ]
+    want += [f"diag.{key}: {val}" for key, val in sorted(plan.diagnostics.items())]
+    assert out.splitlines() == want
+
+
+def test_a_closed_stdout_ends_the_command_without_a_traceback(field_csv):
+    # the reader is gone before the command starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    src = Path(latblock.cli.__file__).resolve().parents[1]
+    argv = ["scale", "--method", "hj", "--lambda-m", "8", "--data", field_csv]
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "latblock.cli", *argv, "--template", "hypercube:d=2"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+        )
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stderr) == (1, "")
 
 def test_study_command(capsys, tmp_path):
     config = {

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from brute_force import hj_scaling_reference, npi_scaling_reference
 
 from latblock import (
     Covariogram,
@@ -25,11 +26,20 @@ from latblock.errors import (
     ConfigError,
     EmptySubsampleSet,
     InsufficientCandidates,
+    LatblockError,
+    StatisticDomainError,
     ZeroBiasConstant,
 )
-from latblock.estimators import SmoothStatistic, mean_statistic
+from latblock.estimators import (
+    FieldSample,
+    SmoothStatistic,
+    field_image,
+    mean_statistic,
+    moment_variance,
+    ratio_of_means,
+)
 from latblock.geometry import lattice_sites
-from latblock.scaling import hj_recalibrate, npi_pilot_scales
+from latblock.scaling import SelectorEngine, hj_recalibrate, npi_pilot_scales
 
 B0_CUBE_E11 = 7.969179068221  # 2 * S1 * S0 geometric series
 TAU_CUBE_E11 = ((1 + math.exp(-1)) / (1 - math.exp(-1))) ** 2
@@ -276,3 +286,108 @@ def test_hj_pilot_window_is_the_first_block_moved_back(monkeypatch, spec, scale,
         assert np.array_equal(pilot.sites, first)
         assert np.array_equal(pilot.lo, first.min(axis=0))
         assert np.array_equal(pilot.hi, first.max(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# the selector engine against the per-sample references
+# ---------------------------------------------------------------------------
+
+
+def outcome(select, *args, **kwargs):
+    """The plan ``select`` returns, or the ``LatblockError`` it raises."""
+    try:
+        return select(*args, **kwargs)
+    except LatblockError as exc:
+        return exc
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, LatblockError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+        assert got.diagnostics == want.diagnostics  # ScalingPlan equality skips them
+
+
+BOX = Region(Template.hypercube(2), (14, 18))
+DISK = Region(Template.circle(0.5), (20, 20), (0.3, 0.1))
+
+
+def seeded_sample(region, stat_name, seed=4):
+    window = lattice_sites(region)
+    gen = build_generator(Covariogram.exp_separable(1.0, 1.0), window)
+    x = sample_field(gen, substream(seed, 0)).values[:, 0]
+    if stat_name == "mean":
+        return FieldSample(window, x), mean_statistic()
+    return FieldSample(window, np.stack([x, x * x], axis=-1)), moment_variance()
+
+
+@pytest.mark.parametrize("scheme", ["ol", "nol"])
+@pytest.mark.parametrize("stat_name", ["mean", "momvar"])
+@pytest.mark.parametrize("region", [BOX, DISK], ids=["box", "shifted-disk"])
+def test_selectors_equal_the_per_sample_references(region, stat_name, scheme):
+    sample, stat = seeded_sample(region, stat_name)
+    plans = []
+    for c1, c2 in [(0.5, 0.5), (1.0, 0.5), (0.6, 0.4)]:
+        args = (sample, region, stat, c1, c2, scheme)
+        plans.append(outcome(npi_scaling, *args))
+        assert_same_outcome(plans[-1], outcome(npi_scaling_reference, *args))
+    for lambda_m, candidates, least in [(6, [1, 2, 3, 4, 5], 1), (8, None, 3), (4, None, 5)]:
+        args = (sample, region, stat, lambda_m, candidates, scheme, least)
+        plans.append(outcome(hj_scaling, *args))
+        assert_same_outcome(plans[-1], outcome(hj_scaling_reference, *args))
+    assert any(not isinstance(plan, LatblockError) for plan in plans)
+
+
+def ratio_sample():
+    """A ratio-of-means field on the 14 x 18 box whose denominator is zero on
+    its low 3 x 3 corner."""
+    window = lattice_sites(BOX)
+    gen = build_generator(Covariogram.exp_separable(1.0, 1.0), window)
+    x = sample_field(gen, substream(7, 0)).values[:, 0]
+    corner = np.all(window.sites <= window.lo + 2, axis=1)
+    denominator = np.where(corner, 0.0, 2.0 + 0.1 * x)
+    return FieldSample(window, np.stack([x, denominator], axis=-1))
+
+
+def test_a_zero_denominator_drops_hj_candidates_and_fails_npi():
+    sample, stat = ratio_sample(), ratio_of_means()
+    plan = hj_scaling(sample, BOX, stat, 8)
+    assert_same_outcome(plan, hj_scaling_reference(sample, BOX, stat, 8))
+    assert plan.diagnostics["dropped"] == [
+        (2, "StatisticDomainError"),
+        (3, "StatisticDomainError"),
+    ]
+    assert plan.diagnostics["candidates"] == [4, 5, 6, 7]
+    with pytest.raises(StatisticDomainError) as got:
+        npi_scaling(sample, BOX, stat)
+    assert_same_outcome(got.value, outcome(npi_scaling_reference, sample, BOX, stat))
+
+
+@pytest.mark.parametrize("scheme", ["ol", "nol"])
+@pytest.mark.parametrize("stat_name", ["mean", "momvar"])
+def test_select_on_replicates_equals_select_on_each(stat_name, scheme):
+    window = lattice_sites(BOX)
+    gen = build_generator(Covariogram.exp_separable(1.0, 1.0), window)
+    x = np.stack([sample_field(gen, substream(6, rep)).values[:, 0] for rep in range(5)])
+    x[2] = 0.25  # a constant field: tau_hat_sq = 0, so npi fails there alone
+    values = x[..., None] if stat_name == "mean" else np.stack([x, x * x], axis=-1)
+    stat = mean_statistic() if stat_name == "mean" else moment_variance()
+    settings = [
+        ("npi", 0.5, 0.5, None),
+        ("npi", 1.0, 0.5, None),
+        ("hj", None, None, 6),
+        ("hj", None, None, 4),  # two candidates: refused on every replicate
+    ]
+    engine = SelectorEngine(window, BOX, settings, scheme, None, 3)
+    table = window.indexer().table
+    together = engine.select(field_image(table, values), stat, {})
+    assert len(together) == 5
+    for rep, plans in enumerate(together):
+        (alone,) = engine.select(field_image(table, values[rep : rep + 1]), stat, {})
+        for got, want in zip(plans, alone, strict=True):
+            assert_same_outcome(got, want)
+    done = ["ScalingPlan"] * 3 + ["InsufficientCandidates"]
+    failed = ["ConfigError"] * 2 + done[2:]
+    classes = [[type(plan).__name__ for plan in plans] for plans in together]
+    assert classes == [done, done, failed, done, done]
