@@ -61,6 +61,9 @@ class Covariogram:
                     raise ConfigError(
                         f"tabulated model is not symmetric at lag {k}"
                     )
+            # symmetric lags span [-m, m] on each axis
+            if math.prod(2 * max(abs(k[i]) for k in entries) + 1 for i in range(self.d)) >= 2**63:
+                raise ConfigError("tabulated lags span a box too large for 64-bit lag keys")
         elif self.kind != WHITE:
             raise ConfigError(f"unknown covariogram kind {self.kind!r}")
 
@@ -103,16 +106,19 @@ class Covariogram:
             return np.exp(-self.betas[0] * (k * k).sum(axis=-1))
         if self.kind == WHITE:
             return np.where(np.all(lags == 0, axis=-1), 1.0, 0.0)
-        index, values = self._lag_rows
-        return values[index.lookup(lags)]
+        lo, span, table_lags, keys, values = self._lag_rows
+        flat = np.ravel_multi_index(tuple(np.moveaxis(lags - lo, -1, 0)), span, mode="clip")
+        row = np.minimum(np.searchsorted(keys, flat), len(keys) - 1)
+        return values[np.where(np.all(table_lags[row] == lags, axis=-1), row, -1)]
 
     @cached_property
     def _lag_rows(self) -> tuple:
-        """A tabulated model's dense lag -> row lookup, built on first use, and
-        its values with 0.0 last: the value of every lag it leaves out (row -1)."""
-        lags = np.array([k for k, _ in self.table], np.int64)
-        index = LatticeWindow(lags, lags.min(axis=0), lags.max(axis=0)).indexer()
-        return index, np.array([v for _, v in self.table] + [0.0])
+        """A tabulated model's sorted lags and their flat keys in the lags' box,
+        built on first use, and its values with 0.0 last (row -1: a lag left out)."""
+        lags = np.array([k for k, _ in self.table], np.int64)  # sorted, so keys are too
+        span = tuple((lags.max(axis=0) - lags.min(axis=0) + 1).tolist())
+        keys = np.ravel_multi_index(tuple((lags - lags.min(axis=0)).T), span)
+        return lags.min(axis=0), span, lags, keys, np.array([v for _, v in self.table] + [0.0])
 
     def axis_term(self, axis: int, m: int) -> float:
         """One-dimensional factor term for separable kinds."""

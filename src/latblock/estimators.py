@@ -29,8 +29,10 @@ from .geometry import (
     Region,
     SubsampleIndexSet,
     SubsampleSpec,
+    anchor_slices,
     enumerate_nol,
     enumerate_ol,
+    erode,
     lattice_sites,
     nol_subregion_windows,
     warn_non_integer_scale,
@@ -177,28 +179,21 @@ class AnchorGrid:
     def slices(self) -> tuple:
         """Per base site t, the slices of the window's bounding box that
         hold ``anchor + base_t`` for every grid anchor, in grid order."""
-        return tuple(
-            tuple(
-                slice(a + b, a + b + self.step * (n - 1) + 1, self.step)
-                for a, b, n in zip(self.lo, site, self.shape)
-            )
-            for site in self.base.tolist()
-        )
+        return anchor_slices(np.add(self.lo, self.base), self.step, self.shape)
 
 
 @dataclass(frozen=True)
 class SubsamplePlan:
-    """Precomputed row-index matrix for repeated estimation on one design.
+    """One subsample design on one window, for repeated estimation.
 
-    ``row_matrix`` is (M, sN) for shared-count schemes; ragged designs carry a
-    tuple of row arrays instead.  Shared-count designs also carry their
-    ``grid``, the same rows as anchors plus a base pattern.  Plans are shared
+    A shared-count design (OL at any scale, NOL at an integer scale) is its
+    ``grid``: anchors plus one base pattern.  A ragged design carries a tuple
+    of per-subsample row arrays of the window instead.  Plans are shared
     through the design cache, so every array in one is read-only.
     """
 
     scheme: str
     index_set: SubsampleIndexSet
-    row_matrix: np.ndarray | None
     row_lists: tuple | None
     counts: np.ndarray
     grid: AnchorGrid | None = None
@@ -231,30 +226,31 @@ def design_plan(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> S
 def _cached_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
     _lookup.built = True
     plan = _build_design(window, region, spec)
-    rows = [plan.row_matrix] if plan.row_matrix is not None else list(plan.row_lists)
     grid = [plan.grid.base, plan.grid.index] if plan.grid is not None else []
-    for arr in [plan.index_set.offsets, plan.counts, *rows, *grid]:
+    for arr in [plan.index_set.offsets, plan.counts, *(plan.row_lists or ()), *grid]:
         if arr is not None:
             arr.setflags(write=False)
     return plan
 
 
 def _anchor_grid(window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, step: int):
+    """``anchors`` plus ``base`` as a grid on ``window``; None if it misses a site."""
     lo = anchors.min(axis=0)
-    shape = (anchors.max(axis=0) - lo) // step + 1
-    index = np.ravel_multi_index(tuple(((anchors - lo) // step).T), tuple(shape))
-    return AnchorGrid(
-        base=base,
-        lo=tuple((lo - window.lo).tolist()),
-        step=step,
-        shape=tuple(shape.tolist()),
-        index=None if np.array_equal(index, np.arange(shape.prod())) else index,
-    )
+    shape = tuple(((anchors.max(axis=0) - lo) // step + 1).tolist())
+    index = np.ravel_multi_index(tuple(((anchors - lo) // step).T), shape)
+    cells, table = lo - window.lo + base, window.indexer().table
+    # bound the sites' box first: a negative slice start would wrap round
+    reach = cells.max(axis=0) + step * (np.array(shape) - 1)
+    if cells.min() < 0 or np.any(reach >= table.shape):
+        return None
+    if not erode(table >= 0, cells, step, shape).ravel()[index].all():
+        return None
+    full = np.array_equal(index, np.arange(np.prod(shape)))
+    return AnchorGrid(base, tuple((lo - window.lo).tolist()), step, shape, None if full else index)
 
 
 def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
-    """Resolve every subsample's sites to rows of the window, or fail loudly."""
-    indexer = window.indexer()
+    """The design of ``spec`` on ``window``, or a loud failure."""
     if spec.scheme == OL or spec.is_integer_scale():
         # shared count: the scale-s template's sites moved to step-1 or step-s anchors
         ol = spec.scheme == OL
@@ -263,13 +259,12 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
         base = lattice_sites(
             Region(spec.template, (spec.s_lambda,) * region.d, region.shift)
         ).sites
-        anchors = step * index_set.offsets
-        rows = indexer.lookup(anchors[:, None] + base)
-        if np.any(rows < 0):
+        grid = _anchor_grid(window, step * index_set.offsets, base, step)
+        if grid is None:
             what = "overlapping" if ol else "disjoint"
             raise MissingSites(f"sample does not cover every {what} subsample site")
-        grid = _anchor_grid(window, anchors, base, step)
-        return SubsamplePlan(spec.scheme, index_set, rows, None, index_set.counts, grid)
+        return SubsamplePlan(spec.scheme, index_set, None, index_set.counts, grid)
+    indexer = window.indexer()
     index_set = enumerate_nol(region, spec)
     windows = nol_subregion_windows(region, spec, index_set.offsets)
     row_lists = []
@@ -280,31 +275,16 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
         if np.any(rows < 0):
             raise MissingSites("sample does not cover every disjoint subsample site")
         row_lists.append(rows)
-    return SubsamplePlan(NOL, index_set, None, tuple(row_lists), index_set.counts)
-
-
-def build_plan(sample: FieldSample, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
-    """Resolve every subsample's sites to rows of the sample, or fail loudly.
-
-    The plan comes from the design cache (see ``design_plan``).
-    """
-    return design_plan(sample.window, region, spec)
+    return SubsamplePlan(NOL, index_set, tuple(row_lists), index_set.counts)
 
 
 def estimate_values(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic):
-    """The estimator core: field values of shape (..., N, p) on one design.
-
-    Leading axes are independent fields (replicates, or hj's pilot blocks).
-    Returns the per-subsample statistics theta (..., M), their mean
-    theta_tilde (...) and the estimates tau_hat_sq (...).
-    """
+    """theta (..., M), theta_tilde (...) and tau_hat_sq (...) of a ragged
+    design on field values (..., N, p), gathered copy by copy."""
     _check_core(plan, values.shape[-1], stat)
-    if plan.row_matrix is not None:
-        theta = stat(values[..., plan.row_matrix, :].mean(axis=-2))
-    else:
-        theta = np.stack(
-            [stat(values[..., rows, :].mean(axis=-2)) for rows in plan.row_lists], axis=-1
-        )
+    theta = np.stack(
+        [stat(values[..., rows, :].mean(axis=-2)) for rows in plan.row_lists], axis=-1
+    )
     return (theta, *_reduce_theta(plan, theta, stat))
 
 
@@ -412,16 +392,15 @@ def grid_sums(grid: AnchorGrid, image: np.ndarray, pairwise: bool = True) -> np.
     return sums.reshape(*image.shape[: image.ndim - len(grid.shape)], -1)
 
 
-def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic) -> np.ndarray:
-    """tau_hat_sq (R,) of R fields on a shared-count design.
+def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic) -> tuple:
+    """theta (R, M), theta_tilde (R,) and tau_hat_sq (R,) of R fields on a
+    shared-count design, from their ``field_image`` of ``stat.p`` columns.
 
-    ``image`` is the ``field_image`` of R fields of ``stat.p`` columns on
-    the plan's window.  Every estimate equals
-    ``estimate_values(plan, values[r], stat)[2]`` bit for bit.  That call
-    sums each subsample in numpy's pairwise order when its sites are the
-    innermost axis of the gather (p = 1) and left to right otherwise, and
-    ``grid_sums`` replays either; the (R, M) statistics are reduced as
-    C-contiguous rows, as ``estimate_values`` reduces its (M,) row.
+    The bits are those of the mean over the sites of each field's gathered
+    (M, sN, p) subsample values: numpy sums them pairwise when the sites are
+    innermost (p = 1) and left to right otherwise, and ``grid_sums`` replays
+    either.  The (R, M) statistics are reduced as C-contiguous rows, as a
+    gathered field's (M,) row is.
     """
     grid = plan.grid
     if grid is None:
@@ -432,7 +411,7 @@ def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic
         sums = np.take(sums, grid.index, axis=-1)
     means = (sums / grid.base.shape[0]).reshape(image.shape[0], stat.p, -1)
     theta = np.ascontiguousarray(stat(np.moveaxis(means, 1, -1)))
-    return _reduce_theta(plan, theta, stat)[1]
+    return (theta, *_reduce_theta(plan, theta, stat))
 
 
 def estimate_blocks(
@@ -450,15 +429,16 @@ def estimate_blocks(
     OL design at ``local``'s scale and ``image`` the ``field_image`` of R
     fields.  Block b's subsample m holds the sites of ``full``'s subsample
     at anchor ``block_b + local_m``, so its sum is taken from ``full``'s
-    ``grid_sums``.  Row r equals ``estimate_values(local, block_values, stat)``
-    on replicate r's (B, nB, p) block values bit for bit.  That call gathers
+    ``grid_sums``.  Row r equals, bit for bit, the estimates of gathering
+    replicate r's (B, nB, p) block values at ``local``'s subsample rows
+    (``gather_estimate`` in ``tests/brute_force.py``).  That gather lays out
     its (B, M, sN, p) values with the block axis innermost in memory, after
     the sites, so it sums each subsample left to right and reduces theta
     over M with blocks innermost; here theta is laid out (M, B, R) and
     reduced by the same code.  One block of one column has no axis after
     the sites, and is summed pairwise; one block's theta is a contiguous
     row, and is reduced pairwise.  The statistic sees the (B * R, M, p)
-    means of the R fields' blocks: at R = 1, the array that call hands it.
+    means of the R fields' blocks: at R = 1, the array the gather hands it.
     """
     _check_core(local, _image_columns(image, full.grid), stat)
     n_fields, n_blocks = image.shape[0], blocks.index_set.n_subsamples
@@ -483,7 +463,13 @@ def estimate_from_plan(
     stat: SmoothStatistic,
     keep_theta: bool = False,
 ) -> EstimatorResult:
-    theta, theta_tilde, tau_hat = estimate_values(plan, sample.values, stat)
+    """``plan`` on ``sample``, a field on the plan's window, through its
+    ``field_image`` when the design is shared-count."""
+    if plan.grid is None:
+        theta, theta_tilde, tau_hat = estimate_values(plan, sample.values, stat)
+    else:
+        image = field_image(sample.window.indexer().table, sample.values[None])
+        theta, theta_tilde, tau_hat = (a[0] for a in estimate_image(plan, image, stat))
     return EstimatorResult(
         tau_hat_sq=float(tau_hat),
         scheme=plan.scheme,
@@ -522,4 +508,4 @@ def nol_estimate(
 
 def estimate(sample, region, spec, stat, keep_theta=False) -> EstimatorResult:
     """Subsample variance estimate of ``spec``'s scheme on ``sample``."""
-    return estimate_from_plan(build_plan(sample, region, spec), sample, stat, keep_theta)
+    return estimate_from_plan(design_plan(sample.window, region, spec), sample, stat, keep_theta)

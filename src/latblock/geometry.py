@@ -882,6 +882,24 @@ class SubsampleIndexSet:
         return self.offsets.shape[0]
 
 
+def anchor_slices(cells, step: int, shape) -> tuple:
+    """Per site of a pattern at ``cells``, the slices of a box that hold it
+    moved to every anchor ``step * j``, ``0 <= j < shape``."""
+    return tuple(
+        tuple(slice(b, b + step * (n - 1) + 1, step) for b, n in zip(site, shape))
+        for site in np.asarray(cells).tolist()
+    )
+
+
+def erode(mask: np.ndarray, cells, step: int, shape) -> np.ndarray:
+    """The erosion of ``mask`` by a pattern at the anchors of ``anchor_slices``:
+    the AND of one strided slice of the mask per site, each inside its box."""
+    ok = np.ones(shape, bool)
+    for cut in anchor_slices(cells, step, shape):
+        ok &= mask[cut]
+    return ok
+
+
 def enumerate_ol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     """All integer translates of the scaled subsample template inside the region.
 
@@ -901,12 +919,9 @@ def enumerate_ol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
         window = lattice_sites(region)
     except EmptyWindow:
         raise EmptySubsampleSet(none_fit) from None
-    mask = window.indexer().table >= 0
     rel = base - base.min(axis=0)
     shape = np.maximum(window.span - rel.max(axis=0), 0).tolist()
-    ok = np.ones(shape, bool)
-    for site in rel.tolist():
-        ok &= mask[tuple(slice(b, b + n) for b, n in zip(site, shape))]
+    ok = erode(window.indexer().table >= 0, rel, 1, shape)
     offsets = window.lo - base.min(axis=0) + np.argwhere(ok)
     if offsets.shape[0] == 0:
         raise EmptySubsampleSet(none_fit)

@@ -26,7 +26,6 @@ from .estimators import (
     SmoothStatistic,
     design_plan,
     estimate_image,
-    estimate_values,
     field_image,
     parse_statistic,
 )
@@ -574,27 +573,20 @@ _IMAGE_BLOCK_CELLS = 1 << 15
 def _replicate_taus(plans: list, samples, stat: SmoothStatistic, window, replicates: int):
     """tau_hat_sq of every design on every replicate, shape (replicates, designs).
 
-    ``samples`` is the pair's ``Replicates``.  A shared-count design takes a
-    chunk of replicates at a time through the chunk's field image, shared by
-    all such designs; a ragged design, which the image cannot express, takes
-    an ``estimate_values`` call per replicate.  Both give the bits of
-    ``estimate_values``.
+    ``samples`` is the pair's ``Replicates``.  Study scales are integers, so
+    every design is shared-count: each takes a chunk of replicates at a time
+    through the chunk's field image, shared by all of them.
     """
     taus = np.empty((replicates, len(plans)))
     if not plans:
         return taus  # no live cell: draw no field
-    batched = [i for i, plan in enumerate(plans) if plan.grid is not None]
-    single = [i for i in range(len(plans)) if i not in batched]
     block = max(1, _IMAGE_BLOCK_CELLS // (window.indexer().table.size * stat.p))
     start = 0
     with closing(samples.chunks(block)) as chunks:
         for chunk, image in chunks:
             stop = start + len(chunk)
-            for i in batched:
-                taus[start:stop, i] = estimate_image(plans[i], image, stat)
-            for rep, sample in enumerate(chunk, start):
-                for i in single:
-                    taus[rep, i] = estimate_values(plans[i], sample.values, stat)[2]
+            for i, plan in enumerate(plans):
+                taus[start:stop, i] = estimate_image(plan, image, stat)[2]
             start = stop
     return taus
 

@@ -320,7 +320,7 @@ class SelectorEngine:
         if lam not in taus:
             spec = SubsampleSpec(self.region.template, float(lam), self.scheme)
             plan = design_plan(self.window, self.region, spec)
-            taus[lam] = estimate_image(plan, image, stat).tolist()
+            taus[lam] = estimate_image(plan, image, stat)[2].tolist()
         return taus[lam]
 
     def select(self, image: np.ndarray, stat: SmoothStatistic, taus: dict) -> list:

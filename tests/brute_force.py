@@ -2,8 +2,9 @@
 OL offsets by a membership test of every translated site, the covariogram
 evaluated at every site pair or wrapped torus lag, the circulant draw by one
 full ``fftn`` of the embedding torus, the shape-constant quadrature by
-``scipy.fft``, the npi and hj selectors on one sample through ``estimate``,
-and the selector study run one replicate at a time.
+``scipy.fft``, a shared-count design's estimate by gathering its (M, sN)
+rows of sample values, the npi and hj selectors on one sample through that
+gather, and the selector study run one replicate at a time.
 
 A plain helper module, imported by the estimator, geometry, covariance, field
 and harness tests and by acceptance criterion 05; it holds no tests.
@@ -17,10 +18,17 @@ from scipy.fft import fftn, next_fast_len, rfft
 
 from latblock.constants import _SLAB_BINS
 from latblock.constants import k0 as shape_k0
-from latblock.errors import LatblockError
-from latblock.estimators import FieldSample, estimate, estimate_values
+from latblock.errors import LatblockError, MissingSites
+from latblock.estimators import FieldSample, _check_core, _reduce_theta, design_plan
 from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
-from latblock.geometry import OL, Region, SubsampleSpec, box_points, raster_mask
+from latblock.geometry import (
+    OL,
+    Region,
+    SubsampleSpec,
+    box_points,
+    lattice_sites,
+    raster_mask,
+)
 from latblock.harness import PhiRow, _mean_se, _oracle_scales, _study_pairs
 from latblock.scaling import (
     ScalingPlan,
@@ -177,14 +185,44 @@ def scipy_k0_numeric(template, step):
     return acf_sq / math.prod(padded) * h ** (3 * template.d) / vol**3
 
 
+def design_rows(plan, window):
+    """The (M, sN) rows of ``window`` that hold a shared-count design's
+    subsamples: anchor ``step * offset`` plus each base site; -1 where a site
+    is not in the window."""
+    anchors = plan.grid.step * plan.index_set.offsets
+    return window.indexer().lookup(anchors[:, None] + plan.grid.base)
+
+
+def gather_estimate(plan, window, values, stat):
+    """theta (..., M), theta_tilde (...) and tau_hat_sq (...) of a shared-count
+    design on field values (..., N, p) of ``window``, by gathering each
+    subsample's values and taking their mean over its sites.
+
+    The design may be built on another window of the same region: a site of
+    it that ``window`` misses raises ``MissingSites``.
+    """
+    rows = design_rows(plan, window)
+    if np.any(rows < 0):
+        what = "overlapping" if plan.scheme == OL else "disjoint"
+        raise MissingSites(f"sample does not cover every {what} subsample site")
+    _check_core(plan, values.shape[-1], stat)
+    theta = stat(values[..., rows, :].mean(axis=-2))
+    return (theta, *_reduce_theta(plan, theta, stat))
+
+
+def gather_tau(sample, region, spec, stat) -> float:
+    """tau_hat_sq of ``spec`` on ``sample`` by ``gather_estimate``."""
+    plan = design_plan(sample.window, region, spec)
+    return float(gather_estimate(plan, sample.window, sample.values, stat)[2])
+
+
 def npi_scaling_reference(sample, region, stat, c1=0.5, c2=0.5, scheme=OL) -> ScalingPlan:
-    """``npi_scaling`` on one sample, each scale estimated by ``estimate``."""
+    """``npi_scaling`` on one sample, each scale estimated by ``gather_tau``."""
     d = region.d
     s1_raw, s2_raw, s1, s2 = npi_region_pilots(region, c1, c2)
 
     def tau_fn(lam: int) -> float:
-        spec = SubsampleSpec(region.template, float(lam), scheme)
-        return estimate(sample, region, spec, stat).tau_hat_sq
+        return gather_tau(sample, region, SubsampleSpec(region.template, float(lam), scheme), stat)
 
     tau2_hat = tau_fn(s1)
     b0_hat = npi_bias_estimate(tau_fn, s2)
@@ -211,22 +249,22 @@ def npi_scaling_reference(sample, region, stat, c1=0.5, c2=0.5, scheme=OL) -> Sc
 def hj_scaling_reference(
     sample, region, stat, lambda_m, candidates=None, scheme=OL, min_candidates=5
 ) -> ScalingPlan:
-    """``hj_scaling`` on one sample: the proxy by ``estimate``, and each
-    candidate by ``estimate_values`` on the gathered pilot-block values."""
+    """``hj_scaling`` on one sample: the proxy by ``gather_tau``, and each
+    candidate by ``gather_estimate`` on the gathered pilot-block values."""
     lambda_m = int(lambda_m)
     design = hj_designs(sample.window, region, lambda_m, candidates, scheme, min_candidates)
-    proxy = estimate(
-        sample, region, SubsampleSpec(region.template, float(lambda_m), scheme), stat
-    ).tau_hat_sq
+    proxy_spec = SubsampleSpec(region.template, float(lambda_m), scheme)
+    proxy = gather_tau(sample, region, proxy_spec, stat)
 
     mse_curve = []
     usable = []
     dropped = list(design.dropped)
-    block_values = sample.values[design.blocks.row_matrix]  # (B, nB, p), pilot-window order
+    pilot = lattice_sites(Region(region.template, (float(lambda_m),) * region.d, region.shift))
+    block_values = sample.values[design_rows(design.blocks, sample.window)]  # (B, nB, p)
     for c, local in design.local:
         # a statistic undefined on some block's subsample drops the candidate
         try:
-            tau_blocks = estimate_values(local, block_values, stat)[2]  # (B,)
+            tau_blocks = gather_estimate(local, pilot, block_values, stat)[2]  # (B,)
         except LatblockError as exc:
             dropped.append((c, type(exc).__name__))
             continue
@@ -258,14 +296,14 @@ def per_replicate_deviations(samples, region, stat, sel, methods, s_opt, tau_n):
 
     Each replicate is drawn and lifted on its own, and gets one
     ``npi_scaling_reference`` or ``hj_scaling_reference`` call per setting,
-    each scale estimated by ``estimate``.  ``phi`` is the selected scale's estimate less the
-    oracle scale's, over tau_n.
+    each scale estimated by ``gather_tau``.  ``phi`` is the selected scale's
+    estimate less the oracle scale's, over tau_n.
     """
 
     def selector_deviations(sample):
         def tau_at(lam):
             spec = SubsampleSpec(region.template, float(lam), sel.scheme)
-            return estimate(sample, region, spec, stat).tau_hat_sq
+            return gather_tau(sample, region, spec, stat)
 
         tau_opt = tau_at(s_opt)
         out = []

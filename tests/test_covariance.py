@@ -1,6 +1,7 @@
 """Covariogram models, lattice sums and the exact finite-window variance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,29 @@ def test_tabulated_symmetry_enforced():
     assert sigma(cov, (1, 0)) == 0.5
     assert sigma(cov, (5, 5)) == 0.0
     assert tau_sq(cov) == 2.0
+
+
+def test_tabulated_lookup_is_the_table_and_holds_one_key_per_entry():
+    table = {(0, 0): 1.0, (1000, 1000): 0.25, (-1000, -1000): 0.25}
+    cov = Covariogram.tabulated(2, table)
+    lags = np.array([[0, 0], [1000, 1000], [-1000, -1000], [1, 1], [1000, -1000], [2000, 0]])
+    tracemalloc.start()
+    try:
+        got = cov.sigma_many(lags)  # the first call builds the lookup
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a table over the lags' 2001 x 2001 box would take 32 MB
+    assert got.tolist() == [table.get(tuple(k), 0.0) for k in lags.tolist()]
+    rng = np.random.default_rng(4)
+    half = {tuple(k): float(v) for k, v in zip(rng.integers(-6, 7, (40, 3)).tolist(), rng.random(40))}
+    dense = {**half, **{tuple(-x for x in k): v for k, v in half.items()}, (0, 0, 0): 2.0}
+    lags = rng.integers(-9, 10, (500, 3))
+    expected = [dense.get(tuple(k), 0.0) for k in lags.tolist()]
+    assert Covariogram.tabulated(3, dense).sigma_many(lags).tolist() == expected
+    far = 2**31  # a 2^32 + 1 wide box per axis: its flat keys overflow 64 bits
+    with pytest.raises(ConfigError, match="64-bit"):
+        Covariogram.tabulated(2, {(0, 0): 1.0, (far, far): 0.1, (-far, -far): 0.1})
 
 
 def test_exact_tau_white_any_region():

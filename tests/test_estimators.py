@@ -2,6 +2,7 @@
 
 import linecache
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import naive_nol, naive_ol
+from brute_force import design_rows, gather_estimate, naive_nol, naive_ol
 from latblock import (
     FieldSample,
     Region,
@@ -37,8 +38,8 @@ from latblock.errors import (
 from latblock.estimators import (
     _build_design,
     _cached_design,
-    build_plan,
     design_plan,
+    estimate,
     estimate_from_plan,
     estimate_image,
     estimate_values,
@@ -301,12 +302,15 @@ def assert_same_design(a, b):
     assert a.scheme == b.scheme
     assert np.array_equal(a.index_set.offsets, b.index_set.offsets)
     assert np.array_equal(a.counts, b.counts)
-    if b.row_matrix is None:
-        assert a.row_matrix is None
+    if b.grid is None:
+        assert a.grid is None
         assert len(a.row_lists) == len(b.row_lists)
         assert all(np.array_equal(x, y) for x, y in zip(a.row_lists, b.row_lists))
     else:
-        assert np.array_equal(a.row_matrix, b.row_matrix)
+        assert a.row_lists is None
+        assert np.array_equal(a.grid.base, b.grid.base)
+        assert (a.grid.lo, a.grid.step, a.grid.shape) == (b.grid.lo, b.grid.step, b.grid.shape)
+        assert np.array_equal(a.grid.index, b.grid.index)  # None, or equal positions
 
 
 @pytest.mark.parametrize(
@@ -325,8 +329,8 @@ def test_cached_design_matches_fresh_build(sub_template, s_lam, scheme):
     spec = SubsampleSpec(sub_template or region.template, s_lam, scheme)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
-        first = build_plan(sample, region, spec)
-        hit = build_plan(sample, region, spec)
+        first = design_plan(sample.window, region, spec)
+        hit = design_plan(sample.window, region, spec)
         fresh = _build_design(sample.window, region, spec)
     assert hit is first
     assert_same_design(hit, fresh)
@@ -334,15 +338,17 @@ def test_cached_design_matches_fresh_build(sub_template, s_lam, scheme):
 
 def test_cached_design_arrays_are_read_only():
     region, sample = make_sample((10, 10))
-    plan = build_plan(sample, region, SubsampleSpec(Template.hypercube(2), 3.0, "ol"))
+    plan = design_plan(sample.window, region, SubsampleSpec(Template.hypercube(2), 3.0, "ol"))
     with pytest.raises(ValueError):
-        plan.row_matrix[0, 0] = 0
+        plan.grid.base[0, 0] = 0
     with pytest.raises(ValueError):
         plan.counts[0] = 0
     with pytest.raises(ValueError):
         plan.index_set.offsets[0, 0] = 0
     with pytest.warns(NonIntegerScaleWarning):
-        ragged = build_plan(sample, region, SubsampleSpec(Template.hypercube(2), 2.5, "nol"))
+        ragged = design_plan(
+            sample.window, region, SubsampleSpec(Template.hypercube(2), 2.5, "nol")
+        )
     with pytest.raises(ValueError):
         ragged.row_lists[0][0] = 0
 
@@ -368,12 +374,13 @@ def test_design_cache_keys_on_window_sites():
     fresh = estimate_from_plan(_build_design(big.window, region, spec), big, stat)
     assert on_big.tau_hat_sq == fresh.tau_hat_sq
     assert not np.array_equal(
-        build_plan(big, region, spec).row_matrix, build_plan(sample, region, spec).row_matrix
+        design_rows(design_plan(big.window, region, spec), big.window),
+        design_rows(design_plan(sample.window, region, spec), sample.window),
     )
     # a window equal in content, such as one read from a file, shares the design
     sites = sample.window.sites.copy()
-    copy = FieldSample(LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0)), sample.values)
-    assert build_plan(copy, region, spec) is build_plan(sample, region, spec)
+    copy = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+    assert design_plan(copy, region, spec) is design_plan(sample.window, region, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +406,10 @@ def test_core_replicate_axis_matches_per_sample_estimates(scheme, s_lam, stat):
         plan = design_plan(window, region, spec)
     x = np.random.default_rng(5).standard_normal((6, window.n_sites))
     values = x[..., None] if stat.p == 1 else np.stack([x, x * x], axis=-1)  # (R, N, p)
-    theta, theta_tilde, tau = estimate_values(plan, values, stat)
+    if plan.grid is None:
+        theta, theta_tilde, tau = estimate_values(plan, values, stat)
+    else:
+        theta, theta_tilde, tau = gather_estimate(plan, window, values, stat)
     assert theta.shape == (6, plan.index_set.n_subsamples)
     assert tau.shape == theta_tilde.shape == (6,)
     for r in range(6):
@@ -486,52 +496,123 @@ def test_cached_design_equals_fresh_build(spec, sub, scheme, data):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "region_spec, sub_spec, s_lam, scheme",
-    [
-        ("hypercube:d=2", None, 2.0, "ol"),
-        ("hypercube:d=2", None, 3.0, "ol"),
-        ("hypercube:d=2", None, 2.5, "ol"),
-        ("hypercube:d=2", None, 3.7, "ol"),
-        ("hypercube:d=2", None, 2.0, "nol"),
-        ("hypercube:d=2", None, 4.0, "nol"),
-        ("hypercube:d=2", "circle:r=0.5", 4.0, "ol"),
-        ("hypercube:d=2", "circle:r=0.5", 3.0, "nol"),
-        ("circle:r=0.5", None, 5.0, "ol"),
-        ("circle:r=0.5", None, 4.5, "ol"),
-        ("circle:r=0.5", None, 3.0, "nol"),
-        ("circle:r=0.5", "circle:r=0.5", 4.0, "nol"),
-        ("circle:r=0.5", "hypercube:d=2", 3.0, "ol"),
-    ],
-)
+SHARED_COUNT_CASES = [
+    ("hypercube:d=2", None, 2.0, "ol"),
+    ("hypercube:d=2", None, 3.0, "ol"),
+    ("hypercube:d=2", None, 2.5, "ol"),
+    ("hypercube:d=2", None, 3.7, "ol"),
+    ("hypercube:d=2", None, 2.0, "nol"),
+    ("hypercube:d=2", None, 4.0, "nol"),
+    ("hypercube:d=2", "circle:r=0.5", 4.0, "ol"),
+    ("hypercube:d=2", "circle:r=0.5", 3.0, "nol"),
+    ("circle:r=0.5", None, 5.0, "ol"),
+    ("circle:r=0.5", None, 4.5, "ol"),
+    ("circle:r=0.5", None, 3.0, "nol"),
+    ("circle:r=0.5", "circle:r=0.5", 4.0, "nol"),
+    ("circle:r=0.5", "hypercube:d=2", 3.0, "ol"),
+]
+
+
+@pytest.mark.parametrize("region_spec, sub_spec, s_lam, scheme", SHARED_COUNT_CASES)
 def test_core_equals_one_replicate_image_bit_for_bit(region_spec, sub_spec, s_lam, scheme):
     region = Region(parse_template(region_spec), (18, 21), (0.25, 0.0))
     window = lattice_sites(region)
     spec = SubsampleSpec(parse_template(sub_spec or region_spec), s_lam, scheme)
     plan = design_plan(window, region, spec)
-    assert plan.row_matrix is not None
+    assert plan.grid is not None
     table = window.indexer().table
     for seed in range(5):
         x = np.random.default_rng(seed).standard_normal((window.n_sites, 1)) * 10.0**seed
         # the mean's one column and momvar's pair (x, x^2)
         for stat, values in [(mean_statistic(), x), (moment_variance(), np.hstack([x, x * x]))]:
-            tau = estimate_values(plan, values, stat)[2]
-            assert estimate_image(plan, field_image(table, values[None]), stat)[0] == tau
+            tau = gather_estimate(plan, window, values, stat)[2]
+            assert estimate_image(plan, field_image(table, values[None]), stat)[2][0] == tau
+
+
+def sample_window(region, kind):
+    """The region's own window, that window 3 sites short or less its first
+    row, or a box around it."""
+    window = lattice_sites(region)
+    if kind == "short":
+        sites = np.delete(window.sites, [0, window.n_sites // 2, window.n_sites - 1], axis=0)
+    elif kind == "cropped":
+        sites = window.sites[window.sites[:, 0] > window.lo[0]]
+    elif kind == "larger":
+        box = Region(Template.hypercube(region.d), np.add(region.scale, 6.0), region.shift)
+        return lattice_sites(box)
+    else:
+        return window
+    return LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+
+
+@pytest.mark.parametrize("kind", ["equal", "short", "cropped", "larger"])
+@pytest.mark.parametrize(
+    "region_spec, sub_spec, s_lam, scheme, scale, shift",
+    [
+        *[(*case, (18, 21), (0.25, 0.0)) for case in SHARED_COUNT_CASES],
+        ("hypercube:d=2", None, 18.0, "ol", (18, 21), None),  # one subsample across
+        ("hypercube:d=2", None, 11.0, "nol", (18, 21), None),  # one subsample
+        # closed disk copies that leave the region's window at even scales
+        ("hypercube:d=2", "circle:r=0.5", 2.0, "nol", (30, 42), None),
+        ("circle:r=0.5", "circle:r=0.5", 4.0, "nol", (30, 42), None),
+    ],
+)
+def test_one_shot_estimate_equals_the_gather_on_any_sample_window(
+    region_spec, sub_spec, s_lam, scheme, scale, shift, kind
+):
+    region = Region(parse_template(region_spec), scale, shift)
+    spec = SubsampleSpec(parse_template(sub_spec or region_spec), s_lam, scheme)
+    window = sample_window(region, kind)
+    # the design's anchors and base do not depend on the window it is built on
+    around = lattice_sites(Region(Template.hypercube(2), (60, 60), region.shift))
+    plan = design_plan(around, region, spec)
+    x = np.random.default_rng(7).standard_normal((window.n_sites, 1)) * 1e3 + 5.0
+    for stat, values in [
+        (mean_statistic(), x),
+        (moment_variance(), np.hstack([x, x * x])),
+        (ratio_of_means(), np.hstack([x, x * x + 1.0])),
+    ]:
+        sample = FieldSample(window, values)
+        try:
+            theta, theta_tilde, tau = gather_estimate(plan, window, values, stat)
+        except (MissingSites, DegenerateSubsampling) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                estimate(sample, region, spec, stat, keep_theta=True)
+            continue
+        got = estimate(sample, region, spec, stat, keep_theta=True)
+        assert np.array_equal(got.theta_hats, theta)
+        assert got.theta_tilde == theta_tilde and got.tau_hat_sq == tau
+        assert np.array_equal(got.subsample_sites, plan.counts)
+
+
+def test_a_large_overlapping_design_stores_no_rows():
+    region = Region(Template.hypercube(2), (120, 120))
+    window = lattice_sites(region)
+    tracemalloc.start()
+    try:
+        plan = _build_design(window, region, SubsampleSpec(region.template, 29.0, "ol"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.index_set.n_subsamples == 92 * 92
+    assert peak < 4 << 20  # its (M, sN) int64 rows would take 57 MB
 
 
 def test_lean_core_keeps_the_reference_checks():
     region = Region(Template.hypercube(2), (6, 6))
     window = lattice_sites(region)
     stat = mean_statistic()
-    plan = design_plan(window, region, SubsampleSpec(region.template, 2.0, "ol"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        plan = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
+        single = design_plan(window, region, SubsampleSpec(region.template, 3.5, "nol"))
     values = np.ones((window.n_sites, 1))
     with pytest.raises(DimensionMismatch):
         estimate_values(plan, np.ones((window.n_sites, 2)), stat)
-    values[3, 0] = np.inf
+    values[plan.row_lists[0][0], 0] = np.inf
     with pytest.raises(StatisticDomainError):
         estimate_values(plan, values, stat)
-    single = design_plan(window, region, SubsampleSpec(region.template, 6.0, "ol"))
-    assert single.row_matrix is not None and single.index_set.n_subsamples == 1
+    assert single.grid is None and single.index_set.n_subsamples == 1
     with pytest.raises(DegenerateSubsampling):
         estimate_values(single, np.ones((window.n_sites, 1)), stat)
 
@@ -597,7 +678,7 @@ def test_integer_nol_rows_are_the_stacked_cube_windows(spec, scale, shifted, s_l
         return
     plan = _build_design(window, region, nol)
     assert np.array_equal(plan.index_set.offsets, offsets)
-    assert np.array_equal(plan.row_matrix, rows)
+    assert np.array_equal(design_rows(plan, window), rows)
     assert plan.row_lists is None
 
 
@@ -616,7 +697,7 @@ def test_shared_count_grid_is_the_scaled_template_at_its_anchors(sub, s_lam, sch
     cells = np.arange(math.prod(grid.shape)) if grid.index is None else grid.index
     anchors = window.lo + grid.lo + grid.step * np.stack(np.unravel_index(cells, grid.shape), -1)
     assert np.array_equal(anchors, grid.step * plan.index_set.offsets)
-    sites = window.sites[plan.row_matrix]
+    sites = window.sites[design_rows(plan, window)]
     assert np.array_equal(sites, anchors[:, None] + base)
 
 
@@ -631,7 +712,7 @@ def test_missing_sites_names_the_scheme(s_lam, scheme, what):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
         plan = _build_design(window, region, spec)
-        first = plan.row_matrix[0] if plan.row_lists is None else plan.row_lists[0]
+        first = design_rows(plan, window)[0] if plan.row_lists is None else plan.row_lists[0]
         sites = np.delete(window.sites, first[0], axis=0)  # one subsample site less
         cut = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
         with pytest.raises(

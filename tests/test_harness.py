@@ -155,18 +155,20 @@ def exact_normalized_mse(region, cov, spec):
     tr(A S) and its variance 2 tr((A S)^2); no simulation enters.
     """
     from latblock.covariance import exact_tau_n_sq_window
-    from latblock.estimators import FieldSample, build_plan
+    from brute_force import design_rows
+
+    from latblock.estimators import design_plan
     from latblock.fieldsim import covariance_matrix
     from latblock.geometry import lattice_sites
 
     window = lattice_sites(region)
     sigma_mat = covariance_matrix(cov, window)
     tau_n = exact_tau_n_sq_window(window, cov)
-    dummy = FieldSample(window, np.zeros((window.n_sites, 1)))
-    plan = build_plan(dummy, region, spec)
-    n_sub, s_n = plan.row_matrix.shape
+    plan = design_plan(window, region, spec)
+    rows_all = design_rows(plan, window)
+    n_sub, s_n = rows_all.shape
     averager = np.zeros((n_sub, window.n_sites))
-    for i, rows in enumerate(plan.row_matrix):
+    for i, rows in enumerate(rows_all):
         averager[i, rows] = 1.0 / s_n
     center = np.eye(n_sub) - np.ones((n_sub, n_sub)) / n_sub
     quad = (s_n / n_sub) * averager.T @ center @ averager

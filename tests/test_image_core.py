@@ -6,10 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from brute_force import per_replicate_phi_rows
+from brute_force import design_rows, gather_estimate, per_replicate_phi_rows
 
 import latblock.harness
-from latblock.covariance import Covariogram, exact_tau_n_sq_window
+from latblock.covariance import exact_tau_n_sq_window
 from latblock.errors import (
     ConfigError,
     DegenerateSubsampling,
@@ -22,24 +22,17 @@ from latblock.estimators import (
     _pairwise_sum,
     design_plan,
     estimate_image,
-    estimate_values,
     field_image,
     mean_statistic,
     moment_variance,
 )
 from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
 from latblock.geometry import Region, SubsampleSpec, Template, lattice_sites, parse_template
-from latblock.harness import (
-    Replicates,
-    _replicate_taus,
-    config_from_dict,
-    mse_study,
-    phi_study,
-)
+from latblock.harness import config_from_dict, mse_study, phi_study
 
 
-def per_replicate_taus(plan, values, stat):
-    return np.array([estimate_values(plan, v[:, None], stat)[2] for v in values])
+def per_replicate_taus(plan, window, values, stat):
+    return np.array([gather_estimate(plan, window, v[:, None], stat)[2] for v in values])
 
 
 def assert_core_matches(region, spec, values):
@@ -48,9 +41,9 @@ def assert_core_matches(region, spec, values):
     stat = mean_statistic()
     image = field_image(window.indexer().table, values[..., None])
     assert image.flags.c_contiguous and image.shape == (len(values), *window.indexer().table.shape)
-    got = estimate_image(plan, image, stat)
+    got = estimate_image(plan, image, stat)[2]
     assert got.shape == (len(values),)
-    assert np.array_equal(got, per_replicate_taus(plan, values, stat))
+    assert np.array_equal(got, per_replicate_taus(plan, window, values, stat))
     return plan
 
 
@@ -80,8 +73,9 @@ DISK = Region(parse_template("circle:r=0.5"), (30, 30))
 def test_every_pairwise_branch_matches_the_core(s_lam, size, scheme):
     spec = SubsampleSpec(Template.hypercube(2), float(s_lam), scheme)
     region = BOX if scheme == "ol" else Region(Template.hypercube(2), (60, 62))
-    plan = assert_core_matches(region, spec, fields(lattice_sites(region), 5, s_lam))
-    assert plan.row_matrix.shape[1] == size
+    window = lattice_sites(region)
+    plan = assert_core_matches(region, spec, fields(window, 5, s_lam))
+    assert design_rows(plan, window).shape[1] == size
     assert plan.grid.index is None  # box designs fill their anchor grid
     assert plan.grid.step == (s_lam if scheme == "nol" else 1)
 
@@ -186,7 +180,7 @@ def study_raw(**overrides):
 
 
 def direct_study(cfg):
-    """Per cell, the deviations of a plain per-replicate ``estimate_values`` loop."""
+    """Per cell, the deviations of a plain per-replicate ``gather_estimate`` loop."""
     out = {}
     for r_idx, reg in enumerate(cfg.regions):
         region = reg.region()
@@ -210,7 +204,9 @@ def direct_study(cfg):
                     if plan.index_set.n_subsamples < 2:  # a dead cell
                         out[(reg.name, cov_name, scheme, lam)] = None
                         continue
-                    taus = [estimate_values(plan, s.values, cfg.statistic)[2] for s in samples]
+                    taus = [
+                        gather_estimate(plan, window, s.values, cfg.statistic)[2] for s in samples
+                    ]
                     out[(reg.name, cov_name, scheme, lam)] = [
                         (float(t) / tau_n - 1.0) ** 2 for t in taus
                     ]
@@ -261,31 +257,6 @@ def test_momvar_study_takes_the_image_core(monkeypatch):
     calls = image_calls(monkeypatch)
     assert_study_matches(config_from_dict(raw))
     assert calls
-
-
-def test_ragged_designs_take_the_per_replicate_core(monkeypatch):
-    region = Region(Template.hypercube(2), (12, 14))
-    window = lattice_sites(region)
-    gen = build_generator(Covariogram.white(2), window)
-    samples = [sample_field(gen, substream(4, rep)) for rep in range(9)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonIntegerScaleWarning)
-        ragged = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
-    shared = design_plan(window, region, SubsampleSpec(region.template, 3.0, "nol"))
-    assert ragged.grid is None and shared.grid is not None
-    seen = []
-    monkeypatch.setattr(
-        latblock.harness,
-        "estimate_image",
-        lambda plan, image, stat: seen.append(plan) or estimate_image(plan, image, stat),
-    )
-    monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", 4 * window.indexer().table.size)
-    stat = mean_statistic()
-    replicates = Replicates(Covariogram.white(2), window, 4, range(9), stat)
-    taus = _replicate_taus([ragged, shared], replicates, stat, window, len(samples))
-    assert all(plan is shared for plan in seen) and len(seen) == 3
-    for column, plan in zip(taus.T, [ragged, shared]):
-        assert np.array_equal(column, [estimate_values(plan, s.values, stat)[2] for s in samples])
 
 
 def test_cached_anchor_grids_are_read_only():

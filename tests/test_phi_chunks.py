@@ -7,14 +7,18 @@ import functools
 
 import numpy as np
 import pytest
-from brute_force import per_replicate_deviations, per_replicate_phi_rows
+from brute_force import (
+    design_rows,
+    gather_estimate,
+    per_replicate_deviations,
+    per_replicate_phi_rows,
+)
 
 import latblock.harness
 from latblock.errors import DegenerateSubsampling
 from latblock.estimators import (
     design_plan,
     estimate_blocks,
-    estimate_values,
     field_image,
     mean_statistic,
     moment_variance,
@@ -163,6 +167,8 @@ def test_block_gather_equals_the_core_on_the_pilot_blocks(
     x = np.random.default_rng(3).standard_normal((5, window.n_sites)) * 1e3 + 7.0
     design = hj_designs(window, region, lambda_m, list(candidates), scheme, 1)
     assert design.local
+    pilot = lattice_sites(Region(region.template, (float(lambda_m),) * region.d, region.shift))
+    rows = design_rows(design.blocks, window)
     # the mean's (R, N, 1) values and momvar's (R, N, 2) pairs (x, x^2)
     lifted = np.stack([x, x * x], axis=-1)
     for stat, values in [(mean_statistic(), x[..., None]), (moment_variance(), lifted)]:
@@ -172,8 +178,7 @@ def test_block_gather_equals_the_core_on_the_pilot_blocks(
             got = estimate_blocks(image, full, design.blocks, local, stat)
             assert got.shape == (5, design.blocks.index_set.n_subsamples)
             for row, field in zip(got, values):
-                block_values = field[design.blocks.row_matrix]
-                assert np.array_equal(row, estimate_values(local, block_values, stat)[2])
+                assert np.array_equal(row, gather_estimate(local, pilot, field[rows], stat)[2])
 
 
 def test_hj_choose_breaks_ties_toward_the_smallest_candidate():

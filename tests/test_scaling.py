@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from brute_force import hj_scaling_reference, npi_scaling_reference
+from brute_force import design_rows, hj_scaling_reference, npi_scaling_reference
 
 from latblock import (
     Covariogram,
@@ -280,7 +280,7 @@ def test_hj_pilot_window_is_the_first_block_moved_back(monkeypatch, spec, scale,
     monkeypatch.setattr(scaling, "design_plan", spy)
     hj_scaling(f, region, mean_statistic(), lambda_m, candidates=[1, 2, 3], min_candidates=1)
     blocks = real(window, region, SubsampleSpec(template, float(lambda_m), "ol"))
-    first = window.sites[blocks.row_matrix[0]] - blocks.index_set.offsets[0]
+    first = window.sites[design_rows(blocks, window)[0]] - blocks.index_set.offsets[0]
     assert len(pilots) == 3
     for pilot in pilots:
         assert np.array_equal(pilot.sites, first)
