@@ -8,6 +8,7 @@ population divisor (the number of subsamples).
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -165,8 +166,8 @@ class AnchorGrid:
 
     Subsample m holds the sites ``anchor_m + base_t``.  The anchors lie on
     the grid ``lo + step * j`` (``0 <= j < shape``, ``lo`` relative to the
-    window's low corner); ``index`` holds their flat grid positions, in
-    design order, or is None when they fill the grid.
+    low corner of ``box``, the window's bounding box); ``index`` holds their
+    flat grid positions, in design order, or is None when they fill the grid.
     """
 
     base: np.ndarray  # (sN, d) int64
@@ -174,12 +175,33 @@ class AnchorGrid:
     step: int
     shape: tuple
     index: np.ndarray | None
+    box: tuple
 
     @cached_property
     def slices(self) -> tuple:
-        """Per base site t, the slices of the window's bounding box that
-        hold ``anchor + base_t`` for every grid anchor, in grid order."""
+        """Per base site t, the slices of the box that hold ``anchor + base_t``
+        for every grid anchor, in grid order."""
         return anchor_slices(np.add(self.lo, self.base), self.step, self.shape)
+
+    @cached_property
+    def runs(self) -> tuple:
+        """(starts, span) of a step-1 grid: per base site t, the flat box
+        position of ``lo + base_t``, and the number of box sites from there
+        to ``last anchor + base_t``, inclusive.  Run t holds site t of every
+        anchor, in grid order, and between two rows of anchors site t of the
+        box positions that are no anchor."""
+        starts = np.ravel_multi_index(tuple(np.add(self.lo, self.base).T), self.box)
+        return starts.tolist(), int(self.positions[-1]) + 1
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Per grid anchor, in C order, where ``grid_sums`` finds its sum
+        among the summed terms: its flat box offset from the first anchor on
+        a step-1 grid, its flat grid position on a step-s grid."""
+        cells = np.indices(self.shape).reshape(len(self.shape), -1)
+        where = np.ravel_multi_index(cells, self.box if self.step == 1 else self.shape)
+        where.setflags(write=False)
+        return where
 
 
 @dataclass(frozen=True)
@@ -233,8 +255,12 @@ def _cached_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -
     return plan
 
 
-def _anchor_grid(window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, step: int):
-    """``anchors`` plus ``base`` as a grid on ``window``; None if it misses a site."""
+def _anchor_grid(
+    window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, step: int, admitted: bool
+):
+    """``anchors`` plus ``base`` as a grid on ``window``; None if it misses a
+    site.  ``admitted`` says that the erosion of ``window``'s own site mask
+    admitted the anchors, so that they need no second erosion."""
     lo = anchors.min(axis=0)
     shape = tuple(((anchors.max(axis=0) - lo) // step + 1).tolist())
     index = np.ravel_multi_index(tuple(((anchors - lo) // step).T), shape)
@@ -243,10 +269,11 @@ def _anchor_grid(window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, s
     reach = cells.max(axis=0) + step * (np.array(shape) - 1)
     if cells.min() < 0 or np.any(reach >= table.shape):
         return None
-    if not erode(table >= 0, cells, step, shape).ravel()[index].all():
+    if not admitted and not erode(table >= 0, cells, step, shape).ravel()[index].all():
         return None
     full = np.array_equal(index, np.arange(np.prod(shape)))
-    return AnchorGrid(base, tuple((lo - window.lo).tolist()), step, shape, None if full else index)
+    lo = tuple((lo - window.lo).tolist())
+    return AnchorGrid(base, lo, step, shape, None if full else index, table.shape)
 
 
 def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
@@ -259,7 +286,9 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
         base = lattice_sites(
             Region(spec.template, (spec.s_lambda,) * region.d, region.shift)
         ).sites
-        grid = _anchor_grid(window, step * index_set.offsets, base, step)
+        # enumerate_ol admits the offsets by eroding the region's own window
+        admitted = ol and window == lattice_sites(region)
+        grid = _anchor_grid(window, step * index_set.offsets, base, step, admitted)
         if grid is None:
             what = "overlapping" if ol else "disjoint"
             raise MissingSites(f"sample does not cover every {what} subsample site")
@@ -316,80 +345,141 @@ def field_image(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Fields ``values`` laid out on a window's bounding box.
 
     ``values`` is (R, N, p), p columns per site; ``table`` is the window
-    indexer's site -> row table (-1 off the window).  Returns a C-contiguous
-    image that holds 0.0 at sites off the window: (R, p, *table.shape),
-    without the column axis when p is 1.
+    indexer's site -> row table (-1 off the window).  Returns the
+    C-contiguous (p, *table.shape, R) image, replicates innermost, that
+    holds 0.0 at sites off the window.
     """
-    values = np.moveaxis(values, 2, 1)  # (R, p, N)
-    if values.shape[1] == 1:
-        values = values[:, 0]
-    padded = np.concatenate([values, np.zeros((*values.shape[:-1], 1))], axis=-1)
-    return np.take(padded, table, axis=-1)  # a new array, in C order
-
-
-def _image_columns(image: np.ndarray, grid: AnchorGrid) -> int:
-    """p of a ``field_image`` on ``grid``'s window: 1 when it has no column axis."""
-    return image.shape[1] if image.ndim > len(grid.shape) + 1 else 1
+    n_fields, n_sites, p = values.shape
+    padded = np.zeros((p, n_sites + 1, n_fields))
+    padded[:, :n_sites] = values.transpose(2, 1, 0)
+    return np.take(padded, table, axis=1)  # a new array, in C order
 
 
 # numpy's pairwise summation: 8 lane accumulators up to this many terms,
 # and a split into two halves above it
 _PAIRWISE_BLOCK = 128
 
+# Floats of lanes a thread keeps for its next sums; a larger request gets
+# lanes of its own, so that one estimate on a large window does not hold
+# its memory for the thread's life.
+_WORKSPACE_FLOATS = 1 << 21
 
-def _running_sum(terms: list) -> np.ndarray:
-    """``0.0 + terms[0] + terms[1] + ...``, left to right: numpy's sum of a
-    row shorter than 8, and of any axis that is not innermost in memory."""
-    out = terms[0] + 0.0
+_workspace = threading.local()
+
+
+def _lanes(count: int, shape: tuple) -> np.ndarray:
+    """``count`` scratch arrays of ``shape``, from this thread's workspace.
+
+    The thread's next sums overwrite them: a caller copies out what it
+    returns, so that no view of them leaves this module.
+    """
+    size = count * math.prod(shape)
+    if size > _WORKSPACE_FLOATS:
+        return np.empty((count, *shape))
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _workspace.buf = np.empty(size)
+    return buf[:size].reshape(count, *shape)
+
+
+def _running_sum(terms: list, out: np.ndarray | None = None) -> np.ndarray:
+    """``0.0 + terms[0] + terms[1] + ...``, left to right, into ``out`` (by
+    default a workspace lane): numpy's sum of a row shorter than 8, and of
+    any axis that is not innermost in memory."""
+    if out is None:
+        out = _lanes(1, terms[0].shape)[0]
+    np.add(terms[0], 0.0, out=out)
     for term in terms[1:]:
         out += term
     return out
 
 
+def _half(n: int) -> int:
+    """Terms in the first half of numpy's split of ``n`` pairwise terms."""
+    return n // 2 - n // 2 % 8
+
+
 def _pairwise_sum(terms: list) -> np.ndarray:
-    """Elementwise sum of ``terms`` in numpy's pairwise order for one row.
+    """Elementwise sum of ``terms`` in numpy's pairwise order for one row,
+    in a workspace lane.
 
     Element i of the result equals ``np.array([t[i] for t in terms]).sum()``
-    bit for bit, because it sees the same additions in the same order.
+    bit for bit, because it sees the same additions in the same order.  Lane
+    0 takes the sum and lanes 1-7 a block's other accumulators; a split at
+    depth k sums its second half into lane 8 + k.
     """
+    n, levels = len(terms), 0
+    while n > _PAIRWISE_BLOCK:
+        n -= _half(n)  # the second half is the larger one
+        levels += 1
+    lanes = _lanes(8 + levels, terms[0].shape)
+    return _pairwise_into(terms, lanes[0], lanes, 8)
+
+
+def _pairwise_into(terms: list, out: np.ndarray, lanes: np.ndarray, level: int) -> np.ndarray:
+    """``_pairwise_sum`` into ``out``, with lanes 1-7 and lanes from
+    ``level`` on as scratch."""
     n = len(terms)
     if n < 8:
-        return _running_sum(terms)
-    if n <= _PAIRWISE_BLOCK:
-        # lane j sums the terms t = j (mod 8) of the first n - n % 8
-        body = n - n % 8
-        lanes = terms[:8]
-        if body > 8:
-            lanes = [lane + term for lane, term in zip(lanes, terms[8:16])]
-            for i in range(16, body, 8):
-                for lane, term in zip(lanes, terms[i:i + 8]):
-                    lane += term
-        r0, r1, r2, r3, r4, r5, r6, r7 = lanes
-        out = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for term in terms[body:]:
-            out += term
+        return _running_sum(terms, out)
+    if n > _PAIRWISE_BLOCK:
+        half = _half(n)
+        _pairwise_into(terms[:half], out, lanes, level + 1)
+        out += _pairwise_into(terms[half:], lanes[level], lanes, level + 1)
         return out
-    half = n // 2
-    half -= half % 8
-    out = _pairwise_sum(terms[:half])
-    out += _pairwise_sum(terms[half:])
+    # lane j sums the terms t = j (mod 8) of the first n - n % 8
+    body = n - n % 8
+    acc = terms[:8]
+    if body > 8:
+        acc = [out, *lanes[1:8]]
+        for lane, first, second in zip(acc, terms[:8], terms[8:16]):
+            np.add(first, second, out=lane)
+        for i in range(16, body, 8):
+            for lane, term in zip(acc, terms[i:i + 8]):
+                lane += term
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), each lane read before it is reused
+    r0, r1, r2, r3, r4, r5, r6, r7 = acc
+    s1, s2 = lanes[1], lanes[2]
+    np.add(r0, r1, out=out)
+    np.add(r2, r3, out=s1)
+    out += s1
+    np.add(r4, r5, out=s1)
+    np.add(r6, r7, out=s2)
+    s1 += s2
+    out += s1
+    for term in terms[body:]:
+        out += term
     return out
 
 
-def grid_sums(grid: AnchorGrid, image: np.ndarray, pairwise: bool = True) -> np.ndarray:
-    """Subsample sums (R, [p,] cells) of R fields at every anchor of ``grid``'s box.
+def grid_sums(
+    grid: AnchorGrid, image: np.ndarray, pairwise: bool = True, cells: np.ndarray | None = None
+) -> np.ndarray:
+    """Subsample sums (p, cells, R) of R fields at anchors of ``grid``.
 
-    ``image`` is the output of ``field_image`` for the grid's window, with
-    or without a column axis; the anchors come in the box's C order, and
-    those not in the design see 0.0 at sites off the window.  Each base
-    site's values at every anchor form one strided slice of the image, so
-    the sums are whole-array adds of slices: in numpy's order for a
-    contiguous row of the subsample's values, or left to right
-    (``pairwise=False``).
+    ``image`` is the (p, *box, R) ``field_image`` of the grid's window.
+    ``cells`` holds the flat grid positions (C order) of the anchors to
+    return, every anchor when None; an anchor not in the design sees 0.0 at
+    sites off the window.  Each base site's values at every anchor make one
+    term: on a step-1 grid a contiguous run of the flattened image (``runs``,
+    whose positions past a row's last anchor are summed and dropped), on a
+    step-s grid a strided slice.  The terms are summed with whole-array adds
+    into workspace lanes, in numpy's order for a contiguous row of the
+    subsample's values or left to right (``pairwise=False``), and the
+    anchors' sums are taken out of them into a new array.
     """
-    terms = [image[(..., *cut)] for cut in grid.slices]
-    sums = _pairwise_sum(terms) if pairwise else _running_sum(terms)
-    return sums.reshape(*image.shape[: image.ndim - len(grid.shape)], -1)
+    p, n_fields = image.shape[0], image.shape[-1]
+    if image.shape[1:-1] != grid.box:
+        raise DimensionMismatch(f"image box {image.shape[1:-1]} is not the design's {grid.box}")
+    if grid.step == 1:
+        starts, span = grid.runs
+        flat = image.reshape(p, -1)
+        terms = [flat[:, n_fields * a : n_fields * (a + span)] for a in starts]
+    else:
+        terms = [image[(slice(None), *cut)] for cut in grid.slices]
+    total = _pairwise_sum(terms) if pairwise else _running_sum(terms)
+    where = grid.positions if cells is None else grid.positions[cells]
+    return np.take(total.reshape(p, -1, n_fields), where, axis=1)
 
 
 def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic) -> tuple:
@@ -405,12 +495,10 @@ def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic
     grid = plan.grid
     if grid is None:
         raise ConfigError("estimate_image needs a shared-count design")
-    _check_core(plan, _image_columns(image, grid), stat)
-    sums = grid_sums(grid, image, pairwise=stat.p == 1)
-    if grid.index is not None:
-        sums = np.take(sums, grid.index, axis=-1)
-    means = (sums / grid.base.shape[0]).reshape(image.shape[0], stat.p, -1)
-    theta = np.ascontiguousarray(stat(np.moveaxis(means, 1, -1)))
+    _check_core(plan, image.shape[0], stat)
+    means = grid_sums(grid, image, pairwise=stat.p == 1, cells=grid.index)  # (p, M, R)
+    means /= grid.base.shape[0]
+    theta = np.ascontiguousarray(stat(means.T))  # statistics of (R, M, p) means
     return (theta, *_reduce_theta(plan, theta, stat))
 
 
@@ -440,16 +528,15 @@ def estimate_blocks(
     row, and is reduced pairwise.  The statistic sees the (B * R, M, p)
     means of the R fields' blocks: at R = 1, the array the gather hands it.
     """
-    _check_core(local, _image_columns(image, full.grid), stat)
-    n_fields, n_blocks = image.shape[0], blocks.index_set.n_subsamples
-    sums = grid_sums(full.grid, image, pairwise=stat.p == 1 and n_blocks == 1)
+    _check_core(local, image.shape[0], stat)
+    n_fields, n_blocks = image.shape[-1], blocks.index_set.n_subsamples
     local_anchors = local.grid.step * local.index_set.offsets
     block_anchors = blocks.index_set.offsets  # OL: step 1
     rel = local_anchors[:, None] + block_anchors - full.index_set.offsets.min(axis=0)
     index = np.ravel_multi_index(tuple(np.moveaxis(rel, -1, 0)), full.grid.shape)  # (M, B)
-    # sums (p, cells, R) taken at (M, B): means laid out (p, M, B, R)
-    sums = np.moveaxis(sums.reshape(n_fields, stat.p, -1), 0, -1)
-    means = np.take(sums, index, axis=1) / local.grid.base.shape[0]
+    pairwise = stat.p == 1 and n_blocks == 1
+    means = grid_sums(full.grid, image, pairwise, cells=index.ravel())  # (p, M * B, R)
+    means /= local.grid.base.shape[0]
     theta = stat(means.reshape(stat.p, len(index), -1).T)  # (B * R, M), laid out (M, B, R)
     theta = np.moveaxis(theta.reshape(n_blocks, n_fields, -1), 1, 0)  # (R, B, M)
     if n_blocks == 1:  # a field's one block: its M statistics are a row, reduced pairwise

@@ -971,10 +971,15 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     offsets = cand[keep]
     if offsets.shape[0] == 0:
         raise EmptySubsampleSet("no partitioning cube fits inside the region")
-    counts = np.array(
-        [w.n_sites for w in nol_subregion_windows(region, spec, offsets)],
-        dtype=np.int64,
-    )
+    if spec.is_integer_scale():
+        # every cube holds the base pattern moved by a multiple of the scale
+        base = lattice_sites(Region(spec.template, (s_lam,) * region.d, region.shift))
+        counts = np.full(offsets.shape[0], base.n_sites, dtype=np.int64)
+    else:
+        counts = np.array(
+            [w.n_sites for w in nol_subregion_windows(region, spec, offsets)],
+            dtype=np.int64,
+        )
     return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts)
 
 

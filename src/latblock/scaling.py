@@ -335,7 +335,7 @@ class SelectorEngine:
         """
         curves = {}  # lambda_m -> (usable candidates, dropped, per candidate the (R,) MSE)
         out = []
-        for r in range(image.shape[0]):
+        for r in range(image.shape[-1]):
             out.append([])
             for method, c1, c2, lm in self.settings:
                 try:

@@ -1,6 +1,7 @@
 """The replicate-batched estimator core (``estimate_image``) and the MSE study
 loop that feeds it: every estimate equals the per-replicate core bit for bit."""
 
+import sys
 import threading
 import warnings
 
@@ -21,14 +22,17 @@ from latblock.errors import (
 from latblock.estimators import (
     _pairwise_sum,
     design_plan,
+    estimate_blocks,
     estimate_image,
     field_image,
+    grid_sums,
     mean_statistic,
     moment_variance,
 )
 from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
 from latblock.geometry import Region, SubsampleSpec, Template, lattice_sites, parse_template
 from latblock.harness import config_from_dict, mse_study, phi_study
+from latblock.scaling import hj_designs
 
 
 def per_replicate_taus(plan, window, values, stat):
@@ -40,7 +44,8 @@ def assert_core_matches(region, spec, values):
     plan = design_plan(window, region, spec)
     stat = mean_statistic()
     image = field_image(window.indexer().table, values[..., None])
-    assert image.flags.c_contiguous and image.shape == (len(values), *window.indexer().table.shape)
+    assert image.flags.c_contiguous
+    assert image.shape == (1, *window.indexer().table.shape, len(values))
     got = estimate_image(plan, image, stat)[2]
     assert got.shape == (len(values),)
     assert np.array_equal(got, per_replicate_taus(plan, window, values, stat))
@@ -157,6 +162,126 @@ def test_image_core_keeps_the_core_checks():
         estimate_image(ragged, image, mean_statistic())
 
 
+# (region, sub-template, scale, scheme, whether the anchors plus some base
+# site reach the box's last column, so that runs wrap past each row, and
+# whether the design holds only some anchors of its grid)
+LAYOUT_CASES = [
+    (Region(Template.hypercube(2), (9, 11)), "hypercube:d=2", 1.0, "ol", True, False),
+    (Region(Template.hypercube(2), (9, 11)), "hypercube:d=2", 3.0, "ol", True, False),
+    (Region(Template.hypercube(2), (9, 11)), "hypercube:d=2", 3.0, "nol", False, False),
+    (DISK, "circle:r=0.5", 5.0, "ol", False, True),
+    (DISK, "hypercube:d=2", 4.0, "ol", False, True),
+    (DISK, "hypercube:d=2", 4.0, "nol", False, True),
+    (Region(Template.hypercube(3), (6, 7, 8)), "hypercube:d=3", 2.0, "ol", True, False),
+    (Region(parse_template("sphere:r=0.5"), (10, 10, 10)), "sphere:r=0.5", 3.0, "ol", False, True),
+]
+
+
+def lifted_fields(window, n_fields):
+    """The mean's (R, N, 1) values and momvar's (R, N, 2) pairs (x, x^2)."""
+    x = fields(window, n_fields, 13, 1e3, 5.0)
+    return [(mean_statistic(), x[..., None]), (moment_variance(), np.stack([x, x * x], -1))]
+
+
+@pytest.mark.parametrize("n_fields", [1, 26])
+@pytest.mark.parametrize("region, sub, s_lam, scheme, edge, partial", LAYOUT_CASES)
+def test_image_core_equals_the_gather_in_every_layout(
+    region, sub, s_lam, scheme, edge, partial, n_fields
+):
+    window = lattice_sites(region)
+    box = window.indexer().table.shape
+    plan = design_plan(window, region, SubsampleSpec(parse_template(sub), s_lam, scheme))
+    grid = plan.grid
+    reach = np.add(grid.lo, grid.base).max(axis=0) + grid.step * (np.array(grid.shape) - 1)
+    assert (reach[-1] == box[-1] - 1) == edge
+    assert (grid.index is not None) == partial
+    for stat, values in lifted_fields(window, n_fields):
+        image = field_image(window.indexer().table, values)
+        assert image.flags.c_contiguous and image.shape == (stat.p, *box, n_fields)
+        got = estimate_image(plan, image, stat)
+        want = [gather_estimate(plan, window, field, stat) for field in values]
+        for part, reference in zip(got, zip(*want)):
+            assert np.array_equal(part, np.array(reference))
+
+
+@pytest.mark.parametrize("n_fields", [1, 26])
+@pytest.mark.parametrize(
+    "region, lambda_m",
+    [
+        (Region(Template.hypercube(2), (9, 8.5)), 8),  # 4 blocks
+        (Region(parse_template("circle:r=0.5"), (9, 9)), 8),  # 1 block
+    ],
+)
+def test_block_core_equals_the_gather_in_every_layout(region, lambda_m, n_fields):
+    window = lattice_sites(region)
+    design = hj_designs(window, region, lambda_m, list(range(1, 8)), "ol", 1)
+    pilot = lattice_sites(Region(region.template, (float(lambda_m),) * region.d, region.shift))
+    rows = design_rows(design.blocks, window)
+    for stat, values in lifted_fields(window, n_fields):
+        image = field_image(window.indexer().table, values)
+        for c, local in design.local:
+            full = design_plan(window, region, SubsampleSpec(region.template, float(c), "ol"))
+            got = estimate_blocks(image, full, design.blocks, local, stat)
+            want = [gather_estimate(local, pilot, field[rows], stat)[2] for field in values]
+            assert got.flags.c_contiguous and np.array_equal(got, np.array(want))
+
+
+def test_returned_arrays_are_not_overwritten_by_the_next_call():
+    window = lattice_sites(BOX)
+    image = field_image(window.indexer().table, fields(window, 3, 2)[..., None])
+    stat = mean_statistic()
+    first, second = (
+        design_plan(window, BOX, SubsampleSpec(BOX.template, s_lam, "ol")) for s_lam in (3.0, 5.0)
+    )
+    sums = grid_sums(first.grid, image)
+    estimates = estimate_image(first, image, stat)
+    kept = [a.copy() for a in (sums, *estimates)]
+    grid_sums(second.grid, image)
+    estimate_image(second, image, stat)
+    for got, copy in zip((sums, *estimates), kept):
+        assert np.array_equal(got, copy)
+
+
+def test_threads_estimating_at_once_get_their_single_thread_bytes():
+    window = lattice_sites(BOX)
+    image = field_image(window.indexer().table, fields(window, 26, 4)[..., None])
+    stat = mean_statistic()
+    # 9 terms in one block of lanes, and 169 split into halves
+    plans = [design_plan(window, BOX, SubsampleSpec(BOX.template, s, "ol")) for s in (3.0, 13.0)]
+
+    def run(plan):
+        return tuple(a.tobytes() for a in estimate_image(plan, image, stat))
+
+    alone = [run(plan) for plan in plans]
+    seen = {i: set() for i in range(4)}
+
+    def worker(i):
+        for _ in range(30):
+            seen[i].add(run(plans[i % 2]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == {i: {alone[i % 2]} for i in range(4)}
+
+
+def test_an_image_of_another_window_is_refused():
+    window = lattice_sites(BOX)
+    plan = design_plan(window, BOX, SubsampleSpec(BOX.template, 3.0, "ol"))
+    other = lattice_sites(Region(Template.hypercube(2), (40, 45)))
+    image = field_image(other.indexer().table, fields(other, 2, 1)[..., None])
+    with pytest.raises(DimensionMismatch):
+        estimate_image(plan, image, mean_statistic())
+
+
 # ---------------------------------------------------------------------------
 # the MSE study loop
 # ---------------------------------------------------------------------------
@@ -217,7 +342,7 @@ def image_calls(monkeypatch) -> list:
     calls = []
 
     def spy(plan, image, stat):
-        calls.append(image.shape[0])
+        calls.append(image.shape[-1])
         return estimate_image(plan, image, stat)
 
     monkeypatch.setattr(latblock.harness, "estimate_image", spy)
@@ -367,7 +492,7 @@ def fail_estimate_call(monkeypatch, call):
     calls = []
 
     def failing(plan, image, stat):
-        calls.append(image.shape[0])
+        calls.append(image.shape[-1])
         if len(calls) == call:
             raise EstimateFailed(f"estimate {call}")
         return estimate_image(plan, image, stat)
