@@ -34,7 +34,6 @@ from .geometry import (
     enumerate_nol,
     enumerate_ol,
     erode,
-    lattice_sites,
     nol_subregion_windows,
     warn_non_integer_scale,
 )
@@ -255,12 +254,8 @@ def _cached_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -
     return plan
 
 
-def _anchor_grid(
-    window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, step: int, admitted: bool
-):
-    """``anchors`` plus ``base`` as a grid on ``window``; None if it misses a
-    site.  ``admitted`` says that the erosion of ``window``'s own site mask
-    admitted the anchors, so that they need no second erosion."""
+def _anchor_grid(window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, step: int):
+    """``anchors`` plus ``base`` as a grid on ``window``; None if it misses a site."""
     lo = anchors.min(axis=0)
     shape = tuple(((anchors.max(axis=0) - lo) // step + 1).tolist())
     index = np.ravel_multi_index(tuple(((anchors - lo) // step).T), shape)
@@ -269,7 +264,7 @@ def _anchor_grid(
     reach = cells.max(axis=0) + step * (np.array(shape) - 1)
     if cells.min() < 0 or np.any(reach >= table.shape):
         return None
-    if not admitted and not erode(table >= 0, cells, step, shape).ravel()[index].all():
+    if not erode(table >= 0, cells, step, shape).ravel()[index].all():
         return None
     full = np.array_equal(index, np.arange(np.prod(shape)))
     lo = tuple((lo - window.lo).tolist())
@@ -283,12 +278,7 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
         ol = spec.scheme == OL
         index_set = enumerate_ol(region, spec) if ol else enumerate_nol(region, spec)
         step = 1 if ol else int(round(spec.s_lambda))
-        base = lattice_sites(
-            Region(spec.template, (spec.s_lambda,) * region.d, region.shift)
-        ).sites
-        # enumerate_ol admits the offsets by eroding the region's own window
-        admitted = ol and window == lattice_sites(region)
-        grid = _anchor_grid(window, step * index_set.offsets, base, step, admitted)
+        grid = _anchor_grid(window, step * index_set.offsets, index_set.base, step)
         if grid is None:
             what = "overlapping" if ol else "disjoint"
             raise MissingSites(f"sample does not cover every {what} subsample site")

@@ -871,11 +871,17 @@ class SubsampleSpec:
 
 @dataclass(frozen=True)
 class SubsampleIndexSet:
-    """Enumerated subsample offsets plus per-subsample site counts."""
+    """Enumerated subsample offsets plus per-subsample site counts.
+
+    ``base`` holds the sites of the scaled template at offset 0 when every
+    subsample is them moved (by its offset for OL, by the scale times it
+    for integer NOL), and is None otherwise.
+    """
 
     scheme: str
     offsets: np.ndarray  # (M, d) int64, lexicographic
     counts: np.ndarray  # (M,) int64 site counts (equal across OL offsets)
+    base: np.ndarray | None = None  # (sN, d) int64
 
     @property
     def n_subsamples(self) -> int:
@@ -926,7 +932,7 @@ def enumerate_ol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     if offsets.shape[0] == 0:
         raise EmptySubsampleSet(none_fit)
     counts = np.full(offsets.shape[0], base.shape[0], dtype=np.int64)
-    return SubsampleIndexSet(scheme=OL, offsets=offsets, counts=counts)
+    return SubsampleIndexSet(scheme=OL, offsets=offsets, counts=counts, base=base)
 
 
 def warn_non_integer_scale() -> None:
@@ -972,14 +978,14 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     if offsets.shape[0] == 0:
         raise EmptySubsampleSet("no partitioning cube fits inside the region")
     if spec.is_integer_scale():
-        # every cube holds the base pattern moved by a multiple of the scale
-        base = lattice_sites(Region(spec.template, (s_lam,) * region.d, region.shift))
-        counts = np.full(offsets.shape[0], base.n_sites, dtype=np.int64)
-    else:
-        counts = np.array(
-            [w.n_sites for w in nol_subregion_windows(region, spec, offsets)],
-            dtype=np.int64,
-        )
+        # every cube holds the base pattern moved by the scale times its offset
+        base = lattice_sites(Region(spec.template, (s_lam,) * region.d, region.shift)).sites
+        counts = np.full(offsets.shape[0], base.shape[0], dtype=np.int64)
+        return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts, base=base)
+    counts = np.array(
+        [w.n_sites for w in nol_subregion_windows(region, spec, offsets)],
+        dtype=np.int64,
+    )
     return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts)
 
 
