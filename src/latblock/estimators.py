@@ -34,7 +34,6 @@ from .geometry import (
     enumerate_nol,
     enumerate_ol,
     erode,
-    nol_subregion_windows,
     warn_non_integer_scale,
 )
 
@@ -161,7 +160,7 @@ def evaluate_statistic(stat: SmoothStatistic, sample: FieldSample, site_rows) ->
 
 @dataclass(frozen=True)
 class AnchorGrid:
-    """A shared-count design as anchors plus one base pattern.
+    """Subsamples of one site pattern as anchors plus that base pattern.
 
     Subsample m holds the sites ``anchor_m + base_t``.  The anchors lie on
     the grid ``lo + step * j`` (``0 <= j < shape``, ``lo`` relative to the
@@ -207,17 +206,16 @@ class AnchorGrid:
 class SubsamplePlan:
     """One subsample design on one window, for repeated estimation.
 
-    A shared-count design (OL at any scale, NOL at an integer scale) is its
-    ``grid``: anchors plus one base pattern.  A ragged design carries a tuple
-    of per-subsample row arrays of the window instead.  Plans are shared
-    through the design cache, so every array in one is read-only.
+    A shared-count design (OL, or NOL at an integer scale) is one anchor
+    grid; a ragged one (NOL at another scale) is a grid per site pattern
+    of its copies, anchored at their low corners, and ``order`` puts the
+    grids' subsamples back in design order.  Plans are shared through the
+    design cache, so every array in one is read-only.
     """
 
-    scheme: str
     index_set: SubsampleIndexSet
-    row_lists: tuple | None
-    counts: np.ndarray
-    grid: AnchorGrid | None = None
+    grids: tuple
+    order: np.ndarray | None = None
 
 
 # Designs kept by the process-wide cache; a phi study reuses a few dozen.
@@ -228,7 +226,7 @@ _lookup = threading.local()
 
 
 def design_plan(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
-    """The subsample design of ``spec`` on ``region``, as rows of ``window``.
+    """The design of ``spec`` on ``region``, as anchor grids on ``window``.
 
     A design does not depend on field values, so it is built once and kept
     in a bounded LRU cache keyed by the window (equal when its sites are
@@ -247,19 +245,20 @@ def design_plan(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> S
 def _cached_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
     _lookup.built = True
     plan = _build_design(window, region, spec)
-    grid = [plan.grid.base, plan.grid.index] if plan.grid is not None else []
-    for arr in [plan.index_set.offsets, plan.counts, *(plan.row_lists or ()), *grid]:
+    index_set = plan.index_set
+    grids = [arr for grid in plan.grids for arr in (grid.base, grid.index)]
+    for arr in [index_set.offsets, index_set.counts, *(index_set.copies or ()), *grids, plan.order]:
         if arr is not None:
             arr.setflags(write=False)
     return plan
 
 
-def _anchor_grid(window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, step: int):
-    """``anchors`` plus ``base`` as a grid on ``window``; None if it misses a site."""
+def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray, step: int):
+    """``anchors`` plus ``base`` as a grid on a window; None if it misses a site."""
     lo = anchors.min(axis=0)
     shape = tuple(((anchors.max(axis=0) - lo) // step + 1).tolist())
     index = np.ravel_multi_index(tuple(((anchors - lo) // step).T), shape)
-    cells, table = lo - window.lo + base, window.indexer().table
+    cells, table = lo - indexer.lo + base, indexer.table
     # bound the sites' box first: a negative slice start would wrap round
     reach = cells.max(axis=0) + step * (np.array(shape) - 1)
     if cells.min() < 0 or np.any(reach >= table.shape):
@@ -267,44 +266,41 @@ def _anchor_grid(window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, s
     if not erode(table >= 0, cells, step, shape).ravel()[index].all():
         return None
     full = np.array_equal(index, np.arange(np.prod(shape)))
-    lo = tuple((lo - window.lo).tolist())
+    lo = tuple((lo - indexer.lo).tolist())
     return AnchorGrid(base, lo, step, shape, None if full else index, table.shape)
 
 
 def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
     """The design of ``spec`` on ``window``, or a loud failure."""
+    indexer = window.indexer()
     if spec.scheme == OL or spec.is_integer_scale():
         # shared count: the scale-s template's sites moved to step-1 or step-s anchors
         ol = spec.scheme == OL
         index_set = enumerate_ol(region, spec) if ol else enumerate_nol(region, spec)
         step = 1 if ol else int(round(spec.s_lambda))
-        grid = _anchor_grid(window, step * index_set.offsets, index_set.base, step)
+        grid = _anchor_grid(indexer, step * index_set.offsets, index_set.base, step)
         if grid is None:
             what = "overlapping" if ol else "disjoint"
             raise MissingSites(f"sample does not cover every {what} subsample site")
-        return SubsamplePlan(spec.scheme, index_set, None, index_set.counts, grid)
-    indexer = window.indexer()
+        return SubsamplePlan(index_set, (grid,))
+    # ragged: one grid per site pattern of the copies, seen from their low corners
     index_set = enumerate_nol(region, spec)
-    windows = nol_subregion_windows(region, spec, index_set.offsets)
-    row_lists = []
-    for offset, w in zip(index_set.offsets, windows):
-        if w.n_sites == 0:
+    if index_set.counts.all():
+        corners = np.array([sites.min(axis=0) for sites in index_set.copies])
+        groups = {}
+        for m, (sites, corner) in enumerate(zip(index_set.copies, corners)):
+            pattern = sites - corner
+            groups.setdefault(pattern.tobytes(), (pattern, []))[1].append(m)
+        grids = [_anchor_grid(indexer, corners[m], base, 1) for base, m in groups.values()]
+        if all(grid is not None for grid in grids):
+            order = np.argsort(np.concatenate([m for _, m in groups.values()]))
+            return SubsamplePlan(index_set, tuple(grids), order if len(grids) > 1 else None)
+    # a copy without sites or with a site off the window: the first one decides
+    for offset, sites in zip(index_set.offsets, index_set.copies):
+        if len(sites) == 0:
             raise EmptyWindow(f"NOL template copy at offset {tuple(offset.tolist())} has no site")
-        rows = indexer.lookup(w.sites)
-        if np.any(rows < 0):
+        if np.any(indexer.lookup(sites) < 0):
             raise MissingSites("sample does not cover every disjoint subsample site")
-        row_lists.append(rows)
-    return SubsamplePlan(NOL, index_set, tuple(row_lists), index_set.counts)
-
-
-def estimate_values(plan: SubsamplePlan, values: np.ndarray, stat: SmoothStatistic):
-    """theta (..., M), theta_tilde (...) and tau_hat_sq (...) of a ragged
-    design on field values (..., N, p), gathered copy by copy."""
-    _check_core(plan, values.shape[-1], stat)
-    theta = np.stack(
-        [stat(values[..., rows, :].mean(axis=-2)) for rows in plan.row_lists], axis=-1
-    )
-    return (theta, *_reduce_theta(plan, theta, stat))
 
 
 def _reduce_theta(plan: SubsamplePlan, theta: np.ndarray, stat: SmoothStatistic):
@@ -318,7 +314,9 @@ def _reduce_theta(plan: SubsamplePlan, theta: np.ndarray, stat: SmoothStatistic)
     n_sub = theta.shape[-1]
     theta_tilde = theta.sum(-1) / n_sub
     dev = theta - theta_tilde[..., None]
-    return theta_tilde, (plan.counts * (dev * dev)).sum(-1) / n_sub
+    dev *= dev
+    dev *= plan.index_set.counts
+    return theta_tilde, dev.sum(-1) / n_sub
 
 
 def _check_core(plan: SubsamplePlan, p: int, stat: SmoothStatistic) -> None:
@@ -474,20 +472,25 @@ def grid_sums(
 
 def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic) -> tuple:
     """theta (R, M), theta_tilde (R,) and tau_hat_sq (R,) of R fields on a
-    shared-count design, from their ``field_image`` of ``stat.p`` columns.
+    design, from their ``field_image`` of ``stat.p`` columns.
 
     The bits are those of the mean over the sites of each field's gathered
-    (M, sN, p) subsample values: numpy sums them pairwise when the sites are
+    (sN, p) subsample values: numpy sums them pairwise when the sites are
     innermost (p = 1) and left to right otherwise, and ``grid_sums`` replays
-    either.  The (R, M) statistics are reduced as C-contiguous rows, as a
-    gathered field's (M,) row is.
+    either.  A ragged design's grid sums are put back in design order and
+    divided by their site counts.  The (R, M) statistics are reduced as
+    C-contiguous rows, as a gathered field's (M,) row is.
     """
-    grid = plan.grid
-    if grid is None:
-        raise ConfigError("estimate_image needs a shared-count design")
     _check_core(plan, image.shape[0], stat)
-    means = grid_sums(grid, image, pairwise=stat.p == 1, cells=grid.index)  # (p, M, R)
-    means /= grid.base.shape[0]
+    pairwise = stat.p == 1
+    if plan.order is None:
+        (grid,) = plan.grids
+        means = grid_sums(grid, image, pairwise, grid.index)  # (p, M, R)
+        means /= grid.base.shape[0]
+    else:
+        sums = [grid_sums(grid, image, pairwise, grid.index) for grid in plan.grids]
+        means = np.take(np.concatenate(sums, axis=1), plan.order, axis=1)
+        means /= plan.index_set.counts[:, None]
     theta = np.ascontiguousarray(stat(means.T))  # statistics of (R, M, p) means
     return (theta, *_reduce_theta(plan, theta, stat))
 
@@ -520,13 +523,14 @@ def estimate_blocks(
     """
     _check_core(local, image.shape[0], stat)
     n_fields, n_blocks = image.shape[-1], blocks.index_set.n_subsamples
-    local_anchors = local.grid.step * local.index_set.offsets
+    (local_grid,), (full_grid,) = local.grids, full.grids
+    local_anchors = local_grid.step * local.index_set.offsets
     block_anchors = blocks.index_set.offsets  # OL: step 1
     rel = local_anchors[:, None] + block_anchors - full.index_set.offsets.min(axis=0)
-    index = np.ravel_multi_index(tuple(np.moveaxis(rel, -1, 0)), full.grid.shape)  # (M, B)
+    index = np.ravel_multi_index(tuple(np.moveaxis(rel, -1, 0)), full_grid.shape)  # (M, B)
     pairwise = stat.p == 1 and n_blocks == 1
-    means = grid_sums(full.grid, image, pairwise, cells=index.ravel())  # (p, M * B, R)
-    means /= local.grid.base.shape[0]
+    means = grid_sums(full_grid, image, pairwise, cells=index.ravel())  # (p, M * B, R)
+    means /= local_grid.base.shape[0]
     theta = stat(means.reshape(stat.p, len(index), -1).T)  # (B * R, M), laid out (M, B, R)
     theta = np.moveaxis(theta.reshape(n_blocks, n_fields, -1), 1, 0)  # (R, B, M)
     if n_blocks == 1:  # a field's one block: its M statistics are a row, reduced pairwise
@@ -541,17 +545,14 @@ def estimate_from_plan(
     keep_theta: bool = False,
 ) -> EstimatorResult:
     """``plan`` on ``sample``, a field on the plan's window, through its
-    ``field_image`` when the design is shared-count."""
-    if plan.grid is None:
-        theta, theta_tilde, tau_hat = estimate_values(plan, sample.values, stat)
-    else:
-        image = field_image(sample.window.indexer().table, sample.values[None])
-        theta, theta_tilde, tau_hat = (a[0] for a in estimate_image(plan, image, stat))
+    ``field_image``."""
+    image = field_image(sample.window.indexer().table, sample.values[None])
+    theta, theta_tilde, tau_hat = (a[0] for a in estimate_image(plan, image, stat))
     return EstimatorResult(
         tau_hat_sq=float(tau_hat),
-        scheme=plan.scheme,
+        scheme=plan.index_set.scheme,
         n_subsamples=plan.index_set.n_subsamples,
-        subsample_sites=plan.counts.copy(),
+        subsample_sites=plan.index_set.counts.copy(),
         theta_tilde=float(theta_tilde),
         theta_hats=theta.copy() if keep_theta else None,
     )

@@ -875,13 +875,15 @@ class SubsampleIndexSet:
 
     ``base`` holds the sites of the scaled template at offset 0 when every
     subsample is them moved (by its offset for OL, by the scale times it
-    for integer NOL), and is None otherwise.
+    for integer NOL), and is None otherwise; ``copies`` then holds each
+    subsample's sites, in offset order.
     """
 
     scheme: str
     offsets: np.ndarray  # (M, d) int64, lexicographic
     counts: np.ndarray  # (M,) int64 site counts (equal across OL offsets)
     base: np.ndarray | None = None  # (sN, d) int64
+    copies: tuple | None = None  # M arrays (count_m, d) int64
 
     @property
     def n_subsamples(self) -> int:
@@ -982,11 +984,9 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
         base = lattice_sites(Region(spec.template, (s_lam,) * region.d, region.shift)).sites
         counts = np.full(offsets.shape[0], base.shape[0], dtype=np.int64)
         return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts, base=base)
-    counts = np.array(
-        [w.n_sites for w in nol_subregion_windows(region, spec, offsets)],
-        dtype=np.int64,
-    )
-    return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts)
+    copies = tuple(w.sites for w in nol_subregion_windows(region, spec, offsets))
+    counts = np.array([len(sites) for sites in copies], dtype=np.int64)
+    return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts, copies=copies)
 
 
 def nol_subregion_windows(
@@ -1014,10 +1014,7 @@ def nol_subregion_windows(
         cand = box_points(lo, hi)
         inside = geom.contains_scaled(cand, (s_lam,) * region.d, shift - center)
         sites = cand[inside]
-        if sites.shape[0] == 0:
-            out.append(LatticeWindow(sites=sites.reshape(0, region.d), lo=lo, hi=hi))
-        else:
-            out.append(
-                LatticeWindow(sites=sites, lo=sites.min(axis=0), hi=sites.max(axis=0))
-            )
+        if len(sites):  # an empty copy keeps its box's corners
+            lo, hi = sites.min(axis=0), sites.max(axis=0)
+        out.append(LatticeWindow(sites=sites, lo=lo, hi=hi))
     return out

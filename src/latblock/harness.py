@@ -514,13 +514,13 @@ class Replicates:
     stat: SmoothStatistic
 
     def chunks(self, block: int):
-        """``(samples, image)`` per chunk of up to ``block`` replicates, in order.
+        """Each chunk's ``field_image``, up to ``block`` replicates a chunk, in order.
 
-        ``image`` is the chunk's ``field_image``.  On the circulant route the
-        next chunk is drawn on a second thread while the caller works on this
-        one; close the iterator (``contextlib.closing``) so that an error
-        stops that thread.  The dense route draws on the caller's thread: its
-        matrix-vector product already runs on every core.
+        On the circulant route the next chunk is drawn on a second thread
+        while the caller works on this one; close the iterator
+        (``contextlib.closing``) so that an error stops that thread.  The
+        dense route draws on the caller's thread: its matrix-vector product
+        already runs on every core.
         """
         gen = build_generator(self.cov, self.window)
         chunks = self._draw(gen, block)
@@ -532,8 +532,8 @@ class Replicates:
     def _draw(self, gen, block: int):
         table = self.window.indexer().table
         for start in range(0, len(self.streams), block):
-            chunk = [self._sample(gen, rep) for rep in self.streams[start : start + block]]
-            yield chunk, field_image(table, np.stack([sample.values for sample in chunk]))
+            values = [self._sample(gen, rep).values for rep in self.streams[start : start + block]]
+            yield field_image(table, np.stack(values))
 
 
 def _prefetch(chunks):
@@ -573,9 +573,9 @@ _IMAGE_BLOCK_CELLS = 1 << 15
 def _replicate_taus(plans: list, samples, stat: SmoothStatistic, window, replicates: int):
     """tau_hat_sq of every design on every replicate, shape (replicates, designs).
 
-    ``samples`` is the pair's ``Replicates``.  Study scales are integers, so
-    every design is shared-count: each takes a chunk of replicates at a time
-    through the chunk's field image, shared by all of them.
+    ``samples`` is the pair's ``Replicates``.  Every design takes a chunk of
+    replicates at a time through the chunk's field image, shared by all of
+    them.
     """
     taus = np.empty((replicates, len(plans)))
     if not plans:
@@ -583,8 +583,8 @@ def _replicate_taus(plans: list, samples, stat: SmoothStatistic, window, replica
     block = max(1, _IMAGE_BLOCK_CELLS // (window.indexer().table.size * stat.p))
     start = 0
     with closing(samples.chunks(block)) as chunks:
-        for chunk, image in chunks:
-            stop = start + len(chunk)
+        for image in chunks:
+            stop = start + image.shape[-1]
             for i, plan in enumerate(plans):
                 taus[start:stop, i] = estimate_image(plan, image, stat)[2]
             start = stop
@@ -693,7 +693,7 @@ def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau
     cells = window.indexer().table.size * stat.p  # image cells per replicate
     block = max(1, min(_IMAGE_BLOCK_CELLS // cells, _GATHER_CELLS // (engine.widest * stat.p)))
     with closing(samples.chunks(block)) as chunks:
-        for _, image in chunks:
+        for image in chunks:
             taus = {}
             tau_opt = engine.tau(image, stat, taus, s_opt)
             for r, plans in enumerate(engine.select(image, stat, taus)):

@@ -2,9 +2,10 @@
 OL offsets by a membership test of every translated site, the covariogram
 evaluated at every site pair or wrapped torus lag, the circulant draw by one
 full ``fftn`` of the embedding torus, the shape-constant quadrature by
-``scipy.fft``, a shared-count design's estimate by gathering its (M, sN)
-rows of sample values, the npi and hj selectors on one sample through that
-gather, and the selector study run one replicate at a time.
+``scipy.fft``, a design's estimate by gathering its (M, sN) rows of sample
+values (copy by copy for a ragged design), the npi and hj selectors on one
+sample through that gather, and the selector study run one replicate at a
+time.
 
 A plain helper module, imported by the estimator, geometry, covariance, field
 and harness tests and by acceptance criterion 05; it holds no tests.
@@ -186,11 +187,23 @@ def scipy_k0_numeric(template, step):
 
 
 def design_rows(plan, window):
-    """The (M, sN) rows of ``window`` that hold a shared-count design's
-    subsamples: anchor ``step * offset`` plus each base site; -1 where a site
-    is not in the window."""
-    anchors = plan.grid.step * plan.index_set.offsets
-    return window.indexer().lookup(anchors[:, None] + plan.grid.base)
+    """The rows of ``window`` that hold each subsample of a design, -1 where
+    a site is not in the window: a shared-count design's (M, sN) rows
+    (anchor ``step * offset`` plus each base site), or a ragged design's
+    rows of every template copy."""
+    indexer = window.indexer()
+    if plan.index_set.copies is not None:
+        return [indexer.lookup(sites) for sites in plan.index_set.copies]
+    (grid,) = plan.grids
+    return indexer.lookup(grid.step * plan.index_set.offsets[:, None] + grid.base)
+
+
+def _covered_rows(plan, window):
+    rows = design_rows(plan, window)
+    if any(np.any(r < 0) for r in rows):
+        what = "overlapping" if plan.index_set.scheme == OL else "disjoint"
+        raise MissingSites(f"sample does not cover every {what} subsample site")
+    return rows
 
 
 def gather_estimate(plan, window, values, stat):
@@ -201,12 +214,17 @@ def gather_estimate(plan, window, values, stat):
     The design may be built on another window of the same region: a site of
     it that ``window`` misses raises ``MissingSites``.
     """
-    rows = design_rows(plan, window)
-    if np.any(rows < 0):
-        what = "overlapping" if plan.scheme == OL else "disjoint"
-        raise MissingSites(f"sample does not cover every {what} subsample site")
+    rows = _covered_rows(plan, window)
     _check_core(plan, values.shape[-1], stat)
     theta = stat(values[..., rows, :].mean(axis=-2))
+    return (theta, *_reduce_theta(plan, theta, stat))
+
+
+def gather_ragged(plan, window, values, stat):
+    """``gather_estimate`` of a ragged design, gathered copy by copy."""
+    rows = _covered_rows(plan, window)
+    _check_core(plan, values.shape[-1], stat)
+    theta = np.stack([stat(values[..., r, :].mean(axis=-2)) for r in rows], axis=-1)
     return (theta, *_reduce_theta(plan, theta, stat))
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import design_rows, gather_estimate, naive_nol, naive_ol
+from brute_force import design_rows, gather_estimate, gather_ragged, naive_nol, naive_ol
 from latblock import (
     FieldSample,
     Region,
@@ -42,7 +42,6 @@ from latblock.estimators import (
     estimate,
     estimate_from_plan,
     estimate_image,
-    estimate_values,
     field_image,
 )
 from latblock.geometry import (
@@ -137,6 +136,30 @@ def test_brute_force_equivalence_all_small_windows(stat_name):
                     )
                     assert got.n_subsamples == naive_j
                     assert got.tau_hat_sq == naive_tau
+
+
+@pytest.mark.parametrize("stat_name", ["mean", "momvar"])
+def test_ragged_nol_equals_the_brute_force_cubes(stat_name):
+    stat = parse_statistic(stat_name)
+    rng = np.random.default_rng(19)
+    checked = 0
+    for mlam in range(2, 9):
+        for nlam in range(2, 9):
+            region = Region(Template.hypercube(2), (mlam, nlam))
+            window = lattice_sites(region)
+            x = rng.standard_normal((window.n_sites, 1))
+            sample = FieldSample(window, x if stat.p == 1 else np.hstack([x, x * x]))
+            for s_lam in (1.25, 1.5, 2.5, 2.75, 3.5):
+                naive_tau, naive_j = naive_nol(sample, mlam, nlam, s_lam, stat)
+                if naive_j < 2:
+                    continue
+                spec = SubsampleSpec(Template.hypercube(2), s_lam, "nol")
+                with pytest.warns(NonIntegerScaleWarning):
+                    got = nol_estimate(sample, region, spec, stat)
+                assert got.n_subsamples == naive_j
+                assert got.tau_hat_sq == naive_tau  # bit for bit
+                checked += 1
+    assert checked == 132
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +322,15 @@ def test_cross_shape_subsampling():
 
 
 def assert_same_design(a, b):
-    assert a.scheme == b.scheme
+    assert a.index_set.scheme == b.index_set.scheme
     assert np.array_equal(a.index_set.offsets, b.index_set.offsets)
-    assert np.array_equal(a.counts, b.counts)
-    if b.grid is None:
-        assert a.grid is None
-        assert len(a.row_lists) == len(b.row_lists)
-        assert all(np.array_equal(x, y) for x, y in zip(a.row_lists, b.row_lists))
-    else:
-        assert a.row_lists is None
-        assert np.array_equal(a.grid.base, b.grid.base)
-        assert (a.grid.lo, a.grid.step, a.grid.shape) == (b.grid.lo, b.grid.step, b.grid.shape)
-        assert np.array_equal(a.grid.index, b.grid.index)  # None, or equal positions
+    assert np.array_equal(a.index_set.counts, b.index_set.counts)
+    assert np.array_equal(a.order, b.order)  # None, or equal permutations
+    assert len(a.grids) == len(b.grids)
+    for x, y in zip(a.grids, b.grids):
+        assert np.array_equal(x.base, y.base)
+        assert (x.lo, x.step, x.shape) == (y.lo, y.step, y.shape)
+        assert np.array_equal(x.index, y.index)  # None, or equal positions
 
 
 @pytest.mark.parametrize(
@@ -340,17 +360,18 @@ def test_cached_design_arrays_are_read_only():
     region, sample = make_sample((10, 10))
     plan = design_plan(sample.window, region, SubsampleSpec(Template.hypercube(2), 3.0, "ol"))
     with pytest.raises(ValueError):
-        plan.grid.base[0, 0] = 0
+        plan.grids[0].base[0, 0] = 0
     with pytest.raises(ValueError):
-        plan.counts[0] = 0
+        plan.index_set.counts[0] = 0
     with pytest.raises(ValueError):
         plan.index_set.offsets[0, 0] = 0
     with pytest.warns(NonIntegerScaleWarning):
         ragged = design_plan(
             sample.window, region, SubsampleSpec(Template.hypercube(2), 2.5, "nol")
         )
-    with pytest.raises(ValueError):
-        ragged.row_lists[0][0] = 0
+    for arr in (ragged.index_set.copies[0], ragged.grids[0].base, ragged.order):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_cache_hit_repeats_non_integer_scale_warning():
@@ -406,10 +427,8 @@ def test_core_replicate_axis_matches_per_sample_estimates(scheme, s_lam, stat):
         plan = design_plan(window, region, spec)
     x = np.random.default_rng(5).standard_normal((6, window.n_sites))
     values = x[..., None] if stat.p == 1 else np.stack([x, x * x], axis=-1)  # (R, N, p)
-    if plan.grid is None:
-        theta, theta_tilde, tau = estimate_values(plan, values, stat)
-    else:
-        theta, theta_tilde, tau = gather_estimate(plan, window, values, stat)
+    gather = gather_estimate if plan.index_set.copies is None else gather_ragged
+    theta, theta_tilde, tau = gather(plan, window, values, stat)
     assert theta.shape == (6, plan.index_set.n_subsamples)
     assert tau.shape == theta_tilde.shape == (6,)
     for r in range(6):
@@ -519,7 +538,7 @@ def test_core_equals_one_replicate_image_bit_for_bit(region_spec, sub_spec, s_la
     window = lattice_sites(region)
     spec = SubsampleSpec(parse_template(sub_spec or region_spec), s_lam, scheme)
     plan = design_plan(window, region, spec)
-    assert plan.grid is not None
+    assert len(plan.grids) == 1
     table = window.indexer().table
     for seed in range(5):
         x = np.random.default_rng(seed).standard_normal((window.n_sites, 1)) * 10.0**seed
@@ -582,7 +601,7 @@ def test_one_shot_estimate_equals_the_gather_on_any_sample_window(
         got = estimate(sample, region, spec, stat, keep_theta=True)
         assert np.array_equal(got.theta_hats, theta)
         assert got.theta_tilde == theta_tilde and got.tau_hat_sq == tau
-        assert np.array_equal(got.subsample_sites, plan.counts)
+        assert np.array_equal(got.subsample_sites, plan.index_set.counts)
 
 
 def test_a_large_overlapping_design_stores_no_rows():
@@ -606,15 +625,16 @@ def test_lean_core_keeps_the_reference_checks():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
         plan = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
         single = design_plan(window, region, SubsampleSpec(region.template, 3.5, "nol"))
-    values = np.ones((window.n_sites, 1))
+    table = window.indexer().table
+    values = np.ones((1, window.n_sites, 1))
     with pytest.raises(DimensionMismatch):
-        estimate_values(plan, np.ones((window.n_sites, 2)), stat)
-    values[plan.row_lists[0][0], 0] = np.inf
+        estimate_image(plan, field_image(table, np.ones((1, window.n_sites, 2))), stat)
+    values[0, design_rows(plan, window)[0][0], 0] = np.inf
     with pytest.raises(StatisticDomainError):
-        estimate_values(plan, values, stat)
-    assert single.grid is None and single.index_set.n_subsamples == 1
+        estimate_image(plan, field_image(table, values), stat)
+    assert single.index_set.copies is not None and single.index_set.n_subsamples == 1
     with pytest.raises(DegenerateSubsampling):
-        estimate_values(single, np.ones((window.n_sites, 1)), stat)
+        estimate_image(single, field_image(table, np.ones((1, window.n_sites, 1))), stat)
 
 
 @pytest.mark.parametrize("s_lam", [1.0, 1.3, 0.7])
@@ -630,6 +650,24 @@ def test_nol_design_with_an_empty_template_copy_raises_empty_window(s_lam):
             design_plan(window, region, spec)
         with pytest.raises(EmptyWindow):
             nol_estimate(FieldSample(window, x), region, spec, mean_statistic())
+
+
+@pytest.mark.parametrize("before_empty, error", [(True, MissingSites), (False, EmptyWindow)])
+def test_the_first_failing_nol_copy_decides_the_error(before_empty, error):
+    region = Region(Template.hypercube(2), (12, 12), (0.5, 0.5))
+    window = lattice_sites(region)
+    spec = SubsampleSpec(Template.circle(0.5), 1.3, "nol")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        copies = enumerate_nol(region, spec).copies
+        empty = next(m for m, sites in enumerate(copies) if len(sites) == 0)
+        # a copy before or after the first empty one loses a site
+        cut_copy = copies[empty - 1] if before_empty else copies[-1]
+        rows = window.indexer().lookup(cut_copy[:1])
+        sites = np.delete(window.sites, rows, axis=0)
+        cut = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+        with pytest.raises(error):
+            _build_design(cut, region, spec)
 
 
 def test_windows_compare_and_hash_by_their_sites():
@@ -679,7 +717,7 @@ def test_integer_nol_rows_are_the_stacked_cube_windows(spec, scale, shifted, s_l
     plan = _build_design(window, region, nol)
     assert np.array_equal(plan.index_set.offsets, offsets)
     assert np.array_equal(design_rows(plan, window), rows)
-    assert plan.row_lists is None
+    assert len(plan.grids) == 1 and plan.order is None
 
 
 @pytest.mark.parametrize("scheme", ["ol", "nol"])
@@ -690,7 +728,7 @@ def test_shared_count_grid_is_the_scaled_template_at_its_anchors(sub, s_lam, sch
     window = lattice_sites(region)
     spec = SubsampleSpec(parse_template(sub), float(s_lam), scheme)
     plan = _build_design(window, region, spec)
-    grid = plan.grid
+    (grid,) = plan.grids
     base = lattice_sites(Region(spec.template, (float(s_lam),) * 2, region.shift)).sites
     assert np.array_equal(grid.base, base)
     assert grid.step == (1 if scheme == "ol" else s_lam)
@@ -712,7 +750,7 @@ def test_missing_sites_names_the_scheme(s_lam, scheme, what):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
         plan = _build_design(window, region, spec)
-        first = design_rows(plan, window)[0] if plan.row_lists is None else plan.row_lists[0]
+        first = design_rows(plan, window)[0]
         sites = np.delete(window.sites, first[0], axis=0)  # one subsample site less
         cut = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
         with pytest.raises(

@@ -7,12 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
-from brute_force import design_rows, gather_estimate, per_replicate_phi_rows
+from brute_force import design_rows, gather_estimate, gather_ragged, per_replicate_phi_rows
 
 import latblock.harness
 from latblock.covariance import exact_tau_n_sq_window
 from latblock.errors import (
-    ConfigError,
     DegenerateSubsampling,
     DimensionMismatch,
     LatblockError,
@@ -81,8 +80,8 @@ def test_every_pairwise_branch_matches_the_core(s_lam, size, scheme):
     window = lattice_sites(region)
     plan = assert_core_matches(region, spec, fields(window, 5, s_lam))
     assert design_rows(plan, window).shape[1] == size
-    assert plan.grid.index is None  # box designs fill their anchor grid
-    assert plan.grid.step == (s_lam if scheme == "nol" else 1)
+    assert plan.grids[0].index is None  # box designs fill their anchor grid
+    assert plan.grids[0].step == (s_lam if scheme == "nol" else 1)
 
 
 @pytest.mark.parametrize(
@@ -102,9 +101,9 @@ def test_partial_anchor_grids_match_the_core(region, sub, s_lam, scheme):
     plan = assert_core_matches(region, spec, fields(lattice_sites(region), 6, int(s_lam)))
     # a disk holds no rectangle of anchors; a box holds one of any template
     is_disk = region.template.spec_string().startswith("circle")
-    assert (plan.grid.index is not None) == is_disk
+    assert (plan.grids[0].index is not None) == is_disk
     if is_disk:
-        assert plan.grid.index.size == plan.index_set.n_subsamples
+        assert plan.grids[0].index.size == plan.index_set.n_subsamples
 
 
 @pytest.mark.parametrize(
@@ -120,7 +119,7 @@ def test_three_dimensional_windows_match_the_core(sub, s_lam, scheme):
     region = Region(parse_template("sphere:r=0.5"), (10, 10, 10))
     spec = SubsampleSpec(parse_template(sub), s_lam, scheme)
     plan = assert_core_matches(region, spec, fields(lattice_sites(region), 4, 3))
-    assert plan.grid.index is not None and len(plan.grid.shape) == 3
+    assert plan.grids[0].index is not None and len(plan.grids[0].shape) == 3
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
@@ -158,8 +157,12 @@ def test_image_core_keeps_the_core_checks():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
         ragged = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
-    with pytest.raises(ConfigError):
-        estimate_image(ragged, image, mean_statistic())
+    # a ragged design takes the same core
+    values = fields(window, 2, 3)[..., None]
+    got = estimate_image(ragged, field_image(window.indexer().table, values), mean_statistic())
+    want = [gather_ragged(ragged, window, field, mean_statistic()) for field in values]
+    for part, reference in zip(got, zip(*want)):
+        assert np.array_equal(part, np.array(reference))
 
 
 # (region, sub-template, scale, scheme, whether the anchors plus some base
@@ -191,7 +194,7 @@ def test_image_core_equals_the_gather_in_every_layout(
     window = lattice_sites(region)
     box = window.indexer().table.shape
     plan = design_plan(window, region, SubsampleSpec(parse_template(sub), s_lam, scheme))
-    grid = plan.grid
+    (grid,) = plan.grids
     reach = np.add(grid.lo, grid.base).max(axis=0) + grid.step * (np.array(grid.shape) - 1)
     assert (reach[-1] == box[-1] - 1) == edge
     assert (grid.index is not None) == partial
@@ -226,6 +229,37 @@ def test_block_core_equals_the_gather_in_every_layout(region, lambda_m, n_fields
             assert got.flags.c_contiguous and np.array_equal(got, np.array(want))
 
 
+# ragged NOL designs (non-integer scales): region, sub-template, scale
+RAGGED_CASES = [
+    (Region(Template.hypercube(2), (14, 18)), "hypercube:d=2", 2.5),
+    (Region(Template.hypercube(2), (14, 18)), "hypercube:d=2", 1.3),
+    (DISK, "circle:r=0.5", 3.7),
+    (DISK, "hypercube:d=2", 4.5),
+    (Region(parse_template("isotri"), (24, 24), (0.3, 0.1)), "isotri", 2.2),
+    (Region(parse_template("sphere:r=0.5"), (12, 12, 12)), "sphere:r=0.5", 2.5),
+]
+
+
+@pytest.mark.parametrize("n_fields", [1, 26])
+@pytest.mark.parametrize("region, sub, s_lam", RAGGED_CASES)
+def test_image_core_equals_the_copy_gather_on_ragged_designs(region, sub, s_lam, n_fields):
+    window = lattice_sites(region)
+    table = window.indexer().table
+    spec = SubsampleSpec(parse_template(sub), s_lam, "nol")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        plan = design_plan(window, region, spec)
+    assert len(plan.grids) > 1 and len(set(plan.index_set.counts.tolist())) > 1
+    for stat, values in lifted_fields(window, n_fields):
+        got = estimate_image(plan, field_image(table, values), stat)
+        want = [gather_ragged(plan, window, field, stat) for field in values]
+        for part, reference in zip(got, zip(*want)):
+            assert np.array_equal(part, np.array(reference))
+        for r, field in enumerate(values):  # each row is its field's one-shot estimate
+            one = estimate_image(plan, field_image(table, field[None]), stat)
+            assert all(np.array_equal(part[r], alone[0]) for part, alone in zip(got, one))
+
+
 def test_returned_arrays_are_not_overwritten_by_the_next_call():
     window = lattice_sites(BOX)
     image = field_image(window.indexer().table, fields(window, 3, 2)[..., None])
@@ -233,10 +267,10 @@ def test_returned_arrays_are_not_overwritten_by_the_next_call():
     first, second = (
         design_plan(window, BOX, SubsampleSpec(BOX.template, s_lam, "ol")) for s_lam in (3.0, 5.0)
     )
-    sums = grid_sums(first.grid, image)
+    sums = grid_sums(first.grids[0], image)
     estimates = estimate_image(first, image, stat)
     kept = [a.copy() for a in (sums, *estimates)]
-    grid_sums(second.grid, image)
+    grid_sums(second.grids[0], image)
     estimate_image(second, image, stat)
     for got, copy in zip((sums, *estimates), kept):
         assert np.array_equal(got, copy)
@@ -388,9 +422,9 @@ def test_cached_anchor_grids_are_read_only():
     region = Region(parse_template("circle:r=0.5"), (20, 20))
     plan = design_plan(lattice_sites(region), region, SubsampleSpec(region.template, 4.0, "ol"))
     with pytest.raises(ValueError):
-        plan.grid.base[0, 0] = 0
+        plan.grids[0].base[0, 0] = 0
     with pytest.raises(ValueError):
-        plan.grid.index[0] = 0
+        plan.grids[0].index[0] = 0
 
 
 # ---------------------------------------------------------------------------
