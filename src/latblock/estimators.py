@@ -291,9 +291,9 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
         for m, (sites, corner) in enumerate(zip(index_set.copies, corners)):
             pattern = sites - corner
             groups.setdefault(pattern.tobytes(), (pattern, []))[1].append(m)
-        grids = [_anchor_grid(indexer, corners[m], base, 1) for base, m in groups.values()]
+        grids = [_anchor_grid(indexer, corners[group], base, 1) for base, group in groups.values()]
         if all(grid is not None for grid in grids):
-            order = np.argsort(np.concatenate([m for _, m in groups.values()]))
+            order = np.argsort(np.concatenate([group for _, group in groups.values()]))
             return SubsamplePlan(index_set, tuple(grids), order if len(grids) > 1 else None)
     # a copy without sites or with a site off the window: the first one decides
     for offset, sites in zip(index_set.offsets, index_set.copies):
