@@ -53,8 +53,8 @@ def read_field_csv(path: str) -> FieldSample:
         raise ConfigError(f"empty data file: {path}")
     header = [h.strip().lower() for h in lines[0][1].split(",")]
     d = sum(1 for h in header if h.startswith("s"))
-    p = sum(1 for h in header if h.startswith("v"))
-    if d < 1 or p < 1 or d + p != len(header):
+    p = len(header) - d
+    if d < 1 or p < 1 or header != _field_header(d, p):
         raise ConfigError("field CSV header must be s1,...,sd,v1,...,vp")
     sites = []
     values = []
@@ -91,12 +91,15 @@ def read_field_csv(path: str) -> FieldSample:
     return FieldSample(window, values_arr)
 
 
+def _field_header(d: int, p: int) -> list:
+    return [f"s{j + 1}" for j in range(d)] + [f"v{j + 1}" for j in range(p)]
+
+
 def write_field_csv(sample: FieldSample, path: str) -> None:
     """Field CSV as ``read_field_csv`` reads it, written atomically by ``emit_csv``."""
     from .harness import emit_csv
 
-    header = [f"s{j + 1}" for j in range(sample.window.d)]
-    header += [f"v{j + 1}" for j in range(sample.p)]
+    header = _field_header(sample.window.d, sample.p)
     rows = (
         dict(zip(header, site + vals))
         for site, vals in zip(sample.window.sites.tolist(), sample.values.tolist())

@@ -16,7 +16,7 @@ import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -151,7 +151,7 @@ def _number(value, key: str, integer: bool = False):
     ConfigError naming ``key``.
     """
     num = math.nan
-    if not isinstance(value, bool):
+    if not isinstance(value, (bool, str)):
         try:
             if integer and not isinstance(value, float):
                 return int(value)
@@ -330,10 +330,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
         key: _text(path, f"outputs.{key}")
         for key, path in _fields(raw.get("outputs", {}), "outputs").items()
     }
-    if outputs.get("phi_csv"):
-        _check_phi_study(pairs, schemes, sub_names, grid, selectors)
-
-    return StudyConfig(
+    config = StudyConfig(
         regions=tuple(regions),
         covariograms=tuple(covs),
         statistic=statistic,
@@ -347,6 +344,9 @@ def config_from_dict(raw: dict) -> StudyConfig:
         outputs=outputs,
         tau_n_sq_override=tau_n_sq,
     )
+    if outputs.get("phi_csv"):
+        _check_phi_study(config)
+    return config
 
 
 def _check_selectors(regions, sel: SelectorConfig, hj_keys: set) -> None:
@@ -380,15 +380,22 @@ def _check_selectors(regions, sel: SelectorConfig, hj_keys: set) -> None:
             raise ConfigError(f"selectors on region {reg.name!r}: {exc}") from exc
 
 
-def _check_phi_study(pairs: dict, schemes, sub_names, grid: dict, sel: SelectorConfig) -> None:
-    """Refuse, before any study work, a selector study that cannot run: one
-    with no selector setting, or with a region|model pair in ``pairs`` whose
-    oracle scale is neither pinned nor an argmin of an MSE grid cell that
+def _check_phi_study(config: StudyConfig) -> list:
+    """(method, c1, c2, lambda_m) of every selector setting, npi's first.
+
+    Refuses, before any study work, a selector study that cannot run: one
+    with no selector setting, or with a region|model pair whose oracle scale
+    is neither pinned nor an argmin of an MSE grid cell that
     ``_is_oracle_cell`` accepts.  A pair whose grid cells all turn out dead
-    is found only when the grid runs."""
-    _selector_methods(sel)
-    derivable = any(_is_oracle_cell(sel, scheme, sub) for scheme in schemes for sub in sub_names)
-    for key, reg in pairs.items():
+    is found only when the grid runs (``_oracle_found``).
+    """
+    sel, grid, subs = config.selectors, config.s_lambda_grid, config.sub_templates
+    methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
+    methods += [("hj", None, None, lm) for lm in sel.hj_lambda_m]
+    if not methods:
+        raise ConfigError("phi study needs at least one selector setting")
+    derivable = any(_is_oracle_cell(sel, s, t) for s in config.schemes for t, _ in subs)
+    for key, reg in _pairs(config):
         if sel.s_lambda_opt is not None:
             gaps = [(key not in sel.s_lambda_opt, "selectors.s_lambda_opt does not name it")]
         else:
@@ -402,16 +409,12 @@ def _check_phi_study(pairs: dict, schemes, sub_names, grid: dict, sel: SelectorC
         for gap, why in gaps:
             if gap:
                 raise ConfigError(f"no oracle scale for cell {key!r}: {why}")
-
-
-def _selector_methods(sel: SelectorConfig) -> list:
-    """(method, c1, c2, lambda_m) of every selector setting, npi's first;
-    refuses a selector study with none."""
-    methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
-    methods += [("hj", None, None, lm) for lm in sel.hj_lambda_m]
-    if not methods:
-        raise ConfigError("phi study needs at least one selector setting")
     return methods
+
+
+def _pairs(config: StudyConfig):
+    """("region|model", region spec) of every pair, in study order."""
+    return [(f"{r.name}|{name}", r) for r in config.regions for name, _ in config.covariograms]
 
 
 def _is_oracle_cell(sel: SelectorConfig, scheme: str, sub_template: str) -> bool:
@@ -498,6 +501,12 @@ def _study_pairs(config: StudyConfig):
             yield reg_spec, region, window, cov_name, tau_n, samples
 
 
+# Field-image cells per replicate chunk (256 kB of float64), counting each of
+# a site's p columns: a chunk's image stays in cache while every design of
+# the window reads it.
+_IMAGE_BLOCK_CELLS = 1 << 15
+
+
 @dataclass(frozen=True)
 class Replicates:
     """One (region, model) pair's replicate fields, drawn on demand.
@@ -513,8 +522,9 @@ class Replicates:
     streams: range
     stat: SmoothStatistic
 
-    def chunks(self, block: int):
-        """Each chunk's ``field_image``, up to ``block`` replicates a chunk, in order.
+    def chunks(self):
+        """Each chunk's ``field_image``, in order, as many replicates a chunk
+        as fill ``_IMAGE_BLOCK_CELLS`` cells of the window's bounding box.
 
         On the circulant route the next chunk is drawn on a second thread
         while the caller works on this one; close the iterator
@@ -522,8 +532,9 @@ class Replicates:
         dense route draws on the caller's thread: its matrix-vector product
         already runs on every core.
         """
+        cells = int(np.prod(self.window.span)) * self.stat.p  # per replicate
         gen = build_generator(self.cov, self.window)
-        chunks = self._draw(gen, block)
+        chunks = self._draw(gen, max(1, _IMAGE_BLOCK_CELLS // cells))
         return _prefetch(chunks) if gen.method == CIRCULANT else chunks
 
     def _sample(self, gen, rep: int):
@@ -564,49 +575,85 @@ def _cell_designs(config: StudyConfig, reg_spec: RegionSpec, region: Region, win
     return sorted(out, key=lambda cell: cell[1] is None)
 
 
-# Field-image cells per replicate chunk (256 kB of float64), counting each of
-# a site's p columns: a chunk's image stays in cache while every design of
-# the window reads it.
-_IMAGE_BLOCK_CELLS = 1 << 15
-
-
-def _replicate_taus(plans: list, samples, stat: SmoothStatistic, window, replicates: int):
-    """tau_hat_sq of every design on every replicate, shape (replicates, designs).
-
-    ``samples`` is the pair's ``Replicates``.  Every design takes a chunk of
-    replicates at a time through the chunk's field image, shared by all of
-    them.
+def _replicate_pass(samples: Replicates, plans: list, engine, oracle: dict, s_opt) -> tuple:
+    """One pass over a pair's replicates ``samples``, a chunk at a time through
+    one field image: tau_hat_sq (replicates, designs) of the designs ``plans``;
+    with a ``SelectorEngine``, per replicate and setting the ``_selected``
+    outcome, and per replicate tau_hat_sq at a pinned oracle scale ``s_opt``,
+    where an error ends the study.  The engine reads a scale that ``oracle``
+    maps to a column of ``plans`` from that column: the same cached design,
+    so the same floats.
     """
-    taus = np.empty((replicates, len(plans)))
-    if not plans:
-        return taus  # no live cell: draw no field
-    block = max(1, _IMAGE_BLOCK_CELLS // (window.indexer().table.size * stat.p))
-    start = 0
-    with closing(samples.chunks(block)) as chunks:
+    taus = np.empty((len(samples.streams), len(plans)))
+    outcomes, tau_opt = [], []
+    if not plans and engine is None:
+        return taus, outcomes, tau_opt  # nothing to estimate: draw no field
+    stat, start = samples.stat, 0
+    with closing(samples.chunks()) as chunks:
         for image in chunks:
-            stop = start + image.shape[-1]
+            rows = taus[start : start + image.shape[-1]]
+            start += image.shape[-1]
             for i, plan in enumerate(plans):
-                taus[start:stop, i] = estimate_image(plan, image, stat)[2]
-            start = stop
-    return taus
+                rows[:, i] = estimate_image(plan, image, stat)[2]
+            if engine is None:
+                continue
+            memo = {lam: rows[:, i].tolist() for lam, i in oracle.items()}
+            if s_opt is not None:
+                tau_opt += engine.tau(image, stat, memo, s_opt)
+            for r, chosen in enumerate(engine.select(image, stat, memo)):
+                outcomes.append([_selected(engine, image, stat, memo, r, plan) for plan in chosen])
+    return taus, outcomes, tau_opt
 
 
-def mse_study(config: StudyConfig) -> list[MseCell]:
-    """Normalized MSE of the subsample variance estimators over the cell grid."""
-    stat = config.statistic
-    cells: list[MseCell] = []
-    designs: dict = {}
+def _selected(engine, image, stat, memo: dict, r: int, plan):
+    """(s_hat, tau_hat_sq at s_hat) of field ``r``'s ``ScalingPlan``, or the
+    class name of the ``LatblockError`` that choosing or estimating raised."""
+    if isinstance(plan, LatblockError):
+        return type(plan).__name__
+    try:
+        return plan.lambda_opt_int, engine.tau(image, stat, memo, plan.lambda_opt_int)[r]
+    except LatblockError as exc:
+        return type(exc).__name__
+
+
+def _study(config: StudyConfig, mse: bool, phi: bool) -> StudyResult:
+    """The MSE grid (``mse``) and the selector study (``phi``) of every
+    (region, model) pair, in one pass over its replicates (``_replicate_pass``).
+
+    An unpinned oracle scale is the argmin of the pair's oracle column (the
+    cells ``_is_oracle_cell`` accepts); a pair whose oracle column is all
+    dead gets no PhiRow (``_oracle_found`` refuses it).  phi is the selected
+    scale's estimate less the oracle scale's, over tau_n.  A setting that
+    failed on some replicates is summarised over the others, NA without any,
+    and its note counts the failures.
+    """
+    sel, pinned = config.selectors, config.selectors.s_lambda_opt
+    methods = _check_phi_study(config) if phi else []
+    all_cells, phi_rows = [], []
+    regions = {}  # region name -> (MSE cells, their live plans, oracle columns, engine)
     for reg_spec, region, window, cov_name, tau_n, samples in _study_pairs(config):
-        if reg_spec.name not in designs:
-            designs[reg_spec.name] = _cell_designs(config, reg_spec, region, window)
-        grid = designs[reg_spec.name]
-        live = [plan for _, plan, _ in grid if plan is not None]
-        taus = _replicate_taus(live, samples, stat, window, config.replicates)
+        if reg_spec.name not in regions:
+            grid = _cell_designs(config, reg_spec, region, window)
+            if not mse:  # the selectors read the oracle column, unless a scale is pinned
+                grid = [c for c in grid if pinned is None and _is_oracle_cell(sel, *c[0][:2])]
+            live = [(cell, plan) for cell, plan, _ in grid if plan is not None]
+            plans = [plan for _, plan in live]
+            oracle = {c[2]: i for i, (c, _) in enumerate(live) if _is_oracle_cell(sel, *c[:2])}
+            engine = None
+            if phi and (pinned is not None or oracle):
+                engine = SelectorEngine(
+                    window, region, methods, sel.scheme, sel.hj_candidates, sel.hj_min_candidates
+                )
+            regions[reg_spec.name] = grid, plans, oracle, engine
+        grid, plans, oracle, engine = regions[reg_spec.name]
+        s_opt = int(pinned[f"{reg_spec.name}|{cov_name}"]) if phi and pinned else None
+        taus, outcomes, tau_opt = _replicate_pass(samples, plans, engine, oracle, s_opt)
         per_rep = [[(tau / tau_n - 1.0) ** 2 for tau in row] for row in taus.tolist()]
-        columns = iter(np.asarray(per_rep, float).reshape(config.replicates, len(live)).T)
+        columns = iter(np.asarray(per_rep, float).reshape(config.replicates, len(plans)).T)
+        cells = []
         for (scheme, sub_name, lam), plan, note in grid:
             devs = next(columns) if plan is not None else None
-            mse, se = _mean_se(devs) if plan is not None else (None, None)
+            mean, se = _mean_se(devs) if plan is not None else (None, None)
             cells.append(
                 MseCell(
                     region=reg_spec.name,
@@ -614,14 +661,65 @@ def mse_study(config: StudyConfig) -> list[MseCell]:
                     scheme=scheme,
                     sub_template=sub_name,
                     s_lambda=lam,
-                    mse=mse,
+                    mse=mean,
                     mc_se=se,
                     reps=config.replicates,
                     note=note,
                     deviations=devs,
                 )
             )
-    return cells
+        all_cells += cells
+        if engine is None:
+            continue
+        if s_opt is None:
+            s_opt = next(
+                row["s_lambda_opt"]
+                for row in optimal_scaling_rows(cells)
+                if _is_oracle_cell(sel, row["scheme"], row["sub_template"])
+            )
+            tau_opt = taus[:, oracle[s_opt]].tolist()
+        for m_idx, (method, c1, c2, lm) in enumerate(methods):
+            column = [out[m_idx] for out in outcomes]
+            done = [
+                (out[0], (out[1] - opt) / tau_n)
+                for out, opt in zip(column, tau_opt)
+                if not isinstance(out, str)
+            ]
+            failed = [out for out in column if isinstance(out, str)]
+            e_phi, se = _mean_se(np.array([dev for _, dev in done]) ** 2) if done else (None, None)
+            phi_rows.append(
+                PhiRow(
+                    region=reg_spec.name,
+                    model=cov_name,
+                    scheme=sel.scheme,
+                    method=method,
+                    c1=c1,
+                    c2=c2,
+                    lambda_m=lm,
+                    s_lambda_opt=s_opt,
+                    e_phi_sq=e_phi,
+                    mc_se=se,
+                    reps=config.replicates,
+                    freq=dict(Counter(int(s_hat) for s_hat, _ in done)),
+                    note=f"failed {len(failed)}: {';'.join(sorted(set(failed)))}" if failed else "",
+                )
+            )
+    return StudyResult(mse_cells=all_cells if mse else None, phi_rows=phi_rows if phi else None)
+
+
+def _oracle_found(config: StudyConfig, rows: list) -> list:
+    """``rows``, the selector study's, refusing a study in which a pair found
+    no oracle scale: every cell of its oracle column was dead."""
+    found = {f"{row.region}|{row.model}" for row in rows}
+    for key, _ in _pairs(config):
+        if key not in found:
+            raise ConfigError(f"no oracle scale for cell {key!r}: its oracle MSE cells are dead")
+    return rows
+
+
+def mse_study(config: StudyConfig) -> list[MseCell]:
+    """Normalized MSE of the subsample variance estimators over the cell grid."""
+    return _study(config, mse=True, phi=False).mse_cells
 
 
 def optimal_scaling_rows(cells: list[MseCell]) -> list[dict]:
@@ -654,109 +752,9 @@ def optimal_scaling_study(config: StudyConfig) -> list[dict]:
     return optimal_scaling_rows(mse_study(config))
 
 
-def _oracle_scales(config: StudyConfig, scaling_rows: list | None = None) -> dict:
-    """"region|model" -> oracle scale of the selector study.
-
-    Pinned by ``selectors.s_lambda_opt``, otherwise the MSE-grid argmin of the
-    selector scheme on the region's own template; ``scaling_rows`` saves
-    running the MSE study again when the caller already has them.
-    """
-    if config.selectors.s_lambda_opt is not None:
-        return dict(config.selectors.s_lambda_opt)
-    if scaling_rows is None:
-        scaling_rows = optimal_scaling_study(config)
-    return {
-        f"{row['region']}|{row['model']}": row["s_lambda_opt"]
-        for row in scaling_rows
-        if _is_oracle_cell(config.selectors, row["scheme"], row["sub_template"])
-        and row["s_lambda_opt"] is not None
-    }
-
-
-# Cells of the widest array a chunk of the selector study gathers: hj's
-# (replicates, columns, local subsamples, pilot blocks) sums at one candidate.
-_GATHER_CELLS = 1 << 17
-
-
-def _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau_n):
-    """Per replicate of ``samples`` (the pair's ``Replicates``), (s_hat, phi)
-    of every selector setting in ``methods``, or the class name of the
-    ``LatblockError`` the setting raised there; an error at the oracle scale
-    ends the study.  ``phi`` is the selected scale's estimate less the oracle
-    scale's, over tau_n.  A chunk of replicates goes through one field image:
-    the selectors choose on it (``SelectorEngine.select``), and the oracle
-    and chosen scales are read from the tau_hat_sq tables they chose from.
-    """
-    engine = SelectorEngine(
-        window, region, methods, sel.scheme, sel.hj_candidates, sel.hj_min_candidates
-    )
-    cells = window.indexer().table.size * stat.p  # image cells per replicate
-    block = max(1, min(_IMAGE_BLOCK_CELLS // cells, _GATHER_CELLS // (engine.widest * stat.p)))
-    with closing(samples.chunks(block)) as chunks:
-        for image in chunks:
-            taus = {}
-            tau_opt = engine.tau(image, stat, taus, s_opt)
-            for r, plans in enumerate(engine.select(image, stat, taus)):
-                out = []
-                for plan in plans:
-                    if isinstance(plan, LatblockError):
-                        out.append(type(plan).__name__)
-                        continue
-                    s_hat = plan.lambda_opt_int
-                    try:
-                        tau_hat = engine.tau(image, stat, taus, s_hat)[r]
-                    except LatblockError as exc:
-                        out.append(type(exc).__name__)
-                        continue
-                    out.append((s_hat, (tau_hat - tau_opt[r]) / tau_n))
-                yield out
-
-
 def phi_study(config: StudyConfig) -> list[PhiRow]:
-    """Selector performance: relative deviation from the oracle-scale estimator.
-
-    Replicates go a chunk at a time (``_deviations_by_chunk``).  A row of a
-    setting that failed on some replicates (an error class name in place of
-    its outcome) is taken over the others, NA without any, and its note
-    counts the failures.
-    """
-    sel = config.selectors
-    methods = _selector_methods(sel)
-    s_opt_map = _oracle_scales(config)
-    for key in (f"{r.name}|{name}" for r in config.regions for name, _ in config.covariograms):
-        if key not in s_opt_map:
-            raise ConfigError(f"no oracle scale for cell {key!r}")
-
-    stat = config.statistic
-    rows: list[PhiRow] = []
-    for reg_spec, region, window, cov_name, tau_n, samples in _study_pairs(config):
-        s_opt = int(s_opt_map[f"{reg_spec.name}|{cov_name}"])
-        per_rep = list(
-            _deviations_by_chunk(samples, window, region, stat, sel, methods, s_opt, tau_n)
-        )
-        for m_idx, (method, c1, c2, lm) in enumerate(methods):
-            column = [out[m_idx] for out in per_rep]
-            done = [out for out in column if not isinstance(out, str)]
-            failed = [out for out in column if isinstance(out, str)]
-            e_phi, se = _mean_se(np.array([phi for _, phi in done]) ** 2) if done else (None, None)
-            rows.append(
-                PhiRow(
-                    region=reg_spec.name,
-                    model=cov_name,
-                    scheme=sel.scheme,
-                    method=method,
-                    c1=c1,
-                    c2=c2,
-                    lambda_m=lm,
-                    s_lambda_opt=s_opt,
-                    e_phi_sq=e_phi,
-                    mc_se=se,
-                    reps=config.replicates,
-                    freq=dict(Counter(int(s_hat) for s_hat, _ in done)),
-                    note=f"failed {len(failed)}: {';'.join(sorted(set(failed)))}" if failed else "",
-                )
-            )
-    return rows
+    """Selector performance: relative deviation from the oracle-scale estimator."""
+    return _oracle_found(config, _study(config, mse=False, phi=True).phi_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -858,24 +856,18 @@ class StudyResult:
 
 
 def run_study(config: StudyConfig) -> StudyResult:
-    """Run whichever studies the config's outputs request and write the CSVs."""
+    """Run the studies the config's outputs request, in one pass; write their CSVs."""
     outputs = config.outputs
-    result = StudyResult()
-    need_mse = bool(
-        outputs.get("mse_csv")
-        or outputs.get("scaling_csv")
-        or (outputs.get("phi_csv") and config.selectors.s_lambda_opt is None)
-    )
-    if need_mse:
-        result.mse_cells = mse_study(config)
+    mse = bool(outputs.get("mse_csv") or outputs.get("scaling_csv"))
+    phi = bool(outputs.get("phi_csv"))
+    result = _study(config, mse, phi) if mse or phi else StudyResult()
+    if mse:
         result.scaling_rows = optimal_scaling_rows(result.mse_cells)
     if outputs.get("mse_csv"):
         emit_csv(mse_cells_to_rows(result.mse_cells), MSE_COLUMNS, outputs["mse_csv"])
     if outputs.get("scaling_csv"):
         emit_csv(result.scaling_rows, SCALING_COLUMNS, outputs["scaling_csv"])
-    if outputs.get("phi_csv"):
-        s_opt = _oracle_scales(config, result.scaling_rows)
-        cfg = replace(config, selectors=replace(config.selectors, s_lambda_opt=s_opt))
-        result.phi_rows = phi_study(cfg)
-        emit_csv(phi_rows_to_rows(result.phi_rows), PHI_COLUMNS, outputs["phi_csv"])
+    if phi:
+        rows = _oracle_found(config, result.phi_rows)
+        emit_csv(phi_rows_to_rows(rows), PHI_COLUMNS, outputs["phi_csv"])
     return result

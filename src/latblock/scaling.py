@@ -281,6 +281,11 @@ def _select_one(sample: FieldSample, region: Region, stat, setting, scheme, *hj_
 # ---------------------------------------------------------------------------
 
 
+# Cells of the (R, p, M_local, B) block sums one ``estimate_blocks`` call
+# gathers at most: hj takes a chunk's fields a few at a time past this bound.
+_GATHER_CELLS = 1 << 17
+
+
 class SelectorEngine:
     """npi and hj on R fields of one window, chosen from tau_hat_sq tables.
 
@@ -288,8 +293,7 @@ class SelectorEngine:
     per selector setting.  The designs a selector reads are data-independent
     and built once: npi's pilot scales, hj's designs (or the
     ``LatblockError`` that refused them), the window's OL design at every
-    usable hj candidate and the shape constants.  ``widest``, the cells per
-    field and column of hj's widest block gather, sizes a caller's chunks.
+    usable hj candidate and the shape constants.
     """
 
     def __init__(self, window, region, settings, scheme=OL, candidates=None, min_candidates=5):
@@ -306,14 +310,10 @@ class SelectorEngine:
                 except LatblockError as exc:
                     self.hj[lm] = exc
         designs = [design for design in self.hj.values() if isinstance(design, HjDesign)]
-        local = [(design.blocks, c, plan) for design in designs for c, plan in design.local]
         self.full = {  # the window's OL design at each usable candidate scale
             c: design_plan(window, region, SubsampleSpec(region.template, float(c), OL))
-            for _, c, _ in local
+            for design in designs for c, _ in design.local
         }
-        self.widest = max(
-            (b.index_set.n_subsamples * p.index_set.n_subsamples for b, _, p in local), default=1
-        )
 
     def tau(self, image: np.ndarray, stat: SmoothStatistic, taus: dict, lam: int) -> list:
         """The (R,) tau_hat_sq table of ``image`` at scale ``lam``, memo ``taus``."""
@@ -328,10 +328,11 @@ class SelectorEngine:
         the ``ScalingPlan`` chosen, or the ``LatblockError`` it raised.
 
         Each scale is read from one tau_hat_sq table (``tau``), and hj's block
-        estimates from ``estimate_blocks``.  A candidate whose statistic is
-        undefined on some block is dropped for all R fields at once.  Only a
-        ratio of means can be, and only one field (R = 1) meets it: studies
-        lift only polynomial statistics.
+        estimates from ``estimate_blocks``, a few fields a call so that each
+        gathers at most ``_GATHER_CELLS`` block sums.  A candidate whose
+        statistic is undefined on some block is dropped for all R fields at
+        once.  Only a ratio of means can be, and only one field (R = 1) meets
+        it: studies lift only polynomial statistics.
         """
         curves = {}  # lambda_m -> (usable candidates, dropped, per candidate the (R,) MSE)
         out = []
@@ -368,9 +369,13 @@ class SelectorEngine:
         proxy = self.tau(image, stat, taus, lm)
         if lm not in curves:
             usable, dropped, mse = [], list(design.dropped), []
+            n_blocks = design.blocks.index_set.n_subsamples
             for c, local in design.local:
+                width = max(1, _GATHER_CELLS // (n_blocks * local.index_set.n_subsamples * stat.p))
+                parts = [image[..., i : i + width] for i in range(0, image.shape[-1], width)]
+                args = (self.full[c], design.blocks, local, stat)
                 try:
-                    tau_blocks = estimate_blocks(image, self.full[c], design.blocks, local, stat)
+                    tau_blocks = np.concatenate([estimate_blocks(x, *args) for x in parts])
                 except LatblockError as exc:
                     dropped.append((c, type(exc).__name__))
                     continue

@@ -30,7 +30,7 @@ from latblock.geometry import (
     lattice_sites,
     raster_mask,
 )
-from latblock.harness import PhiRow, _mean_se, _oracle_scales, _study_pairs
+from latblock.harness import PhiRow, _mean_se, _study_pairs, optimal_scaling_study
 from latblock.scaling import (
     ScalingPlan,
     hj_choose,
@@ -354,6 +354,20 @@ def per_replicate_deviations(samples, region, stat, sel, methods, s_opt, tau_n):
     ]
 
 
+def oracle_scales(config):
+    """"region|model" -> the selector study's oracle scale: pinned by
+    ``selectors.s_lambda_opt``, otherwise the MSE-grid argmin of the selector
+    scheme on the region's own template."""
+    sel = config.selectors
+    if sel.s_lambda_opt is not None:
+        return dict(sel.s_lambda_opt)
+    return {
+        f"{row['region']}|{row['model']}": row["s_lambda_opt"]
+        for row in optimal_scaling_study(config)
+        if row["scheme"] == sel.scheme and row["sub_template"] == "same"
+    }
+
+
 def per_replicate_phi_rows(config):
     """The selector study, each replicate through ``per_replicate_deviations``.
 
@@ -364,7 +378,7 @@ def per_replicate_phi_rows(config):
     sel = config.selectors
     methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
     methods += [("hj", None, None, lm) for lm in sel.hj_lambda_m]
-    s_opt_map = _oracle_scales(config)
+    s_opt_map = oracle_scales(config)
     stat = config.statistic
     rows = []
     for reg_spec, region, _, cov_name, tau_n, samples in _study_pairs(config):

@@ -425,6 +425,11 @@ def study_config(tmp_path, **overrides):
         ({"tau_n_sq": {"a": "b"}}, "tau_n_sq"),
         ({"s_lambda_grid": [2.7]}, "s_lambda_grid"),
         ({"regions": [{"template": "hypercube:d=2", "scale": ["ten"]}]}, "region.scale"),
+        # numbers written as text
+        ({"replicates": "100"}, "replicates"),
+        ({"seed": "7"}, "seed"),
+        ({"regions": [{"template": "hypercube:d=2", "scale": ["14", "18"]}]}, "region.scale"),
+        ({"selectors": {"npi": {"c1": ["0.5"], "c2": [0.5]}}}, "selectors.npi.c1"),
     ],
 )
 def test_study_rejects_non_numeric_values(capsys, tmp_path, bad, key):
@@ -432,6 +437,25 @@ def test_study_rejects_non_numeric_values(capsys, tmp_path, bad, key):
     assert code == 2
     assert err.startswith(f"error: {key}")
     assert not (tmp_path / "mse.csv").exists()
+
+
+def test_study_with_a_dead_oracle_column_writes_the_grid_but_no_phi(capsys, tmp_path):
+    # one NOL cube fits the 10 x 10 box at scales 6 and 9: every cell of the
+    # oracle column is dead, which only building its designs finds
+    outputs = {f"{name}_csv": str(tmp_path / f"{name}.csv") for name in ("mse", "scaling", "phi")}
+    cfg_path = study_config(
+        tmp_path,
+        covariograms=[{"name": "E", "spec": "expsep:b1=1,b2=1"}],
+        schemes=["nol"],
+        s_lambda_grid=[6, 9],
+        selectors={"npi": {"c1": [0.5], "c2": [0.5]}, "scheme": "nol"},
+        outputs=outputs,
+    )
+    code, _, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert err.startswith("error: no oracle scale for cell 'r|E'")
+    assert (tmp_path / "mse.csv").exists() and (tmp_path / "scaling.csv").exists()
+    assert not (tmp_path / "phi.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -474,6 +498,17 @@ def test_field_csv_rejects_bad_rows(tmp_path, rows, line, reason):
     path.write_text("\n".join(["s1,s2,v1", *rows]) + "\n")
     with pytest.raises(ConfigError, match=f"line {line}: .*{reason}"):
         read_field_csv(str(path))
+
+
+@pytest.mark.parametrize("header", ["v1,s1,s2", "s2,s1,v1", "s1,s2,v2"])
+def test_field_csv_refuses_columns_out_of_order(tmp_path, header):
+    path = tmp_path / "field.csv"
+    path.write_text(f"{header}\n0,0,1.5\n0,1,2.5\n")
+    with pytest.raises(ConfigError, match="header must be s1,...,sd,v1,...,vp"):
+        read_field_csv(str(path))
+    # case and spaces around the names do not matter
+    path.write_text(" S1, s2 ,V1\n0,0,1.5\n0,1,2.5\n")
+    assert read_field_csv(str(path)).values.tolist() == [[1.5], [2.5]]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -435,6 +436,20 @@ def test_identical_runs_byte_identical(tmp_path):
     run_study(config_from_dict(raw))
     assert (tmp_path / "b.csv").read_bytes() == a
     assert (tmp_path / "t.csv").read_bytes() == s
+
+
+def test_phi_study_refuses_an_oracle_map_missing_a_pair_before_any_draw(monkeypatch):
+    import latblock.harness
+
+    draws = []
+    monkeypatch.setattr(latblock.harness, "sample_field", lambda gen, stream: draws.append(stream))
+    raw = base_config(
+        covariograms=["white", {"name": "E", "spec": "expsep:b1=1,b2=1"}],
+        selectors={"npi": {"c1": [0.5], "c2": [0.5]}, "s_lambda_opt": {"rect10|E": 3}},
+    )
+    with pytest.raises(ConfigError, match=re.escape("no oracle scale for cell 'rect10|white'")):
+        phi_study(config_from_dict(raw))
+    assert draws == []
 
 
 def test_run_study_phi_auto_oracle(tmp_path):

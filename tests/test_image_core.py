@@ -30,7 +30,7 @@ from latblock.estimators import (
 )
 from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
 from latblock.geometry import Region, SubsampleSpec, Template, lattice_sites, parse_template
-from latblock.harness import config_from_dict, mse_study, phi_study
+from latblock.harness import config_from_dict, mse_study, phi_study, run_study
 from latblock.scaling import hj_designs
 
 
@@ -511,6 +511,28 @@ def test_phi_rows_equal_the_per_replicate_reference_on_both_routes(
     assert {method for method, _, _ in calls} == {route}
     monkeypatch.undo()
     assert rows == per_replicate_phi_rows(cfg)
+
+
+@pytest.mark.parametrize("region_name, route", [("box", "circulant"), ("disk", "cholesky")])
+def test_a_study_of_both_kinds_draws_each_replicate_once(
+    monkeypatch, tmp_path, region_name, route
+):
+    raw = phi_raw(region_name)
+    del raw["selectors"]["s_lambda_opt"]  # the oracle scale is the MSE grid's argmin
+    raw["outputs"] = {"mse_csv": str(tmp_path / "mse.csv"), "phi_csv": str(tmp_path / "phi.csv")}
+    cfg = chunked_config(monkeypatch, **raw)
+    draws, built = draw_spy(monkeypatch), []
+
+    def counting_build_generator(cov, window):
+        built.append(window.n_sites)
+        return build_generator(cov, window)
+
+    monkeypatch.setattr(latblock.harness, "build_generator", counting_build_generator)
+    result = run_study(cfg)
+    assert len(draws) == cfg.replicates and {method for method, _, _ in draws} == {route}
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert result.phi_rows == per_replicate_phi_rows(cfg)
 
 
 def fail_draw_of(monkeypatch, stream_index):

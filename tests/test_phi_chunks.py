@@ -15,6 +15,7 @@ from brute_force import (
 )
 
 import latblock.harness
+import latblock.scaling
 from latblock.errors import DegenerateSubsampling
 from latblock.estimators import (
     design_plan,
@@ -25,13 +26,13 @@ from latblock.estimators import (
 )
 from latblock.geometry import OL, Region, SubsampleSpec, Template, lattice_sites, parse_template
 from latblock.harness import (
-    _deviations_by_chunk,
+    _replicate_pass,
     _study_pairs,
     config_from_dict,
     phi_study,
     run_study,
 )
-from latblock.scaling import hj_choose, hj_designs
+from latblock.scaling import SelectorEngine, hj_choose, hj_designs
 
 REPLICATES = 100
 
@@ -89,16 +90,27 @@ def widest_gather(config):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_chunked_rows_equal_the_per_replicate_reference(monkeypatch, name, chunk, statistic):
     config = config_from_dict(case_raw(name, statistic))
-    monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", 1 << 40)
-    monkeypatch.setattr(latblock.harness, "_GATHER_CELLS", chunk * widest_gather(config))
-    sizes = []
+    window = lattice_sites(config.regions[0].region())
+    cells = window.indexer().table.size * config.statistic.p
+    monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", chunk * cells)
+    # hj's widest block gather takes 3 fields of a chunk at a time
+    widest = widest_gather(config)
+    monkeypatch.setattr(latblock.scaling, "_GATHER_CELLS", 3 * widest)
+    sizes, gathers = [], []
 
     def spy(table, values):
         sizes.append(values.shape[0])
         return field_image(table, values)
 
+    def blocks_spy(image, full, blocks, local, stat):
+        cells = blocks.index_set.n_subsamples * local.index_set.n_subsamples * stat.p
+        gathers.append(image.shape[-1] * cells)
+        return estimate_blocks(image, full, blocks, local, stat)
+
     monkeypatch.setattr(latblock.harness, "field_image", spy)
+    monkeypatch.setattr(latblock.scaling, "estimate_blocks", blocks_spy)
     rows = phi_study(config)
+    assert max(gathers) == min(chunk, 3) * widest
     assert rows == reference_rows(name, statistic)
     assert len(rows) == 6
     # momvar's npi (0.5, 0.5) picks a one-cube NOL scale on one replicate of the box
@@ -212,9 +224,14 @@ def test_both_selector_paths_fail_the_same_replicate():
     sel, stat = config.selectors, config.statistic
     methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
     ((_, region, window, _, tau_n, samples),) = _study_pairs(config)
-    chunked = _deviations_by_chunk(samples, window, region, stat, sel, methods, 5, tau_n)
+    engine = SelectorEngine(window, region, methods, sel.scheme)
+    _, outcomes, tau_opt = _replicate_pass(samples, [], engine, {}, 5)
+    chunked = [
+        [out if isinstance(out, str) else (out[0], (out[1] - opt) / tau_n) for out in row]
+        for row, opt in zip(outcomes, tau_opt)
+    ]
     single = per_replicate_deviations(samples, region, stat, sel, methods, 5, tau_n)
-    assert list(chunked) == single
+    assert chunked == single
     failed = [
         (rep, i) for rep, out in enumerate(single) for i, o in enumerate(out) if isinstance(o, str)
     ]
