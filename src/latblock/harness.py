@@ -326,10 +326,14 @@ def config_from_dict(raw: dict) -> StudyConfig:
     for key, value in tau_n_sq.items():
         if value <= 0:
             raise ConfigError(f"tau_n_sq[{key!r}] must be positive, got {value}")
-    outputs = {
-        key: _text(path, f"outputs.{key}")
-        for key, path in _fields(raw.get("outputs", {}), "outputs").items()
-    }
+    outputs = {}
+    for key, path in _fields(raw.get("outputs", {}), "outputs").items():
+        if not _text(path, f"outputs.{key}"):
+            raise ConfigError(f"outputs.{key} must not be empty")
+        for other, taken in outputs.items():
+            if os.path.normpath(taken) == os.path.normpath(path):
+                raise ConfigError(f"outputs.{other} and outputs.{key} name the same file {path!r}")
+        outputs[key] = path
     config = StudyConfig(
         regions=tuple(regions),
         covariograms=tuple(covs),
@@ -344,7 +348,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
         outputs=outputs,
         tau_n_sq_override=tau_n_sq,
     )
-    if outputs.get("phi_csv"):
+    if "phi_csv" in outputs:
         _check_phi_study(config)
     return config
 
@@ -387,7 +391,7 @@ def _check_phi_study(config: StudyConfig) -> list:
     with no selector setting, or with a region|model pair whose oracle scale
     is neither pinned nor an argmin of an MSE grid cell that
     ``_is_oracle_cell`` accepts.  A pair whose grid cells all turn out dead
-    is found only when the grid runs (``_oracle_found``).
+    is found when its designs are built (``StudyPlan.refuse_dead``).
     """
     sel, grid, subs = config.selectors, config.s_lambda_grid, config.sub_templates
     methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
@@ -395,7 +399,7 @@ def _check_phi_study(config: StudyConfig) -> list:
     if not methods:
         raise ConfigError("phi study needs at least one selector setting")
     derivable = any(_is_oracle_cell(sel, s, t) for s in config.schemes for t, _ in subs)
-    for key, reg in _pairs(config):
+    for key, reg in ((f"{r.name}|{m}", r) for r in config.regions for m, _ in config.covariograms):
         if sel.s_lambda_opt is not None:
             gaps = [(key not in sel.s_lambda_opt, "selectors.s_lambda_opt does not name it")]
         else:
@@ -410,11 +414,6 @@ def _check_phi_study(config: StudyConfig) -> list:
             if gap:
                 raise ConfigError(f"no oracle scale for cell {key!r}: {why}")
     return methods
-
-
-def _pairs(config: StudyConfig):
-    """("region|model", region spec) of every pair, in study order."""
-    return [(f"{r.name}|{name}", r) for r in config.regions for name, _ in config.covariograms]
 
 
 def _is_oracle_cell(sel: SelectorConfig, scheme: str, sub_template: str) -> bool:
@@ -468,37 +467,9 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
-def _tau_n(config: StudyConfig, key: str, window, cov: Covariogram) -> float:
-    if key in config.tau_n_sq_override:
-        return config.tau_n_sq_override[key]
-    if not config.statistic.is_linear:
-        raise ConfigError(
-            "normalized MSE needs tau_n_sq overrides for nonlinear statistics"
-        )
-    return exact_tau_n_sq_window(window, cov)
-
-
 # ---------------------------------------------------------------------------
 # studies
 # ---------------------------------------------------------------------------
-
-
-def _study_pairs(config: StudyConfig):
-    """The study loop: every (region, model) pair with its replicate samples.
-
-    Yields ``(reg_spec, region, window, model, tau_n, samples)`` per pair,
-    region by region; ``samples`` is the pair's ``Replicates``.
-    """
-    for r_idx, reg_spec in enumerate(config.regions):
-        region = reg_spec.region()
-        window = lattice_sites(region)
-        for c_idx, (cov_name, cov) in enumerate(config.covariograms):
-            tau_n = _tau_n(config, f"{reg_spec.name}|{cov_name}", window, cov)
-            # replicate streams of this pair: one contiguous index range
-            first = (r_idx * len(config.covariograms) + c_idx) * config.replicates
-            streams = range(first, first + config.replicates)
-            samples = Replicates(cov, window, config.seed, streams, config.statistic)
-            yield reg_spec, region, window, cov_name, tau_n, samples
 
 
 # Field-image cells per replicate chunk (256 kB of float64), counting each of
@@ -557,22 +528,102 @@ def _prefetch(chunks):
             yield chunk
 
 
-def _cell_designs(config: StudyConfig, reg_spec: RegionSpec, region: Region, window) -> list:
-    """((scheme, sub_template, s_lambda), plan or None, dead-cell note) per MSE cell."""
-    out = []
+@dataclass(frozen=True)
+class RegionPlan:
+    """A region's MSE cells, ((scheme, sub_template, s_lambda), design or None,
+    dead-cell note) each, estimable ones first; their designs ``plans``; the
+    oracle column, s_lambda -> column of ``plans``; the selector engine."""
+
+    cells: tuple
+    plans: tuple
+    oracle: dict
+    engine: SelectorEngine | None
+
+
+@dataclass(frozen=True)
+class PairPlan:
+    """A (region, model) pair: designs, tau_n, pinned oracle scale, undrawn replicates."""
+
+    key: str  # "region|model"
+    region: str
+    model: str
+    designs: RegionPlan
+    tau_n: float
+    s_opt: int | None
+    samples: Replicates
+
+
+@dataclass(frozen=True)
+class StudyPlan:
+    """A study before its first draw: MSE grid (``mse``), selectors (``phi``), pairs."""
+
+    mse: bool
+    phi: bool
+    pairs: tuple
+
+    def refuse_dead(self) -> None:
+        """Refuse a selector study with a pair whose oracle column is unpinned and all dead."""
+        key = next((p.key for p in self.pairs if self.phi and p.designs.engine is None), None)
+        if key is not None:
+            raise ConfigError(f"no oracle scale for cell {key!r}: its oracle MSE cells are dead")
+
+
+def plan_study(config: StudyConfig, mse: bool, phi: bool) -> StudyPlan:
+    """The data-independent work of a study of the MSE grid (``mse``) and the
+    selectors (``phi``), with no field drawn.  A selector study that writes
+    no MSE grid is refused here when a pair's oracle column is all dead."""
+    overrides, pinned = config.tau_n_sq_override, config.selectors.s_lambda_opt
+    methods = _check_phi_study(config) if phi else []
+    if not config.statistic.is_linear:  # then every pair needs its tau_n_sq override
+        if len(overrides) < len(config.regions) * len(config.covariograms):
+            raise ConfigError("normalized MSE needs tau_n_sq overrides for nonlinear statistics")
+    pairs = []
+    for reg_spec in config.regions:
+        region = reg_spec.region()
+        window = lattice_sites(region)
+        designs = _plan_region(config, reg_spec.name, region, window, mse, methods)
+        for model, cov in config.covariograms:
+            key = f"{reg_spec.name}|{model}"
+            tau_n = overrides[key] if key in overrides else exact_tau_n_sq_window(window, cov)
+            first = len(pairs) * config.replicates  # a pair's streams are one contiguous range
+            streams = range(first, first + config.replicates)
+            samples = Replicates(cov, window, config.seed, streams, config.statistic)
+            s_opt = int(pinned[key]) if phi and pinned else None
+            pairs.append(PairPlan(key, reg_spec.name, model, designs, tau_n, s_opt, samples))
+    plan = StudyPlan(mse, phi, tuple(pairs))
+    if not mse:
+        plan.refuse_dead()
+    return plan
+
+
+def _plan_region(config: StudyConfig, name: str, region: Region, window, mse: bool, methods):
+    """The ``RegionPlan`` of region ``name``: every MSE cell with ``mse``; else
+    only the oracle column that ``methods`` read, and none if it is pinned."""
+    sel, pinned = config.selectors, config.selectors.s_lambda_opt
+    cells = []
     for scheme in config.schemes:
         for sub_name, sub_template in config.sub_templates:
+            if not (mse or methods and pinned is None and _is_oracle_cell(sel, scheme, sub_name)):
+                continue
             template = sub_template if sub_template is not None else region.template
-            for lam in config.s_lambda_grid[reg_spec.name]:
+            for lam in config.s_lambda_grid[name]:
                 try:
                     plan = design_plan(window, region, SubsampleSpec(template, float(lam), scheme))
                     if plan.index_set.n_subsamples < 2:
                         raise DegenerateSubsampling(f"{plan.index_set.n_subsamples} subsample(s)")
-                    out.append(((scheme, sub_name, lam), plan, ""))
+                    cells.append(((scheme, sub_name, lam), plan, ""))
                 except LatblockError as exc:
-                    out.append(((scheme, sub_name, lam), None, type(exc).__name__))
-    # estimable cells first, then the dead ones, each in grid order
-    return sorted(out, key=lambda cell: cell[1] is None)
+                    cells.append(((scheme, sub_name, lam), None, type(exc).__name__))
+    cells.sort(key=lambda cell: cell[1] is None)  # stable: each part keeps grid order
+    plans = tuple(plan for _, plan, _ in cells if plan is not None)
+    live = cells[: len(plans)]
+    oracle = {c[2]: i for i, (c, _, _) in enumerate(live) if _is_oracle_cell(sel, *c[:2])}
+    engine = None
+    if methods and (pinned is not None or oracle):
+        engine = SelectorEngine(
+            window, region, methods, sel.scheme, sel.hj_candidates, sel.hj_min_candidates
+        )
+    return RegionPlan(tuple(cells), plans, oracle, engine)
 
 
 def _replicate_pass(samples: Replicates, plans: list, engine, oracle: dict, s_opt) -> tuple:
@@ -616,69 +667,36 @@ def _selected(engine, image, stat, memo: dict, r: int, plan):
         return type(exc).__name__
 
 
-def _study(config: StudyConfig, mse: bool, phi: bool) -> StudyResult:
-    """The MSE grid (``mse``) and the selector study (``phi``) of every
-    (region, model) pair, in one pass over its replicates (``_replicate_pass``).
+def _study(plan: StudyPlan) -> StudyResult:
+    """The MSE grid and the selector study of ``plan``, in one pass over each
+    pair's replicates (``_replicate_pass``).
 
-    An unpinned oracle scale is the argmin of the pair's oracle column (the
-    cells ``_is_oracle_cell`` accepts); a pair whose oracle column is all
-    dead gets no PhiRow (``_oracle_found`` refuses it).  phi is the selected
-    scale's estimate less the oracle scale's, over tau_n.  A setting that
-    failed on some replicates is summarised over the others, NA without any,
-    and its note counts the failures.
+    An unpinned oracle scale is the argmin of the pair's oracle column, ties
+    broken toward the smaller scale as in ``optimal_scaling_rows``.  phi is
+    the selected scale's estimate less the oracle scale's, over tau_n.  A
+    setting that failed on some replicates is summarised over the others, NA
+    without any, and its note counts the failures.
     """
-    sel, pinned = config.selectors, config.selectors.s_lambda_opt
-    methods = _check_phi_study(config) if phi else []
     all_cells, phi_rows = [], []
-    regions = {}  # region name -> (MSE cells, their live plans, oracle columns, engine)
-    for reg_spec, region, window, cov_name, tau_n, samples in _study_pairs(config):
-        if reg_spec.name not in regions:
-            grid = _cell_designs(config, reg_spec, region, window)
-            if not mse:  # the selectors read the oracle column, unless a scale is pinned
-                grid = [c for c in grid if pinned is None and _is_oracle_cell(sel, *c[0][:2])]
-            live = [(cell, plan) for cell, plan, _ in grid if plan is not None]
-            plans = [plan for _, plan in live]
-            oracle = {c[2]: i for i, (c, _) in enumerate(live) if _is_oracle_cell(sel, *c[:2])}
-            engine = None
-            if phi and (pinned is not None or oracle):
-                engine = SelectorEngine(
-                    window, region, methods, sel.scheme, sel.hj_candidates, sel.hj_min_candidates
-                )
-            regions[reg_spec.name] = grid, plans, oracle, engine
-        grid, plans, oracle, engine = regions[reg_spec.name]
-        s_opt = int(pinned[f"{reg_spec.name}|{cov_name}"]) if phi and pinned else None
-        taus, outcomes, tau_opt = _replicate_pass(samples, plans, engine, oracle, s_opt)
+    for pair in plan.pairs:
+        designs, tau_n, reps = pair.designs, pair.tau_n, len(pair.samples.streams)
+        engine, oracle, plans = designs.engine, designs.oracle, designs.plans
+        taus, outcomes, tau_opt = _replicate_pass(pair.samples, plans, engine, oracle, pair.s_opt)
         per_rep = [[(tau / tau_n - 1.0) ** 2 for tau in row] for row in taus.tolist()]
-        columns = iter(np.asarray(per_rep, float).reshape(config.replicates, len(plans)).T)
+        columns = iter(np.asarray(per_rep, float).reshape(reps, len(plans)).T)
         cells = []
-        for (scheme, sub_name, lam), plan, note in grid:
-            devs = next(columns) if plan is not None else None
-            mean, se = _mean_se(devs) if plan is not None else (None, None)
-            cells.append(
-                MseCell(
-                    region=reg_spec.name,
-                    model=cov_name,
-                    scheme=scheme,
-                    sub_template=sub_name,
-                    s_lambda=lam,
-                    mse=mean,
-                    mc_se=se,
-                    reps=config.replicates,
-                    note=note,
-                    deviations=devs,
-                )
-            )
+        for cell, design, note in designs.cells:  # cell: (scheme, sub_template, s_lambda)
+            devs = next(columns) if design is not None else None
+            mean, se = _mean_se(devs) if design is not None else (None, None)
+            cells.append(MseCell(pair.region, pair.model, *cell, mean, se, reps, note, devs))
         all_cells += cells
         if engine is None:
             continue
+        s_opt = pair.s_opt
         if s_opt is None:
-            s_opt = next(
-                row["s_lambda_opt"]
-                for row in optimal_scaling_rows(cells)
-                if _is_oracle_cell(sel, row["scheme"], row["sub_template"])
-            )
+            s_opt = min(oracle, key=lambda lam: (cells[oracle[lam]].mse, lam))
             tau_opt = taus[:, oracle[s_opt]].tolist()
-        for m_idx, (method, c1, c2, lm) in enumerate(methods):
+        for m_idx, setting in enumerate(engine.settings):  # (method, c1, c2, lambda_m)
             column = [out[m_idx] for out in outcomes]
             done = [
                 (out[0], (out[1] - opt) / tau_n)
@@ -687,39 +705,17 @@ def _study(config: StudyConfig, mse: bool, phi: bool) -> StudyResult:
             ]
             failed = [out for out in column if isinstance(out, str)]
             e_phi, se = _mean_se(np.array([dev for _, dev in done]) ** 2) if done else (None, None)
-            phi_rows.append(
-                PhiRow(
-                    region=reg_spec.name,
-                    model=cov_name,
-                    scheme=sel.scheme,
-                    method=method,
-                    c1=c1,
-                    c2=c2,
-                    lambda_m=lm,
-                    s_lambda_opt=s_opt,
-                    e_phi_sq=e_phi,
-                    mc_se=se,
-                    reps=config.replicates,
-                    freq=dict(Counter(int(s_hat) for s_hat, _ in done)),
-                    note=f"failed {len(failed)}: {';'.join(sorted(set(failed)))}" if failed else "",
-                )
-            )
-    return StudyResult(mse_cells=all_cells if mse else None, phi_rows=phi_rows if phi else None)
-
-
-def _oracle_found(config: StudyConfig, rows: list) -> list:
-    """``rows``, the selector study's, refusing a study in which a pair found
-    no oracle scale: every cell of its oracle column was dead."""
-    found = {f"{row.region}|{row.model}" for row in rows}
-    for key, _ in _pairs(config):
-        if key not in found:
-            raise ConfigError(f"no oracle scale for cell {key!r}: its oracle MSE cells are dead")
-    return rows
+            freq = dict(Counter(int(s_hat) for s_hat, _ in done))
+            note = f"failed {len(failed)}: {';'.join(sorted(set(failed)))}" if failed else ""
+            row = (*setting, s_opt, e_phi, se, reps, freq, note)
+            phi_rows.append(PhiRow(pair.region, pair.model, engine.scheme, *row))
+    mse = (all_cells, optimal_scaling_rows(all_cells)) if plan.mse else (None, None)
+    return StudyResult(*mse, phi_rows if plan.phi else None)
 
 
 def mse_study(config: StudyConfig) -> list[MseCell]:
     """Normalized MSE of the subsample variance estimators over the cell grid."""
-    return _study(config, mse=True, phi=False).mse_cells
+    return _study(plan_study(config, mse=True, phi=False)).mse_cells
 
 
 def optimal_scaling_rows(cells: list[MseCell]) -> list[dict]:
@@ -754,7 +750,7 @@ def optimal_scaling_study(config: StudyConfig) -> list[dict]:
 
 def phi_study(config: StudyConfig) -> list[PhiRow]:
     """Selector performance: relative deviation from the oracle-scale estimator."""
-    return _oracle_found(config, _study(config, mse=False, phi=True).phi_rows)
+    return _study(plan_study(config, mse=False, phi=True)).phi_rows
 
 
 # ---------------------------------------------------------------------------
@@ -858,16 +854,20 @@ class StudyResult:
 def run_study(config: StudyConfig) -> StudyResult:
     """Run the studies the config's outputs request, in one pass; write their CSVs."""
     outputs = config.outputs
-    mse = bool(outputs.get("mse_csv") or outputs.get("scaling_csv"))
-    phi = bool(outputs.get("phi_csv"))
-    result = _study(config, mse, phi) if mse or phi else StudyResult()
-    if mse:
-        result.scaling_rows = optimal_scaling_rows(result.mse_cells)
-    if outputs.get("mse_csv"):
+    for key, path in outputs.items():  # refused before the study, not at its end
+        if not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise ConfigError(f"outputs.{key}: the directory of {path!r} does not exist")
+    mse = "mse_csv" in outputs or "scaling_csv" in outputs
+    phi = "phi_csv" in outputs
+    if not (mse or phi):
+        return StudyResult()
+    plan = plan_study(config, mse, phi)
+    result = _study(plan)
+    if "mse_csv" in outputs:
         emit_csv(mse_cells_to_rows(result.mse_cells), MSE_COLUMNS, outputs["mse_csv"])
-    if outputs.get("scaling_csv"):
+    if "scaling_csv" in outputs:
         emit_csv(result.scaling_rows, SCALING_COLUMNS, outputs["scaling_csv"])
     if phi:
-        rows = _oracle_found(config, result.phi_rows)
-        emit_csv(phi_rows_to_rows(rows), PHI_COLUMNS, outputs["phi_csv"])
+        plan.refuse_dead()
+        emit_csv(phi_rows_to_rows(result.phi_rows), PHI_COLUMNS, outputs["phi_csv"])
     return result

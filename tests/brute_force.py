@@ -30,7 +30,7 @@ from latblock.geometry import (
     lattice_sites,
     raster_mask,
 )
-from latblock.harness import PhiRow, _mean_se, _study_pairs, optimal_scaling_study
+from latblock.harness import PhiRow, _mean_se, optimal_scaling_study, plan_study
 from latblock.scaling import (
     ScalingPlan,
     hj_choose,
@@ -381,9 +381,10 @@ def per_replicate_phi_rows(config):
     s_opt_map = oracle_scales(config)
     stat = config.statistic
     rows = []
-    for reg_spec, region, _, cov_name, tau_n, samples in _study_pairs(config):
-        s_opt = int(s_opt_map[f"{reg_spec.name}|{cov_name}"])
-        per_rep = per_replicate_deviations(samples, region, stat, sel, methods, s_opt, tau_n)
+    regions = {reg.name: reg.region() for reg in config.regions}
+    for pair in plan_study(config, mse=False, phi=True).pairs:
+        s_opt, region = int(s_opt_map[pair.key]), regions[pair.region]
+        per_rep = per_replicate_deviations(pair.samples, region, stat, sel, methods, s_opt, pair.tau_n)
         for m_idx, (method, c1, c2, lm) in enumerate(methods):
             column = [out[m_idx] for out in per_rep]
             done = [out for out in column if not isinstance(out, str)]
@@ -396,8 +397,8 @@ def per_replicate_phi_rows(config):
                 note = f"failed {len(errors)}: " + ";".join(sorted(set(errors)))
             rows.append(
                 PhiRow(
-                    region=reg_spec.name,
-                    model=cov_name,
+                    region=pair.region,
+                    model=pair.model,
                     scheme=sel.scheme,
                     method=method,
                     c1=c1,

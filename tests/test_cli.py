@@ -11,6 +11,7 @@ import pytest
 from brute_force import hj_scaling_reference, npi_scaling_reference
 
 import latblock.cli
+import latblock.harness
 from latblock.cli import main, read_field_csv, write_field_csv
 from latblock.errors import ConfigError
 
@@ -458,6 +459,70 @@ def test_study_with_a_dead_oracle_column_writes_the_grid_but_no_phi(capsys, tmp_
     assert not (tmp_path / "phi.csv").exists()
 
 
+def count_draws(monkeypatch) -> list:
+    """The replicate streams that the study draws from, in order."""
+    draws, sample_field = [], latblock.harness.sample_field
+    monkeypatch.setattr(
+        latblock.harness,
+        "sample_field",
+        lambda gen, stream: draws.append(stream) or sample_field(gen, stream),
+    )
+    return draws
+
+
+def test_a_selector_study_over_a_dead_oracle_column_draws_no_field(capsys, tmp_path, monkeypatch):
+    # 'dead' is the 10 x 10 box above with every oracle cell dead; 'live' comes
+    # first, so a study that found the dead column only by running it would
+    # draw live's 100 replicates before refusing
+    draws = count_draws(monkeypatch)
+    box = {"template": "hypercube:d=2", "scale": [10, 10]}
+    cfg_path = study_config(
+        tmp_path,
+        regions=[{"name": "live", **box}, {"name": "dead", **box}],
+        covariograms=[{"name": "E", "spec": "expsep:b1=1,b2=1"}],
+        schemes=["nol"],
+        s_lambda_grid={"live": [2, 3], "dead": [6, 9]},
+        selectors={"npi": {"c1": [0.5], "c2": [0.5]}, "scheme": "nol"},
+        outputs={"phi_csv": str(tmp_path / "phi.csv")},
+    )
+    code, out, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: no oracle scale for cell 'dead|E': its oracle MSE cells are dead\n"
+    assert draws == []
+    assert not (tmp_path / "phi.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        (
+            {"mse_csv": "a.csv", "scaling_csv": "./a.csv"},
+            "outputs.mse_csv and outputs.scaling_csv name the same file './a.csv'",
+        ),
+        (
+            {"scaling_csv": "out/../s.csv", "mse_csv": "m.csv", "phi_csv": "s.csv"},
+            "outputs.scaling_csv and outputs.phi_csv name the same file 's.csv'",
+        ),
+        (
+            {"mse_csv": "nodir/mse.csv"},
+            "outputs.mse_csv: the directory of 'nodir/mse.csv' does not exist",
+        ),
+    ],
+)
+def test_study_refuses_outputs_it_cannot_write_before_any_draw(
+    capsys, tmp_path, monkeypatch, outputs, message
+):
+    monkeypatch.chdir(tmp_path)
+    draws = count_draws(monkeypatch)
+    selectors = {"npi": {"c1": [0.5], "c2": [0.5]}}
+    cfg_path = study_config(tmp_path, outputs=outputs, selectors=selectors)
+    code, out, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert draws == []
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -892,6 +957,7 @@ def test_study_refuses_a_sub_template_of_another_dimension(capsys, tmp_path):
         ({"tau_n_sq": {"r|whit": 1.0}}, "tau_n_sq names no region|model pair: 'r|whit'"),
         ({"tau_n_sq": {"r|white": -1.0}}, "tau_n_sq['r|white'] must be positive"),
         ({"tau_n_sq": {"r|white": 0}}, "tau_n_sq['r|white'] must be positive"),
+        ({"outputs": {"mse_csv": ""}}, "outputs.mse_csv must not be empty"),
     ],
 )
 def test_study_refuses_configs_that_would_run_wrongly(capsys, tmp_path, bad, message):

@@ -19,6 +19,7 @@ from latblock.harness import (
     optimal_scaling_rows,
     phi_rows_to_rows,
     phi_study,
+    plan_study,
     run_study,
 )
 
@@ -450,6 +451,55 @@ def test_phi_study_refuses_an_oracle_map_missing_a_pair_before_any_draw(monkeypa
     with pytest.raises(ConfigError, match=re.escape("no oracle scale for cell 'rect10|white'")):
         phi_study(config_from_dict(raw))
     assert draws == []
+
+
+def test_a_study_plan_draws_nothing_and_is_the_same_when_built_twice(monkeypatch):
+    import latblock.harness
+
+    calls = []
+    for name in ("build_generator", "sample_field"):
+        monkeypatch.setattr(latblock.harness, name, lambda *args, name=name: calls.append(name))
+    box = {"template": "hypercube:d=2", "scale": [10, 10]}
+    raw = base_config(
+        regions=[{"name": "live", **box}, {"name": "dead", **box}],
+        covariograms=["white", {"name": "E", "spec": "expsep:b1=1,b2=1"}],
+        schemes=["ol", "nol"],
+        s_lambda_grid={"live": [2, 3], "dead": [6, 9]},
+        selectors={"npi": {"c1": [0.5], "c2": [0.5]}, "scheme": "nol"},
+    )
+    config = config_from_dict(raw)
+
+    def view(plan):
+        return [
+            (
+                pair.key,
+                pair.tau_n,
+                pair.s_opt,
+                pair.samples.streams,
+                [(cell, design is None, note) for cell, design, note in pair.designs.cells],
+                pair.designs.oracle,
+                pair.designs.engine is None,
+            )
+            for pair in plan.pairs
+        ]
+
+    first = view(plan_study(config, mse=True, phi=True))
+    assert view(plan_study(config, mse=True, phi=True)) == first
+    assert calls == []
+    assert [pair[0] for pair in first] == ["live|white", "live|E", "dead|white", "dead|E"]
+    assert [pair[3] for pair in first] == [range(i * 120, (i + 1) * 120) for i in range(4)]
+    assert first[0][1] == 1.0  # white noise: tau_n^2 = N Var(mean) = 1
+    # one NOL cube fits the box at 6 and 9: the dead region's NOL cells and engine
+    dead = first[2][4]
+    assert [note for cell, _, note in dead if cell[0] == "nol"] == ["DegenerateSubsampling"] * 2
+    assert [pair[5] for pair in first] == [{2: 2, 3: 3}, {2: 2, 3: 3}, {}, {}]
+    assert [pair[6] for pair in first] == [False, False, True, True]
+
+
+def test_a_config_loads_away_from_its_output_directory(tmp_path):
+    config = config_from_dict(base_config(outputs={"mse_csv": str(tmp_path / "nodir" / "m.csv")}))
+    with pytest.raises(ConfigError, match="the directory of .* does not exist"):
+        run_study(config)
 
 
 def test_run_study_phi_auto_oracle(tmp_path):

@@ -27,9 +27,9 @@ from latblock.estimators import (
 from latblock.geometry import OL, Region, SubsampleSpec, Template, lattice_sites, parse_template
 from latblock.harness import (
     _replicate_pass,
-    _study_pairs,
     config_from_dict,
     phi_study,
+    plan_study,
     run_study,
 )
 from latblock.scaling import SelectorEngine, hj_choose, hj_designs
@@ -223,8 +223,9 @@ def test_both_selector_paths_fail_the_same_replicate():
     config = config_from_dict(FAILING)
     sel, stat = config.selectors, config.statistic
     methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
-    ((_, region, window, _, tau_n, samples),) = _study_pairs(config)
-    engine = SelectorEngine(window, region, methods, sel.scheme)
+    (pair,) = plan_study(config, mse=False, phi=True).pairs
+    region, tau_n, samples = config.regions[0].region(), pair.tau_n, pair.samples
+    engine = SelectorEngine(samples.window, region, methods, sel.scheme)
     _, outcomes, tau_opt = _replicate_pass(samples, [], engine, {}, 5)
     chunked = [
         [out if isinstance(out, str) else (out[0], (out[1] - opt) / tau_n) for out in row]
