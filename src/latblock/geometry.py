@@ -954,8 +954,14 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     ``s_lambda * i``; it is admitted when it holds a site and all of its
     sites belong to the region window.  All cubes are tested at once: each
     cube's sites are its low corner plus a point of one common block, less
-    the block points past the cube's own high corner.  Per-cube template
-    copies may differ in site count when the scale is not an integer.
+    the block points past the cube's own high corner.
+
+    With ``s_lambda * i = n + f`` and ``n = floor(s_lambda * i)``, copy i
+    is the pattern of ``f`` (the scaled sub-template's sites at lattice
+    shift ``shift - f``) moved by ``n``; all patterns are tested at once.
+    At an integer scale ``f = 0``: each copy is one base moved by
+    ``s_lambda * i``, and an empty base raises ``EmptyWindow``.  At other
+    scales copies may differ in site count, and may be empty.
     """
     if spec.scheme != NOL:
         raise ConfigError("enumerate_nol needs a NOL spec")
@@ -979,42 +985,31 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     offsets = cand[keep]
     if offsets.shape[0] == 0:
         raise EmptySubsampleSet("no partitioning cube fits inside the region")
+    sub = spec.template.geom
     if spec.is_integer_scale():
-        # every cube holds the base pattern moved by the scale times its offset
-        base = lattice_sites(Region(spec.template, (s_lam,) * region.d, region.shift)).sites
+        block, inside = _copy_patterns(sub, s_lam, shift, np.zeros((1, region.d)))
+        base = block[inside[0]]
+        if base.shape[0] == 0:
+            raise EmptyWindow("region contains no lattice sites")
         counts = np.full(offsets.shape[0], base.shape[0], dtype=np.int64)
         return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts, base=base)
-    copies = tuple(w.sites for w in nol_subregion_windows(region, spec, offsets))
-    counts = np.array([len(sites) for sites in copies], dtype=np.int64)
+    corner = s_lam * offsets.astype(float)
+    fracs, which = np.unique(corner - np.floor(corner), axis=0, return_inverse=True)
+    # numpy 2.0.0 returns ``which`` as a column; its entries are the copies' either way
+    block, inside = _copy_patterns(sub, s_lam, shift, fracs)
+    copy, point = np.nonzero(inside[which.reshape(-1)])  # copy-major, each in block order
+    sites = block[point] + np.floor(corner).astype(np.int64)[copy]
+    counts = np.bincount(copy, minlength=offsets.shape[0])
+    copies = tuple(np.split(sites, np.cumsum(counts)[:-1]))
     return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts, copies=copies)
 
 
-def nol_subregion_windows(
-    region: Region, spec: SubsampleSpec, offsets: np.ndarray
-) -> list[LatticeWindow]:
-    """Site windows of the template copies inscribed in the NOL cubes."""
-    s_lam = spec.s_lambda
-    shift = np.asarray(region.shift)
-    geom = spec.template.geom
-    out = []
-    if spec.is_integer_scale():
-        step = int(round(s_lam))
-        base = lattice_sites(Region(spec.template, (s_lam,) * region.d, region.shift))
-        for i in offsets:
-            sites = base.sites + step * np.asarray(i, np.int64)
-            out.append(
-                LatticeWindow(sites=sites, lo=sites.min(axis=0), hi=sites.max(axis=0))
-            )
-        return out
+def _copy_patterns(geom: _Geometry, s_lam: float, shift, fracs):
+    """A common block of sites, and which of them the ``s_lam``-scaled
+    template holds at lattice shift ``shift - f`` for each row f of
+    ``fracs`` (F, d) in [0, 1): a (F, block) mask from one membership test."""
     lo_f, hi_f = geom.bbox()
-    for i in offsets:
-        center = s_lam * np.asarray(i, float)
-        lo = np.ceil(center + s_lam * lo_f - shift - _EQ_TOL).astype(np.int64)
-        hi = np.floor(center + s_lam * hi_f - shift + _EQ_TOL).astype(np.int64)
-        cand = box_points(lo, hi)
-        inside = geom.contains_scaled(cand, (s_lam,) * region.d, shift - center)
-        sites = cand[inside]
-        if len(sites):  # an empty copy keeps its box's corners
-            lo, hi = sites.min(axis=0), sites.max(axis=0)
-        out.append(LatticeWindow(sites=sites, lo=lo, hi=hi))
-    return out
+    lo = np.ceil(s_lam * lo_f - shift + fracs.min(axis=0) - _EQ_TOL).astype(np.int64)
+    hi = np.floor(s_lam * hi_f - shift + fracs.max(axis=0) + _EQ_TOL).astype(np.int64)
+    block = box_points(lo, hi)
+    return block, geom.contains_scaled(block, (s_lam,) * geom.d, (shift - fracs)[:, None, :])

@@ -855,6 +855,8 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Run the studies the config's outputs request, in one pass; write their CSVs."""
     outputs = config.outputs
     for key, path in outputs.items():  # refused before the study, not at its end
+        if os.path.isdir(path):
+            raise ConfigError(f"outputs.{key}: {path!r} is a directory")
         if not os.path.isdir(os.path.dirname(path) or os.curdir):
             raise ConfigError(f"outputs.{key}: the directory of {path!r} does not exist")
     mse = "mse_csv" in outputs or "scaling_csv" in outputs

@@ -1,11 +1,11 @@
 """Brute-force references: the OL and NOL designs on rectangular windows, the
-OL offsets by a membership test of every translated site, the covariogram
-evaluated at every site pair or wrapped torus lag, the circulant draw by one
-full ``fftn`` of the embedding torus, the shape-constant quadrature by
-``scipy.fft``, a design's estimate by gathering its (M, sN) rows of sample
-values (copy by copy for a ragged design), the npi and hj selectors on one
-sample through that gather, and the selector study run one replicate at a
-time.
+OL offsets by a membership test of every translated site, the NOL template
+copies built one copy at a time, the covariogram evaluated at every site pair
+or wrapped torus lag, the circulant draw by one full ``fftn`` of the
+embedding torus, the shape-constant quadrature by ``scipy.fft``, a design's
+estimate by gathering its (M, sN) rows of sample values (copy by copy for a
+ragged design), the npi and hj selectors on one sample through that gather,
+and the selector study run one replicate at a time.
 
 A plain helper module, imported by the estimator, geometry, covariance, field
 and harness tests and by acceptance criterion 05; it holds no tests.
@@ -19,11 +19,13 @@ from scipy.fft import fftn, next_fast_len, rfft
 
 from latblock.constants import _SLAB_BINS
 from latblock.constants import k0 as shape_k0
-from latblock.errors import LatblockError, MissingSites
+from latblock.errors import EmptyWindow, LatblockError, MissingSites
 from latblock.estimators import FieldSample, _check_core, _reduce_theta, design_plan
 from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
 from latblock.geometry import (
+    _EQ_TOL,
     OL,
+    LatticeWindow,
     Region,
     SubsampleSpec,
     box_points,
@@ -75,6 +77,39 @@ def _offsets_with_sites_inside(region: Region, base_sites: np.ndarray) -> np.nda
     pts = cand[:, None, :] + base_sites[None, :, :]
     ok = np.all(region.template.geom.contains_scaled(pts, scale, shift), axis=1)
     return cand[ok]
+
+
+def nol_subregion_windows(region: Region, spec: SubsampleSpec, offsets) -> list:
+    """Site windows of the NOL template copies at ``offsets``, one copy at a time.
+
+    With ``s_lambda * i = n + f`` and ``n = floor(s_lambda * i)``, copy i is
+    the sites of the scaled sub-template at lattice shift ``shift - f``,
+    moved by ``n``; at an integer scale f = 0, n = s_lambda * i, and a copy
+    without sites raises ``EmptyWindow``.  An empty copy at another scale
+    keeps its box's corners.
+    """
+    s_lam = spec.s_lambda
+    shift = np.asarray(region.shift)
+    geom = spec.template.geom
+    lo_f, hi_f = geom.bbox()
+    out = []
+    for i in np.asarray(offsets, np.int64):
+        if spec.is_integer_scale():
+            whole, frac = int(round(s_lam)) * i, np.zeros(region.d)
+        else:
+            corner = s_lam * i.astype(float)
+            frac = corner - np.floor(corner)
+            whole = np.floor(corner).astype(np.int64)
+        lo = np.ceil(s_lam * lo_f - shift + frac - _EQ_TOL).astype(np.int64)
+        hi = np.floor(s_lam * hi_f - shift + frac + _EQ_TOL).astype(np.int64)
+        cand = box_points(lo, hi)
+        sites = cand[geom.contains_scaled(cand, (s_lam,) * region.d, shift - frac)]
+        if len(sites):
+            lo, hi = sites.min(axis=0), sites.max(axis=0)
+        elif spec.is_integer_scale():
+            raise EmptyWindow("region contains no lattice sites")
+        out.append(LatticeWindow(sites=sites + whole, lo=lo + whole, hi=hi + whole))
+    return out
 
 
 def naive_ol(sample, mlam, nlam, s_lam, stat):

@@ -507,12 +507,14 @@ def test_a_selector_study_over_a_dead_oracle_column_draws_no_field(capsys, tmp_p
             {"mse_csv": "nodir/mse.csv"},
             "outputs.mse_csv: the directory of 'nodir/mse.csv' does not exist",
         ),
+        ({"mse_csv": "out"}, "outputs.mse_csv: 'out' is a directory"),
     ],
 )
 def test_study_refuses_outputs_it_cannot_write_before_any_draw(
     capsys, tmp_path, monkeypatch, outputs, message
 ):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "out").mkdir()
     draws = count_draws(monkeypatch)
     selectors = {"npi": {"c1": [0.5], "c2": [0.5]}}
     cfg_path = study_config(tmp_path, outputs=outputs, selectors=selectors)

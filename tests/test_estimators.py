@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import design_rows, gather_estimate, gather_ragged, naive_nol, naive_ol
+from brute_force import (
+    design_rows,
+    gather_estimate,
+    gather_ragged,
+    naive_nol,
+    naive_ol,
+    nol_subregion_windows,
+)
 from latblock import (
     FieldSample,
     Region,
@@ -49,7 +56,6 @@ from latblock.geometry import (
     enumerate_nol,
     enumerate_ol,
     lattice_sites,
-    nol_subregion_windows,
 )
 
 
@@ -650,6 +656,20 @@ def test_nol_design_with_an_empty_template_copy_raises_empty_window(s_lam):
             design_plan(window, region, spec)
         with pytest.raises(EmptyWindow):
             nol_estimate(FieldSample(window, x), region, spec, mean_statistic())
+
+
+def test_a_ragged_build_tests_the_sub_template_once_for_all_copies(monkeypatch):
+    region = Region(Template.hypercube(2), (120, 120))
+    sub = Template.hypercube(2)  # its own geometry object, apart from the region's
+    calls, contains_scaled = [], sub.geom.contains_scaled
+    monkeypatch.setattr(
+        sub.geom, "contains_scaled", lambda *args: calls.append(args) or contains_scaled(*args)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        plan = _build_design(lattice_sites(region), region, SubsampleSpec(sub, 2.5, "nol"))
+    assert plan.index_set.n_subsamples == 2209
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("before_empty, error", [(True, MissingSites), (False, EmptyWindow)])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from brute_force import _offsets_with_sites_inside
+from brute_force import _offsets_with_sites_inside, nol_subregion_windows
 from latblock import (
     Region,
     SubsampleSpec,
@@ -33,7 +33,6 @@ from latblock.geometry import (
     _EQ_TOL,
     affine_image,
     box_points,
-    nol_subregion_windows,
     raster_mask,
 )
 
@@ -371,6 +370,36 @@ def test_ol_offsets_site_containment(region_t, sub_t):
     for off in idx.offsets:
         for s in base:
             assert tuple((off + s).tolist()) in window
+
+
+NOL_COPY_CASES = [
+    (sub, shift, s_lam)
+    for sub in ["righttri", "hex:l=0.5", "circle:r=0.5", "rotrect:theta=0.5,l1=0.8,l2=0.4"]
+    for shift in [(0.3, 0.1), (0.1, -0.3), (1 / 3, -1 / 3)]
+    for s_lam in [2.0, 3.0, 2.37, 2.5, 3.3]
+] + [
+    (sub, shift, s_lam)
+    for sub in ["sphere:r=0.5", "cylinder:r=0.4,h=0.9"]
+    for shift in [(0.3, 0.1, -0.2), (1 / 3, -1 / 3, 0.1)]
+    for s_lam in [2.0, 2.37, 3.3]
+]
+
+
+@pytest.mark.parametrize("sub, shift, s_lam", NOL_COPY_CASES)
+def test_nol_copies_are_the_per_copy_reference(sub, shift, s_lam):
+    if len(shift) == 2:
+        region = Region(Template.circle(0.5), (30, 30), shift)
+    else:
+        region = Region(Template.hypercube(3), (12, 12, 12), shift)
+    spec = SubsampleSpec(parse_template(sub), s_lam, "nol")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        idx = enumerate_nol(region, spec)
+    copies = idx.copies
+    if copies is None:  # an integer scale: the base moved by s * i
+        copies = [idx.base + int(s_lam) * i for i in idx.offsets]
+    reference = nol_subregion_windows(region, spec, idx.offsets)
+    assert [c.tolist() for c in copies] == [w.sites.tolist() for w in reference]
 
 
 def test_nol_subregions_inside_region():
