@@ -247,12 +247,13 @@ def _cmd_scale(args) -> int:
 def _cmd_simulate(args) -> int:
     from .fieldsim import build_generator, sample_field, substream
 
+    stream = substream(args.seed, args.replicate)  # a key out of range is refused first
     template = parse_template(args.template)
     cov = parse_covariogram(args.cov, d=template.d)
     region = Region(template, _parse_floats(args.scale))
     window = lattice_sites(region)
     gen = build_generator(cov, window, method=args.method)
-    sample = sample_field(gen, substream(args.seed, args.replicate))
+    sample = sample_field(gen, stream)
     write_field_csv(sample, args.out)
     print(f"wrote {window.n_sites} sites to {args.out} (method={gen.method})")
     return 0

@@ -335,6 +335,7 @@ def parse_covariogram(spec: str, d: int | None = None) -> Covariogram:
     """Parse a covariogram spec, e.g. ``expsep:b1=1,b2=1`` or ``white``.
 
     ``table:@file.csv`` loads a symmetric table with columns k1..kd,sigma.
+    Given ``d``, separable betas or table lags of another dimension raise.
     """
     spec = spec.strip()
     token, _, argstr = spec.partition(":")
@@ -351,7 +352,7 @@ def parse_covariogram(spec: str, d: int | None = None) -> Covariogram:
         if kv or not betas:
             raise ConfigError(f"bad separable covariogram args {argstr!r}")
         maker = Covariogram.exp_separable if token == "expsep" else Covariogram.gauss_separable
-        return maker(*betas)
+        return _of_dimension(maker(*betas), d, spec)
     if token == "gaussiso":
         kv = _parse_kv(argstr)
         if set(kv) != {"b"}:
@@ -360,8 +361,14 @@ def parse_covariogram(spec: str, d: int | None = None) -> Covariogram:
     if token == "table":
         if not argstr.startswith("@"):
             raise ConfigError("table covariogram needs @file.csv")
-        return _load_table(argstr[1:])
+        return _of_dimension(_load_table(argstr[1:]), d, spec)
     raise ConfigError(f"unknown covariogram kind {token!r}")
+
+
+def _of_dimension(cov: Covariogram, d: int | None, spec: str) -> Covariogram:
+    if d is not None and cov.d != d:
+        raise ConfigError(f"covariogram {spec!r} is {cov.d}-dimensional, expected {d}")
+    return cov
 
 
 def _spec_number(text: str, what: str) -> float:

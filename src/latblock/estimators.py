@@ -206,11 +206,11 @@ class AnchorGrid:
 class SubsamplePlan:
     """One subsample design on one window, for repeated estimation.
 
-    A shared-count design (OL, or NOL at an integer scale) is one anchor
-    grid; a ragged one (NOL at another scale) is a grid per site pattern
-    of its copies, anchored at their low corners, and ``order`` puts the
-    grids' subsamples back in design order.  Plans are shared through the
-    design cache, so every array in one is read-only.
+    One anchor grid per site pattern of the index set: a shared-count
+    design (OL, or NOL at an integer scale) is one grid; a ragged one (NOL
+    at another scale) is several, and ``order`` puts the grids' subsamples
+    back in design order.  Plans are shared through the design cache, so
+    every array in one is read-only.
     """
 
     index_set: SubsampleIndexSet
@@ -245,17 +245,21 @@ def design_plan(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> S
 def _cached_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
     _lookup.built = True
     plan = _build_design(window, region, spec)
-    index_set = plan.index_set
+    design = plan.index_set  # its patterns are the grids' bases
     grids = [arr for grid in plan.grids for arr in (grid.base, grid.index)]
-    for arr in [index_set.offsets, index_set.counts, *(index_set.copies or ()), *grids, plan.order]:
+    for arr in [design.offsets, design.counts, design.anchors, design.pattern, *grids, plan.order]:
         if arr is not None:
             arr.setflags(write=False)
     return plan
 
 
-def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray, step: int):
-    """``anchors`` plus ``base`` as a grid on a window; None if it misses a site."""
+def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray):
+    """``anchors`` plus ``base`` as a grid on a window, stepped by the gcd of
+    the anchors' distances (1 for one anchor); None if it misses a site."""
+    if len(base) == 0:
+        return None
     lo = anchors.min(axis=0)
+    step = int(np.gcd.reduce((anchors - lo).ravel())) or 1
     shape = tuple(((anchors.max(axis=0) - lo) // step + 1).tolist())
     index = np.ravel_multi_index(tuple(((anchors - lo) // step).T), shape)
     cells, table = lo - indexer.lo + base, indexer.table
@@ -271,36 +275,24 @@ def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray, step: int):
 
 
 def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
-    """The design of ``spec`` on ``window``, or a loud failure."""
+    """The design of ``spec`` on ``window``, a grid per site pattern, or a loud failure."""
     indexer = window.indexer()
-    if spec.scheme == OL or spec.is_integer_scale():
-        # shared count: the scale-s template's sites moved to step-1 or step-s anchors
-        ol = spec.scheme == OL
-        index_set = enumerate_ol(region, spec) if ol else enumerate_nol(region, spec)
-        step = 1 if ol else int(round(spec.s_lambda))
-        grid = _anchor_grid(indexer, step * index_set.offsets, index_set.base, step)
-        if grid is None:
-            what = "overlapping" if ol else "disjoint"
-            raise MissingSites(f"sample does not cover every {what} subsample site")
-        return SubsamplePlan(index_set, (grid,))
-    # ragged: one grid per site pattern of the copies, seen from their low corners
-    index_set = enumerate_nol(region, spec)
-    if index_set.counts.all():
-        corners = np.array([sites.min(axis=0) for sites in index_set.copies])
-        groups = {}
-        for m, (sites, corner) in enumerate(zip(index_set.copies, corners)):
-            pattern = sites - corner
-            groups.setdefault(pattern.tobytes(), (pattern, []))[1].append(m)
-        grids = [_anchor_grid(indexer, corners[group], base, 1) for base, group in groups.values()]
-        if all(grid is not None for grid in grids):
-            order = np.argsort(np.concatenate([group for _, group in groups.values()]))
-            return SubsamplePlan(index_set, tuple(grids), order if len(grids) > 1 else None)
+    design = enumerate_ol(region, spec) if spec.scheme == OL else enumerate_nol(region, spec)
+    groups = [np.flatnonzero(design.pattern == k) for k in range(len(design.patterns))]
+    grids = [_anchor_grid(indexer, design.anchors[g], b) for g, b in zip(groups, design.patterns)]
+    if None not in grids:
+        order = np.argsort(np.concatenate(groups)) if len(grids) > 1 else None
+        return SubsamplePlan(design, tuple(grids), order)
     # a copy without sites or with a site off the window: the first one decides
-    for offset, sites in zip(index_set.offsets, index_set.copies):
-        if len(sites) == 0:
-            raise EmptyWindow(f"NOL template copy at offset {tuple(offset.tolist())} has no site")
-        if np.any(indexer.lookup(sites) < 0):
-            raise MissingSites("sample does not cover every disjoint subsample site")
+    bad = design.counts == 0
+    for group, base in zip(groups, design.patterns) if bad.any() else ():
+        bad[group] |= np.any(indexer.lookup(design.anchors[group][:, None] + base) < 0, axis=1)
+    m = int(np.argmax(bad))
+    if design.counts[m] == 0:
+        offset = tuple(design.offsets[m].tolist())
+        raise EmptyWindow(f"NOL template copy at offset {offset} has no site")
+    what = "overlapping" if spec.scheme == OL else "disjoint"
+    raise MissingSites(f"sample does not cover every {what} subsample site")
 
 
 def _reduce_theta(plan: SubsamplePlan, theta: np.ndarray, stat: SmoothStatistic):
@@ -477,20 +469,14 @@ def estimate_image(plan: SubsamplePlan, image: np.ndarray, stat: SmoothStatistic
     The bits are those of the mean over the sites of each field's gathered
     (sN, p) subsample values: numpy sums them pairwise when the sites are
     innermost (p = 1) and left to right otherwise, and ``grid_sums`` replays
-    either.  A ragged design's grid sums are put back in design order and
-    divided by their site counts.  The (R, M) statistics are reduced as
-    C-contiguous rows, as a gathered field's (M,) row is.
+    either.  The grids' sums are put back in design order and divided by
+    their site counts.  The (R, M) statistics are reduced as C-contiguous
+    rows, as a gathered field's (M,) row is.
     """
     _check_core(plan, image.shape[0], stat)
-    pairwise = stat.p == 1
-    if plan.order is None:
-        (grid,) = plan.grids
-        means = grid_sums(grid, image, pairwise, grid.index)  # (p, M, R)
-        means /= grid.base.shape[0]
-    else:
-        sums = [grid_sums(grid, image, pairwise, grid.index) for grid in plan.grids]
-        means = np.take(np.concatenate(sums, axis=1), plan.order, axis=1)
-        means /= plan.index_set.counts[:, None]
+    sums = [grid_sums(grid, image, stat.p == 1, grid.index) for grid in plan.grids]
+    means = sums[0] if plan.order is None else np.take(np.concatenate(sums, 1), plan.order, 1)
+    means /= plan.index_set.counts[:, None]  # (p, M, R)
     theta = np.ascontiguousarray(stat(means.T))  # statistics of (R, M, p) means
     return (theta, *_reduce_theta(plan, theta, stat))
 
@@ -524,9 +510,8 @@ def estimate_blocks(
     _check_core(local, image.shape[0], stat)
     n_fields, n_blocks = image.shape[-1], blocks.index_set.n_subsamples
     (local_grid,), (full_grid,) = local.grids, full.grids
-    local_anchors = local_grid.step * local.index_set.offsets
-    block_anchors = blocks.index_set.offsets  # OL: step 1
-    rel = local_anchors[:, None] + block_anchors - full.index_set.offsets.min(axis=0)
+    first = full.index_set.anchors.min(axis=0)  # of the full design's step-1 grid
+    rel = local.index_set.anchors[:, None] + blocks.index_set.anchors - first
     index = np.ravel_multi_index(tuple(np.moveaxis(rel, -1, 0)), full_grid.shape)  # (M, B)
     pairwise = stat.p == 1 and n_blocks == 1
     means = grid_sums(full_grid, image, pairwise, cells=index.ravel())  # (p, M * B, R)

@@ -21,7 +21,7 @@ from .estimators import FieldSample
 from .geometry import LatticeWindow
 
 _U64 = np.uint64
-_MASK64 = (1 << 64) - 1
+_KEYS = 1 << 64  # a Philox key word, and so a seed or an index, is below this
 _BELOW_ONE = np.nextafter(1.0, 0.0)  # the largest float64 below 1
 
 CHOLESKY = "cholesky"
@@ -38,11 +38,11 @@ class RngStream:
     """
 
     def __init__(self, seed: int, index: int = 0):
-        if seed < 0 or index < 0:
-            raise ConfigError("seed and replicate index must be nonnegative")
+        if not (0 <= seed < _KEYS and 0 <= index < _KEYS):
+            raise ConfigError("seed and replicate index must be in [0, 2^64)")
         self.seed = int(seed)
         self.index = int(index)
-        key = np.array([self.seed & _MASK64, self.index & _MASK64], dtype=_U64)
+        key = np.array([self.seed, self.index], dtype=_U64)
         self._bits = np.random.Philox(key=key)
 
     def uniforms(self, n: int) -> np.ndarray:

@@ -871,23 +871,30 @@ class SubsampleSpec:
 
 @dataclass(frozen=True)
 class SubsampleIndexSet:
-    """Enumerated subsample offsets plus per-subsample site counts.
+    """Enumerated subsamples as site patterns at anchors.
 
-    ``base`` holds the sites of the scaled template at offset 0 when every
-    subsample is them moved (by its offset for OL, by the scale times it
-    for integer NOL), and is None otherwise; ``copies`` then holds each
-    subsample's sites, in offset order.
+    Subsample m holds the sites ``anchors[m] + patterns[pattern[m]]``.  A
+    shared-count design has one pattern, the scaled template's sites, at
+    its offsets (OL) or at the scale times them (integer NOL); a ragged one
+    has a pattern per copy shape, seen from the copy's low corner.
     """
 
     scheme: str
     offsets: np.ndarray  # (M, d) int64, lexicographic
-    counts: np.ndarray  # (M,) int64 site counts (equal across OL offsets)
-    base: np.ndarray | None = None  # (sN, d) int64
-    copies: tuple | None = None  # M arrays (count_m, d) int64
+    counts: np.ndarray  # (M,) int64 site counts
+    patterns: tuple  # (count, d) int64 site arrays, each in lexicographic order
+    anchors: np.ndarray  # (M, d) int64
+    pattern: np.ndarray  # (M,) int64, an index into patterns
 
     @property
     def n_subsamples(self) -> int:
         return self.offsets.shape[0]
+
+
+def _shared_count(scheme: str, offsets, base, step: int) -> SubsampleIndexSet:
+    """One site pattern, ``base``, at ``step`` times each offset."""
+    first = np.zeros(len(offsets), dtype=np.int64)  # every subsample has pattern 0
+    return SubsampleIndexSet(scheme, offsets, first + len(base), (base,), step * offsets, first)
 
 
 def anchor_slices(cells, step: int, shape) -> tuple:
@@ -933,8 +940,7 @@ def enumerate_ol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     offsets = window.lo - base.min(axis=0) + np.argwhere(ok)
     if offsets.shape[0] == 0:
         raise EmptySubsampleSet(none_fit)
-    counts = np.full(offsets.shape[0], base.shape[0], dtype=np.int64)
-    return SubsampleIndexSet(scheme=OL, offsets=offsets, counts=counts, base=base)
+    return _shared_count(OL, offsets, base, 1)
 
 
 def warn_non_integer_scale() -> None:
@@ -991,17 +997,26 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
         base = block[inside[0]]
         if base.shape[0] == 0:
             raise EmptyWindow("region contains no lattice sites")
-        counts = np.full(offsets.shape[0], base.shape[0], dtype=np.int64)
-        return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts, base=base)
+        return _shared_count(NOL, offsets, base, int(round(s_lam)))
     corner = s_lam * offsets.astype(float)
     fracs, which = np.unique(corner - np.floor(corner), axis=0, return_inverse=True)
     # numpy 2.0.0 returns ``which`` as a column; its entries are the copies' either way
     block, inside = _copy_patterns(sub, s_lam, shift, fracs)
-    copy, point = np.nonzero(inside[which.reshape(-1)])  # copy-major, each in block order
-    sites = block[point] + np.floor(corner).astype(np.int64)[copy]
-    counts = np.bincount(copy, minlength=offsets.shape[0])
-    copies = tuple(np.split(sites, np.cumsum(counts)[:-1]))
-    return SubsampleIndexSet(scheme=NOL, offsets=offsets, counts=counts, copies=copies)
+    # each fraction's sites as bits over the block's box, seen from their low corner
+    box, axes = block[-1] - block[0] + 1, set(range(1, region.d + 1))
+    masks = inside.reshape(-1, *box)
+    low = np.stack([masks.any(tuple(axes - {k})).argmax(1) for k in sorted(axes)], -1)
+    frac, point = np.nonzero(inside)
+    seen = np.zeros_like(inside)
+    seen[frac, point - np.ravel_multi_index(tuple(low.T), box)[frac]] = True
+    bits = np.packbits(seen, axis=1)
+    keys, shape_of = np.unique(bits.view(f"V{bits.shape[1]}").ravel(), return_inverse=True)
+    shapes = np.unpackbits(keys.view(np.uint8).reshape(len(keys), -1), axis=1, count=box.prod())
+    patterns = tuple(np.argwhere(shape.reshape(box)) for shape in shapes)
+    pattern, which = shape_of[which.reshape(-1)], which.reshape(-1)
+    anchors = np.floor(corner).astype(np.int64) + block[0] + low[which]
+    counts = np.count_nonzero(shapes, axis=1)[pattern]
+    return SubsampleIndexSet(NOL, offsets, counts, patterns, anchors, pattern)
 
 
 def _copy_patterns(geom: _Geometry, s_lam: float, shift, fracs):
@@ -1011,5 +1026,5 @@ def _copy_patterns(geom: _Geometry, s_lam: float, shift, fracs):
     lo_f, hi_f = geom.bbox()
     lo = np.ceil(s_lam * lo_f - shift + fracs.min(axis=0) - _EQ_TOL).astype(np.int64)
     hi = np.floor(s_lam * hi_f - shift + fracs.max(axis=0) + _EQ_TOL).astype(np.int64)
-    block = box_points(lo, hi)
+    block = box_points(lo, np.maximum(hi, lo))  # not empty: it has a corner
     return block, geom.contains_scaled(block, (s_lam,) * geom.d, (shift - fracs)[:, None, :])

@@ -282,8 +282,8 @@ def config_from_dict(raw: dict) -> StudyConfig:
     if replicates < 100:
         raise ConfigError("studies need at least 100 replicates")
     seed = _number(raw["seed"], "seed", integer=True)
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     check_workers(raw.get("workers", 1))
 
     sel_raw = _fields(raw.get("selectors", {}), "selectors")

@@ -221,16 +221,21 @@ def scipy_k0_numeric(template, step):
     return acf_sq / math.prod(padded) * h ** (3 * template.d) / vol**3
 
 
+def copy_sites(index_set):
+    """Each subsample's sites, in design order: its anchor plus its pattern."""
+    return [a + index_set.patterns[k] for a, k in zip(index_set.anchors, index_set.pattern)]
+
+
 def design_rows(plan, window):
     """The rows of ``window`` that hold each subsample of a design, -1 where
-    a site is not in the window: a shared-count design's (M, sN) rows
-    (anchor ``step * offset`` plus each base site), or a ragged design's
-    rows of every template copy."""
+    a site is not in the window: a design of one site pattern's (M, sN)
+    rows (each anchor plus each pattern site), or a ragged design's rows of
+    every template copy."""
     indexer = window.indexer()
-    if plan.index_set.copies is not None:
-        return [indexer.lookup(sites) for sites in plan.index_set.copies]
-    (grid,) = plan.grids
-    return indexer.lookup(grid.step * plan.index_set.offsets[:, None] + grid.base)
+    index_set = plan.index_set
+    if len(index_set.patterns) > 1:
+        return [indexer.lookup(sites) for sites in copy_sites(index_set)]
+    return indexer.lookup(index_set.anchors[:, None] + index_set.patterns[0])
 
 
 def _covered_rows(plan, window):

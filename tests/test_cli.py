@@ -470,6 +470,45 @@ def count_draws(monkeypatch) -> list:
     return draws
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"seed": 2**64 + 3}, "seed must be in [0, 2^64), got 18446744073709551619"),
+        (
+            {
+                "regions": [{"name": "r", "template": "hypercube:d=3", "scale": [6, 6, 6]}],
+                "covariograms": [{"name": "E", "spec": "expsep:b1=1,b2=1"}],
+            },
+            "covariogram 'expsep:b1=1,b2=1' is 2-dimensional, expected 3",
+        ),
+    ],
+)
+def test_a_study_with_an_unusable_seed_or_covariogram_exits_2_before_any_draw(
+    capsys, tmp_path, monkeypatch, overrides, message
+):
+    draws = count_draws(monkeypatch)
+    code, out, err = run(["study", "--config", str(study_config(tmp_path, **overrides))], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert draws == []
+    assert not (tmp_path / "mse.csv").exists()
+
+
+def test_constants_with_a_covariogram_of_another_dimension_exits_2(capsys):
+    argv = ["constants", "--template", "hypercube:d=2", "--cov", "expsep:b1=1,b2=1,b3=1"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: covariogram 'expsep:b1=1,b2=1,b3=1' is 3-dimensional, expected 2\n"
+
+
+@pytest.mark.parametrize("key", [["--seed", str(2**64 + 3)], ["--seed", "3", "--replicate", str(2**64)]])
+def test_simulate_refuses_a_key_past_64_bits(capsys, tmp_path, key):
+    out = tmp_path / "f.csv"
+    argv = ["simulate", "--cov", "white", "--template", "hypercube:d=2", "--scale", "6,6"]
+    code, _, err = run([*argv, *key, "--out", str(out)], capsys)
+    assert (code, err) == (2, "error: seed and replicate index must be in [0, 2^64)\n")
+    assert not out.exists()
+
+
 def test_a_selector_study_over_a_dead_oracle_column_draws_no_field(capsys, tmp_path, monkeypatch):
     # 'dead' is the 10 x 10 box above with every oracle cell dead; 'live' comes
     # first, so a study that found the dead column only by running it would

@@ -186,6 +186,21 @@ def test_parse_covariogram_table(tmp_path):
     assert tau_sq(cov) == 1.5
 
 
+@pytest.mark.parametrize("spec, d", [("expsep:b1=1,b2=1", 3), ("gausssep:b1=1,b2=1,b3=1", 2)])
+def test_separable_betas_of_another_dimension_are_refused(spec, d):
+    with pytest.raises(ConfigError, match=f"^covariogram '{spec}' is {5 - d}-dimensional"):
+        parse_covariogram(spec, d=d)
+    assert parse_covariogram(spec).d == 5 - d  # no dimension asked: any is taken
+
+
+def test_table_lags_of_another_dimension_are_refused(tmp_path):
+    p = tmp_path / "cov.csv"
+    p.write_text("k1,k2,sigma\n0,0,1.0\n")
+    with pytest.raises(ConfigError, match="is 2-dimensional, expected 3$"):
+        parse_covariogram(f"table:@{p}", d=3)
+    assert parse_covariogram(f"table:@{p}", d=2).d == 2
+
+
 def direct_lag_counts(window):
     span = tuple(int(h - l + 1) for l, h in zip(window.lo, window.hi))
     ind = np.zeros(span)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import (
+    copy_sites,
     design_rows,
     gather_estimate,
     gather_ragged,
@@ -19,6 +20,7 @@ from brute_force import (
     naive_ol,
     nol_subregion_windows,
 )
+import latblock.estimators
 from latblock import (
     FieldSample,
     Region,
@@ -53,6 +55,7 @@ from latblock.estimators import (
 )
 from latblock.geometry import (
     LatticeWindow,
+    WindowIndexer,
     enumerate_nol,
     enumerate_ol,
     lattice_sites,
@@ -375,7 +378,8 @@ def test_cached_design_arrays_are_read_only():
         ragged = design_plan(
             sample.window, region, SubsampleSpec(Template.hypercube(2), 2.5, "nol")
         )
-    for arr in (ragged.index_set.copies[0], ragged.grids[0].base, ragged.order):
+    index_set = ragged.index_set
+    for arr in (index_set.patterns[0], index_set.anchors, index_set.pattern, ragged.order):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -433,7 +437,7 @@ def test_core_replicate_axis_matches_per_sample_estimates(scheme, s_lam, stat):
         plan = design_plan(window, region, spec)
     x = np.random.default_rng(5).standard_normal((6, window.n_sites))
     values = x[..., None] if stat.p == 1 else np.stack([x, x * x], axis=-1)  # (R, N, p)
-    gather = gather_estimate if plan.index_set.copies is None else gather_ragged
+    gather = gather_estimate if len(plan.index_set.patterns) == 1 else gather_ragged
     theta, theta_tilde, tau = gather(plan, window, values, stat)
     assert theta.shape == (6, plan.index_set.n_subsamples)
     assert tau.shape == theta_tilde.shape == (6,)
@@ -638,7 +642,7 @@ def test_lean_core_keeps_the_reference_checks():
     values[0, design_rows(plan, window)[0][0], 0] = np.inf
     with pytest.raises(StatisticDomainError):
         estimate_image(plan, field_image(table, values), stat)
-    assert single.index_set.copies is not None and single.index_set.n_subsamples == 1
+    assert single.index_set.n_subsamples == 1
     with pytest.raises(DegenerateSubsampling):
         estimate_image(single, field_image(table, np.ones((1, window.n_sites, 1))), stat)
 
@@ -672,6 +676,47 @@ def test_a_ragged_build_tests_the_sub_template_once_for_all_copies(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_ragged_build_is_one_strided_grid_per_site_pattern(monkeypatch):
+    # s = 2.5 puts the copies' corners at floor(2.5 i): four patterns, by the
+    # parity of i, each on a step-5 grid
+    region = Region(Template.hypercube(2), (120, 120))
+    grids, lookups, anchor_grid = [], [], latblock.estimators._anchor_grid
+
+    def counted(*args):
+        grids.append(anchor_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(latblock.estimators, "_anchor_grid", counted)
+    monkeypatch.setattr(WindowIndexer, "lookup", lambda *args: lookups.append(args))
+    spec = SubsampleSpec(region.template, 2.5, "nol")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        plan = _build_design(lattice_sites(region), region, spec)
+    assert [grid.step for grid in plan.grids] == [5, 5, 5, 5]
+    assert len(grids) == 4 and lookups == []
+
+
+def test_a_ragged_sphere_design_has_one_pattern_per_copy_shape():
+    region = Region(parse_template("sphere:r=0.5"), (24, 24, 24))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        index_set = enumerate_nol(region, SubsampleSpec(region.template, 2.37, "nol"))
+    assert index_set.n_subsamples == 437 and len(index_set.patterns) == 103
+    shapes = {(sites - sites.min(axis=0)).tobytes() for sites in copy_sites(index_set)}
+    assert len(shapes) == 103
+
+
+@pytest.mark.parametrize("sub", [None, "hypercube:d=2"])
+def test_disk_grids_read_steps_1_and_s_from_their_anchors(sub):
+    region = Region(parse_template("circle:r=0.5"), (40, 40))
+    window = lattice_sites(region)
+    for s_lam in range(3, 9):
+        for scheme, step in (("ol", 1), ("nol", s_lam)):
+            spec = SubsampleSpec(parse_template(sub) if sub else region.template, s_lam, scheme)
+            (grid,) = design_plan(window, region, spec).grids
+            assert grid.step == step
+
+
 @pytest.mark.parametrize("before_empty, error", [(True, MissingSites), (False, EmptyWindow)])
 def test_the_first_failing_nol_copy_decides_the_error(before_empty, error):
     region = Region(Template.hypercube(2), (12, 12), (0.5, 0.5))
@@ -679,7 +724,7 @@ def test_the_first_failing_nol_copy_decides_the_error(before_empty, error):
     spec = SubsampleSpec(Template.circle(0.5), 1.3, "nol")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
-        copies = enumerate_nol(region, spec).copies
+        copies = copy_sites(enumerate_nol(region, spec))
         empty = next(m for m, sites in enumerate(copies) if len(sites) == 0)
         # a copy before or after the first empty one loses a site
         cut_copy = copies[empty - 1] if before_empty else copies[-1]

@@ -15,7 +15,7 @@ from latblock import (
     sample_field,
     substream,
 )
-from latblock.errors import NotPositiveDefinite, WindowTooLarge
+from latblock.errors import ConfigError, NotPositiveDefinite, WindowTooLarge
 from latblock.fieldsim import (
     RngStream,
     covariance_matrix,
@@ -90,6 +90,20 @@ def test_stream_pure_function_of_key_and_counter():
     assert np.array_equal(s2.normals(10), first)
     assert np.array_equal(s2.normals(10), second)
     assert not np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("seed, index", [(2**64 + 3, 0), (3, 2**64), (-1, 0), (0, -1)])
+def test_a_key_outside_the_philox_words_is_refused(seed, index):
+    # masked to 64 bits, seed 2^64 + 3 would draw exactly the fields of seed 3
+    with pytest.raises(ConfigError, match=r"must be in \[0, 2\^64\)$"):
+        RngStream(seed, index)
+
+
+def test_the_largest_key_is_taken():
+    top = 2**64 - 1
+    raw = np.random.Philox(key=np.array([top, top], dtype=np.uint64)).random_raw(4)
+    expected = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    assert np.array_equal(RngStream(top, top).uniforms(4), expected)
 
 
 def test_stream_cross_correlation_small():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from brute_force import _offsets_with_sites_inside, nol_subregion_windows
+from brute_force import _offsets_with_sites_inside, copy_sites, nol_subregion_windows
 from latblock import (
     Region,
     SubsampleSpec,
@@ -395,9 +395,7 @@ def test_nol_copies_are_the_per_copy_reference(sub, shift, s_lam):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
         idx = enumerate_nol(region, spec)
-    copies = idx.copies
-    if copies is None:  # an integer scale: the base moved by s * i
-        copies = [idx.base + int(s_lam) * i for i in idx.offsets]
+    copies = copy_sites(idx)
     reference = nol_subregion_windows(region, spec, idx.offsets)
     assert [c.tolist() for c in copies] == [w.sites.tolist() for w in reference]
 

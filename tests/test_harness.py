@@ -59,6 +59,14 @@ def test_config_requires_core_fields():
     assert cfg.s_lambda_grid["rect10"] == (1, 2, 3)
 
 
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 3, 1.9e19])
+def test_config_refuses_a_seed_past_64_bits(seed):
+    # a seed is one Philox key word: 2^64 + 3 would draw the fields of seed 3
+    with pytest.raises(ConfigError, match=r"^seed must be in \[0, 2\^64\), got "):
+        config_from_dict(base_config(seed=seed))
+    assert config_from_dict(base_config(seed=2**64 - 1)).seed == 2**64 - 1
+
+
 def test_config_per_region_grid_and_duplicates():
     raw = base_config(
         regions=[
@@ -140,6 +148,49 @@ def test_argmin_rows_tie_to_smallest():
     assert rows[0]["s_lambda_opt"] == 1
 
 
+def test_exact_mse_takes_ragged_designs():
+    """Per-copy weights give the shared-count form at integer NOL scales, and
+    a ragged NOL design's value, which the Monte Carlo of its estimates meets."""
+    import warnings
+
+    from brute_force import design_rows
+
+    from latblock.covariance import Covariogram, exact_tau_n_sq_window
+    from latblock.errors import NonIntegerScaleWarning
+    from latblock.estimators import design_plan, mean_statistic, nol_estimate
+    from latblock.fieldsim import build_generator, sample_field, substream
+    from latblock.geometry import Region, SubsampleSpec, Template, lattice_sites
+
+    region = Region(Template.hypercube(2), (14, 18))
+    window = lattice_sites(region)
+    cov = Covariogram.exp_separable(1.0, 1.0)
+    for s_lam, want in ((3.0, 0.2390), (4.0, 0.2566)):
+        spec = SubsampleSpec(region.template, s_lam, "nol")
+        rows = design_rows(design_plan(window, region, spec), window)  # (M, sN)
+        n_sub, size = rows.shape
+        averager = np.zeros((n_sub, window.n_sites))
+        averager[np.arange(n_sub)[:, None], rows] = 1.0 / size
+        center = np.eye(n_sub) - np.ones((n_sub, n_sub)) / n_sub
+        shared = quadratic_form_mse((size / n_sub) * averager.T @ center @ averager, window, cov)
+        assert exact_normalized_mse(region, cov, spec) == pytest.approx(shared, rel=1e-12)
+        assert shared == pytest.approx(want, abs=5e-5)
+    ragged = SubsampleSpec(region.template, 3.5, "nol")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        exact = exact_normalized_mse(region, cov, ragged)
+        assert exact == pytest.approx(0.2229, abs=5e-5)
+        gen = build_generator(cov, window)
+        tau_n = exact_tau_n_sq_window(window, cov)
+        for seed in (99, 7, 123):
+            errors = np.array([
+                (nol_estimate(sample_field(gen, substream(seed, rep)), region, ragged,
+                              mean_statistic()).tau_hat_sq / tau_n - 1.0) ** 2
+                for rep in range(400)
+            ])
+            mc_se = errors.std(ddof=1) / math.sqrt(errors.size)
+            assert abs(errors.mean() - exact) <= 3.2 * mc_se, seed
+
+
 def test_workers_do_not_change_results():
     cfg1 = config_from_dict(base_config())
     cfg2 = config_from_dict(base_config(workers=4))
@@ -154,27 +205,35 @@ def exact_normalized_mse(region, cov, spec):
     """Closed-form normalized MSE for the mean statistic on a Gaussian field.
 
     The estimator is a quadratic form z'Az in the site vector, so its mean is
-    tr(A S) and its variance 2 tr((A S)^2); no simulation enters.
+    tr(A S) and its variance 2 tr((A S)^2); no simulation enters.  Subsample
+    m averages its count_m sites (row m of W, weights 1/count_m), and
+    A = W'C D C W / M, with C the centring matrix and D = diag(counts), so a
+    ragged design needs no shared count.
     """
-    from latblock.covariance import exact_tau_n_sq_window
     from brute_force import design_rows
 
     from latblock.estimators import design_plan
-    from latblock.fieldsim import covariance_matrix
     from latblock.geometry import lattice_sites
 
     window = lattice_sites(region)
-    sigma_mat = covariance_matrix(cov, window)
-    tau_n = exact_tau_n_sq_window(window, cov)
     plan = design_plan(window, region, spec)
-    rows_all = design_rows(plan, window)
-    n_sub, s_n = rows_all.shape
+    counts = plan.index_set.counts
+    n_sub = len(counts)
     averager = np.zeros((n_sub, window.n_sites))
-    for i, rows in enumerate(rows_all):
-        averager[i, rows] = 1.0 / s_n
+    for i, rows in enumerate(design_rows(plan, window)):
+        averager[i, rows] = 1.0 / counts[i]
     center = np.eye(n_sub) - np.ones((n_sub, n_sub)) / n_sub
-    quad = (s_n / n_sub) * averager.T @ center @ averager
-    prod = quad @ sigma_mat
+    deviations = center @ averager
+    return quadratic_form_mse(deviations.T @ (counts[:, None] * deviations) / n_sub, window, cov)
+
+
+def quadratic_form_mse(quad, window, cov):
+    """Normalized MSE of the estimate z'(quad)z of tau_n on ``window``."""
+    from latblock.covariance import exact_tau_n_sq_window
+    from latblock.fieldsim import covariance_matrix
+
+    tau_n = exact_tau_n_sq_window(window, cov)
+    prod = quad @ covariance_matrix(cov, window)
     mean_tau = np.trace(prod)
     var_tau = 2.0 * np.trace(prod @ prod)
     return (var_tau + (mean_tau - tau_n) ** 2) / tau_n**2
