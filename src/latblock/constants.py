@@ -21,7 +21,7 @@ from .errors import (
     UnsupportedD1Nonlinear,
     UnsupportedShape,
 )
-from .geometry import Template, box_points, raster_mask, set_covariance_exact
+from .geometry import Template, box_points, raster_lines, set_covariance_exact
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
@@ -105,8 +105,11 @@ def k0_numeric(template: Template, step: float | None = None) -> float:
     the transform of the mask zero-padded to >= 2n - 1 bins per axis (so
     circular is linear autocorrelation) and P the padded size. M is real along
     the first axis, whose half spectrum counts each bin twice except DC and an
-    even length's Nyquist; the other axes are transformed one cache-sized slab
-    of first-axis bins at a time, so no array of the padded size is formed.
+    even length's Nyquist. That transform runs on each block of mask lines as
+    ``raster_lines`` makes it, so the mask is never held whole; the other axes
+    are transformed one cache-sized slab of first-axis bins at a time, each
+    copied into the C layout (bins, ...) first, so no array of the padded size
+    is formed and the sums run in the order of the ``scipy.fft`` form.
     """
     if template.d > 3:
         raise QuadratureBudgetExceeded(
@@ -114,23 +117,31 @@ def k0_numeric(template: Template, step: float | None = None) -> float:
         )
     if step is None:
         step = 1.0 / 512 if template.d <= 2 else 1.0 / 96
-    mask, h = raster_mask(template, step)
-    vol = float(mask.sum()) * h**template.d
-    padded = [next_fast_len(2 * n - 1) for n in mask.shape]
-    half = np.fft.rfft(mask, padded[0], axis=0)
+    shape, blocks = raster_lines(template, step)
+    padded = [next_fast_len(2 * n - 1) for n in shape]
+    # the half spectrum, its bins innermost like the lines they come from
+    lines = np.empty((math.prod(shape[1:]), padded[0] // 2 + 1), complex)
+    cells = 0
+    for start, rows in blocks:
+        cells += np.count_nonzero(rows)
+        np.fft.rfft(rows, padded[0], axis=-1, out=lines[start:start + len(rows)])
+    vol = float(cells) * step**template.d
+    half = np.moveaxis(lines.reshape(*shape[1:], -1), -1, 0)
     weight = np.full(half.shape[:1] + (1,) * (template.d - 1), 2.0)
     weight[0] = 1.0
     if padded[0] % 2 == 0:
         weight[-1] = 1.0
     width = max(1, _SLAB_BINS // math.prod(padded[1:]))
+    slab = np.empty((min(width, len(half)),) + half.shape[1:], half.dtype)
     acf_sq = 0.0
     for lo in range(0, len(half), width):
-        spec = half[lo:lo + width]
+        spec = slab[:len(half) - lo]  # the C layout (bins, ...), reused
+        spec[...] = half[lo:lo + width]
         for axis in range(1, template.d):  # ascending, as pocketfft's n-D pass runs
             spec = np.fft.fft(spec, padded[axis], axis=axis)
         power = spec.real**2 + spec.imag**2
         acf_sq += float(((power * power) * weight[lo:lo + width]).sum())
-    return acf_sq / math.prod(padded) * h ** (3 * template.d) / vol**3
+    return acf_sq / math.prod(padded) * step ** (3 * template.d) / vol**3
 
 
 def k1(template: Template) -> float:

@@ -13,6 +13,8 @@ function of its inputs.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,8 +31,9 @@ from .errors import (
 )
 
 _EQ_TOL = 1e-9
-# Grid cells per block of raster_mask: their centers and membership tests
-# then take a few hundred kB.
+_PACKAGE_DIR = os.path.dirname(__file__)
+# Grid cells per block of first-axis raster lines (see _line_runs): the
+# block's buffer then takes 128 kB, and its tested centers less.
 _RASTER_BLOCK_CELLS = 1 << 14
 
 OL = "ol"
@@ -43,7 +46,12 @@ NOL = "nol"
 
 
 class _Geometry:
-    """Internal convex-body interface backing a Template."""
+    """Internal convex-body interface backing a Template.
+
+    Convexity is relied on, not only assumed by the theory: ``raster_mask``
+    and ``set_covariance`` take the inside cells of each grid line to be one
+    run, and test only the cells near its two ends.
+    """
 
     d: int
 
@@ -636,22 +644,23 @@ def set_covariance(template: Template, x, resolution: float | None = None) -> fl
 
     Grid quadrature with the cell-center rule; the hypercube uses its exact
     product formula.  Default steps are 1/512 for d <= 2 and 1/96 for d = 3.
+    The cells are counted by the line-run raster of ``raster_mask``: the
+    intersection of two convex sets is convex.
     """
     x = np.asarray(x, float)
     if x.shape != (template.d,):
         raise DimensionMismatch("shift dimension mismatch")
     geom = template.geom
-    if isinstance(geom, _Box):
-        return geom.set_cov_exact(x)
     if resolution is None:
         resolution = 1.0 / 512 if template.d <= 2 else 1.0 / 96
-    if resolution <= 0:
-        raise ConfigError("resolution must be positive")
-    lo, shape = _grid(geom, resolution)
-    centers = _cell_centers(lo, shape, resolution, 0, shape[0])
-    inside = geom.contains(centers)
-    both = inside & geom.contains(centers - x)
-    return float(both.sum()) * resolution**template.d
+    lo, shape = _grid(geom, resolution)  # checks the step, also where it is unused
+    if isinstance(geom, _Box):
+        return geom.set_cov_exact(x)
+    def both(pts):
+        return geom.contains(pts) & geom.contains(pts - x)
+
+    cells = sum(np.count_nonzero(rows) for _, rows in _line_runs(both, lo, shape, resolution))
+    return float(cells) * resolution**template.d
 
 
 def set_covariance_exact(template: Template, x) -> float:
@@ -671,34 +680,104 @@ def box_points(lo, hi) -> np.ndarray:
 
 def _grid(geom: _Geometry, h: float):
     """Lower corner and shape of the step-``h`` cell grid over the bounding box."""
+    if not (math.isfinite(h) and h > 0):
+        raise ConfigError(f"quadrature step must be a finite positive number, got {h!r}")
     lo, hi = geom.bbox()
     return lo, [int(math.ceil((hi[j] - lo[j]) / h - 1e-12)) for j in range(geom.d)]
 
 
-def _cell_centers(lo, shape, h: float, start: int, stop: int) -> np.ndarray:
-    """Centers of the grid's cells in first-axis rows ``start`` to ``stop - 1``."""
-    tail = [n - 1 for n in shape[1:]]
-    centers = box_points([start] + [0] * len(tail), [stop - 1] + tail) + 0.5
-    centers *= h  # in place: the grid can hold millions of points
-    centers += lo
-    return centers
+def _coarse_stride(n: int) -> int:
+    """Cells from one sample to the next on a raster line of ``n`` cells.
+
+    About sqrt(n / 2), which balances a line's n / k samples against the
+    2 (k - 1) cells of its two boundary gaps: 63 of 512 cells are tested.
+    """
+    return max(1, math.isqrt(n // 2))
+
+
+def _line_runs(member, lo, shape, h: float):
+    """Yield ``(start, rows)``: ``member`` at the cell centers of a block of lines.
+
+    The grid's first-axis lines are taken in C order of their other indices;
+    ``rows`` (lines, n) holds lines ``start`` onward as 0.0/1.0, in a buffer
+    that the next block overwrites.  ``member`` must be the indicator of a
+    convex set, which leaves a single run of inside cells on every line: the
+    line is sampled at every k-th center and its last, the cells between two
+    equal samples take their value, and only the cells between two samples
+    that differ are tested (the whole line when no sample lands inside).  A
+    block holds about ``_RASTER_BLOCK_CELLS`` cells.
+    """
+    n, d = shape[0], len(shape)
+    axes = [(np.arange(m) + 0.5) * h + lo[j] for j, m in enumerate(shape)]
+    grids = np.meshgrid(*axes[1:], indexing="ij")
+    others = np.stack(grids, axis=-1).reshape(-1, d - 1) if grids else np.empty((1, 0))
+    k = _coarse_stride(n)
+    samples = np.unique(np.append(np.arange(0, n, k), n - 1))
+    m = len(samples)
+    gap = np.arange(1, k)
+    cells = np.arange(n)
+
+    def centers(first, other):
+        pts = np.empty((len(other), len(first), d))
+        pts[..., 0] = first
+        pts[..., 1:] = other[:, None, :]
+        return pts.reshape(-1, d)
+
+    per = max(1, _RASTER_BLOCK_CELLS // n)
+    buffer = np.empty((min(per, len(others)), n))
+    for start in range(0, len(others), per):
+        other = others[start:start + per]
+        rows = buffer[:len(other)]
+        inside = member(centers(axes[0][samples], other)).reshape(-1, m)
+        hit = inside.any(axis=1)
+        first = inside.argmax(axis=1)
+        last = m - 1 - inside[:, ::-1].argmax(axis=1)
+        run_lo = np.where(hit, samples[first], n)
+        run_hi = samples[last]
+        rows[...] = (cells >= run_lo[:, None]) & (cells <= run_hi[:, None])
+        # the cells between the first inside sample and the one before it,
+        # and between the last inside sample and the one after it
+        before = run_lo[:, None] - gap
+        before_ok = hit[:, None] & (before > samples[np.maximum(first - 1, 0)][:, None])
+        after = run_hi[:, None] + gap
+        after_ok = hit[:, None] & (after < samples[np.minimum(last + 1, m - 1)][:, None])
+        line = np.concatenate([np.nonzero(before_ok)[0], np.nonzero(after_ok)[0]])
+        cell = np.concatenate([before[before_ok], after[after_ok]])
+        pts = np.empty((len(line), d))
+        pts[:, 0] = axes[0][cell]
+        pts[:, 1:] = other[line]
+        rows[line, cell] = member(pts)
+        empty = ~hit
+        if empty.any():
+            rows[empty] = member(centers(axes[0], other[empty])).reshape(-1, n)
+        yield start, rows
+
+
+def raster_lines(template: Template, step: float):
+    """The cell-center indicator of ``raster_mask``, a block of lines at a time.
+
+    Returns the grid's shape and an iterator of ``(start, rows)`` over the
+    mask's first-axis lines, in C order of their other indices (see
+    ``_line_runs``); ``rows`` is overwritten by the next block.
+    """
+    lo, shape = _grid(template.geom, step)
+    return shape, _line_runs(template.geom.contains, lo, shape, step)
 
 
 def raster_mask(template: Template, step: float):
     """Cell-center indicator of the template on its bounding-box grid.
 
-    Returns (mask, step); used by the quadrature path of the shape constants.
-    The centers are made and tested a block of first-axis rows at a time, so
-    the work stays in cache however many cells the grid holds.
+    Returns (mask, step); the reference form of the shape-constant quadrature.
+    Each first-axis line is rasterized as the single run of inside cells that
+    a convex template leaves on it (``_line_runs``).  The mask is stored with
+    its first axis innermost and returned as a view of the grid's shape, so a
+    transform along the first axis reads contiguous lines.
     """
-    lo, shape = _grid(template.geom, step)
-    mask = np.empty(shape)
-    block = max(1, _RASTER_BLOCK_CELLS // math.prod(shape[1:]))
-    for start in range(0, shape[0], block):
-        rows = mask[start:start + block]
-        centers = _cell_centers(lo, shape, step, start, start + len(rows))
-        rows[...] = template.geom.contains(centers).reshape(rows.shape)
-    return mask, step
+    shape, blocks = raster_lines(template, step)
+    lines = np.empty((math.prod(shape[1:]), shape[0]))
+    for start, rows in blocks:
+        lines[start:start + len(rows)] = rows
+    return np.moveaxis(lines.reshape(shape[1:] + shape[:1]), -1, 0), step
 
 
 # ---------------------------------------------------------------------------
@@ -944,12 +1023,16 @@ def enumerate_ol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
 
 
 def warn_non_integer_scale() -> None:
-    """Warn, at the caller's caller, that a NOL design uses a non-integer scale."""
+    """Warn that a NOL design uses a non-integer scale, at the first caller
+    outside the latblock package, however deep in it the design was asked for."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+        frame, level = frame.f_back, level + 1
     warnings.warn(
         "non-integer NOL scale: subsample site counts may differ and the "
         "bias/scaling theory assumes integers",
         NonIntegerScaleWarning,
-        stacklevel=3,
+        stacklevel=level,
     )
 
 

@@ -395,6 +395,21 @@ def test_cache_hit_repeats_non_integer_scale_warning():
         assert [w.category for w in caught] == [NonIntegerScaleWarning]
 
 
+def test_non_integer_scale_warning_names_the_caller():
+    # the first frame outside the package, on a fresh build, a cache hit and
+    # a direct enumeration alike
+    region, sample = make_sample((12, 12), seed=2)
+    spec = SubsampleSpec(Template.hypercube(2), 2.5, "nol")
+    _cached_design.cache_clear()
+    calls = [lambda: nol_estimate(sample, region, spec, mean_statistic())] * 2
+    calls.append(lambda: enumerate_nol(region, spec))
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert [(w.category, w.filename) for w in caught] == [(NonIntegerScaleWarning, __file__)]
+
+
 def test_design_cache_keys_on_window_sites():
     region, sample = make_sample((8, 8), seed=4)
     _, big = make_sample((12, 12), seed=5)  # observed beyond the 8x8 region

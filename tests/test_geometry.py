@@ -22,6 +22,8 @@ from latblock import (
     set_covariance,
     set_covariance_exact,
 )
+from latblock import geometry
+from latblock.constants import k0_numeric
 from latblock.errors import (
     ConfigError,
     DimensionMismatch,
@@ -231,6 +233,49 @@ def test_set_covariance_sphere_matches_quadrature():
     exact = set_covariance_exact(sph, (0.3, 0.1, 0.2))
     quad = set_covariance(sph, (0.3, 0.1, 0.2))
     assert quad == pytest.approx(exact, abs=5e-3)
+
+
+def set_covariance_on_the_whole_grid(template, x, step):
+    centers, _ = whole_grid_centers(template, step)
+    both = template.geom.contains(centers) & template.geom.contains(centers - x)
+    return float(both.sum()) * step**template.d
+
+
+@pytest.mark.parametrize(
+    "template, step",
+    [
+        (Template.circle(0.5), 1 / 200),
+        (Template.regular_hexagon(0.5), 1 / 200),
+        (Template.sphere(0.5), 1 / 48),
+        (affine_image(Template.right_triangle(), np.array([[1.2, 0.3], [-0.2, 0.9]])), 1 / 200),
+    ],
+)
+def test_set_covariance_counts_equal_the_whole_grid(template, step):
+    rng = np.random.default_rng(3)
+    diam = template.diameter()
+    far = np.eye(template.d) * (diam + 0.01)  # each shift empties the intersection
+    shifts = [np.zeros(template.d), *far, *-far]
+    shifts += list(rng.uniform(-0.8, 0.8, size=(6, template.d)) * diam)
+    values = []
+    for x in shifts:
+        values.append(set_covariance(template, x, resolution=step))
+        assert values[-1] == set_covariance_on_the_whole_grid(template, x, step)
+    assert values[0] > 0.0
+    assert values[1:1 + 2 * template.d] == [0.0] * (2 * template.d)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+@pytest.mark.parametrize("call", ["k0_numeric", "raster_mask", "set_covariance"])
+@pytest.mark.parametrize("spec", ["circle:r=0.5", "hypercube:d=2"])
+def test_quadrature_step_must_be_finite_and_positive(spec, call, step):
+    template = parse_template(spec)  # the hypercube's set covariance is exact
+    with pytest.raises(ConfigError, match="finite positive"):
+        if call == "k0_numeric":
+            k0_numeric(template, step)
+        elif call == "raster_mask":
+            raster_mask(template, step)
+        else:
+            set_covariance(template, (0.1, 0.0), resolution=step)
 
 
 @pytest.mark.parametrize("template", all_templates_2d() + all_templates_3d())
@@ -590,14 +635,37 @@ def test_enumerate_ol_equals_the_membership_reference(spec, shifted):
             assert np.array_equal(idx.offsets, expected), (sub, s_lam)
 
 
-def raster_mask_in_one_block(template, step):
-    """raster_mask's grid with every cell center made and tested at once."""
+def whole_grid_centers(template, step):
+    """Every cell center of raster_mask's grid, in C order of the grid's shape."""
     lo, hi = template.geom.bbox()
     shape = [int(math.ceil((hi[j] - lo[j]) / step - 1e-12)) for j in range(template.d)]
     centers = box_points([0] * template.d, [n - 1 for n in shape]) + 0.5
     centers *= step
     centers += lo
+    return centers, shape
+
+
+def raster_mask_in_one_block(template, step):
+    """raster_mask's grid with every cell center made and tested at once."""
+    centers, shape = whole_grid_centers(template, step)
     return template.geom.contains(centers).reshape(shape).astype(np.float64)
+
+
+PLANAR_SPECS = [
+    "hypercube:d=2",
+    "circle:r=0.5",
+    "righttri",
+    "isotri",
+    "trapezoid:b1=0.5,b2=1",
+    "hex:l=0.5",
+    "parallelogram:gamma=1.2,l1=0.6,l2=0.5",
+    "rotrect:theta=0.7854,l1=0.7071,l2=0.7071",
+]
+
+
+def test_the_raster_cases_cover_every_registered_kind():
+    kinds = {spec.split(":")[0] for spec in PLANAR_SPECS} | {"sphere", "cylinder"}
+    assert kinds == set(geometry._TOKEN_BUILDERS)
 
 
 @pytest.mark.parametrize(
@@ -613,15 +681,31 @@ def raster_mask_in_one_block(template, step):
         ("parallelogram:gamma=1.2,l1=0.6,l2=0.5", 1 / 512),
         ("rotrect:theta=0.7854,l1=0.7071,l2=0.7071", 1 / 200),
         ("hypercube:d=3", 1 / 40),
+        ("hypercube:d=3", 1 / 96),
         ("sphere:r=0.5", 1 / 96),
         ("sphere:r=0.5", 1 / 38),
         ("cylinder:r=0.3,h=0.8", 1 / 50),
+        ("cylinder:r=0.3,h=0.8", 1 / 96),
+    ]
+    + [(spec, 1 / 38) for spec in PLANAR_SPECS],
+)
+@pytest.mark.parametrize(
+    "block_cells, stride",
+    [
+        pytest.param(cells, stride, id=f"{cells}{name}")
+        for stride, name in [
+            (None, ""),
+            (lambda n: 1, "-stride-1"),
+            (lambda n: n + 3, "-stride-long"),
+        ]
+        for cells in [None, 7]
     ],
 )
-@pytest.mark.parametrize("block_cells", [None, 7])
-def test_raster_mask_blocks_equal_the_whole_grid(monkeypatch, spec, step, block_cells):
-    if block_cells is not None:  # one first-axis row per block
+def test_raster_mask_blocks_equal_the_whole_grid(monkeypatch, spec, step, block_cells, stride):
+    if block_cells is not None:  # one first-axis line per block
         monkeypatch.setattr("latblock.geometry._RASTER_BLOCK_CELLS", block_cells)
+    if stride is not None:  # every center a sample, or only a line's two ends
+        monkeypatch.setattr("latblock.geometry._coarse_stride", stride)
     templates = [parse_template(spec)]
     if templates[0].d == 2:
         templates.append(affine_image(templates[0], np.array([[1.2, 0.3], [-0.2, 0.9]])))
@@ -631,3 +715,49 @@ def test_raster_mask_blocks_equal_the_whole_grid(monkeypatch, spec, step, block_
         assert h == step
         assert mask.dtype == want.dtype and mask.shape == want.shape
         assert np.array_equal(mask, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=st.sampled_from(PLANAR_SPECS),
+    angles=st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi)),
+    big=st.floats(0.3, 2.0),
+    condition=st.floats(1.0, 10.0),
+    flip=st.booleans(),
+    step=st.floats(1 / 300, 1 / 40),
+)
+def test_raster_mask_of_affine_images_equals_the_whole_grid(
+    spec, angles, big, condition, flip, step
+):
+    def rotation(a):
+        return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+    sides = np.diag([big, (-1 if flip else 1) * big / condition])
+    template = affine_image(parse_template(spec), rotation(angles[0]) @ sides @ rotation(angles[1]))
+    mask, _ = raster_mask(template, step)
+    assert np.array_equal(mask, raster_mask_in_one_block(template, step))
+
+
+@pytest.mark.parametrize("spec", PLANAR_SPECS)
+def test_raster_mask_tests_at_most_a_third_of_the_centers(spec):
+    template = parse_template(spec)
+    geom = template.geom
+    seen = []
+    test = geom.contains
+
+    def counted(pts):
+        seen.append(len(pts))
+        return test(pts)
+
+    geom.contains = counted  # on this instance only
+    mask, _ = raster_mask(template, 1 / 512)
+    assert sum(seen) <= mask.size / 3
+
+
+@pytest.mark.parametrize(
+    "spec, step", [("hypercube:d=1", 1 / 64), ("hex:l=0.5", 1 / 64), ("sphere:r=0.5", 1 / 38)]
+)
+def test_raster_mask_keeps_the_first_axis_innermost(spec, step):
+    mask, _ = raster_mask(parse_template(spec), step)
+    assert mask.strides[0] == mask.itemsize
+    assert np.moveaxis(mask, 0, -1).flags.c_contiguous
