@@ -33,6 +33,7 @@ _EXPORTS = {
         "sigma",
         "tau_sq",
     ),
+    "csvfile": ("emit_csv",),
     "errors": ("LatblockError",),
     "estimators": (
         "EstimatorResult",
@@ -73,7 +74,6 @@ _EXPORTS = {
     "harness": (
         "StudyConfig",
         "config_from_dict",
-        "emit_csv",
         "load_config",
         "mse_study",
         "optimal_scaling_study",

@@ -16,6 +16,7 @@ import numpy as np
 from . import __version__
 from .constants import are, b0 as bias_constant, k0 as shape_constants
 from .covariance import parse_covariogram, tau_sq
+from .csvfile import emit_csv
 from .errors import ConfigError, LatblockError
 from .estimators import FieldSample, estimate, parse_statistic
 from .geometry import (
@@ -97,8 +98,6 @@ def _field_header(d: int, p: int) -> list:
 
 def write_field_csv(sample: FieldSample, path: str) -> None:
     """Field CSV as ``read_field_csv`` reads it, written atomically by ``emit_csv``."""
-    from .harness import emit_csv
-
     header = _field_header(sample.window.d, sample.p)
     rows = (
         dict(zip(header, site + vals))
@@ -136,8 +135,6 @@ def _print_kv(pairs, csv_path=None):
     for key, val in pairs:
         print(f"{key}: {val}")
     if csv_path:
-        from .harness import emit_csv
-
         rows = [{"key": k, "value": v} for k, v in pairs]
         emit_csv(rows, ("key", "value"), csv_path)
 

@@ -47,20 +47,34 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """Strictly interior uniforms on (0, 1) with 53-bit resolution."""
-        # the top 53 bits of each raw draw; the same bits as
-        # integers(0, 2**63, dtype=uint64) >> 10, whose bounded draw is raw >> 1
-        raw = self._bits.random_raw(n)
-        raw >>= _U64(11)
-        u = raw.astype(np.float64)
-        u += 0.5
-        u *= 2.0**-53
-        # the top draw, raw = 2**53 - 1, rounds to exactly 1.0, where ndtri is inf
-        return np.minimum(u, _BELOW_ONE, out=u)
+        return _uniforms(self._bits.random_raw(n))
 
     def normals(self, n: int) -> np.ndarray:
         """Standard normals via the inverse CDF of the uniform stream."""
         u = self.uniforms(n)
         return ndtri(u, out=u)
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    """The uniforms of raw Philox draws ``raw``, which this overwrites."""
+    # the top 53 bits of each raw draw; the same bits as
+    # integers(0, 2**63, dtype=uint64) >> 10, whose bounded draw is raw >> 1
+    raw >>= _U64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    # the top draw, raw = 2**53 - 1, rounds to exactly 1.0, where ndtri is inf
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _normals(streams, n: int) -> np.ndarray:
+    """(len(streams), n): row i holds stream i's next ``n`` normals, taken
+    from one buffer of every stream's raw draws by one ``ndtri`` call."""
+    raw = np.empty((len(streams), n), dtype=_U64)
+    for row, stream in zip(raw, streams):
+        row[:] = stream._bits.random_raw(n)
+    u = _uniforms(raw)
+    return ndtri(u, out=u)
 
 
 def substream(master_seed: int, replicate: int) -> RngStream:
@@ -173,21 +187,35 @@ def reconstruction_error(gen: FieldGenerator) -> float:
 
 def sample_field(gen: FieldGenerator, stream: RngStream) -> FieldSample:
     """One mean-zero Gaussian draw on the generator's window."""
+    return FieldSample(gen.window, sample_fields(gen, [stream])[0])
+
+
+def sample_fields(gen: FieldGenerator, streams) -> np.ndarray:
+    """Mean-zero Gaussian draws on the generator's window, (len(streams), N):
+    row i is ``sample_field(gen, streams[i])``'s values, bit for bit.
+
+    Every stream's normals come from one buffer, by one ``ndtri`` call.  The
+    dense route then takes one matrix-vector product per stream; the
+    circulant route runs each FFT pass over every stream's torus at once,
+    which transforms each line on its own, as ``fftn`` does.
+    """
+    n = len(streams)
     if gen.method == CHOLESKY:
-        z = stream.normals(gen.window.n_sites)
-        values = gen.chol @ z
-        return FieldSample(gen.window, values[:, None])
+        out = np.empty((n, gen.window.n_sites))
+        for row, z in zip(out, _normals(streams, gen.window.n_sites)):
+            row[:] = gen.chol @ z
+        return out
     m = int(np.prod(gen.embed_shape))
-    z = stream.normals(2 * m)
-    zeta = (z[:m] + 1j * z[m:]).reshape(gen.embed_shape)
-    w = gen.spectrum_sqrt * zeta
-    # fftn's 1-D passes in its order, last axis first, each line on its own;
-    # after a pass only the block's lines along that axis are kept
-    for axis in reversed(range(w.ndim)):
-        w = np.fft.fft(w, axis=axis)[(slice(None),) * axis + (slice(0, gen.block_shape[axis]),)]
+    z = _normals(streams, 2 * m).reshape(n, 2, *gen.embed_shape)
+    w = np.empty((n, *gen.embed_shape), dtype=complex)
+    w.real, w.imag = z[:, 0], z[:, 1]  # the bits of z[:m] + 1j * z[m:]
+    w *= gen.spectrum_sqrt
+    # fftn's 1-D passes in its order, last axis first; after a pass only the
+    # block's lines along that axis are kept
+    for axis, size in reversed(list(enumerate(gen.block_shape, start=1))):
+        w = np.fft.fft(w, axis=axis)[(slice(None),) * axis + (slice(0, size),)]
     # complex / real is not real / real in the last bit: divide as fftn's result did
-    block = (w / np.sqrt(m)).real
-    return FieldSample(gen.window, block.ravel()[:, None])
+    return (w / np.sqrt(m)).real.reshape(n, -1)
 
 
 # Statistics whose input columns are a per-site transform of a scalar field.

@@ -4,8 +4,9 @@ selector performance, with deterministic seeding and CSV emission.
 A study simulates each replicate field once and evaluates every estimator
 cell on it, so cells share common random numbers.  Each replicate draws from
 its own counter-based substream keyed by (seed, region, model, replicate).
-Replicates are estimated in order on the caller's thread; on the circulant
-route the next chunk of them is drawn on one second thread meanwhile.
+Replicates are estimated in order on the caller's thread.  On the circulant
+route a helper thread draws pieces of the next chunk meanwhile, and the
+caller draws the pieces left when it reaches that chunk.
 """
 
 from __future__ import annotations
@@ -13,16 +14,20 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .covariance import Covariogram, exact_tau_n_sq_window, parse_covariogram
+from .csvfile import emit_csv
 from .errors import ConfigError, DegenerateSubsampling, InsufficientCandidates, LatblockError
 from .estimators import (
+    FieldSample,
     SmoothStatistic,
     design_plan,
     estimate_image,
@@ -34,7 +39,7 @@ from .fieldsim import (
     LIFTED_STATISTICS,
     build_generator,
     lift_for_statistic,
-    sample_field,
+    sample_fields,
     substream,
 )
 from .geometry import (
@@ -100,8 +105,8 @@ class StudyConfig:
 
 def check_workers(value) -> None:
     """Validate a ``workers`` setting, which is accepted and ignored: a study
-    estimates replicates on the caller's thread and draws them on at most one
-    other (see the README's design notes)."""
+    estimates replicates on the caller's thread and draws them there and, on
+    the circulant route, on one helper thread (see the README's design notes)."""
     if _number(value, "workers", integer=True) < 1:
         raise ConfigError(f"workers must be at least 1, got {value}")
 
@@ -478,6 +483,12 @@ def _mean_se(values: np.ndarray):
 _IMAGE_BLOCK_CELLS = 1 << 15
 
 
+# Replicates that one thread draws at a time (``sample_fields``): enough to
+# batch their inverse normal CDF, few enough that the two threads of the
+# circulant route finish a chunk together.
+_PIECE = 3
+
+
 @dataclass(frozen=True)
 class Replicates:
     """One (region, model) pair's replicate fields, drawn on demand.
@@ -497,35 +508,69 @@ class Replicates:
         """Each chunk's ``field_image``, in order, as many replicates a chunk
         as fill ``_IMAGE_BLOCK_CELLS`` cells of the window's bounding box.
 
-        On the circulant route the next chunk is drawn on a second thread
-        while the caller works on this one; close the iterator
-        (``contextlib.closing``) so that an error stops that thread.  The
-        dense route draws on the caller's thread: its matrix-vector product
-        already runs on every core.
+        A chunk is drawn ``_PIECE`` replicates at a time.  On the circulant
+        route one helper thread draws pieces of the next chunk while the
+        caller works on this one, and the caller draws the pieces left when
+        it asks for that chunk; close the iterator (``contextlib.closing``)
+        so that the helper stops after its current piece.  The dense route
+        draws on the caller's thread: its matrix-vector products already run
+        on every core.  A draw's error is raised in the caller.
         """
         cells = int(np.prod(self.window.span)) * self.stat.p  # per replicate
         gen = build_generator(self.cov, self.window)
-        chunks = self._draw(gen, max(1, _IMAGE_BLOCK_CELLS // cells))
-        return _prefetch(chunks) if gen.method == CIRCULANT else chunks
+        return self._draw(gen, max(1, _IMAGE_BLOCK_CELLS // cells))
 
-    def _sample(self, gen, rep: int):
-        return lift_for_statistic(sample_field(gen, substream(self.seed, rep)), self.stat.name)
+    def _draw_piece(self, gen, reps, rows) -> None:
+        fields = sample_fields(gen, [substream(self.seed, rep) for rep in reps])
+        for row, values in zip(rows, fields):
+            row[:] = lift_for_statistic(FieldSample(self.window, values), self.stat.name).values
 
     def _draw(self, gen, block: int):
-        table = self.window.indexer().table
-        for start in range(0, len(self.streams), block):
-            values = [self._sample(gen, rep).values for rep in self.streams[start : start + block]]
-            yield field_image(table, np.stack(values))
+        table, shape = self.window.indexer().table, (self.window.n_sites, self.stat.p)
+        draw_piece = partial(self._draw_piece, gen)
+        chunk = _ChunkDraw(self.streams[:block], shape, draw_piece)
+        pool = ThreadPoolExecutor(1) if gen.method == CIRCULANT else None
+        helper = pool and pool.submit(chunk.draw)
+        try:
+            for start in range(block, len(self.streams) + block, block):
+                chunk.draw()  # the pieces that the helper has not claimed
+                if helper is not None:
+                    helper.result()  # the helper's pieces are drawn, or its error raised
+                ready, chunk = chunk, _ChunkDraw(self.streams[start : start + block], shape, draw_piece)
+                helper = pool and pool.submit(chunk.draw)
+                yield field_image(table, ready.values)
+        finally:
+            chunk.stop()
+            if pool is not None:
+                pool.shutdown()
 
 
-def _prefetch(chunks):
-    """``chunks``, each drawn on one second thread while the caller works on
-    the one before; a draw's error is raised in the caller."""
-    with ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(next, chunks, None)
-        while (chunk := ahead.result()) is not None:
-            ahead = pool.submit(next, chunks, None)
-            yield chunk
+class _ChunkDraw:
+    """The values (len(reps), *shape) of replicates ``reps``, drawn
+    ``_PIECE`` replicates at a time by the threads that call ``draw``: each
+    piece by the thread that claims it."""
+
+    def __init__(self, reps, shape: tuple, draw_piece):
+        self.values = np.empty((len(reps), *shape))
+        rows = range(0, len(reps), _PIECE)
+        self._pieces = iter([(reps[i : i + _PIECE], self.values[i : i + _PIECE]) for i in rows])
+        self._draw_piece = draw_piece  # (replicates, their rows of values)
+        self._lock = threading.Lock()
+        self._stopped = False
+
+    def draw(self) -> None:
+        """Claim and draw pieces until none is left or ``stop`` was called."""
+        while (piece := self._claim()) is not None:
+            self._draw_piece(*piece)
+
+    def stop(self) -> None:
+        """Let no thread claim another piece."""
+        with self._lock:
+            self._stopped = True
+
+    def _claim(self):
+        with self._lock:
+            return None if self._stopped else next(self._pieces, None)
 
 
 @dataclass(frozen=True)
@@ -795,38 +840,6 @@ PHI_COLUMNS = (
     "freq",
     "note",
 )
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "NA"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _quote(text: str) -> str:
-    if any(ch in text for ch in (',', '"', "\n", "\r")):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def emit_csv(rows, columns, path: str) -> None:
-    """Write rows (dicts) as RFC-4180 CSV with LF endings and 17-digit floats.
-
-    Partial files are never left behind: output lands in a temp file first.
-    """
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_quote(_fmt(row.get(col))) for col in columns) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def mse_cells_to_rows(cells: list[MseCell]) -> list[dict]:

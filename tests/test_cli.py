@@ -460,12 +460,12 @@ def test_study_with_a_dead_oracle_column_writes_the_grid_but_no_phi(capsys, tmp_
 
 
 def count_draws(monkeypatch) -> list:
-    """The replicate streams that the study draws from, in order."""
-    draws, sample_field = [], latblock.harness.sample_field
+    """The replicate streams that the study draws from."""
+    draws, sample_fields = [], latblock.harness.sample_fields
     monkeypatch.setattr(
         latblock.harness,
-        "sample_field",
-        lambda gen, stream: draws.append(stream) or sample_field(gen, stream),
+        "sample_fields",
+        lambda gen, streams: draws.extend(streams) or sample_fields(gen, streams),
     )
     return draws
 
@@ -914,7 +914,8 @@ def test_cli_refuses_numbers_no_setting_can_use(capsys, tmp_path, field_csv, arg
     assert not out_path.exists()
 
 
-def test_commands_that_draw_no_field_load_no_scipy(field_csv):
+def test_commands_that_draw_no_field_load_no_scipy(field_csv, tmp_path):
+    csv = str(tmp_path / "out.csv")
     commands = [
         ["constants", "--template", "circle:r=0.5", "--cov", "expsep:b1=1,b2=1"],
         ["estimate", *ON_FILE, "--scheme", "ol", "--scale", "4", "--stat", "mean"],
@@ -922,9 +923,10 @@ def test_commands_that_draw_no_field_load_no_scipy(field_csv):
         ["scale", "--method", "npi", *ON_FILE],
         ["scale", "--method", "hj", "--lambda-m", "8", *ON_FILE],
     ]
+    commands += [argv + ["--csv", csv] for argv in commands[:4]]
     commands = [[field_csv if a == "DATA" else a for a in argv] for argv in commands]
     script = "\n".join([
-        "import contextlib, io, json, sys",
+        "import contextlib, io, json, os, sys",
         "def scipy_modules():",
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
         "import latblock",
@@ -934,7 +936,9 @@ def test_commands_that_draw_no_field_load_no_scipy(field_csv):
         "for argv in json.loads(sys.argv[1]):",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         "        assert latblock.cli.main(argv) == 0, argv",
-        "    steps[' '.join(argv[:3])] = scipy_modules()",
+        "    steps[' '.join(argv[:3]) + ' --csv' * ('--csv' in argv)] = scipy_modules()",
+        "    if '--csv' in argv:",
+        "        os.remove(argv[-1])  # written, and the next command writes it again",
         "steps['harness'] = latblock.harness.__name__",
         "print(json.dumps(steps))",
     ])
@@ -953,6 +957,10 @@ def test_commands_that_draw_no_field_load_no_scipy(field_csv):
         "scale --method theory",
         "scale --method npi",
         "scale --method hj",
+        "constants --template circle:r=0.5 --csv",
+        "estimate --data " + field_csv + " --csv",
+        "scale --method theory --csv",
+        "scale --method npi --csv",
     ]
     assert steps == {step: [] for step in steps}
 

@@ -21,6 +21,7 @@ from latblock.fieldsim import (
     covariance_matrix,
     lift_for_statistic,
     reconstruction_error,
+    sample_fields,
 )
 from latblock.geometry import box_points, lattice_sites, parse_template
 
@@ -361,3 +362,41 @@ def test_pruned_circulant_draw_equals_the_full_fftn(shape):
             got = sample_field(gen, substream(13, rep))
             expected = fftn_circulant_draw(gen, substream(13, rep))
             assert np.array_equal(got.values, expected.values)
+
+
+def assert_rows_keep_their_bits(gen, order, piece):
+    """``sample_fields`` over streams ``order`` in pieces of ``piece``: each
+    row equals ``sample_field`` for its stream, and the full-``fftn`` draw on
+    the circulant route, bit for bit."""
+    for lo in range(0, len(order), piece):
+        reps = order[lo : lo + piece]
+        rows = sample_fields(gen, [substream(13, rep) for rep in reps])
+        assert rows.shape == (len(reps), gen.window.n_sites)
+        for rep, row in zip(reps, rows):
+            one = sample_field(gen, substream(13, rep)).values[:, 0]
+            assert np.array_equal(row.view(np.uint64), one.view(np.uint64))
+            if gen.method == "circulant":
+                full = fftn_circulant_draw(gen, substream(13, rep)).values[:, 0]
+                assert np.array_equal(row.view(np.uint64), full.view(np.uint64))
+
+
+# streams given out of order
+ORDER = [7, 2, 11, 0, 5, 9, 1, 10, 3]
+
+
+@pytest.mark.parametrize("piece", [1, 3, 4])
+@pytest.mark.parametrize("shape", [(14, 18), (13, 17), (30, 42), (6, 7, 5)])
+def test_batched_circulant_draws_keep_every_bit(shape, piece):
+    w = window(shape, Template.hypercube(len(shape)))
+    gens = [build_generator(cov, w) for cov in models(w.d)]
+    assert sum(gen.method == "circulant" for gen in gens) >= 4
+    for gen in gens:  # the dense route where a torus embedding fails
+        assert_rows_keep_their_bits(gen, ORDER, piece)
+
+
+@pytest.mark.parametrize("piece", [1, 3, 4])
+def test_batched_dense_draws_keep_every_bit(piece):
+    w = window((16, 16), Template.circle(0.5))
+    gen = build_generator(Covariogram.gauss_separable(0.5, 0.3), w)
+    assert gen.method == "cholesky"
+    assert_rows_keep_their_bits(gen, ORDER, piece)

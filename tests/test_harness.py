@@ -319,13 +319,13 @@ def test_mse_study_draws_no_field_for_a_pair_without_live_cells(monkeypatch):
     import latblock.harness
 
     calls = []
-    sample_field = latblock.harness.sample_field
+    sample_fields = latblock.harness.sample_fields
 
-    def counting_sample_field(gen, stream):
-        calls.append(stream.index)  # the replicate's stream index
-        return sample_field(gen, stream)
+    def counting_sample_fields(gen, streams):
+        calls.extend(stream.index for stream in streams)  # the replicates' stream indices
+        return sample_fields(gen, streams)
 
-    monkeypatch.setattr(latblock.harness, "sample_field", counting_sample_field)
+    monkeypatch.setattr(latblock.harness, "sample_fields", counting_sample_fields)
     cfg = config_from_dict(
         base_config(
             regions=[
@@ -338,7 +338,7 @@ def test_mse_study_draws_no_field_for_a_pair_without_live_cells(monkeypatch):
     )
     cells = mse_study(cfg)
     assert [c.mse is None for c in cells] == [True, True, False, False]
-    assert calls == list(range(cfg.replicates, 2 * cfg.replicates))
+    assert sorted(calls) == list(range(cfg.replicates, 2 * cfg.replicates))
 
 
 def test_mse_study_builds_no_generator_for_a_pair_without_live_cells(monkeypatch):
@@ -502,7 +502,7 @@ def test_phi_study_refuses_an_oracle_map_missing_a_pair_before_any_draw(monkeypa
     import latblock.harness
 
     draws = []
-    monkeypatch.setattr(latblock.harness, "sample_field", lambda gen, stream: draws.append(stream))
+    monkeypatch.setattr(latblock.harness, "sample_fields", lambda gen, streams: draws.extend(streams))
     raw = base_config(
         covariograms=["white", {"name": "E", "spec": "expsep:b1=1,b2=1"}],
         selectors={"npi": {"c1": [0.5], "c2": [0.5]}, "s_lambda_opt": {"rect10|E": 3}},
@@ -516,7 +516,7 @@ def test_a_study_plan_draws_nothing_and_is_the_same_when_built_twice(monkeypatch
     import latblock.harness
 
     calls = []
-    for name in ("build_generator", "sample_field"):
+    for name in ("build_generator", "sample_fields"):
         monkeypatch.setattr(latblock.harness, name, lambda *args, name=name: calls.append(name))
     box = {"template": "hypercube:d=2", "scale": [10, 10]}
     raw = base_config(

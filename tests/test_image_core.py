@@ -3,6 +3,7 @@ loop that feeds it: every estimate equals the per-replicate core bit for bit."""
 
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -28,9 +29,15 @@ from latblock.estimators import (
     mean_statistic,
     moment_variance,
 )
-from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
+from latblock.fieldsim import (
+    build_generator,
+    lift_for_statistic,
+    sample_field,
+    sample_fields,
+    substream,
+)
 from latblock.geometry import Region, SubsampleSpec, Template, lattice_sites, parse_template
-from latblock.harness import config_from_dict, mse_study, phi_study, run_study
+from latblock.harness import config_from_dict, mse_study, phi_study, plan_study, run_study
 from latblock.scaling import hj_designs
 
 
@@ -470,15 +477,15 @@ def phi_raw(region_name):
 
 
 def draw_spy(monkeypatch) -> list:
-    """Per ``sample_field`` call of a study: its route, thread and the number
-    of live threads."""
+    """Per replicate that a study draws (``sample_fields``, a piece of
+    replicates a call): its route, thread and the number of live threads."""
     calls = []
 
-    def spy(gen, stream):
-        calls.append((gen.method, threading.get_ident(), threading.active_count()))
-        return sample_field(gen, stream)
+    def spy(gen, streams):
+        calls.extend([(gen.method, threading.get_ident(), threading.active_count())] * len(streams))
+        return sample_fields(gen, streams)
 
-    monkeypatch.setattr(latblock.harness, "sample_field", spy)
+    monkeypatch.setattr(latblock.harness, "sample_fields", spy)
     return calls
 
 
@@ -492,11 +499,14 @@ def test_only_the_circulant_route_draws_on_a_second_thread(monkeypatch, region, 
     assert_study_matches(cfg)  # rows == a per-replicate loop on the caller's thread
     assert len(calls) == 2 * cfg.replicates
     assert {method for method, _, _ in calls} == {route}
+    threads = {thread for _, thread, _ in calls}
     if route == "circulant":
-        assert all(thread != caller for _, thread, _ in calls)
+        # the caller and one helper share the draws, and the helper is live
+        # for the whole pass
+        assert len(threads - {caller}) == 1
         assert {live for *_, live in calls} == {before + 1}
     else:
-        assert {thread for _, thread, _ in calls} == {caller}
+        assert threads == {caller}
         assert {live for *_, live in calls} == {before}
     assert threading.active_count() == before
 
@@ -535,13 +545,81 @@ def test_a_study_of_both_kinds_draws_each_replicate_once(
     assert result.phi_rows == per_replicate_phi_rows(cfg)
 
 
-def fail_draw_of(monkeypatch, stream_index):
-    def failing(gen, stream):
-        if stream.index == stream_index:
-            raise DrawFailed(f"draw {stream_index}")
-        return sample_field(gen, stream)
+@pytest.mark.parametrize("region, grid", [(None, [1, 2, 3, 5]), (DISK_REGION, DISK_GRID)])
+def test_a_chunked_momvar_study_equals_the_per_replicate_loop(monkeypatch, region, grid):
+    name = (region or study_raw()["regions"][0])["name"]
+    tau_n_sq = {f"{name}|white": 2.0, f"{name}|E": 3.5}
+    # 5 replicates a chunk: pieces of 3 and 2
+    cfg = chunked_config(monkeypatch, region, statistic="momvar", s_lambda_grid=grid, tau_n_sq=tau_n_sq)
+    calls = image_calls(monkeypatch)
+    assert_study_matches(cfg)
+    assert set(calls) == {5, 3}  # 103 replicates: a last chunk of 3
 
-    monkeypatch.setattr(latblock.harness, "sample_field", failing)
+
+def test_closing_the_pass_early_stops_the_helper_after_its_piece(monkeypatch):
+    cfg = chunked_config(monkeypatch)  # a circulant box, in chunks of 10
+    samples = plan_study(cfg, mse=True, phi=False).pairs[0].samples
+    caller, before = threading.get_ident(), threading.active_count()
+    pieces = []  # the streams of each sample_fields call
+
+    def slow_helper(gen, streams):
+        pieces.append([stream.index for stream in streams])
+        if threading.get_ident() != caller:  # so that the close finds chunk 1 undrawn
+            time.sleep(0.1)
+        return sample_fields(gen, streams)
+
+    monkeypatch.setattr(latblock.harness, "sample_fields", slow_helper)
+    chunks = samples.chunks()
+    assert next(chunks).shape[-1] == 10
+    assert threading.active_count() == before + 1
+    closer = threading.Thread(target=chunks.close)
+    closer.start()
+    closer.join(timeout=60)
+    assert not closer.is_alive()
+    assert threading.active_count() == before
+    # chunk 0's pieces, then the pieces of chunk 1 that the helper had
+    # claimed (it claims in order), each drawn once and whole
+    piece, first = latblock.harness._PIECE, samples.streams[0]
+    chunk0, chunk1 = (
+        [list(range(c + i, min(c + i + piece, c + 10))) for i in range(0, 10, piece)]
+        for c in (first, first + 10)
+    )
+    drawn = sorted(pieces)
+    assert drawn[: len(chunk0)] == chunk0
+    assert drawn[len(chunk0) :] == chunk1[: len(drawn) - len(chunk0)]
+    assert len(drawn) < len(chunk0) + len(chunk1)
+
+
+def test_threads_drawing_one_chunk_claim_each_piece_once():
+    claims = []
+
+    def draw_piece(reps, rows):
+        claims.append(tuple(reps))  # list.append is atomic
+        rows[:] = np.asarray(reps)[:, None, None]
+
+    chunk = latblock.harness._ChunkDraw(range(3000), (1, 1), draw_piece)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=chunk.draw) for _ in range(6)]  # more than the cores
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(claims) == [tuple(range(i, i + 3)) for i in range(0, 3000, 3)]
+    assert np.array_equal(chunk.values[:, 0, 0], np.arange(3000))
+
+
+def fail_draw_of(monkeypatch, stream_index):
+    def failing(gen, streams):
+        if stream_index in [stream.index for stream in streams]:
+            raise DrawFailed(f"draw {stream_index}")
+        return sample_fields(gen, streams)
+
+    monkeypatch.setattr(latblock.harness, "sample_fields", failing)
 
 
 def fail_estimate_call(monkeypatch, call):
