@@ -3,8 +3,8 @@
 The covariogram sigma(k) is the autocovariance of the (gradient-reduced)
 scalar process at integer lag k.  Its lattice sum is the long-run variance
 of the normalized sample mean; on a finite window the same quantity has an
-exact expression through lag counts, which serves as the simulation oracle
-for linear statistics.
+exact expression through lag counts (one numpy n-D real FFT pair, rounded),
+which serves as the simulation oracle for linear statistics.
 """
 
 from __future__ import annotations
@@ -248,55 +248,23 @@ def next_fast_len(n: int) -> int:
     return best
 
 
-def fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
-    """Full linear convolution of two real arrays by real FFTs.
-
-    The full mode of ``scipy.signal.fftconvolve``, bit for bit, from numpy's
-    1-D passes in the order pocketfft's n-D routines run them: the real
-    transform on the last axis, then the complex ones on the other axes in
-    ascending order, and back the same way with one 1/N scaling at the end.
-    ``np.fft.rfftn``/``irfftn`` would scale once per axis and take the complex
-    axes in descending order, which moves the last bits.
-    """
-    if mode != "full":
-        raise ValueError("only the full convolution is provided")
-    shape = [m + n - 1 for m, n in zip(a.shape, b.shape)]
-    fshape = [next_fast_len(n) for n in shape]
-    spec = _rfft_axes(a, fshape) * _rfft_axes(b, fshape)
-    for axis in range(a.ndim - 1):
-        spec = np.fft.ifft(spec, axis=axis, norm="forward")
-    out = np.fft.irfft(spec, fshape[-1], axis=-1, norm="forward")
-    out *= 1.0 / math.prod(fshape)
-    return out[tuple(slice(0, n) for n in shape)]
-
-
-def _rfft_axes(a: np.ndarray, fshape) -> np.ndarray:
-    spec = np.fft.rfft(a, fshape[-1], axis=-1)
-    for axis in range(a.ndim - 1):
-        spec = np.fft.fft(spec, fshape[axis], axis=axis)
-    return spec
-
-
-def correlate(a: np.ndarray, b: np.ndarray, mode: str = "full", method: str = "direct"):
-    """``scipy.signal.correlate``, imported only when ``lag_counts`` falls back to it."""
-    from scipy.signal import correlate as scipy_correlate
-
-    return scipy_correlate(a, b, mode=mode, method=method)
-
-
 def lag_counts(window: LatticeWindow) -> np.ndarray:
-    """Site pairs of the window at each lag of its box, (2 span - 1) per axis.
-
-    The counts are the full autocorrelation of the window's indicator, taken
-    by FFT and rounded to integers.  Where the FFT is off an integer by 1/4
-    or more, they are correlated directly instead.
-    """
-    ind = np.zeros(tuple(window.span), dtype=np.float64)
+    """Site pairs of the window at each lag of its box, (2 span - 1) per axis: the
+    indicator's autocorrelation by one real FFT pair, padded so no lag wraps, then
+    rounded; correlated directly if a value is 1/4 or more off its integer."""
+    span = window.span.tolist()
+    ind = np.zeros(span, dtype=np.float64)
     ind[tuple((window.sites - window.lo).T)] = 1.0
-    fast = fftconvolve(ind, np.flip(ind), mode="full")
+    padded = [next_fast_len(2 * n - 1) for n in span]
+    axes = tuple(range(window.d))
+    spec = np.fft.rfftn(ind, padded, axes=axes)
+    circular = np.fft.irfftn(spec.real**2 + spec.imag**2, padded, axes=axes)
+    fast = circular[np.ix_(*(np.arange(1 - n, n) for n in span))]
     counts = np.rint(fast)
     if np.max(np.abs(fast - counts)) < 0.25:
         return counts
+    from scipy.signal import correlate
+
     return correlate(ind, ind, mode="full", method="direct")
 
 
@@ -341,6 +309,8 @@ def parse_covariogram(spec: str, d: int | None = None) -> Covariogram:
     token, _, argstr = spec.partition(":")
     token = token.lower()
     if token == "white":
+        if argstr:
+            raise ConfigError(f"white takes no parameters, got {argstr!r}")
         return Covariogram.white(d or 2)
     if token in ("expsep", "gausssep"):
         kv = _parse_kv(argstr)
@@ -386,7 +356,10 @@ def _parse_kv(argstr: str) -> dict:
         key, eq, val = part.partition("=")
         if not eq:
             raise ConfigError(f"bad parameter {part!r}")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"covariogram parameter {key!r} is given twice")
+        out[key] = val.strip()
     return out
 
 
@@ -400,6 +373,7 @@ def _load_table(path: str) -> Covariogram:
         raise ConfigError("table header must be k1,...,kd,sigma")
     d = len(header) - 1
     entries = {}
+    first_line = {}  # lag -> line it was read from
     for lineno, row in enumerate(rows[1:], 2):
         if not row:
             continue
@@ -408,6 +382,9 @@ def _load_table(path: str) -> Covariogram:
             k = tuple(int(x) for x in row[:-1])
         except ValueError as exc:
             raise ConfigError(f"{where}: lags must be integers, got {row[:-1]}") from exc
+        if k in first_line:
+            raise ConfigError(f"{where}: lag {k} repeats line {first_line[k]}")
+        first_line[k] = lineno
         entries[k] = _spec_number(row[-1], f"{where}: sigma")
         if not math.isfinite(entries[k]):
             raise ConfigError(f"{where}: sigma must be finite, got {row[-1]!r}")

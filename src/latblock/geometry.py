@@ -612,6 +612,8 @@ def parse_template(spec: str) -> Template:
             key = key.strip()
             if key not in schema:
                 raise ConfigError(f"unknown parameter {key!r} for template {token!r}")
+            if key in kwargs:
+                raise ConfigError(f"parameter {key!r} is given twice for template {token!r}")
             try:
                 kwargs[key] = schema[key](val)
             except ValueError as exc:

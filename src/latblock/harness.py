@@ -286,6 +286,11 @@ def config_from_dict(raw: dict) -> StudyConfig:
     replicates = _number(raw["replicates"], "replicates", integer=True)
     if replicates < 100:
         raise ConfigError("studies need at least 100 replicates")
+    if len(regions) * len(covs) * replicates >= 1 << 63:  # one stream index per pair and replicate
+        raise ConfigError(
+            "replicates times region|model pairs must be below 2^63,"
+            f" got {replicates} x {len(regions) * len(covs)}"
+        )
     seed = _number(raw["seed"], "seed", integer=True)
     if not 0 <= seed < 1 << 64:
         raise ConfigError(f"seed must be in [0, 2^64), got {seed}")

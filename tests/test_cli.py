@@ -493,6 +493,70 @@ def test_a_study_with_an_unusable_seed_or_covariogram_exits_2_before_any_draw(
     assert not (tmp_path / "mse.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"regions": [{"name": "r", "template": "circle:r=0.5,r=0.1", "scale": [10, 10]}]},
+            "parameter 'r' is given twice for template 'circle'",
+        ),
+        (
+            {"covariograms": [{"name": "E", "spec": "expsep:b1=1,b1=2,b2=1"}]},
+            "covariogram parameter 'b1' is given twice",
+        ),
+        ({"covariograms": ["white:b=1"]}, "white takes no parameters, got 'b=1'"),
+        (
+            {"replicates": 2**62, "covariograms": ["white", "expsep:b1=1,b2=1"]},
+            "replicates times region|model pairs must be below 2^63, got 4611686018427387904 x 2",
+        ),
+    ],
+)
+def test_a_study_with_a_repeated_parameter_or_unindexable_replicates_exits_2_before_any_draw(
+    capsys, tmp_path, monkeypatch, overrides, message
+):
+    draws = count_draws(monkeypatch)
+    code, out, err = run(["study", "--config", str(study_config(tmp_path, **overrides))], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert draws == []
+    assert not (tmp_path / "mse.csv").exists()
+
+
+def test_the_largest_indexable_replicate_count_is_accepted(tmp_path):
+    two_pairs = ["white", "expsep:b1=1,b2=1"]
+    cfg_path = study_config(tmp_path, replicates=2**62 - 1, covariograms=two_pairs)
+    cfg = json.loads(cfg_path.read_text())
+    assert latblock.harness.config_from_dict(cfg).replicates == 2**62 - 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["circle:r=0.5,r=0.1"], "parameter 'r' is given twice for template 'circle'"),
+        (["hypercube:d=2,d=3"], "parameter 'd' is given twice for template 'hypercube'"),
+        (["hypercube:d=2", "--cov", "expsep:b1=1,b1=2,b2=1"], "covariogram parameter 'b1'"),
+        (["hypercube:d=2", "--cov", "gaussiso:b=1,b=2"], "covariogram parameter 'b'"),
+        (["hypercube:d=2", "--cov", "white:b=1"], "white takes no parameters, got 'b=1'"),
+    ],
+)
+def test_constants_refuses_repeated_or_unused_parameters(capsys, argv, message):
+    code, out, err = run(["constants", "--template", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+def test_a_study_with_unindexable_replicates_exits_2_without_a_traceback(tmp_path):
+    src = Path(latblock.cli.__file__).resolve().parents[1]
+    cfg = study_config(tmp_path, replicates=2**63)
+    done = subprocess.run(
+        [sys.executable, "-m", "latblock.cli", "study", "--config", str(cfg)],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: replicates times region|model pairs must be below 2^63")
+    assert not (tmp_path / "mse.csv").exists()
+
+
 def test_constants_with_a_covariogram_of_another_dimension_exits_2(capsys):
     argv = ["constants", "--template", "hypercube:d=2", "--cov", "expsep:b1=1,b2=1,b3=1"]
     code, out, err = run(argv, capsys)

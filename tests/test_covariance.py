@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len as scipy_next_fast_len
-from scipy.signal import correlate, fftconvolve
 
 import latblock.covariance
 from latblock import Covariogram, Region, Template, b0, exact_tau_n_sq, sigma, tau_sq
@@ -18,7 +20,7 @@ from latblock.covariance import (
     parse_covariogram,
 )
 from latblock.errors import ConfigError, DimensionMismatch
-from latblock.geometry import box_points, lattice_sites, parse_template
+from latblock.geometry import LatticeWindow, box_points, lattice_sites, parse_template
 
 E = math.exp(-1.0)
 
@@ -186,6 +188,28 @@ def test_parse_covariogram_table(tmp_path):
     assert tau_sq(cov) == 1.5
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [("expsep:b1=1,b1=2,b2=1", "b1"), ("gausssep:b1=1,b2=1,b2=3", "b2"), ("gaussiso:b=1,b=2", "b")],
+)
+def test_a_repeated_covariogram_parameter_is_refused(spec, key):
+    with pytest.raises(ConfigError, match=f"^covariogram parameter '{key}' is given twice$"):
+        parse_covariogram(spec)
+
+
+def test_white_noise_refuses_any_parameter():
+    with pytest.raises(ConfigError, match="^white takes no parameters, got 'b=1'$"):
+        parse_covariogram("white:b=1")
+    assert parse_covariogram("white").kind == "white-noise"
+
+
+def test_a_repeated_table_lag_is_refused_naming_both_lines(tmp_path):
+    p = tmp_path / "cov.csv"
+    p.write_text("k1,k2,sigma\n0,0,1.0\n1,0,0.5\n-1,0,0.3\n1,0,0.3\n")
+    with pytest.raises(ConfigError, match=r"cov\.csv line 5: lag \(1, 0\) repeats line 3$"):
+        parse_covariogram(f"table:@{p}")
+
+
 @pytest.mark.parametrize("spec, d", [("expsep:b1=1,b2=1", 3), ("gausssep:b1=1,b2=1,b3=1", 2)])
 def test_separable_betas_of_another_dimension_are_refused(spec, d):
     with pytest.raises(ConfigError, match=f"^covariogram '{spec}' is {5 - d}-dimensional"):
@@ -205,7 +229,16 @@ def direct_lag_counts(window):
     span = tuple(int(h - l + 1) for l, h in zip(window.lo, window.hi))
     ind = np.zeros(span)
     ind[tuple((window.sites - window.lo).T)] = 1.0
-    return correlate(ind, ind, mode="full", method="direct")
+    return scipy.signal.correlate(ind, ind, mode="full", method="direct")
+
+
+def pair_count_lag_counts(window):
+    """Every ordered site pair counted at its lag: the flat lag keys
+    f_i - f_j + size // 2 in the (2 span - 1) lag box, binned."""
+    box = tuple((2 * window.span - 1).tolist())
+    f = np.ravel_multi_index(tuple((window.sites - window.lo).T), box)
+    keys = (f[:, None] - f[None, :]).ravel() + math.prod(box) // 2
+    return np.bincount(keys, minlength=math.prod(box)).reshape(box)
 
 
 @pytest.mark.parametrize(
@@ -221,28 +254,63 @@ def test_fft_lag_counts_equal_direct_counts(spec, scale):
     window = lattice_sites(Region(parse_template(spec), scale))
     counts = lag_counts(window)
     assert counts.shape == tuple(2 * (window.hi - window.lo) + 1)
+    assert counts.dtype == np.float64
     assert np.array_equal(counts, direct_lag_counts(window))
     assert counts.max() == window.n_sites  # the zero lag
 
 
+@settings(max_examples=60)
+@given(d=st.integers(1, 3), data=st.data())
+def test_lag_counts_equal_the_binned_pair_lags_of_any_window(d, data):
+    span = data.draw(st.lists(st.integers(1, [40, 12, 6][d - 1]), min_size=d, max_size=d))
+    bits = data.draw(st.lists(st.booleans(), min_size=math.prod(span), max_size=math.prod(span)))
+    lo = data.draw(st.lists(st.integers(-30, 30), min_size=d, max_size=d))
+    mask = np.array(bits).reshape(span)
+    mask.flat[-1] = True  # at least one site
+    sites = np.argwhere(mask).astype(np.int64) + lo
+    window = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+    counts = lag_counts(window)
+    assert counts.dtype == np.float64
+    assert (counts == pair_count_lag_counts(window)).all()
+
+
 def test_lag_counts_fall_back_to_direct_when_fft_is_not_near_integers(monkeypatch):
     window = lattice_sites(Region(Template.circle(0.5), (9, 9)))
+    want = pair_count_lag_counts(window)
     direct_calls = []
+    irfftn = np.fft.irfftn
+    correlate = scipy.signal.correlate
 
-    def off_by_three_tenths(a, b, mode):
-        return fftconvolve(a, b, mode=mode) + 0.3
+    def off_by_three_tenths(*args, **kwargs):
+        return irfftn(*args, **kwargs) + 0.3
 
     def counting_correlate(*args, **kwargs):
         direct_calls.append(kwargs.get("method"))
         return correlate(*args, **kwargs)
 
-    monkeypatch.setattr(latblock.covariance, "correlate", counting_correlate)
-    assert np.array_equal(lag_counts(window), direct_lag_counts(window))
+    monkeypatch.setattr(scipy.signal, "correlate", counting_correlate)
+    assert (lag_counts(window) == want).all()
     assert direct_calls == []
-    monkeypatch.setattr(latblock.covariance, "fftconvolve", off_by_three_tenths)
+    monkeypatch.setattr(np.fft, "irfftn", off_by_three_tenths)
     counts = lag_counts(window)
     assert direct_calls == ["direct"]
-    assert np.array_equal(counts, direct_lag_counts(window))
+    assert (counts == want).all()
+
+
+# exact_tau_n_sq of each (region, covariogram) pair of perfbench's study
+# workloads, pinned bit for bit: every study CSV is written from these values
+STUDY_ORACLES = [
+    ("hypercube:d=2", (30, 42), "expsep:b1=1,b2=1", 4.4576944665155365),
+    ("hypercube:d=2", (30, 42), "gausssep:b1=0.5,b2=0.3", 7.730736227010069),
+    ("circle:r=0.5", (40, 40), "gaussiso:b=0.5", 6.038179609380685),
+    ("hypercube:d=2", (14, 18), "expsep:b1=1,b2=1", 4.190169583141905),
+]
+
+
+@pytest.mark.parametrize("spec, scale, cov, want", STUDY_ORACLES)
+def test_study_oracles_keep_their_bits(spec, scale, cov, want):
+    window = lattice_sites(Region(parse_template(spec), scale))
+    assert exact_tau_n_sq_window(window, parse_covariogram(cov, d=2)) == want
 
 
 def shell_points_by_filtering(m, d):
@@ -275,30 +343,6 @@ def test_b0_is_unchanged_by_face_built_shells(monkeypatch, spec):
     fast = [b0(template, cov) for cov in covs]
     monkeypatch.setattr(latblock.covariance, "_shell_points", shell_points_by_filtering)
     assert fast == [b0(template, cov) for cov in covs]
-
-
-@pytest.mark.parametrize(
-    "shape_a, shape_b",
-    [
-        ((7,), (7,)),
-        ((7,), (4,)),
-        ((30, 42), (30, 42)),
-        ((101, 37), (9, 5)),
-        ((16, 16, 16), (16, 16, 16)),
-        ((23, 29, 11), (23, 29, 11)),
-        ((9, 8, 7, 3), (9, 8, 7, 3)),
-    ],
-)
-def test_local_fftconvolve_equals_scipy_signal_bit_for_bit(shape_a, shape_b):
-    rng = np.random.default_rng(len(shape_a) * 100 + shape_a[0])
-    a = (rng.random(shape_a) < 0.6).astype(np.float64)
-    b = rng.standard_normal(shape_b)
-    got = latblock.covariance.fftconvolve(a, b, mode="full")
-    want = fftconvolve(a, b, mode="full")
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got, want)
-    with pytest.raises(ValueError):
-        latblock.covariance.fftconvolve(a, b, mode="same")
 
 
 def test_next_fast_len_equals_scipy_real_lengths():

@@ -134,6 +134,16 @@ def test_template_grammar_round_trip():
         parse_template("circle:radius=0.5")
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [("circle:r=0.5,r=0.1", "r"), ("hypercube:d=2,d=3", "d"), ("cylinder:r=0.3,h=0.8,h=0.8", "h")],
+)
+def test_a_repeated_template_parameter_is_refused(spec, key):
+    message = f"^parameter '{key}' is given twice for template '{spec.partition(':')[0]}'$"
+    with pytest.raises(ConfigError, match=message):
+        parse_template(spec)
+
+
 # ---------------------------------------------------------------------------
 # lattice windows
 # ---------------------------------------------------------------------------
