@@ -378,6 +378,8 @@ def _load_table(path: str) -> Covariogram:
         if not row:
             continue
         where = f"{path} line {lineno}"
+        if len(row) != len(header):
+            raise ConfigError(f"{where}: row has {len(row)} fields, header has {len(header)}")
         try:
             k = tuple(int(x) for x in row[:-1])
         except ValueError as exc:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from .covariance import Covariogram, lag_sigma
@@ -29,6 +31,23 @@ CIRCULANT = "circulant"
 
 DEFAULT_SITE_CAP = 5000
 
+_GATHER_BLOCK_CELLS = 1 << 16  # covariance matrix cells indexed at a time
+
+
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence that hands Philox its two 64-bit key words as they are.
+
+    ``Philox(key=...)`` first builds a ``SeedSequence`` from OS entropy, which
+    the key then overrides; ``Philox(_PhiloxKey(key))`` asks this object for
+    its key instead and reaches the same state.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
 
 class RngStream:
     """Counter-based random stream keyed by (seed, replicate index).
@@ -43,7 +62,7 @@ class RngStream:
         self.seed = int(seed)
         self.index = int(index)
         key = np.array([self.seed, self.index], dtype=_U64)
-        self._bits = np.random.Philox(key=key)
+        self._bits = np.random.Philox(_PhiloxKey(key))
 
     def uniforms(self, n: int) -> np.ndarray:
         """Strictly interior uniforms on (0, 1) with 53-bit resolution."""
@@ -98,10 +117,20 @@ class FieldGenerator:
 
 def covariance_matrix(cov: Covariogram, window: LatticeWindow) -> np.ndarray:
     """Dense site-pair covariance matrix in window site order, read from the
-    lag table: site i's flat lag-box position, less site j's, plus the center's."""
+    lag table: site i's flat lag-box position, less site j's, plus the center's.
+
+    The matrix is one C-ordered (N, N) array, filled a block of rows (about
+    ``_GATHER_BLOCK_CELLS`` entries) at a time, so no N x N index is built.
+    """
     table = lag_sigma(cov, window)
     f = (window.sites - window.lo) @ (np.array(table.strides) // table.itemsize)
-    return table.ravel()[f[:, None] - f[None, :] + table.size // 2]
+    row_f = f + table.size // 2
+    n = window.n_sites
+    out = np.empty((n, n))
+    rows = max(1, _GATHER_BLOCK_CELLS // n)
+    for start in range(0, n, rows):
+        out[start : start + rows] = table.ravel()[row_f[start : start + rows, None] - f]
+    return out
 
 
 def _circulant_spectrum(table: np.ndarray):
@@ -131,6 +160,10 @@ def build_generator(
     ``auto`` prefers the spectral route on full rectangular windows and falls
     back to the dense factorization; an explicit ``circulant`` request also
     falls back when the embedding fails, with the reason recorded.
+
+    The dense route factors Sigma in place: ``chol`` is the lower factor in
+    the buffer ``covariance_matrix`` filled, so the build peaks at two N x N
+    float arrays (Sigma and the factorization's work copy) and keeps one.
     """
     if window.n_sites == 0:
         raise EmptyWindow("cannot build a generator on an empty window")
@@ -164,16 +197,20 @@ def build_generator(
         raise WindowTooLarge(
             f"{window.n_sites} sites exceed the dense factorization cap {site_cap}"
         )
-    sigma_mat = covariance_matrix(cov, window)
-    try:
-        chol = np.linalg.cholesky(sigma_mat)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            "covariance matrix on this window is not positive definite"
-        ) from exc
+    chol = covariance_matrix(cov, window)
+    # np.linalg.cholesky's own gufunc and error state, with Sigma's buffer as
+    # the output: the same bits, without a second N x N result
+    with np.errstate(
+        call=_not_positive_definite, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        _umath_linalg.cholesky_lo(chol, out=chol, signature="d->d")
     return FieldGenerator(
         window=window, cov=cov, method=CHOLESKY, diagnostics=diagnostics, chol=chol
     )
+
+
+def _not_positive_definite(err, flag):
+    raise NotPositiveDefinite("covariance matrix on this window is not positive definite")
 
 
 def reconstruction_error(gen: FieldGenerator) -> float:

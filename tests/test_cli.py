@@ -706,6 +706,8 @@ def test_bad_covariogram_parameters_exit_2(capsys, tmp_path, spec, message):
         (["0,0,1.0", "0.5,0,0.25"], "line 3: lags must be integers"),
         (["0,0,1.0", "1,0,inf", "-1,0,inf"], "line 3: sigma must be finite"),
         (["0,0,1.0", "1,0,abc", "-1,0,abc"], "line 3: sigma must be a number"),
+        (["0,0,1.0", "1,0.5"], "line 3: row has 2 fields, header has 3"),
+        (["0,0,1.0", "1,0,0.5,7"], "line 3: row has 4 fields, header has 3"),
     ],
 )
 def test_bad_covariogram_table_rows_exit_2(capsys, tmp_path, rows, message):

@@ -1,6 +1,8 @@
 """Gaussian field simulation: exactness, determinism and stream independence."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from latblock import (
     sample_field,
     substream,
 )
+from latblock import fieldsim
+from latblock.covariance import parse_covariogram
 from latblock.errors import ConfigError, NotPositiveDefinite, WindowTooLarge
 from latblock.fieldsim import (
     RngStream,
@@ -65,6 +69,53 @@ def test_not_positive_definite_detected():
     w = window((5, 1))
     with pytest.raises(NotPositiveDefinite):
         build_generator(bad, w, method="cholesky")
+
+
+def test_an_indefinite_disk_matrix_is_refused_without_a_warning():
+    # the factorization signals failure by the invalid flag; under numpy's
+    # default error state it would warn and return NaNs instead
+    w = window((40, 40), Template.circle(0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite, match="not positive definite$"):
+            build_generator(parse_covariogram("gaussiso:b=0.05"), w)
+
+
+@pytest.mark.parametrize(
+    "spec, scale, model",
+    [
+        ("circle:r=0.5", (40, 40), "gausssep:b1=0.5,b2=0.3"),  # 1257 sites
+        ("righttri", (30, 30), "expsep:b1=0.6,b2=0.8"),
+        ("hex:l=0.5", (24, 24), "gaussiso:b=0.4"),
+        ("sphere:r=0.5", (12, 12, 12), "expsep:b1=1,b2=1,b3=1"),
+        ("circle:r=0.5", (20, 20), "white"),
+    ],
+)
+def test_the_in_place_factor_equals_numpy_cholesky_of_the_pairwise_matrix(spec, scale, model):
+    w = lattice_sites(Region(parse_template(spec), scale))
+    cov = parse_covariogram(model, d=w.d)
+    gen = build_generator(cov, w)
+    assert gen.method == "cholesky"
+    expected = np.linalg.cholesky(pairwise_covariance_matrix(cov, w))
+    assert gen.chol.flags.c_contiguous and gen.chol.strides == expected.strides
+    assert np.array_equal(gen.chol, expected)
+    if model == "white":
+        assert np.array_equal(gen.chol, np.eye(w.n_sites))
+
+
+def test_the_dense_build_holds_one_n_by_n_buffer():
+    w = window((40, 40), Template.circle(0.5))
+    cov = Covariogram.gauss_separable(0.5, 0.3)
+    matrix_bytes = w.n_sites**2 * 8
+    tracemalloc.start()
+    try:
+        gen = build_generator(cov, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gen.chol.nbytes == matrix_bytes
+    # Sigma, factored in place, and blocks of its gather; no second matrix
+    assert peak < 1.25 * matrix_bytes
 
 
 def test_sampling_deterministic_and_replicates_distinct():
@@ -166,6 +217,19 @@ def test_in_place_draws_equal_the_formula_on_fresh_arrays():
         for n in (1, 9, 9512):
             u = ((bits.random_raw(n) >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
             assert np.array_equal(stream.normals(n), ndtri(np.minimum(u, np.nextafter(1.0, 0.0))))
+
+
+# the corner keys, and two study keys: the first replicate of seed 20260810
+# and replicate 99 of the second pair of a 100-replicate study at seed 7
+@pytest.mark.parametrize("seed, index", [(0, 0), (2**64 - 1, 2**64 - 1), (20260810, 0), (7, 199)])
+def test_a_stream_is_philox_keyed_by_seed_and_index(seed, index):
+    keyed = np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    bits = RngStream(seed, index)._bits
+    state, expected = bits.state, keyed.state
+    assert state["state"]["key"].tolist() == expected["state"]["key"].tolist() == [seed, index]
+    assert state["state"]["counter"].tolist() == expected["state"]["counter"].tolist()
+    assert state["buffer_pos"] == expected["buffer_pos"]
+    assert np.array_equal(bits.random_raw(10**4), keyed.random_raw(10**4))
 
 
 def test_serial_equals_parallel_schedule():
@@ -306,18 +370,28 @@ def models(d):
 
 
 @pytest.mark.parametrize(
-    "spec, scale",
+    "spec, scale, rows",
     [
-        ("hypercube:d=1", (9,)),
-        ("hypercube:d=2", (30, 42)),
-        ("circle:r=0.5", (40, 40)),  # 1257 sites
-        ("righttri", (30, 30)),
-        ("sphere:r=0.5", (16, 16, 16)),  # 2109 sites
-        ("hypercube:d=3", (4, 1, 5)),  # a span-1 axis
+        ("hypercube:d=1", (9,), None),
+        ("hypercube:d=2", (30, 42), None),
+        ("circle:r=0.5", (40, 40), None),  # 1257 sites
+        ("righttri", (30, 30), None),
+        ("sphere:r=0.5", (16, 16, 16), None),  # 2109 sites
+        ("hypercube:d=3", (4, 1, 5), None),  # a span-1 axis
+        # gathered a row at a time, 7 rows at a time (a short last block)
+        # and in one block of more rows than sites
+        ("circle:r=0.5", (40, 40), 1),
+        ("circle:r=0.5", (40, 40), 7),
+        ("circle:r=0.5", (40, 40), 5000),
+        ("hypercube:d=3", (4, 1, 5), 1),
+        ("hypercube:d=3", (4, 1, 5), 7),
+        ("hypercube:d=1", (9,), 5000),
     ],
 )
-def test_covariance_matrix_from_the_lag_table_equals_pairwise_sigma(spec, scale):
+def test_covariance_matrix_from_the_lag_table_equals_pairwise_sigma(monkeypatch, spec, scale, rows):
     w = lattice_sites(Region(parse_template(spec), scale))
+    if rows is not None:
+        monkeypatch.setattr(fieldsim, "_GATHER_BLOCK_CELLS", rows * w.n_sites)
     for cov in models(w.d):
         assert np.array_equal(covariance_matrix(cov, w), pairwise_covariance_matrix(cov, w))
 
