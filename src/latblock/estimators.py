@@ -166,6 +166,9 @@ class AnchorGrid:
     the grid ``lo + step * j`` (``0 <= j < shape``, ``lo`` relative to the
     low corner of ``box``, the window's bounding box); ``index`` holds their
     flat grid positions, in design order, or is None when they fill the grid.
+    Like ``runs`` and ``positions``, the add programs that ``grid_sums``
+    runs are built on first use and kept: on a step-1 grid they compute a
+    partial sum that recurs at a shifted flat offset once.
     """
 
     base: np.ndarray  # (sN, d) int64
@@ -200,6 +203,23 @@ class AnchorGrid:
         where = np.ravel_multi_index(cells, self.box if self.step == 1 else self.shape)
         where.setflags(write=False)
         return where
+
+    @cached_property
+    def pairwise_program(self) -> AddProgram:
+        """The ``AddProgram`` of ``grid_sums`` in numpy's pairwise order.  On
+        a step-1 grid a partial sum that recurs at a shifted offset is
+        computed once; a step-s grid's terms are slices that share none."""
+        return self._program(pairwise=True)
+
+    @cached_property
+    def running_program(self) -> AddProgram:
+        """The ``AddProgram`` of ``grid_sums`` left to right."""
+        return self._program(pairwise=False)
+
+    def _program(self, pairwise: bool) -> AddProgram:
+        if self.step == 1:
+            return _compile(*self.runs, pairwise, shared=True)
+        return _compile(list(range(len(self.base))), 1, pairwise, shared=False)
 
 
 @dataclass(frozen=True)
@@ -253,13 +273,22 @@ def _cached_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -
     return plan
 
 
+def _anchor_step(anchors: np.ndarray, lo: np.ndarray) -> int:
+    """The gcd of the anchors' distances from their low corner ``lo``, 1 for
+    one anchor.  Two anchors a unit vector apart make it 1: the first two
+    are checked before the full gcd, which an OL design seldom needs."""
+    if len(anchors) > 1 and np.abs(anchors[1] - anchors[0]).sum() == 1:
+        return 1
+    return int(np.gcd.reduce((anchors - lo).ravel())) or 1
+
+
 def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray):
     """``anchors`` plus ``base`` as a grid on a window, stepped by the gcd of
     the anchors' distances (1 for one anchor); None if it misses a site."""
     if len(base) == 0:
         return None
     lo = anchors.min(axis=0)
-    step = int(np.gcd.reduce((anchors - lo).ravel())) or 1
+    step = _anchor_step(anchors, lo)
     shape = tuple(((anchors.max(axis=0) - lo) // step + 1).tolist())
     index = np.ravel_multi_index(tuple(((anchors - lo) // step).T), shape)
     cells, table = lo - indexer.lo + base, indexer.table
@@ -295,17 +324,21 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
     raise MissingSites(f"sample does not cover every {what} subsample site")
 
 
-def _reduce_theta(plan: SubsamplePlan, theta: np.ndarray, stat: SmoothStatistic):
+def _reduce_theta(
+    plan: SubsamplePlan, theta: np.ndarray, stat: SmoothStatistic, overwrite: bool = False
+):
     """theta_tilde (...) and tau_hat_sq (...) of the statistics theta (..., M).
 
     numpy sums a row in an order set by its memory layout, so the bits
-    depend on theta's strides as well as its values.
+    depend on theta's strides as well as its values.  With ``overwrite``
+    the deviations are computed in theta's memory, which must be laid out
+    as a new array of theta's shape would be.
     """
     if not np.all(np.isfinite(theta)):
         raise StatisticDomainError(f"{stat.name} not finite on some subsample")
     n_sub = theta.shape[-1]
     theta_tilde = theta.sum(-1) / n_sub
-    dev = theta - theta_tilde[..., None]
+    dev = np.subtract(theta, theta_tilde[..., None], out=theta if overwrite else None)
     dev *= dev
     dev *= plan.index_set.counts
     return theta_tilde, dev.sum(-1) / n_sub
@@ -362,74 +395,116 @@ def _lanes(count: int, shape: tuple) -> np.ndarray:
     return buf[:size].reshape(count, *shape)
 
 
-def _running_sum(terms: list, out: np.ndarray | None = None) -> np.ndarray:
-    """``0.0 + terms[0] + terms[1] + ...``, left to right, into ``out`` (by
-    default a workspace lane): numpy's sum of a row shorter than 8, and of
-    any axis that is not innermost in memory."""
-    if out is None:
-        out = _lanes(1, terms[0].shape)[0]
-    np.add(terms[0], 0.0, out=out)
-    for term in terms[1:]:
-        out += term
-    return out
-
-
 def _half(n: int) -> int:
     """Terms in the first half of numpy's split of ``n`` pairwise terms."""
     return n // 2 - n // 2 % 8
 
 
-def _pairwise_sum(terms: list) -> np.ndarray:
-    """Elementwise sum of ``terms`` in numpy's pairwise order for one row,
-    in a workspace lane.
+@dataclass(frozen=True)
+class AddProgram:
+    """A sum of terms as whole-array adds into ``slots`` lanes.
 
-    Element i of the result equals ``np.array([t[i] for t in terms]).sum()``
-    bit for bit, because it sees the same additions in the same order.  Lane
-    0 takes the sum and lanes 1-7 a block's other accumulators; a split at
-    depth k sums its second half into lane 8 + k.
+    Op (out, a, key_a, b, key_b) sets ``lanes[out]`` (operand a itself when
+    out is None) to operand a, ``(terms, lanes)[a][key_a]``, plus operand b,
+    or plus 0.0 when b is None.  On a step-1 grid ``terms`` is the (p, box
+    sites, R) image and the lanes are (p, ``width``, R); a key slices the
+    sites of one or of a lane.  On a step-s grid ``terms`` is the list of
+    the grid's slices, and a key picks one of them or a whole lane.  The
+    last op leaves the total in its lane.
     """
-    n, levels = len(terms), 0
-    while n > _PAIRWISE_BLOCK:
-        n -= _half(n)  # the second half is the larger one
-        levels += 1
-    lanes = _lanes(8 + levels, terms[0].shape)
-    return _pairwise_into(terms, lanes[0], lanes, 8)
+
+    ops: tuple
+    slots: int
+    width: int
 
 
-def _pairwise_into(terms: list, out: np.ndarray, lanes: np.ndarray, level: int) -> np.ndarray:
-    """``_pairwise_sum`` into ``out``, with lanes 1-7 and lanes from
-    ``level`` on as scratch."""
-    n = len(terms)
-    if n < 8:
-        return _running_sum(terms, out)
-    if n > _PAIRWISE_BLOCK:
-        half = _half(n)
-        _pairwise_into(terms[:half], out, lanes, level + 1)
-        out += _pairwise_into(terms[half:], lanes[level], lanes, level + 1)
-        return out
-    # lane j sums the terms t = j (mod 8) of the first n - n % 8
-    body = n - n % 8
-    acc = terms[:8]
-    if body > 8:
-        acc = [out, *lanes[1:8]]
-        for lane, first, second in zip(acc, terms[:8], terms[8:16]):
-            np.add(first, second, out=lane)
-        for i in range(16, body, 8):
-            for lane, term in zip(acc, terms[i:i + 8]):
-                lane += term
-    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), each lane read before it is reused
-    r0, r1, r2, r3, r4, r5, r6, r7 = acc
-    s1, s2 = lanes[1], lanes[2]
-    np.add(r0, r1, out=out)
-    np.add(r2, r3, out=s1)
-    out += s1
-    np.add(r4, r5, out=s1)
-    np.add(r6, r7, out=s2)
-    s1 += s2
-    out += s1
-    for term in terms[body:]:
-        out += term
-    return out
+def _compile(offsets: list, span: int, pairwise: bool, shared: bool) -> AddProgram:
+    """The adds that sum terms at flat ``offsets`` over ``span`` positions,
+    in numpy's order for one row: pairwise, or left to right.
+
+    Each subtree of that order is keyed by its shape and its leaves'
+    offsets, relative to its lowest leaf when ``shared``.  A subtree shifted
+    by delta equals the one it shares a key with read delta positions on, so
+    a key is computed once, over the hull of the positions its uses read.
+    A subtree read by one add only is updated in place by that add, and a
+    lane is reused once its subtree's last reader has run.
+    """
+    ids, parts, uses = {}, [], []  # subtree key -> id; per id its operands, and its readers
+
+    def add(x, y=None):  # x, y: (id, low leaf offset), id -1 for a term; 0.0 + x when y is None
+        (i, a), (j, b) = x, y or (None, x[1])
+        low = a if a < b else b
+        key = (i, a - low, j, b - low) if shared else (i, a, j, b)
+        k = ids.get(key)
+        if k is None:
+            k = ids[key] = len(parts)
+            parts.append(((i, a - low), (j, b - low)) if y else ((i, 0),))  # (id, offset from low)
+            uses.append(0)
+            for c, _ in parts[k]:
+                if c >= 0:
+                    uses[c] += 1
+        return k, low
+
+    def chain(total, rest):
+        for term in rest:
+            total = add(total, term)
+        return total
+
+    def tree(leaves):
+        n = len(leaves)
+        if n < 8 or not pairwise:
+            return chain(add(leaves[0]), leaves[1:])  # 0.0 + t0 + t1 + ...
+        if n > _PAIRWISE_BLOCK:
+            half = _half(n)
+            return add(tree(leaves[:half]), tree(leaves[half:]))
+        # lane j sums the terms t = j (mod 8) of the first n - n % 8
+        body = n - n % 8
+        r = leaves[:8]
+        if body > 8:
+            r = [chain(add(r[j], leaves[j + 8]), leaves[j + 16 : body : 8]) for j in range(8)]
+        total = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])))
+        return chain(total, leaves[body:])
+
+    root, low = tree([(-1, at) for at in offsets])
+    # positions of each subtree to compute, parents (made after their operands) first
+    lo, hi = [math.inf] * len(parts), [-math.inf] * len(parts)
+    lo[root], hi[root] = low, low + span
+    for k in range(root, -1, -1):
+        for c, d in parts[k]:
+            if c >= 0:
+                lo[c], hi[c] = min(lo[c], lo[k] + d), max(hi[c], hi[k] + d)
+
+    def key(src, at, n):  # operand (src, at): its index in terms (src = -1) or in lanes
+        if not shared:
+            return at if src < 0 else src
+        cut = slice(at, at + n)
+        return (slice(None), cut) if src < 0 else (src, slice(None), cut)
+
+    lane, free, ops, slots = [0] * len(parts), [], [], 0
+    left = uses.copy()
+    for k, operands in enumerate(parts):
+        kids = [c for c, _ in operands if c >= 0]
+        once = [c for c in kids if uses[c] == 1]
+        if once:  # its one reader updates its lane in place
+            lane[k] = lane[once[0]]
+            if operands[0][0] != once[0]:  # and reads it first: IEEE addition commutes
+                operands = operands[::-1]
+        elif free:
+            lane[k] = free.pop()
+        else:
+            lane[k], slots = slots, slots + 1
+        for c in kids:
+            left[c] -= 1
+            if left[c] == 0 and lane[c] != lane[k]:
+                free.append(lane[c])
+        n = hi[k] - lo[k]
+        op = [None if once else key(lane[k], 0, n)]
+        for c, d in operands:
+            src, at = (-1, lo[k] + d) if c < 0 else (lane[c], lo[k] + d - lo[c])
+            op += [int(c >= 0), key(src, at, n)]
+        ops.append((*op, None, None) if len(operands) == 1 else tuple(op))
+    width = max(hi[k] - lo[k] for k in range(len(parts)))
+    return AddProgram(tuple(ops), slots, width)
 
 
 def grid_sums(
@@ -443,21 +518,28 @@ def grid_sums(
     sites off the window.  Each base site's values at every anchor make one
     term: on a step-1 grid a contiguous run of the flattened image (``runs``,
     whose positions past a row's last anchor are summed and dropped), on a
-    step-s grid a strided slice.  The terms are summed with whole-array adds
-    into workspace lanes, in numpy's order for a contiguous row of the
-    subsample's values or left to right (``pairwise=False``), and the
-    anchors' sums are taken out of them into a new array.
+    step-s grid a strided slice.  The grid's ``AddProgram`` sums the terms
+    with whole-array adds into workspace lanes, in numpy's order for a
+    contiguous row of the subsample's values or left to right
+    (``pairwise=False``).  On a step-1 grid it computes each partial sum
+    that recurs at a shifted offset once and reads the shifted view.  The
+    anchors' sums are taken out of the total into a new array.
     """
     p, n_fields = image.shape[0], image.shape[-1]
     if image.shape[1:-1] != grid.box:
         raise DimensionMismatch(f"image box {image.shape[1:-1]} is not the design's {grid.box}")
+    program = grid.pairwise_program if pairwise else grid.running_program
     if grid.step == 1:
-        starts, span = grid.runs
-        flat = image.reshape(p, -1)
-        terms = [flat[:, n_fields * a : n_fields * (a + span)] for a in starts]
+        terms = image.reshape(p, -1, n_fields)
+        lanes = _lanes(program.slots, (p, program.width, n_fields))
     else:
         terms = [image[(slice(None), *cut)] for cut in grid.slices]
-    total = _pairwise_sum(terms) if pairwise else _running_sum(terms)
+        lanes = list(_lanes(program.slots, terms[0].shape))
+    arrays = (terms, lanes)
+    for out, a, key_a, b, key_b in program.ops:
+        x = arrays[a][key_a]
+        np.add(x, 0.0 if b is None else arrays[b][key_b], x if out is None else lanes[out])
+    total = x if out is None else lanes[out]
     where = grid.positions if cells is None else grid.positions[cells]
     return np.take(total.reshape(p, -1, n_fields), where, axis=1)
 
@@ -520,7 +602,10 @@ def estimate_blocks(
     theta = np.moveaxis(theta.reshape(n_blocks, n_fields, -1), 1, 0)  # (R, B, M)
     if n_blocks == 1:  # a field's one block: its M statistics are a row, reduced pairwise
         theta = np.ascontiguousarray(theta)
-    return np.ascontiguousarray(_reduce_theta(local, theta, stat)[1])
+    # theta is a compact array (or view of one) that no one else reads: the
+    # deviations overwrite it, so that a call frees one array of this size,
+    # not two, and malloc does not hand the pages back after every call
+    return np.ascontiguousarray(_reduce_theta(local, theta, stat, overwrite=True)[1])
 
 
 def estimate_from_plan(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,11 +21,14 @@ from .constants import ShapeConstants, k0 as shape_k0
 from .errors import (
     ConfigError,
     DegenerateSubsampling,
+    EmptySubsampleSet,
+    EmptyWindow,
     InsufficientCandidates,
     LatblockError,
     ZeroBiasConstant,
 )
 from .estimators import (
+    DESIGN_CACHE_SIZE,
     FieldSample,
     SmoothStatistic,
     SubsamplePlan,
@@ -33,7 +37,15 @@ from .estimators import (
     estimate_image,
     field_image,
 )
-from .geometry import NOL, OL, LatticeWindow, Region, SubsampleSpec, lattice_sites
+from .geometry import (
+    NOL,
+    OL,
+    LatticeWindow,
+    Region,
+    SubsampleSpec,
+    enumerate_nol,
+    lattice_sites,
+)
 
 
 @dataclass(frozen=True)
@@ -50,12 +62,36 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _clamp_scale(x: float, region: Region | None) -> int:
+def _clamp_scale(x: float, region: Region | None, scheme: str) -> int:
     v = max(1, _round_half_up(x))
-    if region is not None:
-        hi = max(1, int(math.ceil(min(region.scale))) - 1)
-        v = min(v, hi)
-    return v
+    return v if region is None else min(v, _scale_cap(region, scheme))
+
+
+@lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _scale_cap(region: Region, scheme: str) -> int:
+    """The largest integer scale a selector returns on ``region``: one below
+    its shortest side, and for NOL the last scale up to which every NOL
+    design on the region's template holds at least two subsamples.
+
+    The count of NOL subsamples falls as the scale grows, so that is the
+    largest scale with two; the scan goes up from 1 because the designs near
+    the side are the costly ones to build.
+    """
+    cap = max(1, math.ceil(min(region.scale)) - 1)
+    if scheme == OL:
+        return cap
+    s_lam = 1
+    while s_lam < cap and _nol_subsamples(region, s_lam + 1) >= 2:
+        s_lam += 1
+    return s_lam
+
+
+def _nol_subsamples(region: Region, s_lam: int) -> int:
+    try:
+        design = enumerate_nol(region, SubsampleSpec(region.template, float(s_lam), NOL))
+    except (EmptySubsampleSet, EmptyWindow):
+        return 0
+    return design.n_subsamples
 
 
 def theoretical_scaling(
@@ -100,7 +136,7 @@ def theoretical_scaling(
     diagnostics = dict(
         d=d, det_delta=det_delta, b0=b0, tau_sq=tau_sq, k0=shape.k0, volume=shape.volume
     )
-    return ScalingPlan(scheme, float(lam), _clamp_scale(lam, region), diagnostics)
+    return ScalingPlan(scheme, float(lam), _clamp_scale(lam, region, scheme), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +271,9 @@ def hj_designs(
     return HjDesign(blocks, tuple(local), tuple(dropped), ratio)
 
 
-def hj_choose(usable: list, mse_curve, volume_ratio: float, region: Region) -> tuple:
-    """(pilot argmin, recalibrated scale, its clamped integer) of an MSE curve.
+def hj_choose(usable: list, mse_curve, volume_ratio: float, region: Region, scheme: str) -> tuple:
+    """(pilot argmin, recalibrated scale, its integer clamped for ``scheme``)
+    of an MSE curve.
 
     The argmin breaks ties toward the smallest of the sorted ``usable``
     candidates.
@@ -245,7 +282,7 @@ def hj_choose(usable: list, mse_curve, volume_ratio: float, region: Region) -> t
         raise DegenerateSubsampling("no candidate scale is estimable on the pilot blocks")
     best = usable[int(np.argmin(mse_curve))]
     lam_real = hj_recalibrate(float(best), volume_ratio, region.d)
-    return best, lam_real, _clamp_scale(lam_real, region)
+    return best, lam_real, _clamp_scale(lam_real, region, scheme)
 
 
 def hj_scaling(
@@ -384,7 +421,9 @@ class SelectorEngine:
             curves[lm] = usable, sorted(dropped), mse
         usable, dropped, mse = curves[lm]
         curve = [row[r] for row in mse]
-        best, lam_real, lam_int = hj_choose(usable, curve, design.volume_ratio, self.region)
+        best, lam_real, lam_int = hj_choose(
+            usable, curve, design.volume_ratio, self.region, self.scheme
+        )
         diagnostics = dict(
             lambda_m=lm, candidates=list(usable), dropped=list(dropped), mse_curve=curve,
             s_hat_pilot=best, proxy_tau_sq=proxy[r], volume_ratio=design.volume_ratio,

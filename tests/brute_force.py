@@ -4,7 +4,8 @@ copies built one copy at a time, the covariogram evaluated at every site pair
 or wrapped torus lag, the circulant draw by one full ``fftn`` of the
 embedding torus, the shape-constant quadrature by ``scipy.fft``, a design's
 estimate by gathering its (M, sN) rows of sample values (copy by copy for a
-ragged design), the npi and hj selectors on one sample through that gather,
+ragged design), a grid's subsample sums by adding its terms one by one in
+numpy's order, the npi and hj selectors on one sample through that gather,
 and the selector study run one replicate at a time.
 
 A plain helper module, imported by the estimator, geometry, covariance, field
@@ -20,7 +21,14 @@ from scipy.fft import fftn, next_fast_len, rfft
 from latblock.constants import _SLAB_BINS
 from latblock.constants import k0 as shape_k0
 from latblock.errors import EmptyWindow, LatblockError, MissingSites
-from latblock.estimators import FieldSample, _check_core, _reduce_theta, design_plan
+from latblock.estimators import (
+    _PAIRWISE_BLOCK,
+    FieldSample,
+    _check_core,
+    _half,
+    _reduce_theta,
+    design_plan,
+)
 from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
 from latblock.geometry import (
     _EQ_TOL,
@@ -268,6 +276,85 @@ def gather_ragged(plan, window, values, stat):
     return (theta, *_reduce_theta(plan, theta, stat))
 
 
+def running_sum(terms: list, out: np.ndarray | None = None) -> np.ndarray:
+    """``0.0 + terms[0] + terms[1] + ...``, left to right, into ``out`` (by
+    default a new array): numpy's sum of a row shorter than 8, and of any
+    axis that is not innermost in memory."""
+    if out is None:
+        out = np.empty_like(terms[0])
+    np.add(terms[0], 0.0, out=out)
+    for term in terms[1:]:
+        out += term
+    return out
+
+
+def pairwise_sum(terms: list) -> np.ndarray:
+    """Elementwise sum of ``terms`` in numpy's pairwise order for one row.
+
+    Element i of the result equals ``np.array([t[i] for t in terms]).sum()``
+    bit for bit, because it sees the same additions in the same order.  Lane
+    0 takes the sum and lanes 1-7 a block's other accumulators; a split at
+    depth k sums its second half into lane 8 + k.
+    """
+    n, levels = len(terms), 0
+    while n > _PAIRWISE_BLOCK:
+        n -= _half(n)  # the second half is the larger one
+        levels += 1
+    lanes = np.empty((8 + levels, *terms[0].shape))
+    return _pairwise_into(terms, lanes[0], lanes, 8)
+
+
+def _pairwise_into(terms: list, out: np.ndarray, lanes: np.ndarray, level: int) -> np.ndarray:
+    """``pairwise_sum`` into ``out``, with lanes 1-7 and lanes from
+    ``level`` on as scratch."""
+    n = len(terms)
+    if n < 8:
+        return running_sum(terms, out)
+    if n > _PAIRWISE_BLOCK:
+        half = _half(n)
+        _pairwise_into(terms[:half], out, lanes, level + 1)
+        out += _pairwise_into(terms[half:], lanes[level], lanes, level + 1)
+        return out
+    # lane j sums the terms t = j (mod 8) of the first n - n % 8
+    body = n - n % 8
+    acc = terms[:8]
+    if body > 8:
+        acc = [out, *lanes[1:8]]
+        for lane, first, second in zip(acc, terms[:8], terms[8:16]):
+            np.add(first, second, out=lane)
+        for i in range(16, body, 8):
+            for lane, term in zip(acc, terms[i:i + 8]):
+                lane += term
+    # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), each lane read before it is reused
+    r0, r1, r2, r3, r4, r5, r6, r7 = acc
+    s1, s2 = lanes[1], lanes[2]
+    np.add(r0, r1, out=out)
+    np.add(r2, r3, out=s1)
+    out += s1
+    np.add(r4, r5, out=s1)
+    np.add(r6, r7, out=s2)
+    s1 += s2
+    out += s1
+    for term in terms[body:]:
+        out += term
+    return out
+
+
+def replayed_grid_sums(grid, image, pairwise=True):
+    """``grid_sums`` of every anchor of ``grid``, each base site's term
+    added into one running total (``pairwise_sum`` or ``running_sum``), with
+    no partial sum shared."""
+    p, n_fields = image.shape[0], image.shape[-1]
+    if grid.step == 1:
+        starts, span = grid.runs
+        flat = image.reshape(p, -1)
+        terms = [flat[:, n_fields * a : n_fields * (a + span)] for a in starts]
+    else:
+        terms = [image[(slice(None), *cut)] for cut in grid.slices]
+    total = pairwise_sum(terms) if pairwise else running_sum(terms)
+    return np.take(total.reshape(p, -1, n_fields), grid.positions, axis=1)
+
+
 def gather_tau(sample, region, spec, stat) -> float:
     """tau_hat_sq of ``spec`` on ``sample`` by ``gather_estimate``."""
     plan = design_plan(sample.window, region, spec)
@@ -329,7 +416,7 @@ def hj_scaling_reference(
         mse_curve.append(float(np.mean((tau_blocks - proxy) ** 2)))
         usable.append(c)
 
-    best, lam_real, lam_int = hj_choose(usable, mse_curve, design.volume_ratio, region)
+    best, lam_real, lam_int = hj_choose(usable, mse_curve, design.volume_ratio, region, scheme)
     return ScalingPlan(
         scheme=scheme,
         lambda_opt_real=float(lam_real),

@@ -1,6 +1,7 @@
 """The replicate-batched estimator core (``estimate_image``) and the MSE study
 loop that feeds it: every estimate equals the per-replicate core bit for bit."""
 
+import math
 import sys
 import threading
 import time
@@ -8,7 +9,16 @@ import warnings
 
 import numpy as np
 import pytest
-from brute_force import design_rows, gather_estimate, gather_ragged, per_replicate_phi_rows
+from hypothesis import given
+from hypothesis import strategies as st
+from brute_force import (
+    design_rows,
+    gather_estimate,
+    gather_ragged,
+    pairwise_sum,
+    per_replicate_phi_rows,
+    replayed_grid_sums,
+)
 
 import latblock.harness
 from latblock.covariance import exact_tau_n_sq_window
@@ -20,7 +30,8 @@ from latblock.errors import (
     StatisticDomainError,
 )
 from latblock.estimators import (
-    _pairwise_sum,
+    AnchorGrid,
+    _anchor_step,
     design_plan,
     estimate_blocks,
     estimate_image,
@@ -144,7 +155,90 @@ def test_pairwise_sum_replays_the_numpy_row_sum():
     rng = np.random.default_rng(5)
     for n in [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 300, 1030]:
         rows = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-3, 6, (6, n))
-        assert np.array_equal(_pairwise_sum(list(rows.T)), rows.sum(-1))
+        assert np.array_equal(pairwise_sum(list(rows.T)), rows.sum(-1))
+
+
+def _base_pattern(kind, d, count, rng):
+    """About ``count`` sites of a box, a disk or a random subset of a box, as
+    (sN, d) offsets from their low corner; the subset in random order."""
+    if kind == "box":
+        side = max(1, round(count ** (1 / d)))
+        return np.indices((side,) * d).reshape(d, -1).T
+    if kind == "disk":
+        radius = (count * math.gamma(d / 2 + 1) / math.pi ** (d / 2)) ** (1 / d)
+        cells = np.indices((2 * math.ceil(radius) + 1,) * d).reshape(d, -1).T
+        inside = cells[((cells - math.ceil(radius)) ** 2).sum(1) <= radius**2]
+        return inside - inside.min(0)
+    side = math.ceil((2 * count) ** (1 / d)) + 1
+    cells = np.indices((side,) * d).reshape(d, -1).T
+    picked = cells[rng.choice(len(cells), size=min(count, len(cells)), replace=False)]
+    return picked - picked.min(0)
+
+
+@given(
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["box", "disk", "subset"]),
+    count=st.sampled_from([8, 128, 256]).flatmap(lambda n: st.integers(max(1, n - 9), n + 9)),
+    step=st.sampled_from([1, 1, 2]),
+    p=st.sampled_from([1, 2]),
+    n_fields=st.sampled_from([1, 3, 26]),
+    zeros=st.sampled_from([0.0, 0.5, 1.0]),
+    negative=st.sampled_from([0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_add_programs_equal_the_one_by_one_sums(
+    d, kind, count, step, p, n_fields, zeros, negative, seed
+):
+    """Every anchor's sum, with partial sums shared across shifted subtrees,
+    has the bits of adding the grid's terms one by one in numpy's order:
+    for each order, base shape, term count, column count and R, on fields of
+    1e-3 to 1e6 with signed zeros."""
+    rng = np.random.default_rng(seed)
+    base = _base_pattern(kind, d, count, rng)
+    shape = tuple(rng.integers(1, 5 if d < 3 else 3, d).tolist())
+    lo = rng.integers(0, 3, d)
+    reach = lo + base.max(0) + step * (np.array(shape) - 1)
+    box = tuple((reach + 1 + rng.integers(0, 3, d)).tolist())
+    grid = AnchorGrid(base, tuple(lo.tolist()), step, shape, None, box)
+    size = (p, *box, n_fields)
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3, 6, size)
+    zero = rng.random(values.shape) < zeros
+    values[zero] = np.where(rng.random(int(zero.sum())) < negative, -0.0, 0.0)
+    for pairwise in (True, False):
+        got = grid_sums(grid, values, pairwise)
+        want = replayed_grid_sums(grid, values, pairwise)
+        assert got.shape == (p, math.prod(shape), n_fields)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_shared_partial_sums_cut_the_adds_of_ol_box_designs():
+    # one add per node of numpy's tree: 15, 63 and 376 without sharing
+    region = Region(Template.hypercube(2), (30, 42))
+    window = lattice_sites(region)
+    adds = {
+        s: len(design_plan(window, region, SubsampleSpec(region.template, float(s), "ol"))
+               .grids[0].pairwise_program.ops)
+        for s in range(2, 11)
+    }
+    assert adds[4] <= 4 and adds[8] <= 10
+    assert sum(adds.values()) <= 200
+
+
+@given(
+    d=st.integers(1, 3),
+    step=st.integers(1, 5),
+    cells=st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=1, max_size=30),
+    unit=st.none() | st.integers(0, 5),
+    corner=st.lists(st.integers(-50, 50), min_size=3, max_size=3),
+)
+def test_anchor_step_is_the_gcd_of_the_anchor_distances(d, step, cells, unit, corner):
+    anchors = np.array(cells, np.int64)[:, :d] * step + np.array(corner[:d])
+    if unit is not None:  # the first two anchors a unit vector apart
+        move = np.zeros(d, np.int64)
+        move[unit % d] = 1 if unit < 3 else -1
+        anchors = np.vstack([anchors[:1], anchors[:1] + move, anchors[1:]])
+    lo = anchors.min(axis=0)
+    assert _anchor_step(anchors, lo) == (int(np.gcd.reduce((anchors - lo).ravel())) or 1)
 
 
 def test_image_core_keeps_the_core_checks():

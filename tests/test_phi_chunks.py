@@ -4,6 +4,7 @@ estimates gathered from whole-window sums equal the estimator core on the
 pilot blocks bit for bit."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from latblock.harness import (
     plan_study,
     run_study,
 )
-from latblock.scaling import SelectorEngine, hj_choose, hj_designs
+from latblock.scaling import SelectorEngine, _scale_cap, hj_choose, hj_designs
 
 REPLICATES = 100
 
@@ -113,14 +114,10 @@ def test_chunked_rows_equal_the_per_replicate_reference(monkeypatch, name, chunk
     assert max(gathers) == min(chunk, 3) * widest
     assert rows == reference_rows(name, statistic)
     assert len(rows) == 6
-    # momvar's npi (0.5, 0.5) picks a one-cube NOL scale on one replicate of the box
-    freq = [REPLICATES] * 6
-    notes = [""] * 6
-    if (name, statistic) == ("nol-box", "momvar"):
-        assert (rows[1].method, rows[1].c1, rows[1].c2) == ("npi", 0.5, 0.5)
-        freq[1], notes[1] = REPLICATES - 1, "failed 1: DegenerateSubsampling"
-    assert [sum(row.freq.values()) for row in rows] == freq
-    assert [row.note for row in rows] == notes
+    # the NOL cap keeps momvar's npi (0.5, 0.5) off the one-cube scale it asks
+    # for on one replicate of the box
+    assert [sum(row.freq.values()) for row in rows] == [REPLICATES] * 6
+    assert [row.note for row in rows] == [""] * 6
     # chunks of 7 leave a last chunk of 2
     full, last = divmod(REPLICATES, chunk)
     assert sizes == [chunk] * full + [last] * (last > 0)
@@ -196,14 +193,21 @@ def test_block_gather_equals_the_core_on_the_pilot_blocks(
 def test_hj_choose_breaks_ties_toward_the_smallest_candidate():
     region = Region(Template.hypercube(2), (14, 18))
     ratio = 14 * 18 / 8.0**2
-    best, lam_real, lam_int = hj_choose([2, 3, 5], [0.4, 0.1, 0.1], ratio, region)
+    best, lam_real, lam_int = hj_choose([2, 3, 5], [0.4, 0.1, 0.1], ratio, region, "ol")
     assert best == 3
     assert lam_real == 3.0 * ratio ** 0.25 and lam_int == round(lam_real)
     with pytest.raises(DegenerateSubsampling):
-        hj_choose([], [], ratio, region)
+        hj_choose([], [], ratio, region, "ol")
 
 
-# npi picks s = 14 for c2 = 0.8 on replicate 31 (counting from 0), and at
+def test_hj_choose_clamps_to_the_cap_of_its_scheme():
+    region = Region(Template.hypercube(2), (30, 40))
+    ratio = 30 * 40 / 8.0**2  # candidate 7 recalibrates to 14.57
+    assert hj_choose([7], [0.1], ratio, region, "ol")[2] == 15
+    assert hj_choose([7], [0.1], ratio, region, "nol")[2] == 13
+
+
+# npi asks for s = 14 for c2 = 0.8 on replicate 31 (counting from 0), and at
 # s >= 14 one NOL cube fits in the 30 x 40 box
 FAILING = {
     "regions": [{"name": "r", "template": "hypercube:d=2", "scale": [30, 40]}],
@@ -219,12 +223,19 @@ FAILING = {
 }
 
 
-def test_both_selector_paths_fail_the_same_replicate():
+def scheme_blind_cap(region, scheme):
+    """A cap that ignores the scheme, one below the shortest side: under it
+    npi (0.5, 0.8) takes the one-cube s = 14 on replicate 31."""
+    return math.ceil(min(region.scale)) - 1
+
+
+def test_both_selector_paths_clamp_npi_to_the_nol_cap():
     config = config_from_dict(FAILING)
     sel, stat = config.selectors, config.statistic
     methods = [("npi", c1, c2, None) for c1 in sel.npi_c1 for c2 in sel.npi_c2]
     (pair,) = plan_study(config, mse=False, phi=True).pairs
     region, tau_n, samples = config.regions[0].region(), pair.tau_n, pair.samples
+    assert (_scale_cap(region, "ol"), _scale_cap(region, "nol")) == (29, 13)
     engine = SelectorEngine(samples.window, region, methods, sel.scheme)
     _, outcomes, tau_opt = _replicate_pass(samples, [], engine, {}, 5)
     chunked = [
@@ -233,14 +244,16 @@ def test_both_selector_paths_fail_the_same_replicate():
     ]
     single = per_replicate_deviations(samples, region, stat, sel, methods, 5, tau_n)
     assert chunked == single
-    failed = [
-        (rep, i) for rep, out in enumerate(single) for i, o in enumerate(out) if isinstance(o, str)
-    ]
-    assert failed == [(31, 1)] and single[31][1] == "DegenerateSubsampling"
+    # under scheme_blind_cap replicate 31's s = 14 fails as
+    # DegenerateSubsampling; the NOL cap of 13 keeps every replicate estimable
+    assert not any(isinstance(o, str) for out in single for o in out)
+    assert single[31][1][0] == 13
 
 
 @pytest.mark.parametrize("chunk", [1, 7, REPLICATES])
 def test_a_failed_replicate_fails_only_its_setting(monkeypatch, chunk):
+    # the scheme-blind cap makes one replicate of one setting fail
+    monkeypatch.setattr(latblock.scaling, "_scale_cap", scheme_blind_cap)
     config = config_from_dict(FAILING)
     monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", chunk * 30 * 40)
     rows = phi_study(config)
@@ -252,6 +265,8 @@ def test_a_failed_replicate_fails_only_its_setting(monkeypatch, chunk):
 
 @functools.lru_cache(maxsize=None)
 def failing_reference():
+    """The per-replicate rows of ``FAILING``; every caller runs it under
+    ``scheme_blind_cap``."""
     return per_replicate_phi_rows(config_from_dict(FAILING))
 
 

@@ -38,7 +38,7 @@ from latblock.estimators import (
     moment_variance,
     ratio_of_means,
 )
-from latblock.geometry import lattice_sites
+from latblock.geometry import enumerate_nol, lattice_sites
 from latblock.scaling import SelectorEngine, hj_recalibrate, npi_pilot_scales
 
 B0_CUBE_E11 = 7.969179068221  # 2 * S1 * S0 geometric series
@@ -391,3 +391,34 @@ def test_select_on_replicates_equals_select_on_each(stat_name, scheme):
     failed = ["ConfigError"] * 2 + done[2:]
     classes = [[type(plan).__name__ for plan in plans] for plans in together]
     assert classes == [done, done, failed, done, done]
+
+
+@pytest.mark.parametrize(
+    "template, scale, nol_cap",
+    [
+        ("hypercube:d=2", (30, 40), 13),
+        ("hypercube:d=2", (14, 18), 6),
+        ("circle:r=0.5", (40, 40), 13),
+        ("sphere:r=0.5", (12, 12, 12), 4),
+    ],
+)
+def test_the_nol_cap_is_the_last_scale_with_two_subsamples(template, scale, nol_cap):
+    region = Region(parse_template(template), scale)
+    side_cap = math.ceil(min(scale)) - 1
+    assert scaling._scale_cap(region, "ol") == side_cap
+
+    def count(s_lam):
+        spec = SubsampleSpec(region.template, float(s_lam), "nol")
+        try:
+            return enumerate_nol(region, spec).n_subsamples
+        except EmptySubsampleSet:
+            return 0
+
+    counts = [count(s_lam) for s_lam in range(1, side_cap + 1)]
+    assert min(counts[:nol_cap]) >= 2 and max(counts[nol_cap:]) < 2
+    assert scaling._scale_cap(region, "nol") == nol_cap
+    # theory, like npi and hj, clamps to its scheme's cap
+    shape = k0(region.template)
+    for scheme, cap in [("ol", side_cap), ("nol", nol_cap)]:
+        plan = theoretical_scaling(region.d, region.det_scale(), 50.0, 1.0, shape, scheme, region)
+        assert plan.lambda_opt_real > cap + 1 and plan.lambda_opt_int == cap
