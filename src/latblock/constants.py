@@ -240,4 +240,4 @@ def b0(
     def term(lags: np.ndarray) -> np.ndarray:
         return template.geom.bias_weight(lags) * cov.sigma_many(lags)
 
-    return sum_over_shells(term, template.d, rel_tol=rel_tol, include_origin=False)
+    return sum_over_shells(term, template.d, rel_tol=rel_tol)

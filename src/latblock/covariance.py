@@ -178,19 +178,17 @@ def tau_sq(cov: Covariogram, rel_tol: float = 1e-10) -> float:
     return total
 
 
-def sum_over_shells(term_fn, d: int, rel_tol: float = 1e-10, include_origin=True):
-    """Sum term_fn over Z^d by sup-norm shells with a relative stopping rule.
+def sum_over_shells(term_fn, d: int, rel_tol: float = 1e-10):
+    """Sum term_fn over Z^d less the origin by sup-norm shells with a
+    relative stopping rule.
 
     ``term_fn`` maps an (m, d) integer array to values; stopping compares the
     newest shell's absolute mass against the absolute partial sum.
     """
     if rel_tol <= 0:
         raise ConfigError("rel_tol must be positive")
-    total = 0.0
-    if include_origin:
-        total += float(term_fn(np.zeros((1, d), dtype=np.int64))[0])
+    total = abs_total = 0.0
     m = 1
-    abs_total = abs(total)
     while True:
         shell = _shell_points(m, d)
         vals = np.asarray(term_fn(shell), float)

@@ -14,12 +14,10 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -92,7 +90,6 @@ class StudyConfig:
     regions: tuple
     covariograms: tuple  # ((name, Covariogram), ...)
     statistic: SmoothStatistic
-    statistic_name: str
     schemes: tuple
     sub_templates: tuple  # ((name, Template | None), ...); None = region template
     s_lambda_grid: dict  # region name -> tuple of ints
@@ -348,7 +345,6 @@ def config_from_dict(raw: dict) -> StudyConfig:
         regions=tuple(regions),
         covariograms=tuple(covs),
         statistic=statistic,
-        statistic_name=stat_name,
         schemes=schemes,
         sub_templates=tuple(subs),
         s_lambda_grid=grid,
@@ -513,69 +509,54 @@ class Replicates:
         """Each chunk's ``field_image``, in order, as many replicates a chunk
         as fill ``_IMAGE_BLOCK_CELLS`` cells of the window's bounding box.
 
-        A chunk is drawn ``_PIECE`` replicates at a time.  On the circulant
-        route one helper thread draws pieces of the next chunk while the
-        caller works on this one, and the caller draws the pieces left when
-        it asks for that chunk; close the iterator (``contextlib.closing``)
-        so that the helper stops after its current piece.  The dense route
-        draws on the caller's thread: its matrix-vector products already run
-        on every core.  A draw's error is raised in the caller.
+        A chunk is drawn ``_PIECE`` replicates at a time: its pieces wait in
+        a deque, front first, and each is drawn by the thread that pops it.
+        On the circulant route one helper thread draws pieces of the next
+        chunk while the caller works on this one, and the caller draws the
+        pieces left when it asks for that chunk; close the iterator
+        (``contextlib.closing``) so that the helper stops after its current
+        piece.  The dense route draws on the caller's thread: its
+        matrix-vector products already run on every core.  A draw's error
+        is raised in the caller.
         """
         cells = int(np.prod(self.window.span)) * self.stat.p  # per replicate
+        block = max(1, _IMAGE_BLOCK_CELLS // cells)
         gen = build_generator(self.cov, self.window)
-        return self._draw(gen, max(1, _IMAGE_BLOCK_CELLS // cells))
-
-    def _draw_piece(self, gen, reps, rows) -> None:
-        fields = sample_fields(gen, [substream(self.seed, rep) for rep in reps])
-        for row, values in zip(rows, fields):
-            row[:] = lift_for_statistic(FieldSample(self.window, values), self.stat.name).values
-
-    def _draw(self, gen, block: int):
         table, shape = self.window.indexer().table, (self.window.n_sites, self.stat.p)
-        draw_piece = partial(self._draw_piece, gen)
-        chunk = _ChunkDraw(self.streams[:block], shape, draw_piece)
+
+        def chunk(start: int):
+            """The values of the chunk from ``start`` and its (replicates, rows) pieces."""
+            reps = self.streams[start : start + block]
+            values = np.empty((len(reps), *shape))
+            rows = range(0, len(reps), _PIECE)
+            return values, deque((reps[i : i + _PIECE], values[i : i + _PIECE]) for i in rows)
+
+        def draw(pieces: deque) -> None:
+            """Pop and draw pieces until none is left."""
+            while True:
+                try:
+                    reps, rows = pieces.popleft()  # thread-safe: each piece goes to one thread
+                except IndexError:
+                    return
+                fields = sample_fields(gen, [substream(self.seed, rep) for rep in reps])
+                for row, values in zip(rows, fields):
+                    row[:] = lift_for_statistic(FieldSample(self.window, values), self.stat.name).values
+
+        values, pieces = chunk(0)
         pool = ThreadPoolExecutor(1) if gen.method == CIRCULANT else None
-        helper = pool and pool.submit(chunk.draw)
+        helper = pool and pool.submit(draw, pieces)
         try:
             for start in range(block, len(self.streams) + block, block):
-                chunk.draw()  # the pieces that the helper has not claimed
+                draw(pieces)  # the pieces that the helper has not popped
                 if helper is not None:
                     helper.result()  # the helper's pieces are drawn, or its error raised
-                ready, chunk = chunk, _ChunkDraw(self.streams[start : start + block], shape, draw_piece)
-                helper = pool and pool.submit(chunk.draw)
-                yield field_image(table, ready.values)
+                ready, (values, pieces) = values, chunk(start)
+                helper = pool and pool.submit(draw, pieces)
+                yield field_image(table, ready)
         finally:
-            chunk.stop()
+            pieces.clear()  # the helper stops after its current piece
             if pool is not None:
                 pool.shutdown()
-
-
-class _ChunkDraw:
-    """The values (len(reps), *shape) of replicates ``reps``, drawn
-    ``_PIECE`` replicates at a time by the threads that call ``draw``: each
-    piece by the thread that claims it."""
-
-    def __init__(self, reps, shape: tuple, draw_piece):
-        self.values = np.empty((len(reps), *shape))
-        rows = range(0, len(reps), _PIECE)
-        self._pieces = iter([(reps[i : i + _PIECE], self.values[i : i + _PIECE]) for i in rows])
-        self._draw_piece = draw_piece  # (replicates, their rows of values)
-        self._lock = threading.Lock()
-        self._stopped = False
-
-    def draw(self) -> None:
-        """Claim and draw pieces until none is left or ``stop`` was called."""
-        while (piece := self._claim()) is not None:
-            self._draw_piece(*piece)
-
-    def stop(self) -> None:
-        """Let no thread claim another piece."""
-        with self._lock:
-            self._stopped = True
-
-    def _claim(self):
-        with self._lock:
-            return None if self._stopped else next(self._pieces, None)
 
 
 @dataclass(frozen=True)

@@ -595,6 +595,24 @@ def test_a_selector_study_over_a_dead_oracle_column_draws_no_field(capsys, tmp_p
     assert not (tmp_path / "phi.csv").exists()
 
 
+def test_a_momvar_study_missing_a_pair_tau_n_sq_draws_no_field(capsys, tmp_path, monkeypatch):
+    draws = count_draws(monkeypatch)
+    cfg_path = study_config(
+        tmp_path,
+        covariograms=[
+            {"name": "white", "spec": "white"},
+            {"name": "E", "spec": "expsep:b1=1,b2=1"},
+        ],
+        statistic="momvar",
+        tau_n_sq={"r|white": 2.0},  # none for r|E
+    )
+    code, out, err = run(["study", "--config", str(cfg_path)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: normalized MSE needs tau_n_sq overrides for nonlinear statistics\n"
+    assert draws == []
+    assert not (tmp_path / "mse.csv").exists()
+
+
 @pytest.mark.parametrize(
     "outputs, message",
     [

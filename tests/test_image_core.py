@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from brute_force import (
     replayed_grid_sums,
 )
 
+import latblock.estimators
 import latblock.harness
-from latblock.covariance import exact_tau_n_sq_window
+from latblock.covariance import exact_tau_n_sq_window, parse_covariogram
 from latblock.errors import (
     DegenerateSubsampling,
     DimensionMismatch,
@@ -417,6 +419,40 @@ def test_an_image_of_another_window_is_refused():
         estimate_image(plan, image, mean_statistic())
 
 
+@pytest.mark.parametrize("stat", [mean_statistic(), moment_variance()], ids=["mean", "momvar"])
+def test_lanes_past_the_workspace_cap_give_the_same_estimates(monkeypatch, stat):
+    window = lattice_sites(BOX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        # a ragged design: four anchor grids, whose lanes differ in size
+        plan = design_plan(window, BOX, SubsampleSpec(BOX.template, 2.5, "nol"))
+    x = fields(window, 5, 8)
+    image = field_image(window.indexer().table, np.stack([x, x * x], -1)[..., : stat.p])
+    sizes, lanes = [], latblock.estimators._lanes
+
+    def spy(count, shape):
+        sizes.append(count * math.prod(shape))
+        return lanes(count, shape)
+
+    monkeypatch.setattr(latblock.estimators, "_lanes", spy)
+    want = estimate_image(plan, image, stat)
+    cap = sorted(sizes)[1]  # some grids' lanes fit under it, and some do not
+    assert min(sizes) <= cap < max(sizes)
+    monkeypatch.setattr(latblock.estimators, "_WORKSPACE_FLOATS", cap)
+    got = {}
+
+    def run():  # on a fresh thread, whose workspace starts empty
+        got["estimate"] = estimate_image(plan, image, stat)
+        got["workspace"] = latblock.estimators._workspace.buf.size
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert all(np.array_equal(a, b) for a, b in zip(got["estimate"], want, strict=True))
+    assert got["workspace"] <= cap
+
+
 # ---------------------------------------------------------------------------
 # the MSE study loop
 # ---------------------------------------------------------------------------
@@ -454,7 +490,7 @@ def direct_study(cfg):
             first = (r_idx * len(cfg.covariograms) + c_idx) * cfg.replicates
             streams = [substream(cfg.seed, first + rep) for rep in range(cfg.replicates)]
             samples = [
-                lift_for_statistic(sample_field(gen, stream), cfg.statistic_name)
+                lift_for_statistic(sample_field(gen, stream), cfg.statistic.name)
                 for stream in streams
             ]
             for scheme in cfg.schemes:
@@ -684,27 +720,34 @@ def test_closing_the_pass_early_stops_the_helper_after_its_piece(monkeypatch):
     assert len(drawn) < len(chunk0) + len(chunk1)
 
 
-def test_threads_drawing_one_chunk_claim_each_piece_once():
-    claims = []
+def test_the_caller_and_the_helper_claim_each_piece_once(monkeypatch):
+    # a circulant box in 40 chunks of 10 pieces, which the caller and the
+    # helper pop from one deque a chunk
+    window = lattice_sites(Region(Template.hypercube(2), (6, 7)))
+    cov, table = parse_covariogram("expsep:b1=1,b2=1"), window.indexer().table
+    samples = latblock.harness.Replicates(cov, window, 5, range(40, 1240), mean_statistic())
+    monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", 30 * table.size)
+    claims = []  # the streams of each sample_fields call, and its thread
 
-    def draw_piece(reps, rows):
-        claims.append(tuple(reps))  # list.append is atomic
-        rows[:] = np.asarray(reps)[:, None, None]
+    def spy(gen, streams):
+        claims.append(([stream.index for stream in streams], threading.get_ident()))
+        return sample_fields(gen, streams)
 
-    chunk = latblock.harness._ChunkDraw(range(3000), (1, 1), draw_piece)
+    monkeypatch.setattr(latblock.harness, "sample_fields", spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=chunk.draw) for _ in range(6)]  # more than the cores
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
+        with closing(samples.chunks()) as chunks:
+            images = list(chunks)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(claims) == [tuple(range(i, i + 3)) for i in range(0, 3000, 3)]
-    assert np.array_equal(chunk.values[:, 0, 0], np.arange(3000))
+    assert len({thread for _, thread in claims}) == 2
+    assert sorted(streams for streams, _ in claims) == [[i, i + 1, i + 2] for i in range(40, 1240, 3)]
+    gen, starts = build_generator(cov, window), range(40, 1240, 30)
+    assert len(images) == len(starts)
+    for start, image in zip(starts, images):
+        rows = [sample_fields(gen, [substream(5, rep)])[0] for rep in range(start, start + 30)]
+        assert np.array_equal(image, field_image(table, np.stack(rows)[..., None]))
 
 
 def fail_draw_of(monkeypatch, stream_index):
