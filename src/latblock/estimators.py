@@ -24,6 +24,7 @@ from .errors import (
     StatisticDomainError,
 )
 from .geometry import (
+    DESIGN_CACHE_SIZE,
     NOL,
     OL,
     LatticeWindow,
@@ -34,6 +35,7 @@ from .geometry import (
     enumerate_nol,
     enumerate_ol,
     erode,
+    lattice_sites,
     warn_non_integer_scale,
 )
 
@@ -238,9 +240,6 @@ class SubsamplePlan:
     order: np.ndarray | None = None
 
 
-# Designs kept by the process-wide cache; a phi study reuses a few dozen.
-DESIGN_CACHE_SIZE = 128
-
 # Per thread: whether the last cache lookup built its design (a miss).
 _lookup = threading.local()
 
@@ -282,9 +281,11 @@ def _anchor_step(anchors: np.ndarray, lo: np.ndarray) -> int:
     return int(np.gcd.reduce((anchors - lo).ravel())) or 1
 
 
-def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray):
+def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray, covered: bool):
     """``anchors`` plus ``base`` as a grid on a window, stepped by the gcd of
-    the anchors' distances (1 for one anchor); None if it misses a site."""
+    the anchors' distances (1 for one anchor); None if it misses a site.
+    With ``covered`` the caller knows every such site is in the window, and
+    only the bounds are checked."""
     if len(base) == 0:
         return None
     lo = anchors.min(axis=0)
@@ -296,7 +297,7 @@ def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray):
     reach = cells.max(axis=0) + step * (np.array(shape) - 1)
     if cells.min() < 0 or np.any(reach >= table.shape):
         return None
-    if not erode(table >= 0, cells, step, shape).ravel()[index].all():
+    if not covered and not erode(table >= 0, cells, step, shape).ravel()[index].all():
         return None
     full = np.array_equal(index, np.arange(np.prod(shape)))
     lo = tuple((lo - indexer.lo).tolist())
@@ -304,11 +305,19 @@ def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray):
 
 
 def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) -> SubsamplePlan:
-    """The design of ``spec`` on ``window``, a grid per site pattern, or a loud failure."""
+    """The design of ``spec`` on ``window``, a grid per site pattern, or a loud failure.
+
+    ``enumerate_ol`` admits its anchors by the erosion of the region's own
+    window, so on that window an OL grid needs no second erosion.
+    """
     indexer = window.indexer()
     design = enumerate_ol(region, spec) if spec.scheme == OL else enumerate_nol(region, spec)
+    covered = spec.scheme == OL and window == lattice_sites(region)
     groups = [np.flatnonzero(design.pattern == k) for k in range(len(design.patterns))]
-    grids = [_anchor_grid(indexer, design.anchors[g], b) for g, b in zip(groups, design.patterns)]
+    grids = [
+        _anchor_grid(indexer, design.anchors[g], b, covered)
+        for g, b in zip(groups, design.patterns)
+    ]
     if None not in grids:
         order = np.argsort(np.concatenate(groups)) if len(grids) > 1 else None
         return SubsamplePlan(design, tuple(grids), order)

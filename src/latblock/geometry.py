@@ -17,7 +17,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,6 +38,10 @@ _RASTER_BLOCK_CELLS = 1 << 14
 
 OL = "ol"
 NOL = "nol"
+
+# Designs kept by the process-wide cache (``estimators.design_plan``), and
+# windows kept by ``lattice_sites``: a phi study reuses a few dozen.
+DESIGN_CACHE_SIZE = 128
 
 
 # ---------------------------------------------------------------------------
@@ -866,17 +870,23 @@ class LatticeWindow:
         return hash(self.content_key)
 
     def indexer(self) -> "WindowIndexer":
+        """The window's site -> row lookup, built on first use and kept."""
+        return self._indexer
+
+    @cached_property
+    def _indexer(self) -> "WindowIndexer":
         return WindowIndexer(self)
 
 
 class WindowIndexer:
-    """Dense site -> row lookup over a window's bounding box."""
+    """Dense site -> row lookup over a window's bounding box; its table is read-only."""
 
     def __init__(self, window: LatticeWindow):
         self.lo = window.lo
         self.table = np.full(tuple(window.span), -1, dtype=np.int64)
         idx = tuple((window.sites - self.lo).T)
         self.table[idx] = np.arange(window.n_sites)
+        self.table.setflags(write=False)
 
     def lookup(self, sites: np.ndarray) -> np.ndarray:
         """Row indices for integer sites; -1 where a site is outside the window."""
@@ -892,7 +902,17 @@ class WindowIndexer:
 
 
 def lattice_sites(region: Region) -> LatticeWindow:
-    """All sites of the shifted integer lattice inside the inflated region."""
+    """All sites of the shifted integer lattice inside the inflated region.
+
+    A window depends only on the region, so it is built once and kept in a
+    bounded LRU cache keyed by the region, as the designs on it are; callers
+    share the returned window, whose arrays are read-only.
+    """
+    return _cached_window(region)
+
+
+@lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _cached_window(region: Region) -> LatticeWindow:
     geom = region.template.geom
     scale = np.asarray(region.scale)
     shift = np.asarray(region.shift)
@@ -904,9 +924,10 @@ def lattice_sites(region: Region) -> LatticeWindow:
     sites = cand[inside]
     if sites.shape[0] == 0:
         raise EmptyWindow("region contains no lattice sites")
-    return LatticeWindow(
-        sites=sites, lo=sites.min(axis=0), hi=sites.max(axis=0)
-    )
+    lo, hi = sites.min(axis=0), sites.max(axis=0)
+    for arr in (sites, lo, hi):
+        arr.setflags(write=False)
+    return LatticeWindow(sites=sites, lo=lo, hi=hi)
 
 
 def overlap_count(template: Template, s_lambda: float, k, shift=None) -> int:

@@ -28,7 +28,6 @@ from .errors import (
     ZeroBiasConstant,
 )
 from .estimators import (
-    DESIGN_CACHE_SIZE,
     FieldSample,
     SmoothStatistic,
     SubsamplePlan,
@@ -38,6 +37,7 @@ from .estimators import (
     field_image,
 )
 from .geometry import (
+    DESIGN_CACHE_SIZE,
     NOL,
     OL,
     LatticeWindow,
@@ -219,6 +219,9 @@ def hj_candidate_scales(
     candidates = sorted(int(c) for c in candidates)
     if any(c < 1 or c >= lambda_m for c in candidates):
         raise ConfigError("candidates must be integers in [1, lambda_m)")
+    repeated = sorted({c for c in candidates if candidates.count(c) > 1})
+    if repeated:  # else a repeat would count toward min_candidates
+        raise ConfigError(f"candidates repeat {repeated}: {candidates}")
     if len(candidates) < min_candidates:
         raise InsufficientCandidates(
             f"{len(candidates)} candidate scale(s); {min_candidates} required"

@@ -361,12 +361,17 @@ def gather_tau(sample, region, spec, stat) -> float:
     return float(gather_estimate(plan, sample.window, sample.values, stat)[2])
 
 
-def npi_scaling_reference(sample, region, stat, c1=0.5, c2=0.5, scheme=OL) -> ScalingPlan:
-    """``npi_scaling`` on one sample, each scale estimated by ``gather_tau``."""
+def npi_scaling_reference(
+    sample, region, stat, c1=0.5, c2=0.5, scheme=OL, taus=None
+) -> ScalingPlan:
+    """``npi_scaling`` on one sample, each scale estimated by ``gather_tau``
+    unless ``taus`` (scale -> tau_hat_sq) gives its estimate."""
     d = region.d
     s1_raw, s2_raw, s1, s2 = npi_region_pilots(region, c1, c2)
 
     def tau_fn(lam: int) -> float:
+        if taus is not None and lam in taus:
+            return taus[lam]
         return gather_tau(sample, region, SubsampleSpec(region.template, float(lam), scheme), stat)
 
     tau2_hat = tau_fn(s1)

@@ -947,6 +947,20 @@ def test_scale_npi_refuses_pilot_scales_outside_the_region(capsys, field_csv, fl
     assert err.startswith("error: npi pilot scales")
 
 
+@pytest.mark.parametrize(
+    "candidates, message",
+    [
+        ("3,3,3,3,3", "candidates repeat [3]: [3, 3, 3, 3, 3]"),
+        ("7,2,5,3,5,2,6", "candidates repeat [2, 5]: [2, 2, 3, 5, 5, 6, 7]"),
+    ],
+)
+def test_scale_hj_refuses_repeated_candidates(capsys, field_csv, candidates, message):
+    argv = ["scale", "--method", "hj", "--lambda-m", "8", "--data", field_csv]
+    code, out, err = run([*argv, "--template", "hypercube:d=2", "--candidates", candidates], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 THEORY = ["scale", "--method", "theory", "--template", "hypercube:d=2"]
 ON_FILE = ["--data", "DATA", "--template", "hypercube:d=2"]
 

@@ -35,6 +35,7 @@ from latblock import (
     parse_template,
     ratio_of_means,
 )
+from latblock.cli import read_field_csv, write_field_csv
 from latblock.errors import (
     DegenerateSubsampling,
     DimensionMismatch,
@@ -213,6 +214,23 @@ def test_missing_sites_error():
         ol_estimate(
             truncated, region, SubsampleSpec(Template.hypercube(2), 2.0, "ol"), mean_statistic()
         )
+
+
+def test_an_ol_design_on_a_field_csv_with_a_hole_raises_missing_sites(tmp_path):
+    # the window read from the file is not the region's own, so the design
+    # build checks every subsample site against it
+    region, sample = make_sample((14, 18))
+    hole = np.flatnonzero(np.all(sample.window.sites == [0, 0], axis=1))  # an interior site
+    sites, values = (np.delete(a, hole, axis=0) for a in (sample.window.sites, sample.values))
+    cut = FieldSample(LatticeWindow(sites, sample.window.lo, sample.window.hi), values)
+    path = str(tmp_path / "field.csv")
+    write_field_csv(cut, path)
+    read = read_field_csv(path)
+    assert read.window.n_sites == sample.window.n_sites - 1
+    spec = SubsampleSpec(region.template, 4.0, "ol")
+    assert ol_estimate(sample, region, spec, mean_statistic()).n_subsamples == 11 * 15
+    with pytest.raises(MissingSites, match="overlapping"):
+        ol_estimate(read, region, spec, mean_statistic())
 
 
 def test_location_invariance_mean_exact():

@@ -215,6 +215,17 @@ def test_lattice_shift_honored():
     assert w.sites.ravel().tolist() == [-2, -1, 0, 1]
 
 
+def test_each_window_and_its_indexer_are_built_once_and_read_only():
+    region = Region(Template.circle(0.5), (20, 20), (0.3, 0.1))
+    window = lattice_sites(region)
+    assert lattice_sites(region) is window
+    assert lattice_sites(Region(Template.circle(0.5), [20.0], [0.3, 0.1])) is window  # equal region
+    assert window.indexer() is window.indexer()
+    for arr in (window.sites, window.lo, window.hi, window.indexer().table):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 7
+
+
 # ---------------------------------------------------------------------------
 # set covariance
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The replicate-batched estimator core (``estimate_image``) and the MSE study
 loop that feeds it: every estimate equals the per-replicate core bit for bit."""
 
+import importlib.util
 import math
 import sys
 import threading
 import time
 import warnings
 from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from brute_force import (
 )
 
 import latblock.estimators
+import latblock.geometry
 import latblock.harness
 from latblock.covariance import exact_tau_n_sq_window, parse_covariogram
 from latblock.errors import (
@@ -553,6 +556,68 @@ def test_momvar_study_takes_the_image_core(monkeypatch):
     calls = image_calls(monkeypatch)
     assert_study_matches(config_from_dict(raw))
     assert calls
+
+
+def perfbench_studies() -> dict:
+    """The configs of perfbench's three study workloads, at slot 3."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return {name: module.WORKLOADS[name].make_config(3) for name in STUDY_WORKLOADS}
+
+
+STUDY_WORKLOADS = ("mse_rect", "mse_disk", "phi_select")
+
+
+def run_in(tmp_path, name, raw) -> dict:
+    """Run a study with its outputs in ``tmp_path``; the bytes of each output."""
+    paths = {key: tmp_path / f"{name}-{key}.csv" for key in raw["outputs"]}
+    run_study(config_from_dict({**raw, "outputs": {k: str(p) for k, p in paths.items()}}))
+    return {key: path.read_bytes() for key, path in paths.items()}
+
+
+def test_ol_designs_on_their_regions_window_skip_only_the_second_erosion(monkeypatch, tmp_path):
+    erosions, builds = [], []
+    real_erode, real_build = latblock.estimators.erode, latblock.estimators._build_design
+
+    def counted_erode(*args):
+        erosions.append(None)
+        return real_erode(*args)
+
+    def recorded_build(window, region, spec):
+        before = len(erosions)
+        plan = real_build(window, region, spec)
+        builds.append((window, region, spec, plan, len(erosions) - before))
+        return plan
+
+    monkeypatch.setattr(latblock.estimators, "erode", counted_erode)
+    monkeypatch.setattr(latblock.estimators, "_build_design", recorded_build)
+    latblock.estimators._cached_design.cache_clear()
+    for name, raw in perfbench_studies().items():
+        run_in(tmp_path, name, raw)
+    ol = [build for build in builds if build[2].scheme == "ol"]
+    assert len(ol) == 35  # 9 of mse_rect, 12 of mse_disk and 14 of phi_select
+    assert all(build[4] == 0 for build in ol)
+    assert all(build[4] > 0 for build in builds if build[2].scheme == "nol")
+    # with no window its region's own, every build erodes: the same designs
+    monkeypatch.setattr(latblock.estimators, "lattice_sites", lambda region: None)
+    for window, region, spec, plan, _ in ol:
+        forced = real_build(window, region, spec)
+        assert np.array_equal(forced.index_set.anchors, plan.index_set.anchors)
+        for got, want in zip(forced.grids, plan.grids, strict=True):
+            assert np.array_equal(got.base, want.base)
+            assert (got.lo, got.step, got.shape, got.box) == (want.lo, want.step, want.shape, want.box)
+            assert (got.index is None) == (want.index is None)
+            assert got.index is None or np.array_equal(got.index, want.index)
+
+
+def test_a_study_run_twice_in_one_process_writes_the_same_bytes(tmp_path):
+    latblock.estimators._cached_design.cache_clear()
+    latblock.geometry._cached_window.cache_clear()
+    for name, raw in perfbench_studies().items():
+        first = run_in(tmp_path, name, raw)
+        assert run_in(tmp_path, name, raw) == first
 
 
 def test_cached_anchor_grids_are_read_only():

@@ -1,7 +1,8 @@
 """The selector study's chunk path: every PhiRow equals the per-replicate
-reference, also when a setting fails on some replicates, and hj's block
-estimates gathered from whole-window sums equal the estimator core on the
-pilot blocks bit for bit."""
+reference, also when a setting fails on some replicates; each field's choice
+in a chunk equals the per-sample references and the per-field formulas; and
+hj's block estimates gathered from whole-window sums equal the estimator core
+on the pilot blocks bit for bit."""
 
 import functools
 import math
@@ -11,29 +12,45 @@ import pytest
 from brute_force import (
     design_rows,
     gather_estimate,
+    gather_tau,
+    hj_scaling_reference,
+    npi_scaling_reference,
     per_replicate_deviations,
     per_replicate_phi_rows,
 )
+from hypothesis import given
+from hypothesis import strategies as st
 
 import latblock.harness
 import latblock.scaling
-from latblock.errors import DegenerateSubsampling
+from latblock.covariance import Covariogram
+from latblock.errors import DegenerateSubsampling, LatblockError
 from latblock.estimators import (
+    FieldSample,
     design_plan,
     estimate_blocks,
     field_image,
     mean_statistic,
     moment_variance,
 )
+from latblock.fieldsim import build_generator, sample_field, substream
 from latblock.geometry import OL, Region, SubsampleSpec, Template, lattice_sites, parse_template
 from latblock.harness import (
     _replicate_pass,
+    _selected,
     config_from_dict,
     phi_study,
     plan_study,
     run_study,
 )
-from latblock.scaling import SelectorEngine, _scale_cap, hj_choose, hj_designs
+from latblock.scaling import (
+    SelectorEngine,
+    _scale_cap,
+    hj_choose,
+    hj_designs,
+    npi_bias_estimate,
+    theoretical_scaling,
+)
 
 REPLICATES = 100
 
@@ -289,3 +306,136 @@ def test_a_setting_that_fails_everywhere_writes_na(tmp_path):
     lines = (tmp_path / "phi.csv").read_text().splitlines()
     assert lines[1].endswith(",100,2:2;3:1;4:17;5:35;6:28;7:14;8:3,")
     assert lines[2] == "r,E,nol,hj,NA,NA,8,5,NA,NA,100,NA,failed 100: DegenerateSubsampling"
+
+
+# ---------------------------------------------------------------------------
+# one chunk's choice, field by field
+# ---------------------------------------------------------------------------
+
+# fields of the chunk below: draws of FAILING's box but for a constant one, and
+# two whose npi pilot estimates are seeded in the memo
+CONSTANT, ZERO_BIAS, PAST_THE_CAP = 3, 4, 5
+
+
+def reference_selection(sample, region, stat, setting, scheme, seeded):
+    """(s_hat, tau_hat_sq at s_hat) of one setting on one field by the
+    per-sample references, or the class name of the ``LatblockError`` it
+    raised; ``seeded`` (scale -> tau_hat_sq) overrides those estimates."""
+    method, c1, c2, lambda_m = setting
+
+    def tau_at(lam):
+        if lam in seeded:
+            return seeded[lam]
+        return gather_tau(sample, region, SubsampleSpec(region.template, float(lam), scheme), stat)
+
+    try:
+        if method == "npi":
+            plan = npi_scaling_reference(sample, region, stat, c1, c2, scheme, taus=seeded)
+        else:
+            plan = hj_scaling_reference(sample, region, stat, lambda_m, None, scheme, 3)
+        return plan.lambda_opt_int, tau_at(plan.lambda_opt_int)
+    except LatblockError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("scheme", ["ol", "nol"])
+@pytest.mark.parametrize("statistic", ["mean", "momvar"])
+def test_a_chunk_choice_equals_the_per_sample_references(monkeypatch, statistic, scheme):
+    # under the scheme-blind cap a plug-in scale past every cap is 29, where
+    # one NOL cube fits: DegenerateSubsampling at the chosen scale
+    monkeypatch.setattr(latblock.scaling, "_scale_cap", scheme_blind_cap)
+    region = Region(Template.hypercube(2), (30, 40))
+    window = lattice_sites(region)
+    gen = build_generator(Covariogram.exp_separable(1.0, 1.0), window)
+    x = np.stack([sample_field(gen, substream(5, rep)).values[:, 0] for rep in range(7)])
+    x[CONSTANT] = 0.25  # tau_hat_sq = 0: npi refuses it with ConfigError
+    if statistic == "mean":
+        values, stat = x[..., None], mean_statistic()
+    else:
+        values, stat = np.stack([x, x * x], axis=-1), moment_variance()
+    settings = [
+        ("npi", 0.5, 0.5, None),
+        ("npi", 1.0, 0.5, None),
+        ("hj", None, None, 8),
+        ("hj", None, None, 4),  # two candidates, three required: refused on every field
+    ]
+    engine = SelectorEngine(window, region, settings, scheme, None, 3)
+    image = field_image(window.indexer().table, values)
+    _, _, s1, s2 = engine.pilots[0.5, 0.5]
+    memo = {lam: engine.tau(image, stat, {}, lam) for lam in (s1, s2, 2 * s2)}
+    seeded = {
+        ZERO_BIAS: {2 * s2: float(memo[s2][ZERO_BIAS])},  # equal pilots: b0_hat = 0
+        PAST_THE_CAP: {s1: 1e-12},  # a tiny tau_hat_sq at s1: a scale past every cap
+    }
+    for r, taus in seeded.items():
+        for lam, tau in taus.items():
+            memo[lam][r] = tau
+    got = [
+        [_selected(engine, image, stat, memo, r, plan) for plan in plans]
+        for r, plans in enumerate(engine.select(image, stat, memo))
+    ]
+    for r, field in enumerate(values):
+        sample = FieldSample(window, field)
+        want = [
+            reference_selection(sample, region, stat, setting, scheme, seeded.get(r, {}))
+            for setting in settings
+        ]
+        assert got[r] == want
+    npi = [out[0] if isinstance(out[0], str) else out[0][0] for out in got]
+    assert npi[CONSTANT] == "ConfigError" and npi[ZERO_BIAS] == "ZeroBiasConstant"
+    assert npi[PAST_THE_CAP] == ("DegenerateSubsampling" if scheme == "nol" else 29)
+    assert all(isinstance(out[2], tuple) for out in got)  # hj chooses on every field
+    assert [out[3] for out in got] == ["InsufficientCandidates"] * len(values)
+
+
+PROPERTY_REGIONS = {
+    "box": Region(Template.hypercube(2), (14, 18)),  # npi's s1 is its 2 * s2
+    "wide-box": Region(Template.hypercube(2), (30, 40)),
+    "shifted-disk": Region(Template.circle(0.5), (20, 20), (0.3, 0.1)),
+}
+# tau_hat_sq tables: zeros of both signs, negatives, tiny and huge values whose
+# powers leave the float range, and non-finite ones
+TAUS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-200, 1e200, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(1e-3, 1e3),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def npi_engine(region_name, scheme):
+    region = PROPERTY_REGIONS[region_name]
+    return SelectorEngine(lattice_sites(region), region, [("npi", 0.5, 0.5, None)], scheme)
+
+
+@given(
+    region_name=st.sampled_from(sorted(PROPERTY_REGIONS)),
+    scheme=st.sampled_from(["ol", "nol"]),
+    pilots=st.lists(st.tuples(TAUS, TAUS, TAUS, st.booleans()), min_size=1, max_size=12),
+)
+def test_chunk_choice_equals_the_per_field_choice(region_name, scheme, pilots):
+    engine = npi_engine(region_name, scheme)
+    region = engine.region
+    _, _, s1, s2 = engine.pilots[0.5, 0.5]
+    # the memo's tables at s2, 2 * s2 and s1, with equal pilot pairs where asked
+    memo = {
+        s2: [at_s2 for _, at_s2, _, _ in pilots],
+        2 * s2: [at_s2 if equal else at_2s2 for _, at_s2, at_2s2, equal in pilots],
+    }
+    memo[s1] = [at_s1 for at_s1, _, _, _ in pilots]
+    image = np.empty((1, 1, len(pilots)))  # the memo holds every table npi reads
+    for r, (got,) in enumerate(engine.select(image, None, memo)):
+
+        def tau(lam):
+            return memo[lam][r]
+
+        try:
+            want = theoretical_scaling(
+                region.d, region.det_scale(), npi_bias_estimate(tau, s2), tau(s1), engine.shape,
+                scheme, region,
+            )
+        except LatblockError as exc:
+            assert (type(got), str(got)) == (type(exc), str(exc))
+            continue
+        assert got.lambda_opt_real.hex() == want.lambda_opt_real.hex()
+        assert got.lambda_opt_int == want.lambda_opt_int
