@@ -86,10 +86,7 @@ def read_field_csv(path: str) -> FieldSample:
     order = np.lexsort(tuple(sites_arr[:, j] for j in range(d - 1, -1, -1)))
     sites_arr = sites_arr[order]
     values_arr = values_arr[order]
-    window = LatticeWindow(
-        sites=sites_arr, lo=sites_arr.min(axis=0), hi=sites_arr.max(axis=0)
-    )
-    return FieldSample(window, values_arr)
+    return FieldSample(LatticeWindow(sites_arr), values_arr)
 
 
 def _field_header(d: int, p: int) -> list:
@@ -111,7 +108,7 @@ def infer_region(template: Template, sample: FieldSample, scale_text: str | None
         return Region(template, _parse_floats(scale_text))
     sites = sample.window.sites
     if template.kind == "hypercube":
-        scale = tuple(float(h - l + 1) for l, h in zip(sample.window.lo, sample.window.hi))
+        scale = tuple(float(s) for s in sample.window.span)
     elif template.kind in ("circle", "sphere"):
         r = template.param_dict["r"]
         lam = float(np.max(np.linalg.norm(sites, axis=1))) / r
@@ -121,10 +118,7 @@ def infer_region(template: Template, sample: FieldSample, scale_text: str | None
             "cannot infer the region scaling for this template; pass --region-scale"
         )
     region = Region(template, scale)
-    window = lattice_sites(region)
-    if window.n_sites != sample.window.n_sites or not np.array_equal(
-        window.sites, sites
-    ):
+    if lattice_sites(region) != sample.window:
         raise ConfigError(
             "data sites do not exactly fill the inferred region; pass --region-scale"
         )

@@ -45,7 +45,10 @@ class SmoothStatistic:
     """A statistic H(mean vector) with its gradient and arity.
 
     ``fn`` and ``grad`` accept arrays of shape (..., p) and operate on the
-    trailing axis, so subsample evaluations vectorize.
+    trailing axis, so subsample evaluations vectorize.  ``lift`` maps scalar
+    fields (..., N) to their (..., N, p) per-site columns; it is None when
+    the columns are not a per-site transform of one scalar field, and a
+    study cannot simulate the statistic.
     """
 
     name: str
@@ -53,6 +56,7 @@ class SmoothStatistic:
     fn: callable
     grad: callable
     is_linear: bool = False
+    lift: callable | None = None
 
     def __call__(self, means: np.ndarray) -> np.ndarray:
         return self.fn(np.asarray(means, float))
@@ -65,6 +69,7 @@ def mean_statistic() -> SmoothStatistic:
         fn=lambda x: x[..., 0],
         grad=lambda x: np.ones_like(x),
         is_linear=True,
+        lift=lambda x: x[..., None],
     )
 
 
@@ -93,6 +98,7 @@ def moment_variance() -> SmoothStatistic:
         p=2,
         fn=lambda x: x[..., 1] - x[..., 0] ** 2,
         grad=lambda x: np.stack([-2.0 * x[..., 0], np.ones_like(x[..., 1])], axis=-1),
+        lift=lambda x: np.stack([x, x * x], axis=-1),
     )
 
 
@@ -141,7 +147,7 @@ class EstimatorResult:
     n_subsamples: int
     subsample_sites: np.ndarray  # per-subsample site counts
     theta_tilde: float
-    theta_hats: np.ndarray | None = None
+    theta_hats: np.ndarray  # (M,) per-subsample statistics
 
 
 def evaluate_statistic(stat: SmoothStatistic, sample: FieldSample, site_rows) -> float:
@@ -281,7 +287,7 @@ def _anchor_step(anchors: np.ndarray, lo: np.ndarray) -> int:
     return int(np.gcd.reduce((anchors - lo).ravel())) or 1
 
 
-def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray, covered: bool):
+def _anchor_grid(window: LatticeWindow, anchors: np.ndarray, base: np.ndarray, covered: bool):
     """``anchors`` plus ``base`` as a grid on a window, stepped by the gcd of
     the anchors' distances (1 for one anchor); None if it misses a site.
     With ``covered`` the caller knows every such site is in the window, and
@@ -292,7 +298,7 @@ def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray, covered: bool):
     step = _anchor_step(anchors, lo)
     shape = tuple(((anchors.max(axis=0) - lo) // step + 1).tolist())
     index = np.ravel_multi_index(tuple(((anchors - lo) // step).T), shape)
-    cells, table = lo - indexer.lo + base, indexer.table
+    cells, table = lo - window.lo + base, window.table
     # bound the sites' box first: a negative slice start would wrap round
     reach = cells.max(axis=0) + step * (np.array(shape) - 1)
     if cells.min() < 0 or np.any(reach >= table.shape):
@@ -300,7 +306,7 @@ def _anchor_grid(indexer, anchors: np.ndarray, base: np.ndarray, covered: bool):
     if not covered and not erode(table >= 0, cells, step, shape).ravel()[index].all():
         return None
     full = np.array_equal(index, np.arange(np.prod(shape)))
-    lo = tuple((lo - indexer.lo).tolist())
+    lo = tuple((lo - window.lo).tolist())
     return AnchorGrid(base, lo, step, shape, None if full else index, table.shape)
 
 
@@ -310,12 +316,11 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
     ``enumerate_ol`` admits its anchors by the erosion of the region's own
     window, so on that window an OL grid needs no second erosion.
     """
-    indexer = window.indexer()
     design = enumerate_ol(region, spec) if spec.scheme == OL else enumerate_nol(region, spec)
     covered = spec.scheme == OL and window == lattice_sites(region)
     groups = [np.flatnonzero(design.pattern == k) for k in range(len(design.patterns))]
     grids = [
-        _anchor_grid(indexer, design.anchors[g], b, covered)
+        _anchor_grid(window, design.anchors[g], b, covered)
         for g, b in zip(groups, design.patterns)
     ]
     if None not in grids:
@@ -324,7 +329,7 @@ def _build_design(window: LatticeWindow, region: Region, spec: SubsampleSpec) ->
     # a copy without sites or with a site off the window: the first one decides
     bad = design.counts == 0
     for group, base in zip(groups, design.patterns) if bad.any() else ():
-        bad[group] |= np.any(indexer.lookup(design.anchors[group][:, None] + base) < 0, axis=1)
+        bad[group] |= np.any(window.lookup(design.anchors[group][:, None] + base) < 0, axis=1)
     m = int(np.argmax(bad))
     if design.counts[m] == 0:
         offset = tuple(design.offsets[m].tolist())
@@ -366,8 +371,8 @@ def _check_core(plan: SubsamplePlan, p: int, stat: SmoothStatistic) -> None:
 def field_image(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Fields ``values`` laid out on a window's bounding box.
 
-    ``values`` is (R, N, p), p columns per site; ``table`` is the window
-    indexer's site -> row table (-1 off the window).  Returns the
+    ``values`` is (R, N, p), p columns per site; ``table`` is the window's
+    site -> row table (-1 off the window).  Returns the
     C-contiguous (p, *table.shape, R) image, replicates innermost, that
     holds 0.0 at sites off the window.
     """
@@ -621,11 +626,10 @@ def estimate_from_plan(
     plan: SubsamplePlan,
     sample: FieldSample,
     stat: SmoothStatistic,
-    keep_theta: bool = False,
 ) -> EstimatorResult:
     """``plan`` on ``sample``, a field on the plan's window, through its
     ``field_image``."""
-    image = field_image(sample.window.indexer().table, sample.values[None])
+    image = field_image(sample.window.table, sample.values[None])
     theta, theta_tilde, tau_hat = (a[0] for a in estimate_image(plan, image, stat))
     return EstimatorResult(
         tau_hat_sq=float(tau_hat),
@@ -633,7 +637,7 @@ def estimate_from_plan(
         n_subsamples=plan.index_set.n_subsamples,
         subsample_sites=plan.index_set.counts.copy(),
         theta_tilde=float(theta_tilde),
-        theta_hats=theta.copy() if keep_theta else None,
+        theta_hats=theta,
     )
 
 
@@ -642,12 +646,11 @@ def ol_estimate(
     region: Region,
     spec: SubsampleSpec,
     stat: SmoothStatistic,
-    keep_theta: bool = False,
 ) -> EstimatorResult:
     """Overlapping subsample variance estimator of the scaled statistic variance."""
     if spec.scheme != OL:
         raise ConfigError("ol_estimate needs an OL spec")
-    return estimate(sample, region, spec, stat, keep_theta)
+    return estimate(sample, region, spec, stat)
 
 
 def nol_estimate(
@@ -655,14 +658,13 @@ def nol_estimate(
     region: Region,
     spec: SubsampleSpec,
     stat: SmoothStatistic,
-    keep_theta: bool = False,
 ) -> EstimatorResult:
     """Nonoverlapping subsample variance estimator (per-subregion site weights)."""
     if spec.scheme != NOL:
         raise ConfigError("nol_estimate needs a NOL spec")
-    return estimate(sample, region, spec, stat, keep_theta)
+    return estimate(sample, region, spec, stat)
 
 
-def estimate(sample, region, spec, stat, keep_theta=False) -> EstimatorResult:
+def estimate(sample, region, spec, stat) -> EstimatorResult:
     """Subsample variance estimate of ``spec``'s scheme on ``sample``."""
-    return estimate_from_plan(design_plan(sample.window, region, spec), sample, stat, keep_theta)
+    return estimate_from_plan(design_plan(sample.window, region, spec), sample, stat)

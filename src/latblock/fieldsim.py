@@ -153,13 +153,13 @@ def build_generator(
     cov: Covariogram,
     window: LatticeWindow,
     method: str = "auto",
-    site_cap: int = DEFAULT_SITE_CAP,
 ) -> FieldGenerator:
     """Prepare an exact sampler for the covariogram on the window.
 
     ``auto`` prefers the spectral route on full rectangular windows and falls
     back to the dense factorization; an explicit ``circulant`` request also
-    falls back when the embedding fails, with the reason recorded.
+    falls back when the embedding fails, with the reason recorded.  The
+    dense route takes at most ``DEFAULT_SITE_CAP`` sites.
 
     The dense route factors Sigma in place: ``chol`` is the lower factor in
     the buffer ``covariance_matrix`` filled, so the build peaks at two N x N
@@ -193,9 +193,9 @@ def build_generator(
         if method == CIRCULANT:
             diagnostics["note"] = "circulant requested; using dense factorization"
 
-    if window.n_sites > site_cap:
+    if window.n_sites > DEFAULT_SITE_CAP:
         raise WindowTooLarge(
-            f"{window.n_sites} sites exceed the dense factorization cap {site_cap}"
+            f"{window.n_sites} sites exceed the dense factorization cap {DEFAULT_SITE_CAP}"
         )
     chol = covariance_matrix(cov, window)
     # np.linalg.cholesky's own gufunc and error state, with Sigma's buffer as
@@ -254,19 +254,3 @@ def sample_fields(gen: FieldGenerator, streams) -> np.ndarray:
     # complex / real is not real / real in the last bit: divide as fftn's result did
     return (w / np.sqrt(m)).real.reshape(n, -1)
 
-
-# Statistics whose input columns are a per-site transform of a scalar field.
-LIFTED_STATISTICS = ("mean", "momvar")
-
-
-def lift_for_statistic(sample: FieldSample, stat_name: str) -> FieldSample:
-    """Deterministic per-site transform giving a statistic its input columns."""
-    name = stat_name.lower()
-    if name not in LIFTED_STATISTICS:
-        raise ConfigError(
-            f"no scalar-field lift registered for statistic {stat_name!r}"
-        )
-    if name == "momvar":
-        x = sample.values[:, 0]
-        return FieldSample(sample.window, np.stack([x, x * x], axis=1))
-    return sample

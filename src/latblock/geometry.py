@@ -824,7 +824,7 @@ class Region:
         return self.template.d
 
     def det_scale(self) -> float:
-        return float(np.prod(self.scale))
+        return math.prod(self.scale)  # inf past the float range, without a warning
 
     def volume(self) -> float:
         return self.template.volume() * self.det_scale()
@@ -834,13 +834,18 @@ class Region:
 class LatticeWindow:
     """Ordered integer lattice sites of a region (shift already subtracted).
 
-    Windows are equal, and hash alike, when their site arrays are equal, so
-    a window read from a file matches the one ``lattice_sites`` builds.
+    The window keeps its own read-only int64 copy of ``sites``; its bounding
+    box and site -> row table are derived from them and kept.  Windows are
+    equal, and hash alike, when their sites are equal, so a window read from
+    a file matches the one ``lattice_sites`` builds.
     """
 
     sites: np.ndarray  # (N, d) int64, lexicographically sorted
-    lo: np.ndarray
-    hi: np.ndarray
+
+    def __post_init__(self):
+        sites = np.array(self.sites, dtype=np.int64)
+        sites.setflags(write=False)
+        object.__setattr__(self, "sites", sites)
 
     @property
     def n_sites(self) -> int:
@@ -850,10 +855,35 @@ class LatticeWindow:
     def d(self) -> int:
         return self.sites.shape[1]
 
+    @cached_property
+    def lo(self) -> np.ndarray:
+        """Low corner of the bounding box."""
+        return _read_only(self.sites.min(axis=0))
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        """High corner of the bounding box."""
+        return _read_only(self.sites.max(axis=0))
+
     @property
     def span(self) -> np.ndarray:
         """Sites per axis of the bounding box."""
         return self.hi - self.lo + 1
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Row of each bounding-box site, -1 off the window; read-only."""
+        table = np.full(tuple(self.span), -1, dtype=np.int64)
+        table[tuple((self.sites - self.lo).T)] = np.arange(self.n_sites)
+        return _read_only(table)
+
+    def lookup(self, sites: np.ndarray) -> np.ndarray:
+        """Row indices for integer sites; -1 where a site is outside the window."""
+        rel = np.asarray(sites, np.int64) - self.lo
+        ok = np.all((rel >= 0) & (rel < self.table.shape), axis=-1)
+        out = np.full(rel.shape[:-1], -1, dtype=np.int64)
+        out[ok] = self.table[tuple(rel[ok].T)]
+        return out
 
     @cached_property
     def content_key(self) -> tuple:
@@ -869,36 +899,10 @@ class LatticeWindow:
     def __hash__(self) -> int:
         return hash(self.content_key)
 
-    def indexer(self) -> "WindowIndexer":
-        """The window's site -> row lookup, built on first use and kept."""
-        return self._indexer
 
-    @cached_property
-    def _indexer(self) -> "WindowIndexer":
-        return WindowIndexer(self)
-
-
-class WindowIndexer:
-    """Dense site -> row lookup over a window's bounding box; its table is read-only."""
-
-    def __init__(self, window: LatticeWindow):
-        self.lo = window.lo
-        self.table = np.full(tuple(window.span), -1, dtype=np.int64)
-        idx = tuple((window.sites - self.lo).T)
-        self.table[idx] = np.arange(window.n_sites)
-        self.table.setflags(write=False)
-
-    def lookup(self, sites: np.ndarray) -> np.ndarray:
-        """Row indices for integer sites; -1 where a site is outside the window."""
-        sites = np.asarray(sites, np.int64)
-        rel = sites - self.lo
-        shape = self.table.shape
-        ok = np.all((rel >= 0) & (rel < np.array(shape)), axis=-1)
-        out = np.full(sites.shape[:-1], -1, dtype=np.int64)
-        if np.any(ok):
-            sel = tuple(rel[ok].T)
-            out[ok] = self.table[sel]
-        return out
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def lattice_sites(region: Region) -> LatticeWindow:
@@ -921,13 +925,9 @@ def _cached_window(region: Region) -> LatticeWindow:
     hi = np.floor(hi_f * scale - shift + _EQ_TOL).astype(np.int64)
     cand = box_points(lo, hi)
     inside = geom.contains_scaled(cand, scale, shift)
-    sites = cand[inside]
-    if sites.shape[0] == 0:
+    if not inside.any():
         raise EmptyWindow("region contains no lattice sites")
-    lo, hi = sites.min(axis=0), sites.max(axis=0)
-    for arr in (sites, lo, hi):
-        arr.setflags(write=False)
-    return LatticeWindow(sites=sites, lo=lo, hi=hi)
+    return LatticeWindow(cand[inside])
 
 
 def overlap_count(template: Template, s_lambda: float, k, shift=None) -> int:
@@ -942,9 +942,7 @@ def overlap_count(template: Template, s_lambda: float, k, shift=None) -> int:
         window = lattice_sites(region)
     except EmptyWindow:
         return 0
-    present = set(map(tuple, window.sites.tolist()))
-    shifted = window.sites - k
-    return sum(1 for z in map(tuple, shifted.tolist()) if z in present)
+    return int(np.count_nonzero(window.lookup(window.sites - k) >= 0))
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +1036,7 @@ def enumerate_ol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
         raise EmptySubsampleSet(none_fit) from None
     rel = base - base.min(axis=0)
     shape = np.maximum(window.span - rel.max(axis=0), 0).tolist()
-    ok = erode(window.indexer().table >= 0, rel, 1, shape)
+    ok = erode(window.table >= 0, rel, 1, shape)
     offsets = window.lo - base.min(axis=0) + np.argwhere(ok)
     if offsets.shape[0] == 0:
         raise EmptySubsampleSet(none_fit)

@@ -25,7 +25,6 @@ from .covariance import Covariogram, exact_tau_n_sq_window, parse_covariogram
 from .csvfile import emit_csv
 from .errors import ConfigError, DegenerateSubsampling, InsufficientCandidates, LatblockError
 from .estimators import (
-    FieldSample,
     SmoothStatistic,
     design_plan,
     estimate_image,
@@ -34,9 +33,7 @@ from .estimators import (
 )
 from .fieldsim import (
     CIRCULANT,
-    LIFTED_STATISTICS,
     build_generator,
-    lift_for_statistic,
     sample_fields,
     substream,
 )
@@ -225,7 +222,7 @@ def config_from_dict(raw: dict) -> StudyConfig:
 
     stat_name = str(raw.get("statistic", "mean"))
     statistic = parse_statistic(stat_name)
-    if statistic.name not in LIFTED_STATISTICS:
+    if statistic.lift is None:
         raise ConfigError(
             f"statistic {stat_name!r} has no scalar-field lift, so a study cannot simulate it"
         )
@@ -522,7 +519,7 @@ class Replicates:
         cells = int(np.prod(self.window.span)) * self.stat.p  # per replicate
         block = max(1, _IMAGE_BLOCK_CELLS // cells)
         gen = build_generator(self.cov, self.window)
-        table, shape = self.window.indexer().table, (self.window.n_sites, self.stat.p)
+        table, shape = self.window.table, (self.window.n_sites, self.stat.p)
 
         def chunk(start: int):
             """The values of the chunk from ``start`` and its (replicates, rows) pieces."""
@@ -539,8 +536,7 @@ class Replicates:
                 except IndexError:
                     return
                 fields = sample_fields(gen, [substream(self.seed, rep) for rep in reps])
-                for row, values in zip(rows, fields):
-                    row[:] = lift_for_statistic(FieldSample(self.window, values), self.stat.name).values
+                rows[:] = self.stat.lift(fields)
 
         values, pieces = chunk(0)
         pool = ThreadPoolExecutor(1) if gen.method == CIRCULANT else None

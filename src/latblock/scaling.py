@@ -150,6 +150,11 @@ def npi_pilot_scales(region_volume: float, d: int, c1: float, c2: float):
         raise ConfigError(f"pilot constants must be positive and finite, got c1 = {c1}, c2 = {c2}")
     s1 = c1 * region_volume ** (1.0 / (d + 2))
     s2 = c2 * region_volume ** (1.0 / (d + 4))
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        raise ConfigError(
+            f"npi pilot scales are out of range: s1 = {s1}, s2 = {s2} "
+            f"(region volume {region_volume})"
+        )
     return s1, s2, max(1, _round_half_up(s1)), max(1, _round_half_up(s2))
 
 
@@ -309,7 +314,7 @@ def hj_scaling(
 
 def _select_one(sample: FieldSample, region: Region, stat, setting, scheme, *hj_args):
     engine = SelectorEngine(sample.window, region, [setting], scheme, *hj_args)
-    image = field_image(sample.window.indexer().table, sample.values[None])
+    image = field_image(sample.window.table, sample.values[None])
     ((outcome,),) = engine.select(image, stat, {})
     if isinstance(outcome, LatblockError):
         raise outcome

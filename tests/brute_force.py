@@ -29,7 +29,7 @@ from latblock.estimators import (
     _reduce_theta,
     design_plan,
 )
-from latblock.fieldsim import build_generator, lift_for_statistic, sample_field, substream
+from latblock.fieldsim import build_generator, sample_field, substream
 from latblock.geometry import (
     _EQ_TOL,
     OL,
@@ -93,8 +93,8 @@ def nol_subregion_windows(region: Region, spec: SubsampleSpec, offsets) -> list:
     With ``s_lambda * i = n + f`` and ``n = floor(s_lambda * i)``, copy i is
     the sites of the scaled sub-template at lattice shift ``shift - f``,
     moved by ``n``; at an integer scale f = 0, n = s_lambda * i, and a copy
-    without sites raises ``EmptyWindow``.  An empty copy at another scale
-    keeps its box's corners.
+    without sites raises ``EmptyWindow``; at another scale a copy may be
+    empty.
     """
     s_lam = spec.s_lambda
     shift = np.asarray(region.shift)
@@ -112,11 +112,9 @@ def nol_subregion_windows(region: Region, spec: SubsampleSpec, offsets) -> list:
         hi = np.floor(s_lam * hi_f - shift + frac + _EQ_TOL).astype(np.int64)
         cand = box_points(lo, hi)
         sites = cand[geom.contains_scaled(cand, (s_lam,) * region.d, shift - frac)]
-        if len(sites):
-            lo, hi = sites.min(axis=0), sites.max(axis=0)
-        elif spec.is_integer_scale():
+        if not len(sites) and spec.is_integer_scale():
             raise EmptyWindow("region contains no lattice sites")
-        out.append(LatticeWindow(sites=sites + whole, lo=lo + whole, hi=hi + whole))
+        out.append(LatticeWindow(sites + whole))
     return out
 
 
@@ -239,11 +237,10 @@ def design_rows(plan, window):
     a site is not in the window: a design of one site pattern's (M, sN)
     rows (each anchor plus each pattern site), or a ragged design's rows of
     every template copy."""
-    indexer = window.indexer()
     index_set = plan.index_set
     if len(index_set.patterns) > 1:
-        return [indexer.lookup(sites) for sites in copy_sites(index_set)]
-    return indexer.lookup(index_set.anchors[:, None] + index_set.patterns[0])
+        return [window.lookup(sites) for sites in copy_sites(index_set)]
+    return window.lookup(index_set.anchors[:, None] + index_set.patterns[0])
 
 
 def _covered_rows(plan, window):
@@ -479,10 +476,8 @@ def per_replicate_deviations(samples, region, stat, sel, methods, s_opt, tau_n):
 
     gen = build_generator(samples.cov, samples.window)
     return [
-        selector_deviations(
-            lift_for_statistic(sample_field(gen, substream(samples.seed, rep)), stat.name)
-        )
-        for rep in samples.streams
+        selector_deviations(FieldSample(samples.window, stat.lift(field.values[:, 0])))
+        for field in (sample_field(gen, substream(samples.seed, rep)) for rep in samples.streams)
     ]
 
 

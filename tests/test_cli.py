@@ -22,6 +22,16 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def cli_env() -> dict:
+    """The environment of a ``latblock`` subprocess: this checkout's sources
+    and no PATH, with ``PYTHONDONTWRITEBYTECODE`` passed on when it is set."""
+    src = Path(latblock.cli.__file__).resolve().parents[1]
+    env = {"PYTHONPATH": str(src), "PATH": ""}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(["--help"], capsys)
     assert code == 0
@@ -106,7 +116,7 @@ def test_field_csv_round_trip(tmp_path):
     from latblock.geometry import LatticeWindow
 
     sites = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
-    window = LatticeWindow(sites=sites, lo=sites.min(0), hi=sites.max(0))
+    window = LatticeWindow(sites)
     values = np.array([[0.1], [0.2], [0.3], [1.0 / 3.0]])
     path = tmp_path / "field.csv"
     write_field_csv(FieldSample(window, values), str(path))
@@ -120,7 +130,7 @@ def test_field_csv_text_is_pinned(tmp_path):
     from latblock.geometry import LatticeWindow
 
     sites = np.array([[-1, 0, 2], [0, -3, 1]])
-    window = LatticeWindow(sites=sites, lo=sites.min(0), hi=sites.max(0))
+    window = LatticeWindow(sites)
     values = np.array([[0.1, -2.5e-300], [1.0 / 3.0, 7e300]])
     path = tmp_path / "field.csv"
     write_field_csv(FieldSample(window, values), str(path))
@@ -335,18 +345,30 @@ def test_a_closed_stdout_ends_the_command_without_a_traceback(field_csv):
     # the reader is gone before the command starts, so its first write fails
     read, write = os.pipe()
     os.close(read)
-    src = Path(latblock.cli.__file__).resolve().parents[1]
     argv = ["scale", "--method", "hj", "--lambda-m", "8", "--data", field_csv]
     try:
         done = subprocess.run(
             [sys.executable, "-m", "latblock.cli", *argv, "--template", "hypercube:d=2"],
             stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
-            env={"PYTHONPATH": str(src), "PATH": ""},
+            env=cli_env(),
         )
     finally:
         os.close(write)
     assert "Traceback" not in done.stderr
     assert (done.returncode, done.stderr) == (1, "")
+
+def test_scale_npi_refuses_pilot_scales_past_the_float_range(field_csv):
+    # the region's volume, and so each pilot scale, overflows to inf
+    argv = ["--data", field_csv, "--template", "hypercube:d=2", "--region-scale", "1e200,1e200"]
+    done = subprocess.run(
+        [sys.executable, "-m", "latblock.cli", "scale", "--method", "npi", *argv],
+        capture_output=True, text=True, timeout=120, env=cli_env(),
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: npi pilot scales are out of range: s1 = inf, s2 = inf (region volume inf)\n"
+    )
+
 
 def test_study_command(capsys, tmp_path):
     config = {
@@ -545,11 +567,10 @@ def test_constants_refuses_repeated_or_unused_parameters(capsys, argv, message):
 
 
 def test_a_study_with_unindexable_replicates_exits_2_without_a_traceback(tmp_path):
-    src = Path(latblock.cli.__file__).resolve().parents[1]
     cfg = study_config(tmp_path, replicates=2**63)
     done = subprocess.run(
         [sys.executable, "-m", "latblock.cli", "study", "--config", str(cfg)],
-        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(src), "PATH": ""},
+        capture_output=True, text=True, timeout=120, env=cli_env(),
     )
     assert "Traceback" not in done.stderr
     assert done.returncode == 2
@@ -666,6 +687,33 @@ def test_study_rejects_unknown_keys(capsys, tmp_path, bad):
     assert not (tmp_path / "mse.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"regions": []}, "config needs at least one region"),
+        ({"covariograms": []}, "config needs at least one covariogram"),
+        ({"sub_templates": ["circle:r=0.5", "circle:r=0.5"]}, "sub-template names must be unique"),
+        ({"s_lambda_grid": [0]}, "subsample scales must be positive integers"),
+        ({"tau_n_sq": [1.0]}, "tau_n_sq must be a map of region|model -> number"),
+        ({"selectors": [{"npi": {"c1": [0.5], "c2": [0.5]}}]}, "selectors must be a JSON object"),
+    ],
+)
+def test_study_refuses_configs_that_name_no_study(capsys, tmp_path, bad, message):
+    code, out, err = run(["study", "--config", str(study_config(tmp_path, **bad))], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "mse.csv").exists()
+
+
+def test_study_refuses_a_config_that_is_not_json(capsys, tmp_path):
+    path = study_config(tmp_path)
+    path.write_text(path.read_text()[:-1])  # the closing brace is cut off
+    code, out, err = run(["study", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config {str(path)!r} is not valid JSON: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "mse.csv").exists()
+
+
 def test_study_rejects_statistic_without_lift(capsys, tmp_path):
     cfg_path = study_config(tmp_path, statistic="ratio", tau_n_sq={"r|white": 1.0})
     code, _, err = run(["study", "--config", str(cfg_path)], capsys)
@@ -686,6 +734,24 @@ def test_field_csv_rejects_bad_rows(tmp_path, rows, line, reason):
     path.write_text("\n".join(["s1,s2,v1", *rows]) + "\n")
     with pytest.raises(ConfigError, match=f"line {line}: .*{reason}"):
         read_field_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "data file not found: {path}"),
+        ("", "empty data file: {path}"),
+        ("\n  \n", "empty data file: {path}"),
+        ("s1,s2,v1\n", "no data rows in {path}"),
+    ],
+)
+def test_estimate_refuses_a_field_csv_without_data(capsys, tmp_path, text, message):
+    path = tmp_path / "field.csv"
+    if text is not None:
+        path.write_text(text)
+    argv = ["--template", "hypercube:d=2", "--scheme", "ol", "--scale", "2", "--stat", "mean"]
+    code, out, err = run(["estimate", "--data", str(path), *argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
 
 
 @pytest.mark.parametrize("header", ["v1,s1,s2", "s2,s1,v1", "s1,s2,v2"])
@@ -1040,10 +1106,9 @@ def test_commands_that_draw_no_field_load_no_scipy(field_csv, tmp_path):
         "steps['harness'] = latblock.harness.__name__",
         "print(json.dumps(steps))",
     ])
-    src = Path(latblock.cli.__file__).resolve().parents[1]
     out = subprocess.run(
         [sys.executable, "-c", script, json.dumps(commands)],
-        capture_output=True, text=True, check=True, env={"PYTHONPATH": str(src), "PATH": ""},
+        capture_output=True, text=True, check=True, env=cli_env(),
     )
     steps = json.loads(out.stdout)
     assert steps.pop("harness") == "latblock.harness"

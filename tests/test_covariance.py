@@ -268,7 +268,7 @@ def test_lag_counts_equal_the_binned_pair_lags_of_any_window(d, data):
     mask = np.array(bits).reshape(span)
     mask.flat[-1] = True  # at least one site
     sites = np.argwhere(mask).astype(np.int64) + lo
-    window = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+    window = LatticeWindow(sites)
     counts = lag_counts(window)
     assert counts.dtype == np.float64
     assert (counts == pair_count_lag_counts(window)).all()

@@ -56,7 +56,6 @@ from latblock.estimators import (
 )
 from latblock.geometry import (
     LatticeWindow,
-    WindowIndexer,
     enumerate_nol,
     enumerate_ol,
     lattice_sites,
@@ -117,6 +116,17 @@ def test_parse_statistic_names():
     assert parse_statistic("momvar").p == 2
     with pytest.raises(Exception):
         parse_statistic("median")
+
+
+def test_each_statistic_lifts_a_scalar_field():
+    x = np.arange(18, dtype=float).reshape(2, 9) - 4.5  # two fields of nine sites
+    mean = parse_statistic("mean").lift(x)
+    assert mean.shape == (2, 9, 1) and np.array_equal(mean[..., 0], x)
+    momvar = parse_statistic("momvar").lift(x)
+    assert momvar.shape == (2, 9, 2)
+    assert np.array_equal(momvar[..., 0], x) and np.array_equal(momvar[..., 1], x * x)
+    assert np.array_equal(parse_statistic("momvar").lift(x[0]), momvar[0])
+    assert parse_statistic("ratio").lift is None
 
 
 @pytest.mark.parametrize("stat_name", ["mean", "momvar"])
@@ -222,7 +232,7 @@ def test_an_ol_design_on_a_field_csv_with_a_hole_raises_missing_sites(tmp_path):
     region, sample = make_sample((14, 18))
     hole = np.flatnonzero(np.all(sample.window.sites == [0, 0], axis=1))  # an interior site
     sites, values = (np.delete(a, hole, axis=0) for a in (sample.window.sites, sample.values))
-    cut = FieldSample(LatticeWindow(sites, sample.window.lo, sample.window.hi), values)
+    cut = FieldSample(LatticeWindow(sites), values)
     path = str(tmp_path / "field.csv")
     write_field_csv(cut, path)
     read = read_field_csv(path)
@@ -278,11 +288,7 @@ def test_permutation_invariance():
     order = np.lexsort(tuple(shuffled_sites[:, j] for j in (1, 0)))
     # feeding the rows in any order, the window is rebuilt sorted
     rebuilt = FieldSample(
-        type(sample.window)(
-            sites=shuffled_sites[order],
-            lo=sample.window.lo,
-            hi=sample.window.hi,
-        ),
+        type(sample.window)(shuffled_sites[order]),
         sample.values[perm][order],
     )
     got = ol_estimate(rebuilt, region, spec, mean_statistic()).tau_hat_sq
@@ -294,8 +300,8 @@ def test_nol_equals_ol_on_cube_offsets():
     s_lam = 3
     ol_spec = SubsampleSpec(Template.hypercube(2), float(s_lam), "ol")
     nol_spec = SubsampleSpec(Template.hypercube(2), float(s_lam), "nol")
-    ol_res = ol_estimate(sample, region, ol_spec, mean_statistic(), keep_theta=True)
-    nol_res = nol_estimate(sample, region, nol_spec, mean_statistic(), keep_theta=True)
+    ol_res = ol_estimate(sample, region, ol_spec, mean_statistic())
+    nol_res = nol_estimate(sample, region, nol_spec, mean_statistic())
     from latblock.geometry import enumerate_nol, enumerate_ol
 
     ol_idx = enumerate_ol(region, ol_spec)
@@ -443,8 +449,21 @@ def test_design_cache_keys_on_window_sites():
     )
     # a window equal in content, such as one read from a file, shares the design
     sites = sample.window.sites.copy()
-    copy = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+    copy = LatticeWindow(sites)
     assert design_plan(copy, region, spec) is design_plan(sample.window, region, spec)
+
+
+def test_an_equal_window_that_builds_the_design_first_shares_it():
+    # windows equal in sites share one box, so whichever builds the cached
+    # design first, the other one's fields fit it
+    region, sample = make_sample((6, 6), seed=6)
+    copy = FieldSample(LatticeWindow(sample.window.sites.copy()), sample.values)
+    assert copy.window == sample.window
+    spec = SubsampleSpec(region.template, 2.0, "ol")
+    _cached_design.cache_clear()
+    first = ol_estimate(copy, region, spec, mean_statistic())
+    again = ol_estimate(sample, region, spec, mean_statistic())
+    assert (again.n_subsamples, again.tau_hat_sq) == (25, first.tau_hat_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +494,7 @@ def test_core_replicate_axis_matches_per_sample_estimates(scheme, s_lam, stat):
     assert theta.shape == (6, plan.index_set.n_subsamples)
     assert tau.shape == theta_tilde.shape == (6,)
     for r in range(6):
-        one = estimate_from_plan(plan, FieldSample(window, values[r]), stat, keep_theta=True)
+        one = estimate_from_plan(plan, FieldSample(window, values[r]), stat)
         assert tau[r] == pytest.approx(one.tau_hat_sq, rel=1e-12)
         assert theta_tilde[r] == pytest.approx(one.theta_tilde, rel=1e-12, abs=1e-15)
         np.testing.assert_allclose(theta[r], one.theta_hats, rtol=1e-12, atol=1e-15)
@@ -582,7 +601,7 @@ def test_core_equals_one_replicate_image_bit_for_bit(region_spec, sub_spec, s_la
     spec = SubsampleSpec(parse_template(sub_spec or region_spec), s_lam, scheme)
     plan = design_plan(window, region, spec)
     assert len(plan.grids) == 1
-    table = window.indexer().table
+    table = window.table
     for seed in range(5):
         x = np.random.default_rng(seed).standard_normal((window.n_sites, 1)) * 10.0**seed
         # the mean's one column and momvar's pair (x, x^2)
@@ -604,7 +623,7 @@ def sample_window(region, kind):
         return lattice_sites(box)
     else:
         return window
-    return LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+    return LatticeWindow(sites)
 
 
 @pytest.mark.parametrize("kind", ["equal", "short", "cropped", "larger"])
@@ -639,9 +658,9 @@ def test_one_shot_estimate_equals_the_gather_on_any_sample_window(
             theta, theta_tilde, tau = gather_estimate(plan, window, values, stat)
         except (MissingSites, DegenerateSubsampling) as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                estimate(sample, region, spec, stat, keep_theta=True)
+                estimate(sample, region, spec, stat)
             continue
-        got = estimate(sample, region, spec, stat, keep_theta=True)
+        got = estimate(sample, region, spec, stat)
         assert np.array_equal(got.theta_hats, theta)
         assert got.theta_tilde == theta_tilde and got.tau_hat_sq == tau
         assert np.array_equal(got.subsample_sites, plan.index_set.counts)
@@ -668,7 +687,7 @@ def test_lean_core_keeps_the_reference_checks():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
         plan = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
         single = design_plan(window, region, SubsampleSpec(region.template, 3.5, "nol"))
-    table = window.indexer().table
+    table = window.table
     values = np.ones((1, window.n_sites, 1))
     with pytest.raises(DimensionMismatch):
         estimate_image(plan, field_image(table, np.ones((1, window.n_sites, 2))), stat)
@@ -720,7 +739,7 @@ def test_a_ragged_build_is_one_strided_grid_per_site_pattern(monkeypatch):
         return grids[-1]
 
     monkeypatch.setattr(latblock.estimators, "_anchor_grid", counted)
-    monkeypatch.setattr(WindowIndexer, "lookup", lambda *args: lookups.append(args))
+    monkeypatch.setattr(LatticeWindow, "lookup", lambda *args: lookups.append(args))
     spec = SubsampleSpec(region.template, 2.5, "nol")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
@@ -761,9 +780,9 @@ def test_the_first_failing_nol_copy_decides_the_error(before_empty, error):
         empty = next(m for m, sites in enumerate(copies) if len(sites) == 0)
         # a copy before or after the first empty one loses a site
         cut_copy = copies[empty - 1] if before_empty else copies[-1]
-        rows = window.indexer().lookup(cut_copy[:1])
+        rows = window.lookup(cut_copy[:1])
         sites = np.delete(window.sites, rows, axis=0)
-        cut = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+        cut = LatticeWindow(sites)
         with pytest.raises(error):
             _build_design(cut, region, spec)
 
@@ -771,7 +790,7 @@ def test_the_first_failing_nol_copy_decides_the_error(before_empty, error):
 def test_windows_compare_and_hash_by_their_sites():
     window = lattice_sites(Region(Template.hypercube(2), (5, 7)))
     sites = window.sites.copy()
-    same = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+    same = LatticeWindow(sites)
     other = lattice_sites(Region(Template.hypercube(2), (5, 8)))
     assert same == window and hash(same) == hash(window)
     assert other != window
@@ -807,7 +826,7 @@ def test_integer_nol_rows_are_the_stacked_cube_windows(spec, scale, shifted, s_l
             _build_design(window, region, nol)
         return
     cubes = nol_subregion_windows(region, nol, offsets)
-    rows = window.indexer().lookup(np.stack([w.sites for w in cubes]))
+    rows = window.lookup(np.stack([w.sites for w in cubes]))
     if np.any(rows < 0):  # a closed disk or ball copy can leave the window
         with pytest.raises(MissingSites, match="disjoint"):
             _build_design(window, region, nol)
@@ -850,7 +869,7 @@ def test_missing_sites_names_the_scheme(s_lam, scheme, what):
         plan = _build_design(window, region, spec)
         first = design_rows(plan, window)[0]
         sites = np.delete(window.sites, first[0], axis=0)  # one subsample site less
-        cut = LatticeWindow(sites, sites.min(axis=0), sites.max(axis=0))
+        cut = LatticeWindow(sites)
         with pytest.raises(
             MissingSites, match=f"^sample does not cover every {what} subsample site$"
         ):

@@ -23,7 +23,6 @@ from latblock.errors import ConfigError, NotPositiveDefinite, WindowTooLarge
 from latblock.fieldsim import (
     RngStream,
     covariance_matrix,
-    lift_for_statistic,
     reconstruction_error,
     sample_fields,
 )
@@ -55,10 +54,11 @@ def test_cholesky_on_disk_window():
     assert reconstruction_error(gen) < 1e-10
 
 
-def test_window_cap():
+def test_window_cap(monkeypatch):
     w = window((14, 18))
-    with pytest.raises(WindowTooLarge):
-        build_generator(Covariogram.white(2), w, method="cholesky", site_cap=100)
+    monkeypatch.setattr(fieldsim, "DEFAULT_SITE_CAP", 100)
+    with pytest.raises(WindowTooLarge, match="252 sites exceed the dense factorization cap 100"):
+        build_generator(Covariogram.white(2), w, method="cholesky")
 
 
 def test_not_positive_definite_detected():
@@ -257,9 +257,8 @@ def test_marginal_variance_matches_sigma0():
 def test_lag_covariance_matches_model():
     w = window((4, 4))
     gen = build_generator(Covariogram.exp_separable(1.0, 1.0), w)
-    idx = w.indexer()
-    i0 = int(idx.lookup(np.array([[0, 0]]))[0])
-    i1 = int(idx.lookup(np.array([[1, 0]]))[0])
+    i0 = int(w.lookup(np.array([[0, 0]]))[0])
+    i1 = int(w.lookup(np.array([[1, 0]]))[0])
     n = 10_000
     pairs = np.array(
         [sample_field(gen, substream(4, i)).values[[i0, i1], 0] for i in range(n)]
@@ -282,8 +281,7 @@ def test_circulant_matches_cholesky_in_law():
     gen_c = build_generator(cov, w, method="circulant")
     gen_d = build_generator(cov, w, method="cholesky")
     n = 10_000
-    idx = w.indexer()
-    anchors = idx.lookup(np.array([[0, 0], [1, 0], [0, 1], [1, 1], [-2, 3]]))
+    anchors = w.lookup(np.array([[0, 0], [1, 0], [0, 1], [1, 1], [-2, 3]]))
     draws_c = np.array(
         [sample_field(gen_c, substream(11, i)).values[anchors, 0] for i in range(n)]
     )
@@ -325,9 +323,8 @@ def test_circulant_exact_second_moments():
 def test_stationarity_in_law_two_anchors():
     w = window((12, 12))
     gen = build_generator(Covariogram.exp_separable(1.0, 1.0), w)
-    idx = w.indexer()
-    a0 = idx.lookup(np.array([[-4, -4], [-3, -4]]))
-    a1 = idx.lookup(np.array([[3, 4], [4, 4]]))
+    a0 = w.lookup(np.array([[-4, -4], [-3, -4]]))
+    a1 = w.lookup(np.array([[3, 4], [4, 4]]))
     n = 6000
     d0, d1 = [], []
     for i in range(n):
@@ -336,22 +333,6 @@ def test_stationarity_in_law_two_anchors():
         d1.append(v[a1[0]] * v[a1[1]])
     gap = abs(np.mean(d0) - np.mean(d1))
     assert gap < 8.0 / math.sqrt(n)
-
-
-def test_lift_for_statistic():
-    w = window((3, 3))
-    vals = np.arange(w.n_sites, dtype=float)[:, None]
-    sample_obj = sample_field(
-        build_generator(Covariogram.white(2), w), substream(1, 0)
-    )
-    from latblock.estimators import FieldSample
-
-    sample_obj = FieldSample(w, vals)
-    lifted = lift_for_statistic(sample_obj, "momvar")
-    assert lifted.p == 2
-    assert np.array_equal(lifted.values[:, 1], vals[:, 0] ** 2)
-    same = lift_for_statistic(sample_obj, "mean")
-    assert same is sample_obj
 
 
 # -- the one lag table: Cholesky matrix and circulant base ---------------------

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from brute_force import _offsets_with_sites_inside, copy_sites, nol_subregion_windows
@@ -23,16 +23,20 @@ from latblock import (
     set_covariance_exact,
 )
 from latblock import geometry
+from latblock.cli import read_field_csv, write_field_csv
 from latblock.constants import k0_numeric
 from latblock.errors import (
     ConfigError,
     DimensionMismatch,
     EmptySubsampleSet,
+    EmptyWindow,
     LatblockError,
     NonIntegerScaleWarning,
 )
+from latblock.estimators import FieldSample
 from latblock.geometry import (
     _EQ_TOL,
+    LatticeWindow,
     affine_image,
     box_points,
     raster_mask,
@@ -215,13 +219,48 @@ def test_lattice_shift_honored():
     assert w.sites.ravel().tolist() == [-2, -1, 0, 1]
 
 
-def test_each_window_and_its_indexer_are_built_once_and_read_only():
+def test_each_window_and_its_table_are_built_once_and_read_only():
     region = Region(Template.circle(0.5), (20, 20), (0.3, 0.1))
     window = lattice_sites(region)
     assert lattice_sites(region) is window
     assert lattice_sites(Region(Template.circle(0.5), [20.0], [0.3, 0.1])) is window  # equal region
-    assert window.indexer() is window.indexer()
-    for arr in (window.sites, window.lo, window.hi, window.indexer().table):
+    assert window.table is window.table
+    for arr in (window.sites, window.lo, window.hi, window.table):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 7
+
+
+def test_windows_of_equal_sites_have_one_box_and_table(tmp_path):
+    window = lattice_sites(Region(Template.circle(0.5), (9, 7), (0.2, -0.4)))
+    sites = window.sites
+    path = str(tmp_path / "field.csv")
+    write_field_csv(FieldSample(window, np.zeros(window.n_sites)), path)
+    built = [
+        LatticeWindow(sites.copy()),
+        LatticeWindow(sites.tolist()),
+        LatticeWindow(sites.astype(np.int32)),
+        LatticeWindow(np.asfortranarray(sites)),
+        read_field_csv(path).window,
+    ]
+    for other in built:
+        assert other == window and hash(other) == hash(window)
+        for name in ("sites", "lo", "hi", "table"):
+            got, want = getattr(other, name), getattr(window, name)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_a_window_keeps_its_own_read_only_sites():
+    sites = np.array([[0, 0], [0, 1], [1, 0], [2, 1]])
+    window = LatticeWindow(sites)
+    key = hash(window)  # its equality key is built now, before the write below
+    kept = LatticeWindow(sites.copy())
+    sites[0] = [5, 5]
+    assert window.sites.tolist() == [[0, 0], [0, 1], [1, 0], [2, 1]]
+    assert window == kept and hash(window) == key
+    assert window != LatticeWindow(sites)
+    assert (window.lo.tolist(), window.hi.tolist()) == ([0, 0], [2, 1])
+    assert window.lookup([[2, 1], [1, 1], [3, 0], [-1, 0]]).tolist() == [3, -1, -1, -1]
+    for arr in (window.sites, window.lo, window.hi, window.table):
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 7
 
@@ -333,6 +372,16 @@ def test_overlap_count_far_translate_every_shape():
     for template in all_templates_2d():
         k = int(math.ceil(4 * template.diameter())) + 1
         assert overlap_count(template, 4, (k, 0)) == 0
+
+
+@pytest.mark.parametrize("spec", ["hypercube:d=2", "circle:r=0.5", "righttri", "sphere:r=0.5"])
+def test_overlap_count_is_the_shared_site_count(spec):
+    template = parse_template(spec)
+    sites = lattice_sites(Region(template, (5.0,) * template.d, (0.3,) * template.d)).sites
+    present = set(map(tuple, sites.tolist()))
+    for k in box_points([-3] * template.d, [3] * template.d):
+        want = sum(tuple(z) in present for z in (sites - k).tolist())
+        assert overlap_count(template, 5, k, (0.3,) * template.d) == want
 
 
 def test_overlap_count_symmetric_and_bounded():
@@ -528,14 +577,17 @@ def test_hypercube_ol_count_is_product_of_free_positions(sides, data):
     scale=st.integers(2, 11),
     shift=st.floats(-0.5, 0.5),
 )
-def test_window_indexer_round_trips_sites(spec, scale, shift):
+def test_window_lookup_round_trips_sites(spec, scale, shift):
     template = parse_template(spec)
-    window = lattice_sites(Region(template, (float(scale),) * template.d, (shift,) * template.d))
-    indexer = window.indexer()
-    assert np.array_equal(indexer.lookup(window.sites), np.arange(window.n_sites))
+    region = Region(template, (float(scale),) * template.d, (shift,) * template.d)
+    try:
+        window = lattice_sites(region)
+    except EmptyWindow:  # a triangle at scale 2 can miss every site
+        reject()
+    assert np.array_equal(window.lookup(window.sites), np.arange(window.n_sites))
     # every other site of a box one step wider than the window maps to -1
     box = box_points(window.lo - 1, window.hi + 1)
-    rows = indexer.lookup(box)
+    rows = window.lookup(box)
     hit = rows >= 0
     assert np.array_equal(window.sites[rows[hit]], box[hit])
     assert hit.sum() == window.n_sites

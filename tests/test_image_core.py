@@ -47,7 +47,6 @@ from latblock.estimators import (
 )
 from latblock.fieldsim import (
     build_generator,
-    lift_for_statistic,
     sample_field,
     sample_fields,
     substream,
@@ -65,9 +64,9 @@ def assert_core_matches(region, spec, values):
     window = lattice_sites(region)
     plan = design_plan(window, region, spec)
     stat = mean_statistic()
-    image = field_image(window.indexer().table, values[..., None])
+    image = field_image(window.table, values[..., None])
     assert image.flags.c_contiguous
-    assert image.shape == (1, *window.indexer().table.shape, len(values))
+    assert image.shape == (1, *window.table.shape, len(values))
     got = estimate_image(plan, image, stat)[2]
     assert got.shape == (len(values),)
     assert np.array_equal(got, per_replicate_taus(plan, window, values, stat))
@@ -249,14 +248,14 @@ def test_anchor_step_is_the_gcd_of_the_anchor_distances(d, step, cells, unit, co
 def test_image_core_keeps_the_core_checks():
     region = Region(Template.hypercube(2), (6, 6))
     window = lattice_sites(region)
-    image = field_image(window.indexer().table, np.ones((2, window.n_sites, 1)))
+    image = field_image(window.table, np.ones((2, window.n_sites, 1)))
     plan = design_plan(window, region, SubsampleSpec(region.template, 2.0, "ol"))
     with pytest.raises(DimensionMismatch):
         estimate_image(plan, image, moment_variance())
     bad = np.ones((2, window.n_sites, 1))
     bad[1, 3, 0] = np.inf
     with pytest.raises(StatisticDomainError):
-        estimate_image(plan, field_image(window.indexer().table, bad), mean_statistic())
+        estimate_image(plan, field_image(window.table, bad), mean_statistic())
     single = design_plan(window, region, SubsampleSpec(region.template, 6.0, "ol"))
     with pytest.raises(DegenerateSubsampling):
         estimate_image(single, image, mean_statistic())
@@ -265,7 +264,7 @@ def test_image_core_keeps_the_core_checks():
         ragged = design_plan(window, region, SubsampleSpec(region.template, 2.5, "nol"))
     # a ragged design takes the same core
     values = fields(window, 2, 3)[..., None]
-    got = estimate_image(ragged, field_image(window.indexer().table, values), mean_statistic())
+    got = estimate_image(ragged, field_image(window.table, values), mean_statistic())
     want = [gather_ragged(ragged, window, field, mean_statistic()) for field in values]
     for part, reference in zip(got, zip(*want)):
         assert np.array_equal(part, np.array(reference))
@@ -298,14 +297,14 @@ def test_image_core_equals_the_gather_in_every_layout(
     region, sub, s_lam, scheme, edge, partial, n_fields
 ):
     window = lattice_sites(region)
-    box = window.indexer().table.shape
+    box = window.table.shape
     plan = design_plan(window, region, SubsampleSpec(parse_template(sub), s_lam, scheme))
     (grid,) = plan.grids
     reach = np.add(grid.lo, grid.base).max(axis=0) + grid.step * (np.array(grid.shape) - 1)
     assert (reach[-1] == box[-1] - 1) == edge
     assert (grid.index is not None) == partial
     for stat, values in lifted_fields(window, n_fields):
-        image = field_image(window.indexer().table, values)
+        image = field_image(window.table, values)
         assert image.flags.c_contiguous and image.shape == (stat.p, *box, n_fields)
         got = estimate_image(plan, image, stat)
         want = [gather_estimate(plan, window, field, stat) for field in values]
@@ -327,7 +326,7 @@ def test_block_core_equals_the_gather_in_every_layout(region, lambda_m, n_fields
     pilot = lattice_sites(Region(region.template, (float(lambda_m),) * region.d, region.shift))
     rows = design_rows(design.blocks, window)
     for stat, values in lifted_fields(window, n_fields):
-        image = field_image(window.indexer().table, values)
+        image = field_image(window.table, values)
         for c, local in design.local:
             full = design_plan(window, region, SubsampleSpec(region.template, float(c), "ol"))
             got = estimate_blocks(image, full, design.blocks, local, stat)
@@ -350,7 +349,7 @@ RAGGED_CASES = [
 @pytest.mark.parametrize("region, sub, s_lam", RAGGED_CASES)
 def test_image_core_equals_the_copy_gather_on_ragged_designs(region, sub, s_lam, n_fields):
     window = lattice_sites(region)
-    table = window.indexer().table
+    table = window.table
     spec = SubsampleSpec(parse_template(sub), s_lam, "nol")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonIntegerScaleWarning)
@@ -368,7 +367,7 @@ def test_image_core_equals_the_copy_gather_on_ragged_designs(region, sub, s_lam,
 
 def test_returned_arrays_are_not_overwritten_by_the_next_call():
     window = lattice_sites(BOX)
-    image = field_image(window.indexer().table, fields(window, 3, 2)[..., None])
+    image = field_image(window.table, fields(window, 3, 2)[..., None])
     stat = mean_statistic()
     first, second = (
         design_plan(window, BOX, SubsampleSpec(BOX.template, s_lam, "ol")) for s_lam in (3.0, 5.0)
@@ -384,7 +383,7 @@ def test_returned_arrays_are_not_overwritten_by_the_next_call():
 
 def test_threads_estimating_at_once_get_their_single_thread_bytes():
     window = lattice_sites(BOX)
-    image = field_image(window.indexer().table, fields(window, 26, 4)[..., None])
+    image = field_image(window.table, fields(window, 26, 4)[..., None])
     stat = mean_statistic()
     # 9 terms in one block of lanes, and 169 split into halves
     plans = [design_plan(window, BOX, SubsampleSpec(BOX.template, s, "ol")) for s in (3.0, 13.0)]
@@ -417,7 +416,7 @@ def test_an_image_of_another_window_is_refused():
     window = lattice_sites(BOX)
     plan = design_plan(window, BOX, SubsampleSpec(BOX.template, 3.0, "ol"))
     other = lattice_sites(Region(Template.hypercube(2), (40, 45)))
-    image = field_image(other.indexer().table, fields(other, 2, 1)[..., None])
+    image = field_image(other.table, fields(other, 2, 1)[..., None])
     with pytest.raises(DimensionMismatch):
         estimate_image(plan, image, mean_statistic())
 
@@ -430,7 +429,7 @@ def test_lanes_past_the_workspace_cap_give_the_same_estimates(monkeypatch, stat)
         # a ragged design: four anchor grids, whose lanes differ in size
         plan = design_plan(window, BOX, SubsampleSpec(BOX.template, 2.5, "nol"))
     x = fields(window, 5, 8)
-    image = field_image(window.indexer().table, np.stack([x, x * x], -1)[..., : stat.p])
+    image = field_image(window.table, np.stack([x, x * x], -1)[..., : stat.p])
     sizes, lanes = [], latblock.estimators._lanes
 
     def spy(count, shape):
@@ -493,8 +492,7 @@ def direct_study(cfg):
             first = (r_idx * len(cfg.covariograms) + c_idx) * cfg.replicates
             streams = [substream(cfg.seed, first + rep) for rep in range(cfg.replicates)]
             samples = [
-                lift_for_statistic(sample_field(gen, stream), cfg.statistic.name)
-                for stream in streams
+                cfg.statistic.lift(sample_field(gen, stream).values[:, 0]) for stream in streams
             ]
             for scheme in cfg.schemes:
                 for lam in cfg.s_lambda_grid[reg.name]:
@@ -504,7 +502,7 @@ def direct_study(cfg):
                         out[(reg.name, cov_name, scheme, lam)] = None
                         continue
                     taus = [
-                        gather_estimate(plan, window, s.values, cfg.statistic)[2] for s in samples
+                        gather_estimate(plan, window, x, cfg.statistic)[2] for x in samples
                     ]
                     out[(reg.name, cov_name, scheme, lam)] = [
                         (float(t) / tau_n - 1.0) ** 2 for t in taus
@@ -540,7 +538,7 @@ def assert_study_matches(cfg):
 @pytest.mark.parametrize("block_reps", [1, 10, 200])
 def test_study_chunks_match_the_per_replicate_core(monkeypatch, block_reps):
     # 103 replicates: chunks of 10 leave a partial chunk of 3
-    table_size = lattice_sites(Region(Template.hypercube(2), (11, 13))).indexer().table.size
+    table_size = lattice_sites(Region(Template.hypercube(2), (11, 13))).table.size
     monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", block_reps * table_size)
     calls = image_calls(monkeypatch)
     assert_study_matches(config_from_dict(study_raw()))
@@ -658,7 +656,7 @@ def chunked_config(monkeypatch, region=None, **overrides):
     if region is not None:
         raw["regions"] = [region]
     cfg = config_from_dict(raw)
-    table = lattice_sites(cfg.regions[0].region()).indexer().table
+    table = lattice_sites(cfg.regions[0].region()).table
     monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", 10 * table.size)
     return cfg
 
@@ -789,7 +787,7 @@ def test_the_caller_and_the_helper_claim_each_piece_once(monkeypatch):
     # a circulant box in 40 chunks of 10 pieces, which the caller and the
     # helper pop from one deque a chunk
     window = lattice_sites(Region(Template.hypercube(2), (6, 7)))
-    cov, table = parse_covariogram("expsep:b1=1,b2=1"), window.indexer().table
+    cov, table = parse_covariogram("expsep:b1=1,b2=1"), window.table
     samples = latblock.harness.Replicates(cov, window, 5, range(40, 1240), mean_statistic())
     monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", 30 * table.size)
     claims = []  # the streams of each sample_fields call, and its thread

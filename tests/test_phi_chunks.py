@@ -109,7 +109,7 @@ def widest_gather(config):
 def test_chunked_rows_equal_the_per_replicate_reference(monkeypatch, name, chunk, statistic):
     config = config_from_dict(case_raw(name, statistic))
     window = lattice_sites(config.regions[0].region())
-    cells = window.indexer().table.size * config.statistic.p
+    cells = window.table.size * config.statistic.p
     monkeypatch.setattr(latblock.harness, "_IMAGE_BLOCK_CELLS", chunk * cells)
     # hj's widest block gather takes 3 fields of a chunk at a time
     widest = widest_gather(config)
@@ -198,7 +198,7 @@ def test_block_gather_equals_the_core_on_the_pilot_blocks(
     # the mean's (R, N, 1) values and momvar's (R, N, 2) pairs (x, x^2)
     lifted = np.stack([x, x * x], axis=-1)
     for stat, values in [(mean_statistic(), x[..., None]), (moment_variance(), lifted)]:
-        image = field_image(window.indexer().table, values)
+        image = field_image(window.table, values)
         for c, local in design.local:
             full = design_plan(window, region, SubsampleSpec(region.template, float(c), OL))
             got = estimate_blocks(image, full, design.blocks, local, stat)
@@ -360,7 +360,7 @@ def test_a_chunk_choice_equals_the_per_sample_references(monkeypatch, statistic,
         ("hj", None, None, 4),  # two candidates, three required: refused on every field
     ]
     engine = SelectorEngine(window, region, settings, scheme, None, 3)
-    image = field_image(window.indexer().table, values)
+    image = field_image(window.table, values)
     _, _, s1, s2 = engine.pilots[0.5, 0.5]
     memo = {lam: engine.tau(image, stat, {}, lam) for lam in (s1, s2, 2 * s2)}
     seeded = {

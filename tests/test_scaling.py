@@ -380,7 +380,7 @@ def test_select_on_replicates_equals_select_on_each(stat_name, scheme):
         ("hj", None, None, 4),  # two candidates: refused on every replicate
     ]
     engine = SelectorEngine(window, BOX, settings, scheme, None, 3)
-    table = window.indexer().table
+    table = window.table
     together = engine.select(field_image(table, values), stat, {})
     assert len(together) == 5
     for rep, plans in enumerate(together):
