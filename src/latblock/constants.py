@@ -218,12 +218,7 @@ def bias_weights(template: Template, radius: int = 3, source: str = AUTO) -> Bia
 # ---------------------------------------------------------------------------
 
 
-def b0(
-    template: Template,
-    cov: Covariogram,
-    rel_tol: float = 1e-10,
-    statistic=None,
-) -> float:
+def b0(template: Template, cov: Covariogram, statistic=None) -> float:
     """Leading bias constant: the sum over nonzero lags k of b0_weight(k) * sigma(k).
 
     For one-dimensional sampling this is the full constant only when the
@@ -240,4 +235,4 @@ def b0(
     def term(lags: np.ndarray) -> np.ndarray:
         return template.geom.bias_weight(lags) * cov.sigma_many(lags)
 
-    return sum_over_shells(term, template.d, rel_tol=rel_tol)
+    return sum_over_shells(term, template.d)

@@ -20,6 +20,7 @@ from .errors import ConfigError, DimensionMismatch, EmptyWindow, NonConvergent
 from .geometry import LatticeWindow, Region, box_points, lattice_sites
 
 _HARD_CAP = 10_000
+_REL_TOL = 1e-10
 
 EXP_SEPARABLE = "exp-separable"
 GAUSS_SEPARABLE = "gauss-separable"
@@ -147,15 +148,13 @@ def sigma(cov: Covariogram, k) -> float:
     return float(cov.sigma_many(k[None, :])[0])
 
 
-def tau_sq(cov: Covariogram, rel_tol: float = 1e-10) -> float:
+def tau_sq(cov: Covariogram) -> float:
     """Long-run variance: the covariogram summed over the integer lattice.
 
     Truncated by growing sup-norm shells until the newest shell contributes
-    less than ``rel_tol`` of the partial sum; separable models factor into
+    less than ``_REL_TOL`` of the partial sum; separable models factor into
     per-axis series.
     """
-    if rel_tol <= 0:
-        raise ConfigError("rel_tol must be positive")
     if cov.kind == WHITE:
         return 1.0
     if cov.kind == TABULATED:
@@ -167,26 +166,24 @@ def tau_sq(cov: Covariogram, rel_tol: float = 1e-10) -> float:
         while True:
             term = 2.0 * cov.axis_term(axis, m)
             s += term
-            if term < rel_tol * abs(s):
+            if term < _REL_TOL * abs(s):
                 break
             m += 1
             if m > _HARD_CAP:
                 raise NonConvergent(
-                    f"axis {axis} series did not meet rel_tol within {_HARD_CAP} terms"
+                    f"axis {axis} series did not converge within {_HARD_CAP} terms"
                 )
         total *= s
     return total
 
 
-def sum_over_shells(term_fn, d: int, rel_tol: float = 1e-10):
+def sum_over_shells(term_fn, d: int):
     """Sum term_fn over Z^d less the origin by sup-norm shells with a
     relative stopping rule.
 
     ``term_fn`` maps an (m, d) integer array to values; stopping compares the
-    newest shell's absolute mass against the absolute partial sum.
+    newest shell's absolute mass with ``_REL_TOL`` times the absolute sum.
     """
-    if rel_tol <= 0:
-        raise ConfigError("rel_tol must be positive")
     total = abs_total = 0.0
     m = 1
     while True:
@@ -195,7 +192,7 @@ def sum_over_shells(term_fn, d: int, rel_tol: float = 1e-10):
         total += float(vals.sum())
         mass = float(np.abs(vals).sum())
         abs_total += mass
-        if mass < rel_tol * max(abs_total, 1e-300):
+        if mass < _REL_TOL * max(abs_total, 1e-300):
             return total
         m += 1
         if m > _HARD_CAP:

@@ -622,25 +622,6 @@ def estimate_blocks(
     return np.ascontiguousarray(_reduce_theta(local, theta, stat, overwrite=True)[1])
 
 
-def estimate_from_plan(
-    plan: SubsamplePlan,
-    sample: FieldSample,
-    stat: SmoothStatistic,
-) -> EstimatorResult:
-    """``plan`` on ``sample``, a field on the plan's window, through its
-    ``field_image``."""
-    image = field_image(sample.window.table, sample.values[None])
-    theta, theta_tilde, tau_hat = (a[0] for a in estimate_image(plan, image, stat))
-    return EstimatorResult(
-        tau_hat_sq=float(tau_hat),
-        scheme=plan.index_set.scheme,
-        n_subsamples=plan.index_set.n_subsamples,
-        subsample_sites=plan.index_set.counts.copy(),
-        theta_tilde=float(theta_tilde),
-        theta_hats=theta,
-    )
-
-
 def ol_estimate(
     sample: FieldSample,
     region: Region,
@@ -666,5 +647,15 @@ def nol_estimate(
 
 
 def estimate(sample, region, spec, stat) -> EstimatorResult:
-    """Subsample variance estimate of ``spec``'s scheme on ``sample``."""
-    return estimate_from_plan(design_plan(sample.window, region, spec), sample, stat)
+    """Subsample variance estimate of ``spec``'s scheme on ``sample``'s ``field_image``."""
+    plan = design_plan(sample.window, region, spec)
+    image = field_image(sample.window.table, sample.values[None])
+    theta, theta_tilde, tau_hat = (a[0] for a in estimate_image(plan, image, stat))
+    return EstimatorResult(
+        tau_hat_sq=float(tau_hat),
+        scheme=plan.index_set.scheme,
+        n_subsamples=plan.index_set.n_subsamples,
+        subsample_sites=plan.index_set.counts.copy(),
+        theta_tilde=float(theta_tilde),
+        theta_hats=theta,
+    )

@@ -677,9 +677,28 @@ def set_covariance_exact(template: Template, x) -> float:
     return float(template.geom.set_cov_exact(x))
 
 
+def lattice_box(lo, hi) -> tuple:
+    """int64 corners of the integer boxes ``lo <= x <= hi``, a box per row,
+    from corners already on the lattice; every lattice site set is built
+    from boxes that pass here.  A corner that is not finite or not an int64,
+    or boxes whose points (d int64 each) exceed physical memory, raise
+    ``ConfigError``: an allocation is not trusted to fail, as the kernel may
+    promise memory that it cannot back."""
+    corners = np.array([lo, hi], float)
+    outside = ~(np.abs(corners) < 2.0**63)  # NaN is outside too
+    if outside.any():
+        raise ConfigError(f"lattice box corner {corners[outside][0]:g} is past the int64 range")
+    lo, hi = np.asarray(lo, np.int64), np.asarray(hi, np.int64)
+    points = np.prod(np.maximum(corners[1] - corners[0] + 1, 0), axis=-1).sum()
+    if points * 8 * lo.shape[-1] > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ConfigError(f"a lattice box of {points:.3g} sites does not fit in memory")
+    return lo, hi
+
+
 def box_points(lo, hi) -> np.ndarray:
-    """Integer points of the box ``lo <= x <= hi``, shape (n, d), last axis fastest."""
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    """Integer points of the box ``lo <= x <= hi``, shape (n, d), last axis
+    fastest; the corners pass ``lattice_box``."""
+    axes = [np.arange(a, b + 1) for a, b in zip(*lattice_box(lo, hi))]
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -873,6 +892,7 @@ class LatticeWindow:
     @cached_property
     def table(self) -> np.ndarray:
         """Row of each bounding-box site, -1 off the window; read-only."""
+        lattice_box(self.lo, self.hi)  # refuses a box too big to hold
         table = np.full(tuple(self.span), -1, dtype=np.int64)
         table[tuple((self.sites - self.lo).T)] = np.arange(self.n_sites)
         return _read_only(table)
@@ -917,17 +937,11 @@ def lattice_sites(region: Region) -> LatticeWindow:
 
 @lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _cached_window(region: Region) -> LatticeWindow:
-    geom = region.template.geom
-    scale = np.asarray(region.scale)
-    shift = np.asarray(region.shift)
-    lo_f, hi_f = geom.bbox()
-    lo = np.ceil(lo_f * scale - shift - _EQ_TOL).astype(np.int64)
-    hi = np.floor(hi_f * scale - shift + _EQ_TOL).astype(np.int64)
-    cand = box_points(lo, hi)
-    inside = geom.contains_scaled(cand, scale, shift)
+    zero = np.zeros((1, region.d))
+    block, inside = _copy_patterns(region.template.geom, region.scale, region.shift, zero)
     if not inside.any():
         raise EmptyWindow("region contains no lattice sites")
-    return LatticeWindow(cand[inside])
+    return LatticeWindow(block[inside[0]])
 
 
 def overlap_count(template: Template, s_lambda: float, k, shift=None) -> int:
@@ -1082,12 +1096,11 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     shift = np.asarray(region.shift)
     geom = region.template.geom
     lo_f, hi_f = geom.bbox()
-    lo = np.floor(lo_f * scale / s_lam - 1).astype(np.int64)
-    hi = np.ceil(hi_f * scale / s_lam + 1).astype(np.int64)
-    cand = box_points(lo, hi)
+    cand = box_points(np.floor(lo_f * scale / s_lam - 1), np.ceil(hi_f * scale / s_lam + 1))
     center = s_lam * cand.astype(float)
-    slo = np.ceil(center - s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64)
-    span = np.floor(center + s_lam / 2.0 - shift + _EQ_TOL).astype(np.int64) - slo
+    slo, shi = lattice_box(np.ceil(center - s_lam / 2.0 - shift + _EQ_TOL),
+                           np.floor(center + s_lam / 2.0 - shift + _EQ_TOL))
+    span = shi - slo
     block = box_points([0] * region.d, span.max(axis=0))
     in_cube = np.all(block <= span[:, None, :], axis=-1)  # (cubes, block points)
     inside = geom.contains_scaled(slo[:, None, :] + block, scale, shift)
@@ -1095,17 +1108,13 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     offsets = cand[keep]
     if offsets.shape[0] == 0:
         raise EmptySubsampleSet("no partitioning cube fits inside the region")
-    sub = spec.template.geom
     if spec.is_integer_scale():
-        block, inside = _copy_patterns(sub, s_lam, shift, np.zeros((1, region.d)))
-        base = block[inside[0]]
-        if base.shape[0] == 0:
-            raise EmptyWindow("region contains no lattice sites")
+        base = lattice_sites(Region(spec.template, (s_lam,) * region.d, region.shift)).sites
         return _shared_count(NOL, offsets, base, int(round(s_lam)))
     corner = s_lam * offsets.astype(float)
     fracs, which = np.unique(corner - np.floor(corner), axis=0, return_inverse=True)
     # numpy 2.0.0 returns ``which`` as a column; its entries are the copies' either way
-    block, inside = _copy_patterns(sub, s_lam, shift, fracs)
+    block, inside = _copy_patterns(spec.template.geom, (s_lam,) * region.d, shift, fracs)
     # each fraction's sites as bits over the block's box, seen from their low corner
     box, axes = block[-1] - block[0] + 1, set(range(1, region.d + 1))
     masks = inside.reshape(-1, *box)
@@ -1123,12 +1132,14 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     return SubsampleIndexSet(NOL, offsets, counts, patterns, anchors, pattern)
 
 
-def _copy_patterns(geom: _Geometry, s_lam: float, shift, fracs):
-    """A common block of sites, and which of them the ``s_lam``-scaled
-    template holds at lattice shift ``shift - f`` for each row f of
-    ``fracs`` (F, d) in [0, 1): a (F, block) mask from one membership test."""
+def _copy_patterns(geom: _Geometry, scale, shift, fracs):
+    """A common block of sites, and which of them the template scaled by
+    ``scale`` (per axis) holds at lattice shift ``shift - f`` for each row f
+    of ``fracs`` (F, d) in [0, 1): a (F, block) mask from one membership
+    test.  A region's window is its one row at f = 0."""
+    scale, shift = np.asarray(scale), np.asarray(shift)
     lo_f, hi_f = geom.bbox()
-    lo = np.ceil(s_lam * lo_f - shift + fracs.min(axis=0) - _EQ_TOL).astype(np.int64)
-    hi = np.floor(s_lam * hi_f - shift + fracs.max(axis=0) + _EQ_TOL).astype(np.int64)
+    lo = np.ceil(scale * lo_f - shift + fracs.min(axis=0) - _EQ_TOL)
+    hi = np.floor(scale * hi_f - shift + fracs.max(axis=0) + _EQ_TOL)
     block = box_points(lo, np.maximum(hi, lo))  # not empty: it has a corner
-    return block, geom.contains_scaled(block, (s_lam,) * geom.d, (shift - fracs)[:, None, :])
+    return block, geom.contains_scaled(block, scale, (shift - fracs)[:, None, :])

@@ -168,7 +168,7 @@ def npi_region_pilots(region: Region, c1: float, c2: float):
     top = min(region.scale)
     if max(s1, 2 * s2) >= top:
         raise ConfigError(
-            f"npi pilot scales s1 = {s1} and 2*s2 = {2 * s2} (c1 = {c1}, c2 = {c2}) "
+            f"npi pilot scales s1 = {s1:g} and 2*s2 = {2.0 * s2:g} (c1 = {c1}, c2 = {c2}) "
             f"must lie below min(region scale) = {top:g}"
         )
     return s1_raw, s2_raw, s1, s2

@@ -370,6 +370,52 @@ def test_scale_npi_refuses_pilot_scales_past_the_float_range(field_csv):
     )
 
 
+ESTIMATE = ["estimate", "--stat", "mean"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*ESTIMATE, "--scheme", "ol", "--scale", "1e15"],
+        [*ESTIMATE, "--scheme", "ol", "--scale", "2", "--region-scale", "1e15,1e15"],
+        [*ESTIMATE, "--scheme", "nol", "--scale", "2", "--region-scale", "1e15,1e15"],
+        ["scale", "--method", "npi", "--region-scale", "1e15,1e15"],
+        ["scale", "--method", "hj", "--lambda-m", "8", "--region-scale", "1e15,1e15"],
+        [*ESTIMATE, "--scheme", "ol", "--scale", "1e300"],
+        ["scale", "--method", "hj", "--lambda-m", "8", "--region-scale", "1e200,1e200"],
+        [*ESTIMATE, "--scheme", "nol", "--scale", "1e-300"],
+        [*ESTIMATE, "--scheme", "nol", "--scale", "1e300"],
+        "far site",
+        "study",
+    ],
+    ids=[
+        "ol-sub-1e15", "ol-region-1e15", "nol-region-1e15", "npi-region-1e15", "hj-region-1e15",
+        "ol-sub-1e300", "hj-region-1e200", "nol-sub-1e-300", "nol-sub-1e300", "far-site", "study",
+    ],
+)
+def test_a_lattice_box_past_int64_or_memory_is_refused(capsys, tmp_path, field_csv, argv):
+    # a window, subsample copy, cube index box or site table with a corner past
+    # int64, or more points than memory holds: one error line, exit 2, no CSV
+    out_csv = tmp_path / "out.csv"
+    if argv == "far site":
+        far = tmp_path / "far.csv"
+        rows = [f"{i},{j},0.5" for i in (-1, 0, 1) for j in (-1, 0, 1)]
+        far.write_text("\n".join(["s1,s2,v1", *rows, "3000000000,3000000000,0.5"]) + "\n")
+        argv = [*ESTIMATE, "--data", str(far), "--template", "hypercube:d=2"]
+        argv += ["--region-scale", "3,3", "--scheme", "ol", "--scale", "2", "--csv", str(out_csv)]
+    elif argv == "study":
+        region = {"name": "r", "template": "hypercube:d=2", "scale": [1e15, 1e15]}
+        outputs = {"mse_csv": str(out_csv)}
+        argv = ["study", "--config", str(study_config(tmp_path, regions=[region], outputs=outputs))]
+    else:
+        argv = [*argv, "--data", field_csv, "--template", "hypercube:d=2", "--csv", str(out_csv)]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lattice box" in err
+    assert not out_csv.exists()
+
+
 def test_study_command(capsys, tmp_path):
     config = {
         "regions": [{"name": "r", "template": "hypercube:d=2", "scale": [10, 10]}],

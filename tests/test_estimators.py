@@ -50,7 +50,6 @@ from latblock.estimators import (
     _cached_design,
     design_plan,
     estimate,
-    estimate_from_plan,
     estimate_image,
     field_image,
 )
@@ -441,8 +440,9 @@ def test_design_cache_keys_on_window_sites():
     stat = mean_statistic()
     ol_estimate(sample, region, spec, stat)  # caches the design on the region's window
     on_big = ol_estimate(big, region, spec, stat)
-    fresh = estimate_from_plan(_build_design(big.window, region, spec), big, stat)
-    assert on_big.tau_hat_sq == fresh.tau_hat_sq
+    image = field_image(big.window.table, big.values[None])
+    _, _, fresh = estimate_image(_build_design(big.window, region, spec), image, stat)
+    assert on_big.tau_hat_sq == fresh[0]
     assert not np.array_equal(
         design_rows(design_plan(big.window, region, spec), big.window),
         design_rows(design_plan(sample.window, region, spec), sample.window),
@@ -494,10 +494,11 @@ def test_core_replicate_axis_matches_per_sample_estimates(scheme, s_lam, stat):
     assert theta.shape == (6, plan.index_set.n_subsamples)
     assert tau.shape == theta_tilde.shape == (6,)
     for r in range(6):
-        one = estimate_from_plan(plan, FieldSample(window, values[r]), stat)
-        assert tau[r] == pytest.approx(one.tau_hat_sq, rel=1e-12)
-        assert theta_tilde[r] == pytest.approx(one.theta_tilde, rel=1e-12, abs=1e-15)
-        np.testing.assert_allclose(theta[r], one.theta_hats, rtol=1e-12, atol=1e-15)
+        image = field_image(window.table, values[r][None])
+        one_theta, one_tilde, one_tau = (a[0] for a in estimate_image(plan, image, stat))
+        assert tau[r] == pytest.approx(one_tau, rel=1e-12)
+        assert theta_tilde[r] == pytest.approx(one_tilde, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(theta[r], one_theta, rtol=1e-12, atol=1e-15)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

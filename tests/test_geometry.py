@@ -593,6 +593,33 @@ def test_window_lookup_round_trips_sites(spec, scale, shift):
     assert hit.sum() == window.n_sites
 
 
+REGISTERED = all_templates_2d() + all_templates_3d()
+
+
+def test_registered_covers_every_template_kind():
+    assert {t.kind for t in REGISTERED} == set(geometry._KIND_TO_TOKEN)
+
+
+@pytest.mark.parametrize("template", REGISTERED, ids=lambda t: t.kind)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_window_is_the_scaled_membership_filter_of_a_wider_box(template, data):
+    # per-axis scales and a lattice shift: the window holds exactly the sites
+    # of a box one step wider than the region's bounding box that the
+    # scaled template holds, in lexicographic order
+    d = template.d
+    scale = np.array(data.draw(st.lists(st.floats(1.0, 12.0), min_size=d, max_size=d)))
+    shift = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=d, max_size=d)))
+    lo_f, hi_f = template.geom.bbox()
+    box = box_points(np.floor(lo_f * scale - shift) - 1, np.ceil(hi_f * scale - shift) + 1)
+    want = box[template.geom.contains_scaled(box, scale, shift)]
+    try:
+        got = lattice_sites(Region(template, tuple(scale), tuple(shift))).sites
+    except EmptyWindow:
+        got = np.empty((0, d), np.int64)
+    assert np.array_equal(got, want)
+
+
 def nol_design_one_by_one(region, spec):
     """Reference NOL design: each candidate cube is tested on its own sites."""
     s_lam = spec.s_lambda
