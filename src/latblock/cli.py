@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .constants import are, b0 as bias_constant, k0 as shape_constants
 from .covariance import parse_covariogram, tau_sq
-from .csvfile import emit_csv
+from .csvfile import check_output, emit_csv, open_input
 from .errors import ConfigError, LatblockError
 from .estimators import FieldSample, estimate, parse_statistic
 from .geometry import (
@@ -48,7 +48,7 @@ def read_field_csv(path: str) -> FieldSample:
     """Field CSV: header s1..sd,v1..vp, integer sites, float values, any row order."""
     if not os.path.exists(path):
         raise ConfigError(f"data file not found: {path}")
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ConfigError(f"empty data file: {path}")
@@ -110,7 +110,7 @@ def infer_region(template: Template, sample: FieldSample, scale_text: str | None
     if template.kind == "hypercube":
         scale = tuple(float(s) for s in sample.window.span)
     elif template.kind in ("circle", "sphere"):
-        r = template.param_dict["r"]
+        r = dict(template.params)["r"]
         lam = float(np.max(np.linalg.norm(sites, axis=1))) / r
         scale = (lam,) * template.d
     else:
@@ -334,16 +334,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag in ("csv", "out"):  # an unusable output path is refused before any work
+            if getattr(args, flag, None):
+                check_output(getattr(args, flag), f"--{flag}")
         code = args.func(args)
         sys.stdout.flush()  # a reader that is gone fails this write, here
         return code
     except BrokenPipeError:  # stdout to devnull, so that the flush at exit passes
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatblockError as exc:

@@ -1,10 +1,9 @@
 """Shape constants, boundary bias weights and the relative-efficiency exponent.
 
-The variance constant has an analytic registry entry per shape; the bias
-weights are the closed-form volume-loss rates of the template geometry.  Each
-has an independent numeric route: the variance constant integrates the
-squared set covariance on a grid, and the bias weights differentiate the
-exact set covariance at the origin with a three-point extrapolated secant.
+Each registered template geometry states its variance constant K0 and its
+volume-loss rates (the bias weights) in closed form.  Each has a numeric route:
+a grid quadrature of the squared set covariance, the only one for an affine
+image, and a three-point extrapolated secant of the exact set covariance.
 """
 
 from __future__ import annotations
@@ -15,17 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import Covariogram, next_fast_len, sum_over_shells
-from .errors import (
-    ConfigError,
-    QuadratureBudgetExceeded,
-    UnsupportedD1Nonlinear,
-    UnsupportedShape,
-)
+from .errors import QuadratureBudgetExceeded, UnsupportedD1Nonlinear, UnsupportedShape
 from .geometry import Template, box_points, raster_lines, set_covariance_exact
 
 ANALYTIC = "analytic"
 NUMERIC = "numeric"
-AUTO = "auto"
 # Spectrum bins per k0_numeric slab: 512 kB of complex values, so that a slab's
 # transform and its power sum stay in the core's cache.
 _SLAB_BINS = 1 << 15
@@ -48,7 +41,6 @@ class BiasWeights:
     template_kind: str
     radius: int
     weights: tuple  # ((k tuple, value), ...)
-    source: str
 
     def as_dict(self) -> dict:
         return dict(self.weights)
@@ -59,42 +51,13 @@ class BiasWeights:
 # ---------------------------------------------------------------------------
 
 
-def _k0_analytic(template: Template) -> float | None:
-    kind = template.kind
-    p = template.param_dict
-    if kind == "hypercube":
-        return (2.0 / 3.0) ** template.d
-    if kind == "rotated-rectangle":
-        return 4.0 / 9.0
-    if kind == "circle":
-        return 1.0 - 16.0 / (3.0 * math.pi**2)
-    if kind in ("right-triangle", "isoceles-triangle"):
-        return 2.0 / 5.0
-    if kind == "regular-hexagon":
-        return 37.0 / 81.0
-    if kind == "trapezoid":
-        t = p["b2"] / p["b1"]
-        c = (t + 1.0) ** -2 * (1.0 + 2.0 * (t - 1.0) / (t + 1.0))
-        return 2.0 / 5.0 * (1.0 + 4.0 * c / 9.0)
-    if kind == "parallelogram":
-        # any parallelogram is an invertible affine image of the square, and
-        # the constant is affine invariant
-        return 4.0 / 9.0
-    if kind == "sphere":
-        return 34.0 / 105.0
-    if kind == "cylinder":
-        return 2.0 / 3.0 * (1.0 - 16.0 / (3.0 * math.pi**2))
-    return None
-
-
 def k0(template: Template) -> ShapeConstants:
-    """Variance constant of the template shape (analytic registry preferred)."""
+    """Variance constant of the template: its geometry's closed form, else k0_numeric."""
     vol = template.volume()
-    val = _k0_analytic(template)
-    if val is not None:
-        return ShapeConstants(k0=val, k1=val * vol, volume=vol, source=ANALYTIC)
-    val = k0_numeric(template)
-    return ShapeConstants(k0=val, k1=val * vol, volume=vol, source=NUMERIC)
+    val, source = template.geom.k0, ANALYTIC
+    if val is None:
+        val, source = k0_numeric(template), NUMERIC
+    return ShapeConstants(k0=val, k1=val * vol, volume=vol, source=source)
 
 
 def k0_numeric(template: Template, step: float | None = None) -> float:
@@ -196,21 +159,12 @@ def v_weight_numeric(template: Template, k, eps: float = 1e-2) -> float:
     return (8.0 * secant(eps / 4.0) - 6.0 * secant(eps / 2.0) + secant(eps)) / 3.0
 
 
-def bias_weights(template: Template, radius: int = 3, source: str = AUTO) -> BiasWeights:
-    """Weights over the sup-norm ball of lags: closed form, or the secant oracle.
-
-    ``source`` is ``"auto"`` (the geometry's closed form) or ``"numeric"``.
-    """
-    if source not in (AUTO, NUMERIC):
-        raise ConfigError(f"bias weight source must be 'auto' or 'numeric', got {source!r}")
+def bias_weights(template: Template, radius: int = 3) -> BiasWeights:
+    """The geometry's closed-form volume-loss rates over a sup-norm ball of lags."""
     lags = box_points([-radius] * template.d, [radius] * template.d)
-    if source == NUMERIC:
-        vals = [v_weight_numeric(template, row) for row in lags]
-    else:
-        vals = template.geom.boundary_rate(lags)
+    vals = template.geom.boundary_rate(lags)
     entries = tuple((tuple(int(x) for x in row), float(v)) for row, v in zip(lags, vals))
-    used = NUMERIC if source == NUMERIC else ANALYTIC
-    return BiasWeights(template_kind=template.kind, radius=radius, weights=entries, source=used)
+    return BiasWeights(template_kind=template.kind, radius=radius, weights=entries)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .csvfile import open_input
 from .errors import ConfigError, DimensionMismatch, EmptyWindow, NonConvergent
 from .geometry import LatticeWindow, Region, box_points, lattice_sites
 
@@ -359,7 +360,7 @@ def _parse_kv(argstr: str) -> dict:
 
 
 def _load_table(path: str) -> Covariogram:
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ConfigError(f"empty covariogram table {path!r}")

@@ -32,8 +32,9 @@ from .errors import (
 
 _EQ_TOL = 1e-9
 _PACKAGE_DIR = os.path.dirname(__file__)
-# Grid cells per block of first-axis raster lines (see _line_runs): the
-# block's buffer then takes 128 kB, and its tested centers less.
+# Points per membership test: a block of first-axis raster lines (see
+# _line_runs), whose buffer then takes 128 kB, or of lattice box points (see
+# _copy_patterns), so a test's temporaries stay a few MB whatever the box.
 _RASTER_BLOCK_CELLS = 1 << 14
 
 OL = "ol"
@@ -58,6 +59,7 @@ class _Geometry:
     """
 
     d: int
+    k0 = None  # the variance constant in closed form, where one is known
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -108,6 +110,7 @@ class _Box(_Geometry):
 
     def __init__(self, d: int):
         self.d = d
+        self.k0 = (2.0 / 3.0) ** d
 
     def contains(self, pts):
         pts = np.asarray(pts, float)
@@ -138,6 +141,7 @@ class _Ball(_Geometry):
     def __init__(self, d: int, r: float):
         self.d = d
         self.r = float(r)
+        self.k0 = {2: 1.0 - 16.0 / (3.0 * math.pi**2), 3: 34.0 / 105.0}.get(d)
 
     def contains(self, pts):
         pts = np.asarray(pts, float)
@@ -192,9 +196,10 @@ class _Poly2(_Geometry):
 
     d = 2
 
-    def __init__(self, verts, closed):
+    def __init__(self, verts, closed, k0=None):
         self.verts = np.asarray(verts, float)
         self.closed = list(closed)
+        self.k0 = k0
         if len(self.closed) != len(self.verts):
             raise ValueError("need one closedness flag per edge")
         # outward normals (CCW orientation) and offsets
@@ -235,7 +240,7 @@ class _Rect2(_Poly2):
     """
 
     def __init__(self, verts, closed, axes, sides):
-        super().__init__(verts, closed)
+        super().__init__(verts, closed, 4.0 / 9.0)
         self.axes = np.asarray(axes, float)
         self.sides = np.asarray(sides, float)
 
@@ -247,6 +252,7 @@ class _Cylinder(_Geometry):
     """Closed cylinder in R^3: circular base of radius r in the x-y plane, height h."""
 
     d = 3
+    k0 = 2.0 / 3.0 * (1.0 - 16.0 / (3.0 * math.pi**2))
 
     def __init__(self, r: float, h: float):
         self.r = float(r)
@@ -422,14 +428,14 @@ class Template:
         """Legs of length 1 on the lower-left sides of the unit cell."""
         verts = np.array([[-0.5, -0.5], [0.5, -0.5], [-0.5, 0.5]])
         closed = [False, True, False]  # hypotenuse included, legs excluded
-        return Template("right-triangle", 2, (), _Poly2(verts, closed))
+        return Template("right-triangle", 2, (), _Poly2(verts, closed, 2.0 / 5.0))
 
     @staticmethod
     def isoceles_triangle() -> "Template":
         """Base of length 1 at the bottom edge, apex at the top center."""
         verts = np.array([[-0.5, -0.5], [0.5, -0.5], [0.0, 0.5]])
         closed = [False, True, True]  # slanted sides included, base excluded
-        return Template("isoceles-triangle", 2, (), _Poly2(verts, closed))
+        return Template("isoceles-triangle", 2, (), _Poly2(verts, closed, 2.0 / 5.0))
 
     @staticmethod
     def trapezoid(b1: float, b2: float) -> "Template":
@@ -441,7 +447,10 @@ class Template:
             [[-0.5, y0], [0.5, y0], [0.5, y0 + b1], [-0.5, y0 + b2]]
         )
         closed = [False, True, True, False]
-        return Template("trapezoid", 2, (("b1", b1), ("b2", b2)), _Poly2(verts, closed))
+        t = b2 / b1
+        c = (t + 1.0) ** -2 * (1.0 + 2.0 * (t - 1.0) / (t + 1.0))
+        geom = _Poly2(verts, closed, 2.0 / 5.0 * (1.0 + 4.0 * c / 9.0))
+        return Template("trapezoid", 2, (("b1", b1), ("b2", b2)), geom)
 
     @staticmethod
     def regular_hexagon(l: float) -> "Template":
@@ -450,7 +459,7 @@ class Template:
             raise ConfigError("hexagon needs 0 < l <= 1/2")
         ang = np.pi / 3.0 * np.arange(6)
         verts = l * np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return Template("regular-hexagon", 2, (("l", l),), _Poly2(verts, [True] * 6))
+        return Template("regular-hexagon", 2, (("l", l),), _Poly2(verts, [True] * 6, 37.0 / 81.0))
 
     @staticmethod
     def parallelogram(gamma: float, l1: float, l2: float) -> "Template":
@@ -468,7 +477,8 @@ class Template:
             "parallelogram",
             2,
             (("gamma", gamma), ("l1", l1), ("l2", l2)),
-            _Poly2(verts, closed),
+            # an invertible affine image of the square, and K0 is affine invariant
+            _Poly2(verts, closed, 4.0 / 9.0),
         )
 
     @staticmethod
@@ -480,10 +490,6 @@ class Template:
         return Template("cylinder", 3, (("r", r), ("h", h)), _Cylinder(r, h))
 
     # -- queries ------------------------------------------------------------
-
-    @property
-    def param_dict(self) -> dict:
-        return dict(self.params)
 
     def volume(self) -> float:
         return self.geom.volume()
@@ -681,26 +687,30 @@ def lattice_box(lo, hi) -> tuple:
     """int64 corners of the integer boxes ``lo <= x <= hi``, a box per row,
     from corners already on the lattice; every lattice site set is built
     from boxes that pass here.  A corner that is not finite or not an int64,
-    or boxes whose points (d int64 each) exceed physical memory, raise
-    ``ConfigError``: an allocation is not trusted to fail, as the kernel may
-    promise memory that it cannot back."""
+    or boxes whose build exceeds physical memory, raise ``ConfigError``: an
+    allocation is not trusted to fail, as the kernel may promise memory that
+    it cannot back.  A build holds at most two arrays of the points (d int64
+    each) and a bool and an int64 index per point (see ``_cached_window``)."""
     corners = np.array([lo, hi], float)
     outside = ~(np.abs(corners) < 2.0**63)  # NaN is outside too
     if outside.any():
         raise ConfigError(f"lattice box corner {corners[outside][0]:g} is past the int64 range")
     lo, hi = np.asarray(lo, np.int64), np.asarray(hi, np.int64)
     points = np.prod(np.maximum(corners[1] - corners[0] + 1, 0), axis=-1).sum()
-    if points * 8 * lo.shape[-1] > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    if points * (16 * lo.shape[-1] + 9) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
         raise ConfigError(f"a lattice box of {points:.3g} sites does not fit in memory")
     return lo, hi
 
 
 def box_points(lo, hi) -> np.ndarray:
     """Integer points of the box ``lo <= x <= hi``, shape (n, d), last axis
-    fastest; the corners pass ``lattice_box``."""
-    axes = [np.arange(a, b + 1) for a, b in zip(*lattice_box(lo, hi))]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    fastest, each axis written in place; the corners pass ``lattice_box``."""
+    lo, hi = lattice_box(lo, hi)
+    shape = np.maximum(hi - lo + 1, 0).tolist()
+    points = np.empty((*shape, len(shape)), np.int64)
+    for j, (a, n) in enumerate(zip(lo.tolist(), shape)):
+        points[..., j] = np.arange(a, a + n).reshape(-1, *[1] * (len(shape) - 1 - j))
+    return points.reshape(-1, len(shape))
 
 
 def _grid(geom: _Geometry, h: float):
@@ -939,9 +949,11 @@ def lattice_sites(region: Region) -> LatticeWindow:
 def _cached_window(region: Region) -> LatticeWindow:
     zero = np.zeros((1, region.d))
     block, inside = _copy_patterns(region.template.geom, region.scale, region.shift, zero)
-    if not inside.any():
+    sites = block[inside[0]]
+    del block  # the window copies the sites: at most two arrays of box size at once
+    if not len(sites):
         raise EmptyWindow("region contains no lattice sites")
-    return LatticeWindow(block[inside[0]])
+    return LatticeWindow(sites)
 
 
 def overlap_count(template: Template, s_lambda: float, k, shift=None) -> int:
@@ -1103,7 +1115,10 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
     span = shi - slo
     block = box_points([0] * region.d, span.max(axis=0))
     in_cube = np.all(block <= span[:, None, :], axis=-1)  # (cubes, block points)
-    inside = geom.contains_scaled(slo[:, None, :] + block, scale, shift)
+    inside = np.empty_like(in_cube)
+    per = max(1, _RASTER_BLOCK_CELLS // max(1, len(block)))  # cubes per membership test
+    for at in range(0, len(slo), per):
+        inside[at:at + per] = geom.contains_scaled(slo[at:at + per, None, :] + block, scale, shift)
     keep = in_cube.any(axis=1) & np.all(inside | ~in_cube, axis=1)
     offsets = cand[keep]
     if offsets.shape[0] == 0:
@@ -1135,11 +1150,15 @@ def enumerate_nol(region: Region, spec: SubsampleSpec) -> SubsampleIndexSet:
 def _copy_patterns(geom: _Geometry, scale, shift, fracs):
     """A common block of sites, and which of them the template scaled by
     ``scale`` (per axis) holds at lattice shift ``shift - f`` for each row f
-    of ``fracs`` (F, d) in [0, 1): a (F, block) mask from one membership
-    test.  A region's window is its one row at f = 0."""
+    of ``fracs`` (F, d) in [0, 1): a (F, block) mask, tested a bounded run
+    of block points at a time.  A region's window is its one row at f = 0."""
     scale, shift = np.asarray(scale), np.asarray(shift)
     lo_f, hi_f = geom.bbox()
     lo = np.ceil(scale * lo_f - shift + fracs.min(axis=0) - _EQ_TOL)
     hi = np.floor(scale * hi_f - shift + fracs.max(axis=0) + _EQ_TOL)
     block = box_points(lo, np.maximum(hi, lo))  # not empty: it has a corner
-    return block, geom.contains_scaled(block, scale, (shift - fracs)[:, None, :])
+    inside = np.empty((len(fracs), len(block)), bool)
+    for at in range(0, len(block), _RASTER_BLOCK_CELLS):
+        run = slice(at, at + _RASTER_BLOCK_CELLS)
+        inside[:, run] = geom.contains_scaled(block[run], scale, (shift - fracs)[:, None, :])
+    return block, inside

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import Covariogram, exact_tau_n_sq_window, parse_covariogram
-from .csvfile import emit_csv
+from .csvfile import check_output, emit_csv, open_input
 from .errors import ConfigError, DegenerateSubsampling, InsufficientCandidates, LatblockError
 from .estimators import (
     SmoothStatistic,
@@ -106,7 +106,7 @@ def check_workers(value) -> None:
 
 
 def load_config(path: str) -> StudyConfig:
-    with open(path) as fh:
+    with open_input(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -360,7 +360,9 @@ def _check_selectors(regions, sel: SelectorConfig, hj_keys: set) -> None:
     """Refuse, before any study work, selector settings every replicate would
     refuse, repeated settings, and keys that make no setting: npi runs at
     every (c1, c2) pair, and the hj keys given (``hj_keys``) other than
-    lambda_m only qualify its lambda_m settings."""
+    lambda_m only qualify its lambda_m settings.  A setting whose designs
+    degenerate on every field (hj candidates that each hold one NOL cube, say)
+    is not refused: it runs, and its row is written with NA values."""
     if bool(sel.npi_c1) != bool(sel.npi_c2):
         given, needed = ("c1", "c2") if sel.npi_c1 else ("c2", "c1")
         raise ConfigError(f"selectors.npi.{given} needs selectors.npi.{needed}")
@@ -850,10 +852,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Run the studies the config's outputs request, in one pass; write their CSVs."""
     outputs = config.outputs
     for key, path in outputs.items():  # refused before the study, not at its end
-        if os.path.isdir(path):
-            raise ConfigError(f"outputs.{key}: {path!r} is a directory")
-        if not os.path.isdir(os.path.dirname(path) or os.curdir):
-            raise ConfigError(f"outputs.{key}: the directory of {path!r} does not exist")
+        check_output(path, f"outputs.{key}")
     mse = "mse_csv" in outputs or "scaling_csv" in outputs
     phi = "phi_csv" in outputs
     if not (mse or phi):

@@ -416,6 +416,48 @@ def test_a_lattice_box_past_int64_or_memory_is_refused(capsys, tmp_path, field_c
     assert not out_csv.exists()
 
 
+SIMULATE = ["simulate", "--cov", "white", "--template", "hypercube:d=2", "--scale", "4,4", "--seed", "1"]
+ON_FIELD = ["--data", "{field}", "--template", "hypercube:d=2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--template", "circle:r=0.5", "--csv", "{dir}"],
+        [*ESTIMATE, "--scheme", "ol", "--scale", "4", *ON_FIELD, "--csv", "{dir}"],
+        ["scale", "--method", "npi", *ON_FIELD, "--csv", "{dir}"],
+        [*SIMULATE, "--out", "{dir}"],
+        ["constants", "--template", "circle:r=0.5", "--csv", "{nodir}"],
+        [*SIMULATE, "--out", "{nodir}"],
+        [*ESTIMATE, "--scheme", "ol", "--scale", "4", "--data", "{dir}", "--template", "hypercube:d=2"],
+        ["study", "--config", "{dir}"],
+        ["constants", "--template", "hypercube:d=2", "--cov", "table:@{dir}"],
+        ["study", "--config", "{bad}"],
+        [*ESTIMATE, "--scheme", "ol", "--scale", "4", "--data", "{bad}", "--template", "hypercube:d=2"],
+        ["constants", "--template", "hypercube:d=2", "--cov", "table:@{bad}"],
+    ],
+    ids=[
+        "constants-csv-dir", "estimate-csv-dir", "scale-csv-dir", "simulate-out-dir",
+        "constants-csv-nodir", "simulate-out-nodir", "estimate-data-dir", "study-config-dir",
+        "table-dir", "study-config-not-utf8", "estimate-data-not-utf8", "table-not-utf8",
+    ],
+)
+def test_an_unusable_file_path_is_refused_with_one_error_line(capsys, tmp_path, field_csv, argv):
+    # an output path is refused before any work: no stdout, no file, no .tmp file;
+    # an input that is a directory, or not UTF-8, is refused naming the file
+    (tmp_path / "d").mkdir()
+    (tmp_path / "bad").write_bytes(b"s1,s2,v1\n0,0,\xff\n")
+    paths = {"dir": tmp_path / "d", "nodir": tmp_path / "nodir" / "k.csv",
+             "bad": tmp_path / "bad", "field": field_csv}
+    argv = [arg.format(**paths) for arg in argv]
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert any(str(paths[key]) in err for key in ("dir", "nodir", "bad"))
+
+
 def test_study_command(capsys, tmp_path):
     config = {
         "regions": [{"name": "r", "template": "hypercube:d=2", "scale": [10, 10]}],

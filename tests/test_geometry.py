@@ -1,6 +1,8 @@
 """Geometry: membership, lattice windows, set covariance, subsample enumeration."""
 
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -547,6 +549,14 @@ def test_ol_with_no_fitting_translate_raises_empty_subsample_set(region, s_lam):
         enumerate_ol(region, SubsampleSpec(Template.hypercube(2), s_lam, "ol"))
 
 
+def test_nol_cubes_that_hold_no_site_raise_empty_subsample_set():
+    # cubes of side 0.06 over a disk narrower than a lattice step: no cube
+    # holds a site, so their common block of sites is empty
+    region = Region(Template.circle(0.5), (0.6, 0.6), (0.45, 0.05))
+    with pytest.warns(NonIntegerScaleWarning), pytest.raises(EmptySubsampleSet):
+        enumerate_nol(region, SubsampleSpec(Template.circle(0.5), 0.06, "nol"))
+
+
 def test_affine_images_cannot_build_regions():
     circle = Template.circle(0.5)
     a = affine_image(circle, np.diag([1.0, 0.5]))
@@ -618,6 +628,77 @@ def test_window_is_the_scaled_membership_filter_of_a_wider_box(template, data):
     except EmptyWindow:
         got = np.empty((0, d), np.int64)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lo, hi", [([-2], [3]), ([1, -4], [3, 2]), ([0, 5, -1], [2, 6, 1]), ([0, 3], [2, 2])])
+def test_box_points_equal_the_stacked_meshgrid(lo, hi):
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    want = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    got = box_points(lo, hi)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("template", REGISTERED, ids=lambda t: t.kind)
+def test_windows_and_nol_designs_do_not_depend_on_the_membership_run(monkeypatch, template):
+    # membership is tested a bounded run of points (or of NOL cubes) at a time;
+    # runs of 7 points give the windows and designs of one whole-box test
+    def build():
+        geometry._cached_window.cache_clear()
+        region = Region(template, (9.5,) * template.d, (0.25,) * template.d)
+        designs = [enumerate_nol(region, SubsampleSpec(template, s, "nol")) for s in (2, 2.5)]
+        return lattice_sites(region), designs
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonIntegerScaleWarning)
+        window, designs = build()
+        monkeypatch.setattr(geometry, "_RASTER_BLOCK_CELLS", 7)
+        small_window, small_designs = build()
+    geometry._cached_window.cache_clear()
+    assert small_window == window
+    for got, want in zip(small_designs, designs):
+        for name in ("offsets", "counts", "anchors", "pattern"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert all(np.array_equal(a, b) for a, b in zip(got.patterns, want.patterns, strict=True))
+
+
+@pytest.mark.parametrize(
+    "template",
+    [Template.hypercube(2), Template.circle(0.5), Template.regular_hexagon(0.5)],
+    ids=lambda t: t.kind,
+)
+def test_the_largest_window_the_memory_check_admits_fits_in_that_memory(monkeypatch, template):
+    # with 16 MB of physical memory, building the largest window the check
+    # admits peaks below 16 MB (and above half of it), and the next scale up
+    # is refused
+    memory = 16 << 20
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": memory // 4096}
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: pages[name] if name in pages else sysconf(name))
+
+    def admits(n):
+        geometry._cached_window.cache_clear()
+        try:
+            lattice_sites(Region(template, (n, n)))
+        except ConfigError:
+            return False
+        return True
+
+    lo, hi = 1, 4096
+    assert admits(lo) and not admits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admits(mid) else (lo, mid)
+    geometry._cached_window.cache_clear()
+    tracemalloc.start()
+    try:
+        lattice_sites(Region(template, (lo, lo)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        geometry._cached_window.cache_clear()
+    assert memory / 2 < peak < memory
+    with pytest.raises(ConfigError, match="does not fit in memory"):
+        lattice_sites(Region(template, (lo + 1, lo + 1)))
 
 
 def nol_design_one_by_one(region, spec):
